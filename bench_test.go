@@ -274,6 +274,46 @@ func BenchmarkExecSelect(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
+// BenchmarkCorrelatedJoinSubquery measures the shape that multiplies the
+// execute path's fixed per-statement costs: a correlated subquery whose
+// body is a join reruns that join once per outer row. The tables are
+// campaign-sized (about ten rows), so B/op and allocs/op show what the
+// join steps cost independent of the rows they emit.
+func BenchmarkCorrelatedJoinSubquery(b *testing.B) {
+	db := engine.Open(dialect.MustGet("sqlite"), engine.WithoutFaults())
+	for _, s := range []string{
+		"CREATE TABLE t0 (c0 INTEGER, c1 TEXT)",
+		"CREATE TABLE t1 (c0 INTEGER, c1 TEXT)",
+		"CREATE TABLE t2 (c0 INTEGER, c1 INTEGER)",
+	} {
+		if err := db.Exec(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		for _, s := range []string{
+			fmt.Sprintf("INSERT INTO t0 VALUES (%d, 'r%d')", i%4, i),
+			fmt.Sprintf("INSERT INTO t1 VALUES (%d, 'x%d')", i%3, i%5),
+			fmt.Sprintf("INSERT INTO t2 VALUES (%d, %d)", i%5, i),
+		} {
+			if err := db.Exec(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	const q = "SELECT t0.c1, (SELECT COUNT(*) FROM t1 JOIN t2 ON t1.c0 = t2.c0 " +
+		"WHERE t2.c1 > t0.c0) FROM t0 WHERE EXISTS (SELECT 1 FROM t1 LEFT JOIN t2 " +
+		"ON t1.c0 = t2.c0 WHERE t1.c0 = t0.c0)"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+}
+
 // BenchmarkIndexedSelect measures the access-path planner's win on a
 // selective equality predicate: 4096 rows, 512 distinct keys (8 rows per
 // key). The "indexed" sub-benchmark probes the ordered index store; the

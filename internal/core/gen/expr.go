@@ -251,7 +251,7 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 // pickChoice picks among structural alternatives, filtering those that
 // map to features the policy suppresses.
 func (g *Generator) pickChoice(alts []string) string {
-	var ok []string
+	ok := g.choiceBuf[:0]
 	for _, a := range alts {
 		switch a {
 		// Structural labels are not features; the concrete feature inside
@@ -264,6 +264,7 @@ func (g *Generator) pickChoice(alts []string) string {
 			}
 		}
 	}
+	g.choiceBuf = ok
 	if len(ok) == 0 {
 		ok = alts
 	}

@@ -118,6 +118,11 @@ type Generator struct {
 	intFuncs  []string
 	textFuncs []string
 	anyFuncs  []string
+
+	// choiceBuf is pickFeature's and pickChoice's reused filter buffer:
+	// both run many times per generated statement and consume their
+	// filtered list before returning.
+	choiceBuf []string
 }
 
 // New creates a Generator.
@@ -229,12 +234,13 @@ func (g *Generator) supported(f string) bool { return g.cfg.Policy.Supported(f) 
 // the rest are uniform). If everything is suppressed it falls back to
 // the full list so generation can still make progress (and re-probe).
 func (g *Generator) pickFeature(alts []string) string {
-	var ok []string
+	ok := g.choiceBuf[:0]
 	for _, a := range alts {
 		if g.supported(a) {
 			ok = append(ok, a)
 		}
 	}
+	g.choiceBuf = ok
 	if len(ok) == 0 {
 		ok = alts
 	}

@@ -184,3 +184,24 @@ func (r *Recorder) HitPoints() []string {
 	sort.Strings(out)
 	return out
 }
+
+// HitBranches returns the sorted list of hit branch sides, each spelled
+// "<name>:taken" or "<name>:not-taken" (for tests).
+func (r *Recorder) HitBranches() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	out := make([]string, 0, 2*len(r.branches))
+	for b, sides := range r.branches {
+		if sides[0] {
+			out = append(out, b+":taken")
+		}
+		if sides[1] {
+			out = append(out, b+":not-taken")
+		}
+	}
+	r.mu.Unlock()
+	sort.Strings(out)
+	return out
+}

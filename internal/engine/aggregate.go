@@ -4,9 +4,11 @@ import "sqlancerpp/internal/sqlast"
 
 // evalAggregate computes an aggregate call over the current group.
 func (ctx *evalCtx) evalAggregate(x *sqlast.Func) (Value, *Error) {
-	ctx.s.cov.Hit("eval.aggregate." + x.Name)
-	ctx.s.cov.HitBranch("agg.empty", len(ctx.group) == 0)
-	ctx.s.cov.HitBranch("agg.distinct."+x.Name, x.Distinct)
+	if ctx.s.cov != nil {
+		ctx.s.cov.Hit("eval.aggregate." + x.Name)
+		ctx.s.cov.HitBranch("agg.empty", len(ctx.group) == 0)
+		ctx.s.cov.HitBranch("agg.distinct."+x.Name, x.Distinct)
+	}
 	if x.Star { // COUNT(*)
 		return Int(int64(len(ctx.group))), nil
 	}

@@ -112,7 +112,9 @@ func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
 	}
 	rows := left.Rows
 	for _, part := range sel.Compound {
-		s.cov.Hit("exec.setop." + setOpFeature(part.Op))
+		if s.cov != nil {
+			s.cov.Hit("exec.setop." + setOpFeature(part.Op))
+		}
 		right, err := s.execSelectEnv(part.Select, outer)
 		if err != nil {
 			return nil, err

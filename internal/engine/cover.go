@@ -166,10 +166,11 @@ func (s *DB) coveringProject(cp *coverPlan, rows []jrow) ([][]Value, [][]Value) 
 	width := len(cp.items)
 	klen := len(cp.keys)
 	outRows := make([][]Value, n)
-	sortKeys := make([][]Value, n)
 	flat := make([]Value, n*width)
+	var sortKeys [][]Value
 	var kflat []Value
 	if klen > 0 {
+		sortKeys = make([][]Value, n)
 		kflat = make([]Value, n*klen)
 	}
 	for i, jr := range rows {

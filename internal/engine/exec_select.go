@@ -86,18 +86,26 @@ func (env *rowEnv) bindRow(row jrow) {
 
 // jrowArena hands out combined join rows from chunked backing storage,
 // replacing one slice allocation per output row with one per chunk.
+// Chunks start at jrowChunkMin slots and double up to jrowChunkMax, so a
+// step's arena memory tracks its output: a step that emits one row pays
+// for a small chunk, not a full one. Correlated subqueries rerun their
+// join steps once per outer row, which makes a fixed chunk cost add up.
 type jrowArena struct {
-	buf [][]Value
+	buf  [][]Value
+	next int // slots in the next chunk; 0 before the first
 }
+
+const (
+	jrowChunkMin = 16
+	jrowChunkMax = 1024
+)
 
 func (a *jrowArena) row(lrow jrow, rrow []Value) jrow {
 	n := len(lrow) + 1
 	if len(a.buf) < n {
-		size := 1024
-		if n > size {
-			size = n
-		}
-		a.buf = make([][]Value, size)
+		size := max(a.next, jrowChunkMin)
+		a.next = min(2*size, jrowChunkMax)
+		a.buf = make([][]Value, max(size, n))
 	}
 	out := a.buf[:n:n]
 	a.buf = a.buf[n:]
@@ -273,15 +281,16 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		// Heap projection. Output rows and sort keys subslice two
 		// exactly-sized backing arrays: one allocation each per statement
 		// instead of one per row, with every subslice capacity-bounded so
-		// an append could never bleed into its neighbor.
+		// an append could never bleed into its neighbor. Without ORDER BY
+		// there are no sort keys and sortKeys stays nil.
 		width := projWidth(sel, rels)
 		n := len(rows)
 		klen := len(sel.OrderBy)
 		outRows = make([][]Value, 0, n)
-		sortKeys = make([][]Value, 0, n)
 		flat := make([]Value, n*width)
 		var kflat []Value
 		if klen > 0 {
+			sortKeys = make([][]Value, 0, n)
 			kflat = make([]Value, n*klen)
 		}
 		for i, row := range rows {
@@ -295,7 +304,9 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 				return nil, err
 			}
 			outRows = append(outRows, out)
-			sortKeys = append(sortKeys, keys)
+			if klen > 0 {
+				sortKeys = append(sortKeys, keys)
+			}
 		}
 	}
 
@@ -310,7 +321,9 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 			if !seen[k] {
 				seen[k] = true
 				dr = append(dr, r)
-				dk = append(dk, sortKeys[i])
+				if sortKeys != nil {
+					dk = append(dk, sortKeys[i])
+				}
 			}
 		}
 		outRows, sortKeys = dr, dk
@@ -353,7 +366,14 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 // loses exactly those.
 func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matRel, item sqlast.FromItem, step int, moved map[sqlast.Expr]bool, outer *rowEnv) ([]jrow, *Error) {
 	jf := joinFeature(item.Join)
-	s.cov.Hit("exec.join." + jf)
+	// Coverage keys are built only when a recorder is attached: the
+	// match branch is hit once per candidate pair, and concatenating its
+	// key there would allocate per pair even in uninstrumented runs.
+	var matchKey string
+	if s.cov != nil {
+		s.cov.Hit("exec.join." + jf)
+		matchKey = "join.match." + jf
+	}
 
 	on := item.On
 	if item.Join == sqlast.JoinNatural {
@@ -367,8 +387,8 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 
 	// One scratch environment covers every candidate pair, the ON
 	// conjuncts are split once per join step, and combined output rows
-	// come from a chunked arena — the candidate loop itself is
-	// allocation-free.
+	// come from a chunked arena that grows with the output — the loop
+	// allocates only for rows it emits, never per candidate pair.
 	jrels := make([]matRel, len(rels)+1)
 	copy(jrels, rels)
 	jrels[len(rels)] = right
@@ -384,17 +404,24 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 		env.bindRow(lrow)
 		env.rels[len(lrow)].vals = rrow
 		ok, err := s.evalFilterConjs(onConjs, ctx)
-		s.cov.HitBranch("join.match."+jf, ok)
+		s.cov.HitBranch(matchKey, ok)
 		return ok, err
 	}
 
-	// NULL-extension rows are immutable, so every NULL-extended output row
-	// shares the same backing slices.
+	// NULL-extension rows exist only for outer joins. They are immutable,
+	// so every NULL-extended output row of a step shares the same backing
+	// slices.
 	var arena jrowArena
-	rightNull := nullRow(len(right.cols))
-	leftNull := make(jrow, len(rels))
-	for i := range rels {
-		leftNull[i] = nullRow(len(rels[i].cols))
+	var rightNull []Value
+	var leftNull jrow
+	if item.Join == sqlast.JoinLeft || item.Join == sqlast.JoinFull {
+		rightNull = nullRow(len(right.cols))
+	}
+	if item.Join == sqlast.JoinRight || item.Join == sqlast.JoinFull {
+		leftNull = make(jrow, len(rels))
+		for i := range rels {
+			leftNull[i] = nullRow(len(rels[i].cols))
+		}
 	}
 
 	var out []jrow
@@ -421,7 +448,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 		if len(dropped) == 0 {
 			dropFault = nil
 			if probe := s.planJoinProbe(sel, rels, right, onConjs, step); probe != nil {
-				return s.joinProbeStep(probe, left, jf, env, ctx, onConjs, &arena)
+				return s.joinProbeStep(probe, left, matchKey, env, ctx, onConjs, &arena)
 			}
 		}
 		for _, lrow := range left {
@@ -540,7 +567,10 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 // have rejected a probed pair. Because the plan (and thus the defect) is
 // a function of FROM/ON alone, every query of a TLP or NoREC case sees
 // the same extra rows; only a plan-diffing oracle can observe them.
-func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, jf string,
+//
+// matchKey is the step's "join.match.<join>" coverage key, empty when no
+// recorder is attached.
+func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, matchKey string,
 	env *rowEnv, ctx *evalCtx, onConjs []sqlast.Expr, arena *jrowArena) ([]jrow, *Error) {
 	s.cov.Hit("exec.join.probe")
 	// The probe-step panic fault kills the process mid-SELECT — a
@@ -581,7 +611,7 @@ func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, jf string,
 				continue
 			}
 			ok, err := s.evalFilterConjs(onConjs, ctx)
-			s.cov.HitBranch("join.match."+jf, ok)
+			s.cov.HitBranch(matchKey, ok)
 			if err != nil {
 				return nil, err
 			}
@@ -860,22 +890,22 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 		order = append(order, "")
 	}
 
-	emptyEnv := buildEnv(rels, func() jrow {
-		r := make(jrow, len(rels))
-		for i := range rels {
-			r[i] = nullRow(len(rels[i].cols))
-		}
-		return r
-	}(), outer)
-
 	var outRows [][]Value
 	var sortKeys [][]Value
 	ctx := s.newEvalCtx(nil)
 	for _, key := range order {
 		gr := groups[key]
-		rep := emptyEnv
+		var rep *rowEnv
 		if len(gr.envs) > 0 {
 			rep = gr.envs[0]
+		} else {
+			// Only the global aggregate over zero rows has an empty
+			// group; its representative row is all NULL.
+			r := make(jrow, len(rels))
+			for i := range rels {
+				r[i] = nullRow(len(rels[i].cols))
+			}
+			rep = buildEnv(rels, r, outer)
 		}
 		ctx.env = rep
 		ctx.group = gr.envs

