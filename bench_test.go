@@ -237,6 +237,29 @@ func BenchmarkSupervisedCampaign(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cases/sec")
 }
 
+// BenchmarkShardedBugHunt is the bug-hunting sharded campaign: cratedb
+// (low validity, many bugs), every default oracle, bug reduction on, two
+// workers, and a checkpoint after every shard. It exercises the layers
+// past the per-case pipeline — prioritizer, reducer, shard merge and
+// checkpoint writer — whose allocations B/op and allocs/op track.
+func BenchmarkShardedBugHunt(b *testing.B) {
+	d := dialect.MustGet("cratedb")
+	ckpt := b.TempDir() + "/bench.ckpt"
+	b.ReportAllocs()
+	b.ResetTimer()
+	rep, err := campaign.RunShardedOpts(campaign.Config{
+		Dialect: d, Mode: campaign.Adaptive, TestCases: b.N + 1, Seed: 1,
+		Oracles: oracle.DefaultNames(), ReduceBugs: true,
+	}, campaign.ShardedOptions{Workers: 2, CheckpointPath: ckpt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.FalsePositives != 0 || rep.CheckpointWriteFailures != 0 {
+		b.Fatalf("false positives %d, checkpoint write failures %d", rep.FalsePositives, rep.CheckpointWriteFailures)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cases/sec")
+}
+
 // BenchmarkExecSelect measures the engine's SELECT hot path in isolation:
 // a two-table join with WHERE, ORDER BY, and an aggregate-free projection
 // over a populated database, executed from SQL text exactly as the

@@ -355,6 +355,12 @@ type Runner struct {
 	// allFaults accumulates every ground-truth fault triggered by a
 	// detected bug case (unique-bug accounting).
 	allFaults map[string]bool
+
+	// mergeDrops, set only for a shard of RunShardedOpts, reports that
+	// the shard merge is certain to drop a bug with the given prioritizer
+	// features (a finished lower shard already holds a subset of them),
+	// so reducing it would be wasted work. nil on the serial path.
+	mergeDrops func(features []string) bool
 }
 
 // withDefaults resolves the zero-value configuration knobs. RunSharded
@@ -847,7 +853,7 @@ func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt,
 		Detail:    fmt.Sprintf("harness panic: %v\n%s", p, sanitizeStack(debug.Stack())),
 	}
 	r.recordBug(bug, nil)
-	if r.cfg.ReduceBugs && !bug.Duplicate {
+	if r.cfg.ReduceBugs && !bug.Duplicate && !r.mergeDropsBug(prioritizerFeatures(features)) {
 		bug.Reduced = r.reduceHarnessBug(trigger)
 	}
 	r.db.Restart()
@@ -912,7 +918,8 @@ func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
 		})
 	}
 
-	if !r.pri.Report(prioritizerFeatures(bug.Features)) {
+	pf := prioritizerFeatures(bug.Features)
+	if !r.pri.Report(pf) {
 		bug.Duplicate = true
 		return
 	}
@@ -921,10 +928,17 @@ func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
 	for _, s := range r.setup {
 		bug.Setup = append(bug.Setup, s.SQL)
 	}
-	if r.cfg.ReduceBugs && bug.Class == ClassLogic && oc != nil {
+	if r.cfg.ReduceBugs && bug.Class == ClassLogic && oc != nil && !r.mergeDropsBug(pf) {
 		bug.Reduced = r.reduceLogicBug(bug, oc)
 	}
 	r.report.Bugs = append(r.report.Bugs, bug)
+}
+
+// mergeDropsBug reports whether the shard merge is certain to drop a
+// prioritized bug with prioritizer features pf. Reduction is skipped for
+// such bugs only, so every bug a merged report keeps is still reduced.
+func (r *Runner) mergeDropsBug(pf []string) bool {
+	return r.mergeDrops != nil && r.mergeDrops(pf)
 }
 
 // reduceLogicBug shrinks the setup+query sequence while the *same*

@@ -277,7 +277,7 @@ func TestResumeAfterTornWriteViaBak(t *testing.T) {
 	if err := loadCheckpoint(path, cp); err != nil {
 		t.Fatalf("pre-corruption checkpoint does not load: %v", err)
 	}
-	if err := saveCheckpoint(path, cp, mustChaos(t, "ckpt-torn=1", 0)); err != nil {
+	if err := saveCheckpointFile(path, cp, mustChaos(t, "ckpt-torn=1", 0)); err != nil {
 		t.Fatalf("torn save unexpectedly errored: %v", err)
 	}
 	if _, err := loadCheckpointFile(path); !errors.Is(err, errCkptCorrupt) {
@@ -366,7 +366,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		Seeds: []int64{3, 9}, Shards: make([]*Report, 2),
 	}
 	cp.Shards[0] = &Report{Dialect: "sqlite", TestCases: 5}
-	if err := saveCheckpoint(seedPath, cp, nil); err != nil {
+	if err := saveCheckpointFile(seedPath, cp, nil); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(seedPath)

@@ -45,9 +45,9 @@ type ShardedOptions struct {
 	CheckpointPath string
 	// Resume loads CheckpointPath before running and skips the shards it
 	// already holds. The checkpoint's configuration fingerprint must
-	// match the resolved configuration; a missing file starts fresh, and
-	// a corrupt file falls back to the ".bak" last-known-good generation
-	// (or a fresh start) instead of refusing to resume.
+	// match the resolved configuration. A missing or corrupt file falls
+	// back to the ".bak" last-known-good generation, and with no usable
+	// ".bak" either the run starts fresh instead of refusing to resume.
 	Resume bool
 	// Interrupt, when closed, stops the run at the next shard boundary
 	// with ErrInterrupted. Shards already in flight finish and are
@@ -97,6 +97,8 @@ type checkpointFile struct {
 	// table form, doubling as a guard against partitioning drift.
 	Seeds []int64
 	// Shards is indexed by shard ordinal; nil marks an incomplete shard.
+	// It must stay the last field: ckptWriter splices the cached shard
+	// encodings in after the encoding of the fields above.
 	Shards []*Report
 }
 
@@ -172,6 +174,32 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		return nil, fmt.Errorf("campaign: no dialect configured")
 	}
 	cfg = cfg.withDefaults()
+	reps, ckptFailures, err := runShards(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := mergeReports(cfg, reps)
+	if err != nil {
+		return nil, err
+	}
+	merged.CheckpointWriteFailures += ckptFailures
+	if opts.CheckpointPath != "" {
+		// Campaign complete; nothing to resume. A failed removal is a real
+		// error — a stale checkpoint would resurrect this run's shards
+		// into the next campaign that reuses the path.
+		for _, p := range []string{opts.CheckpointPath, opts.CheckpointPath + ".bak"} {
+			if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+				return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
+			}
+		}
+	}
+	return merged, nil
+}
+
+// runShards runs (or restores from the checkpoint) every shard of a
+// resolved configuration and returns the shard reports by ordinal, plus
+// the number of checkpoint writes that failed.
+func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 	shards := shardConfigs(cfg)
 	nShards := len(shards)
 	workers := opts.Workers
@@ -205,12 +233,41 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	}
 	if opts.Resume && opts.CheckpointPath != "" {
 		if err := loadCheckpoint(opts.CheckpointPath, cp); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
-	var mu sync.Mutex
+	// A shard is published to the index only once its encoding sits in
+	// the checkpoint writer, so every checkpoint generation holding a
+	// shard that skipped a reduction also holds the shard that made the
+	// bug redundant. A shard whose report fails to encode is never
+	// written and never published; that counts as a checkpoint write
+	// failure.
+	idx := newShardIndex(nShards)
 	ckptFailures := 0
+	var ckpt *ckptWriter
+	if opts.CheckpointPath != "" {
+		var err error
+		if ckpt, err = newCkptWriter(opts.CheckpointPath, cp, cfg.Chaos); err != nil {
+			return nil, 0, err
+		}
+	}
+	for i, rep := range cp.Shards {
+		if rep == nil {
+			continue
+		}
+		if ckpt != nil {
+			enc, err := json.Marshal(rep)
+			if err != nil {
+				ckptFailures++
+				continue
+			}
+			ckpt.setShard(i, enc)
+		}
+		idx.publish(i, rep)
+	}
+
+	var mu sync.Mutex
 	err := par.ForEach(nShards, workers, func(i int) error {
 		if cp.Shards[i] != nil {
 			return nil // restored from the checkpoint
@@ -220,41 +277,39 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 			return ErrInterrupted
 		default:
 		}
-		rep, err := runShardSupervised(shards[i], i, maxRetries, backoff)
+		rep, err := runShardSupervised(shards[i], i, maxRetries, backoff, idx.mergeDrops(i))
 		if err != nil {
 			return err
+		}
+		// Encode outside the lock: each shard is encoded exactly once,
+		// and a save only splices the cached encodings together.
+		var enc []byte
+		var encErr error
+		if ckpt != nil {
+			enc, encErr = json.Marshal(rep)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		cp.Shards[i] = rep
-		if opts.CheckpointPath != "" {
-			if serr := saveCheckpoint(opts.CheckpointPath, cp, cfg.Chaos); serr != nil {
+		if ckpt != nil {
+			if encErr != nil {
+				ckptFailures++
+				return nil
+			}
+			ckpt.setShard(i, enc)
+			if serr := ckpt.save(); serr != nil {
 				// Degrade, don't abort: the campaign keeps running and
 				// only risks redoing this generation's shards on a crash.
 				ckptFailures++
 			}
 		}
+		idx.publish(i, rep)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	merged, err := mergeReports(cfg, cp.Shards)
-	if err != nil {
-		return nil, err
-	}
-	merged.CheckpointWriteFailures += ckptFailures
-	if opts.CheckpointPath != "" {
-		// Campaign complete; nothing to resume. A failed removal is a real
-		// error — a stale checkpoint would resurrect this run's shards
-		// into the next campaign that reuses the path.
-		for _, p := range []string{opts.CheckpointPath, opts.CheckpointPath + ".bak"} {
-			if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
-			}
-		}
-	}
-	return merged, nil
+	return cp.Shards, ckptFailures, nil
 }
 
 // runShardSupervised runs one shard under the supervisor's retry policy:
@@ -263,7 +318,10 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 // the returned placeholder report carries the failure and contributes
 // nothing else to the merge. Configuration errors are fatal immediately:
 // they would fail identically on every retry and on every other shard.
-func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration) (*Report, error) {
+//
+// mergeDrops is the shard's view of the finished-shard index (see
+// shardIndex); every attempt runs with it.
+func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration, mergeDrops func([]string) bool) (*Report, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxRetries+1; attempt++ {
 		if attempt > 1 && backoff > 0 {
@@ -273,7 +331,7 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration)
 			}
 			time.Sleep(d)
 		}
-		rep, fatal, err := runShardAttempt(sc, shard, attempt)
+		rep, fatal, err := runShardAttempt(sc, shard, attempt, mergeDrops)
 		if err == nil {
 			rep.ShardRetries = attempt - 1
 			return rep, nil
@@ -295,7 +353,7 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration)
 // error with a deterministic message (no stack — retry accounting must
 // not vary with scheduling). fatal marks configuration errors, which
 // retrying cannot fix.
-func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, err error) {
+func runShardAttempt(sc Config, shard, attempt int, mergeDrops func([]string) bool) (rep *Report, fatal bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep, fatal, err = nil, false,
@@ -312,6 +370,7 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 	if err != nil {
 		return nil, true, err
 	}
+	runner.mergeDrops = mergeDrops
 	rep, err = runner.Run()
 	if err != nil {
 		return nil, false, err
@@ -321,25 +380,29 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 
 // loadCheckpoint restores completed shards from path into cp after
 // validating that the checkpoint belongs to this exact campaign. A
-// missing file is not an error (the run starts from scratch), and a
-// corrupt primary falls back to the ".bak" last-known-good generation —
-// then to a fresh start — instead of refusing to resume. Version,
-// fingerprint, and shard-layout mismatches in an intact file remain hard
-// errors: they mean the checkpoint is someone else's, not that it is
-// damaged.
+// missing or corrupt primary falls back to the ".bak" last-known-good
+// generation: a save leaves only ".bak" between its rotation and its
+// commit (and after a failed commit), and a torn write leaves a corrupt
+// primary beside it. With no usable ".bak" either, the run starts from
+// scratch instead of refusing to resume. A corrupt primary salvaged
+// this way is removed, so the next save cannot rotate it over the good
+// ".bak". Version, fingerprint, and shard-layout mismatches in an
+// intact file remain hard errors: they mean the checkpoint is someone
+// else's, not that it is damaged.
 func loadCheckpoint(path string, cp *checkpointFile) error {
+	src := path
 	old, err := loadCheckpointFile(path)
+	primaryCorrupt := errors.Is(err, errCkptCorrupt)
 	switch {
 	case err == nil:
-	case errors.Is(err, os.ErrNotExist):
-		return nil
-	case errors.Is(err, errCkptCorrupt):
-		bak, bakErr := loadCheckpointFile(path + ".bak")
+	case errors.Is(err, os.ErrNotExist), primaryCorrupt:
+		src = path + ".bak"
+		bak, bakErr := loadCheckpointFile(src)
 		switch {
 		case bakErr == nil:
 			old = bak
 		case errors.Is(bakErr, os.ErrNotExist), errors.Is(bakErr, errCkptCorrupt):
-			return nil // both generations unusable: start fresh
+			return nil // no usable generation: start fresh
 		default:
 			return bakErr
 		}
@@ -347,15 +410,20 @@ func loadCheckpoint(path string, cp *checkpointFile) error {
 		return err
 	}
 	if old.Fingerprint != cp.Fingerprint {
-		return fmt.Errorf("campaign: checkpoint %s was recorded for a different configuration", path)
+		return fmt.Errorf("campaign: checkpoint %s was recorded for a different configuration", src)
 	}
 	if old.TotalShards != cp.TotalShards ||
 		len(old.Shards) != cp.TotalShards || len(old.Seeds) != cp.TotalShards {
-		return fmt.Errorf("campaign: checkpoint %s shard layout does not match", path)
+		return fmt.Errorf("campaign: checkpoint %s shard layout does not match", src)
 	}
 	for i, s := range old.Seeds {
 		if s != cp.Seeds[i] {
-			return fmt.Errorf("campaign: checkpoint %s shard %d seed mismatch", path, i)
+			return fmt.Errorf("campaign: checkpoint %s shard %d seed mismatch", src, i)
+		}
+	}
+	if primaryCorrupt {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("campaign: removing corrupt checkpoint: %w", err)
 		}
 	}
 	copy(cp.Shards, old.Shards)
@@ -396,34 +464,126 @@ func loadCheckpointFile(path string) (*checkpointFile, error) {
 // payload bytes, hex-rendered. Not cryptographic — it defends against
 // torn writes and bit rot, not adversaries.
 func ckptChecksum(payload []byte) string {
-	h := fnv.New64a()
-	h.Write(payload)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", fnv1a(fnvOffset64, payload))
 }
 
-// saveCheckpoint writes cp to path atomically and durably: the
-// checksummed envelope goes to a unique O_EXCL temp file in the same
-// directory (concurrent campaigns sharing a path can no longer clobber
-// each other's temp), is fsynced, and replaces the checkpoint via
-// rename — with the previous generation first rotated to path+".bak" as
-// the salvage target for torn-write recovery. The inj sites fault each
-// stage deterministically under chaos testing; inj is nil in production.
-func saveCheckpoint(path string, cp *checkpointFile, inj *chaos.Injector) error {
+// FNV-1a-64 parameters, as in hash/fnv. The checkpoint writer keeps the
+// running state between saves, which hash/fnv does not expose cheaply.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// fnv1a continues an FNV-1a-64 hash from state h over p.
+func fnv1a(h uint64, p []byte) uint64 {
+	for _, c := range p {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// ckptEnvelopeHead is the envelope up to its checksum, which is always
+// ckptChecksum's 16 hex digits.
+var ckptEnvelopeHead = fmt.Sprintf(`{"Version":%d,"Checksum":"`, checkpointVersion)
+
+// ckptWriter persists campaign progress. Each shard's report is encoded
+// once, when the shard finishes (setShard); a save splices the cached
+// encodings into the checksummed envelope, producing exactly the bytes
+// of json.Marshal(checkpointEnvelope{Payload: json.Marshal(
+// checkpointFile)}) without re-encoding or re-compacting any report.
+//
+// The writer also keeps its last encoding: slots before the first shard
+// set since then are reused as they are, together with the payload
+// checksum state at that point. Shards finish roughly in order, so a
+// save hashes and copies little more than the newly finished shard.
+type ckptWriter struct {
+	path string
+	inj  *chaos.Injector // nil in production
+	// shards holds each shard's encoded report; nil encodes as null, an
+	// incomplete shard.
+	shards [][]byte
+	// buf holds the last encoding, cut after the shard slots. Slot i
+	// starts at buf[offs[i]], where the payload's FNV-1a state is
+	// sums[i]; offs[len(shards)] is where the slots end. Slots from
+	// dirty on are re-encoded by the next save.
+	buf   []byte
+	offs  []int
+	sums  []uint64
+	dirty int
+}
+
+// newCkptWriter prepares a writer for cp's campaign with no shard
+// encoded yet.
+func newCkptWriter(path string, cp *checkpointFile, inj *chaos.Injector) (*ckptWriter, error) {
+	hdr := *cp
+	hdr.Shards = []*Report{}
+	head, err := json.Marshal(&hdr)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: encoding checkpoint header: %w", err)
+	}
+	head = head[:len(head)-len("]}")] // reopen the empty Shards array
+	n := len(cp.Shards)
+	w := &ckptWriter{
+		path:   path,
+		inj:    inj,
+		shards: make([][]byte, n),
+		offs:   make([]int, n+1),
+		sums:   make([]uint64, n+1),
+	}
+	w.buf = append(w.buf, ckptEnvelopeHead+"0000000000000000"+`","Payload":`...)
+	w.buf = append(w.buf, head...)
+	w.offs[0], w.sums[0] = len(w.buf), fnv1a(fnvOffset64, head)
+	return w, nil
+}
+
+// setShard caches shard i's encoded report for the following saves.
+func (w *ckptWriter) setShard(i int, enc []byte) {
+	w.shards[i] = enc
+	w.dirty = min(w.dirty, i)
+}
+
+// encode renders the envelope {"Version":…,"Checksum":…,"Payload":…}.
+// json.Marshal already emits compact, HTML-escaped JSON for every piece,
+// so splicing them reproduces its output for the whole envelope byte for
+// byte. The result aliases the writer's buffer until the next encode.
+func (w *ckptWriter) encode() []byte {
+	b, h := w.buf[:w.offs[w.dirty]], w.sums[w.dirty]
+	for i := w.dirty; i < len(w.shards); i++ {
+		w.offs[i], w.sums[i] = len(b), h
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if enc := w.shards[i]; enc != nil {
+			b = append(b, enc...)
+		} else {
+			b = append(b, "null"...)
+		}
+		h = fnv1a(h, b[w.offs[i]:])
+	}
+	n := len(w.shards)
+	w.offs[n], w.sums[n], w.dirty = len(b), h, n
+	b = append(b, "]}"...)
+	h = fnv1a(h, b[len(b)-len("]}"):])
+	copy(b[len(ckptEnvelopeHead):], fmt.Sprintf("%016x", h))
+	b = append(b, '}')
+	w.buf = b
+	return b
+}
+
+// save writes the checkpoint atomically and durably: the checksummed
+// envelope goes to a unique O_EXCL temp file in the same directory
+// (concurrent campaigns sharing a path can no longer clobber each
+// other's temp), is fsynced, and replaces the checkpoint via rename —
+// with the previous generation first rotated to path+".bak" as the
+// salvage target for torn-write recovery. The inj sites fault each stage
+// deterministically under chaos testing.
+func (w *ckptWriter) save() error {
+	path, inj := w.path, w.inj
 	if inj.CheckpointFault(chaos.CheckpointMarshal) {
 		return fmt.Errorf("campaign: encoding checkpoint: %w", errInjected)
 	}
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
-	}
-	data, err := json.Marshal(checkpointEnvelope{
-		Version:  checkpointVersion,
-		Checksum: ckptChecksum(payload),
-		Payload:  payload,
-	})
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint envelope: %w", err)
-	}
+	data := w.encode()
 	if inj.CheckpointFault(chaos.CheckpointTorn) {
 		// A torn write that still commits: half the bytes reach the final
 		// rename. The checksum catches it on load and the .bak generation

@@ -292,7 +292,7 @@ func TestCheckpointRoundTripsPlanPairState(t *testing.T) {
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	recorded := shardedCfg(t, 400, 11).withDefaults()
-	if err := saveCheckpoint(path, &checkpointFile{
+	if err := saveCheckpointFile(path, &checkpointFile{
 		Fingerprint: fingerprint(recorded),
 		TotalShards: 2,
 		Seeds:       make([]int64, 2),

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
 
 	"sqlancerpp/internal/core/feedback"
 	"sqlancerpp/internal/core/prioritize"
@@ -41,10 +42,13 @@ func ShardCount(cfg Config) int {
 // only bounds how many execute concurrently. Each shard runs a complete
 // Runner — its own engine instance, generator, prioritizer, and Bayesian
 // tracker (seeded from Config.FeedbackState) — under a per-shard seed
-// derived from Config.Seed via splitmix64. Because shards never share
-// mutable state and the merge is a fold in shard-index order, the same
-// seed yields a byte-identical report for every worker count, including
-// the serial workers == 1 run.
+// derived from Config.Seed via splitmix64. The one thing shards share is
+// a read-mostly index of finished shards' bug feature sets, which a shard
+// consults only to skip reducing bugs the merge is certain to drop (see
+// shardIndex); it can change which discarded bugs a shard reduces, never
+// a byte of the merged report. Because the merge is a fold in
+// shard-index order, the same seed yields a byte-identical report for
+// every worker count, including the serial workers == 1 run.
 //
 // Semantically the difference from Run is that validity feedback does not
 // flow across database epochs during the campaign; the merged
@@ -71,6 +75,53 @@ func shardConfigs(cfg Config) []Config {
 		shards[i] = sc
 	}
 	return shards
+}
+
+// shardIndex holds, for each finished shard, the prioritizer feature
+// sets of its prioritized bugs (Report.Bugs); nil marks a shard that has
+// not finished. Shard i consults it to skip reducing a bug whose feature
+// set contains a set held by some shard j < i.
+//
+// That skip is sound by transitivity: mergeReports feeds every bug of
+// shard j to the global prioritizer before any bug of shard i, so either
+// the shard-j bug is kept, or an earlier kept set is a subset of it —
+// and in both cases the shard-i bug is dropped. The skip therefore only
+// ever touches Reduced on bugs the merged report never contains.
+type shardIndex struct {
+	mu   sync.Mutex
+	sets []*prioritize.Prioritizer
+}
+
+func newShardIndex(nShards int) *shardIndex {
+	return &shardIndex{sets: make([]*prioritize.Prioritizer, nShards)}
+}
+
+// publish records finished shard i's bug feature sets. A quarantined
+// placeholder carries no bugs, so it makes no bug redundant, just as it
+// contributes none to the merge.
+func (x *shardIndex) publish(i int, rep *Report) {
+	p := prioritize.New()
+	for _, b := range rep.Bugs {
+		p.Add(prioritizerFeatures(b.Features))
+	}
+	x.mu.Lock()
+	x.sets[i] = p
+	x.mu.Unlock()
+}
+
+// mergeDrops returns shard i's predicate: whether some finished shard
+// j < i holds a bug feature set that is a subset of features.
+func (x *shardIndex) mergeDrops(i int) func(features []string) bool {
+	return func(features []string) bool {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		for _, p := range x.sets[:i] {
+			if p != nil && p.IsDuplicate(features) {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // mergeReports folds per-shard reports, in shard-index order, into one.

@@ -100,8 +100,9 @@ type Options struct {
 	// one worker) and removes it when the campaign completes.
 	Checkpoint string
 	// Resume continues an interrupted campaign from Checkpoint; the final
-	// report is byte-identical to an uninterrupted run. A missing
-	// checkpoint file starts fresh.
+	// report is byte-identical to an uninterrupted run. A missing or
+	// corrupt checkpoint file falls back to its ".bak" generation; with
+	// neither usable the run starts fresh.
 	Resume bool
 	// Interrupt, when closed, stops a sharded campaign at the next shard
 	// boundary: Run returns ErrInterrupted after checkpointing every
