@@ -5,9 +5,13 @@
 //
 //	sqlancerpp -dbms cratedb [-cases 20000] [-oracle all|tlp-family|<names>]
 //	           [-seed 1] [-no-feedback] [-baseline] [-reduce] [-plans 6]
-//	           [-state feedback.json] [-workers 8] [-budget 100000]
-//	           [-checkpoint run.ckpt] [-resume] [-timeout 2s]
-//	           [-shard-retries 2] [-chaos spec] [-list] [-list-oracles]
+//	           [-pairsched=false] [-state feedback.json] [-workers 8]
+//	           [-batch 64] [-budget 100000] [-checkpoint run.ckpt]
+//	           [-resume] [-timeout 2s] [-shard-retries 2] [-chaos spec]
+//	           [-max-print 5] [-list] [-list-oracles]
+//
+// -state names a feature-probability file: a missing file starts cold,
+// any other read error or a failed write exits non-zero.
 //
 // With -checkpoint, SIGINT/SIGTERM stops the campaign at the next shard
 // boundary after saving progress; re-running with -resume continues it
@@ -96,8 +100,13 @@ func main() {
 		Chaos:           *chaosSpec,
 	}
 	if *statePath != "" {
-		if data, err := os.ReadFile(*statePath); err == nil {
+		data, err := os.ReadFile(*statePath)
+		switch {
+		case err == nil:
 			opts.FeedbackState = data
+		case !errors.Is(err, os.ErrNotExist):
+			fmt.Fprintf(os.Stderr, "sqlancerpp: reading state: %v\n", err)
+			os.Exit(1)
 		}
 	}
 	if *checkpoint != "" {
@@ -131,33 +140,26 @@ func main() {
 		report.TestCases, report.ValidCases, 100*report.ValidityRate)
 	fmt.Printf("bug-inducing cases: %d  prioritized: %d  unique bugs (ground truth): %d\n",
 		report.Detected, report.Prioritized, report.UniqueBugs)
-	if report.FalsePositives > 0 {
-		fmt.Printf("WARNING: %d false positives — engine defect!\n", report.FalsePositives)
+	var quarantined strings.Builder
+	for _, q := range report.QuarantinedShards {
+		fmt.Fprintf(&quarantined, "   shard %d (seed %d, %d cases): %s\n", q.Shard, q.Seed, q.TestCases, q.Err)
 	}
-	if report.HarnessCrashes > 0 {
-		fmt.Printf("harness crashes contained: %d (panics recovered, engine restarted)\n",
-			report.HarnessCrashes)
-	}
-	if report.BudgetExceeded > 0 {
-		fmt.Printf("statements over the -budget row limit: %d (skipped deterministically)\n",
-			report.BudgetExceeded)
-	}
-	if report.Hangs > 0 {
-		fmt.Printf("hangs: %d cases exceeded the -timeout watchdog (reported as hang-class bugs)\n",
-			report.Hangs)
-	}
-	if report.ShardRetries > 0 {
-		fmt.Printf("shard attempts retried: %d\n", report.ShardRetries)
-	}
-	if report.ShardsQuarantined > 0 {
-		fmt.Printf("WARNING: %d shards quarantined; results are degraded\n", report.ShardsQuarantined)
-		for _, q := range report.QuarantinedShards {
-			fmt.Printf("   shard %d (seed %d, %d cases): %s\n", q.Shard, q.Seed, q.TestCases, q.Err)
+	for _, c := range []struct {
+		n            int
+		line, detail string
+	}{
+		{n: report.FalsePositives, line: "WARNING: %d false positives — engine defect!\n"},
+		{n: report.HarnessCrashes, line: "harness crashes contained: %d (panics recovered, engine restarted)\n"},
+		{n: report.BudgetExceeded, line: "statements over the -budget row limit: %d (skipped deterministically)\n"},
+		{n: report.Hangs, line: "hangs: %d cases exceeded the -timeout watchdog (reported as hang-class bugs)\n"},
+		{n: report.ShardRetries, line: "shard attempts retried: %d\n"},
+		{n: report.ShardsQuarantined, line: "WARNING: %d shards quarantined; results are degraded\n", detail: quarantined.String()},
+		{n: report.CheckpointWriteFailures, line: "WARNING: %d checkpoint writes failed (campaign continued; -resume may lose progress)\n"},
+	} {
+		if c.n > 0 {
+			fmt.Printf(c.line, c.n)
+			fmt.Print(c.detail)
 		}
-	}
-	if report.CheckpointWriteFailures > 0 {
-		fmt.Printf("WARNING: %d checkpoint writes failed (campaign continued; -resume may lose progress)\n",
-			report.CheckpointWriteFailures)
 	}
 	if report.PlanPairsNovel+report.PlanPairsRepeated > 0 {
 		fmt.Printf("plan pairs diffed: %d novel, %d repeated\n",
@@ -189,6 +191,7 @@ func main() {
 	if *statePath != "" && report.FeedbackState != nil {
 		if err := os.WriteFile(*statePath, report.FeedbackState, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "sqlancerpp: persisting state: %v\n", err)
+			os.Exit(1)
 		}
 	}
 }

@@ -79,18 +79,11 @@ type Config struct {
 	SmokeEvery int
 
 	Seed int64
-	// Oracles selects oracles by registry name; empty derives from the
-	// legacy UseTLP/UseNoREC flags, and with those unset too, every
-	// registered oracle runs (TLP, TLPComposed, TLPAggregate, NoREC,
+	// Oracles selects oracles by registry name; empty runs every
+	// registered oracle (TLP, TLPComposed, TLPAggregate, NoREC,
 	// PlanDiff). Dispatch rotates deterministically over the selection,
 	// weighted by each oracle's registered rotation weight.
 	Oracles []oracle.Name
-	// UseTLP / UseNoREC are the legacy oracle toggles: UseTLP selects the
-	// TLP family, UseNoREC selects NoREC, both selects both (never
-	// PlanDiff — legacy callers get exactly what they configured).
-	// Ignored when Oracles is set.
-	UseTLP   bool
-	UseNoREC bool
 
 	// Threshold, Confidence, UpdateInterval, DDLMaxFailures configure the
 	// Bayesian tracker (zero selects the paper defaults).
@@ -217,36 +210,33 @@ type BugCase struct {
 	Reduced []string
 }
 
-// Report summarizes a campaign.
-type Report struct {
-	Dialect string
-	Mode    string
+// Counters are a campaign's additive tallies: every field sums across
+// shards, so Add is their whole merge. Report and the public
+// sqlancerpp.Report embed this one declaration.
+type Counters struct {
+	// Validity statistics (paper Table 4): a test case is valid when all
+	// its oracle queries executed.
+	TestCases  int
+	ValidCases int
+	// Setup statement statistics.
+	SetupTotal int
+	SetupOK    int
 
-	// Detected counts all bug-inducing test cases; Prioritized those the
-	// prioritizer reported; UniqueGroundTruth the distinct injected
-	// faults among the detected cases (the paper's "unique bugs",
-	// determined there by fix commits).
-	Detected           int
-	Prioritized        int
-	UniqueGroundTruth  int
-	UniquePrioritized  int
-	DetectedByClass    map[BugClass]int
-	PrioritizedByClass map[BugClass]int
-
+	// Detected counts all bug-inducing test cases.
+	Detected int
 	// FalsePositives counts bug reports with no ground-truth fault — any
 	// non-zero value indicates a defect in this engine, not a found bug.
 	FalsePositives int
 
 	// PlanPairsNovel and PlanPairsRepeated count the plan specs PlanDiff
 	// executed whose (query shape, spec) pair its tracker had not / had
-	// already diffed. Summed across shards; the ratio is the scheduler's
-	// effectiveness ("observations per unit of budget").
+	// already diffed; the ratio is the scheduler's effectiveness
+	// ("observations per unit of budget").
 	PlanPairsNovel    int
 	PlanPairsRepeated int
 
 	// HarnessCrashes counts Go panics recovered at the containment
-	// boundary and converted into ClassHarness bug cases. Summed across
-	// shards like the plan-pair counters.
+	// boundary and converted into ClassHarness bug cases.
 	HarnessCrashes int
 	// BudgetExceeded counts statements aborted by the deterministic
 	// rows-touched budget (Config.RowBudget). Budget-exceeded cases are
@@ -261,32 +251,61 @@ type Report struct {
 	// (Config.CaseTimeout); each also appears as a ClassHang bug case.
 	Hangs int `json:",omitempty"`
 	// ShardRetries counts shard attempts that failed and were retried by
-	// the supervisor (summed across shards in a merged report).
+	// the supervisor.
 	ShardRetries int `json:",omitempty"`
-	// ShardsQuarantined counts shards whose every attempt failed; the
-	// campaign completed degraded without their results. QuarantinedShards
-	// records their seed ranges for offline replay.
-	ShardsQuarantined int                `json:",omitempty"`
-	QuarantinedShards []QuarantinedShard `json:",omitempty"`
 	// CheckpointWriteFailures counts checkpoint saves that failed and
 	// were degraded to a warning (the campaign keeps running; it just
 	// loses that checkpoint generation's progress on a crash).
 	CheckpointWriteFailures int `json:",omitempty"`
+}
+
+// Add sums o into c.
+func (c *Counters) Add(o Counters) {
+	c.TestCases += o.TestCases
+	c.ValidCases += o.ValidCases
+	c.SetupTotal += o.SetupTotal
+	c.SetupOK += o.SetupOK
+	c.Detected += o.Detected
+	c.FalsePositives += o.FalsePositives
+	c.PlanPairsNovel += o.PlanPairsNovel
+	c.PlanPairsRepeated += o.PlanPairsRepeated
+	c.HarnessCrashes += o.HarnessCrashes
+	c.BudgetExceeded += o.BudgetExceeded
+	c.Hangs += o.Hangs
+	c.ShardRetries += o.ShardRetries
+	c.CheckpointWriteFailures += o.CheckpointWriteFailures
+}
+
+// Report summarizes a campaign. Its Counters sum across shards; the
+// fields below them are recomputed by the shard merge.
+type Report struct {
+	Dialect string
+	Mode    string
+
+	Counters
+
+	// Prioritized counts the cases the prioritizer reported;
+	// UniqueGroundTruth the distinct injected faults among the detected
+	// cases (the paper's "unique bugs", determined there by fix commits).
+	Prioritized        int
+	UniqueGroundTruth  int
+	UniquePrioritized  int
+	DetectedByClass    map[BugClass]int
+	PrioritizedByClass map[BugClass]int
+
+	// ShardsQuarantined counts shards whose every attempt failed; the
+	// campaign completed degraded without their results. QuarantinedShards
+	// records their seed ranges for offline replay. Zero on fault-free
+	// runs, like the robustness counters.
+	ShardsQuarantined int                `json:",omitempty"`
+	QuarantinedShards []QuarantinedShard `json:",omitempty"`
 
 	// Quarantined marks a per-shard placeholder report: the shard's
 	// supervisor exhausted its retries and this report carries no results,
-	// only QuarantineErr. Merged reports never set it; they count such
-	// placeholders in ShardsQuarantined instead.
+	// only ShardRetries and QuarantineErr. Merged reports never set it;
+	// they count such placeholders in ShardsQuarantined instead.
 	Quarantined   bool   `json:",omitempty"`
 	QuarantineErr string `json:",omitempty"`
-
-	// Validity statistics (paper Table 4): a test case is valid when all
-	// its oracle queries executed.
-	TestCases  int
-	ValidCases int
-	// Setup statement statistics.
-	SetupTotal int
-	SetupOK    int
 
 	// Bugs holds the prioritized cases (duplicates are counted, not kept).
 	Bugs []*BugCase
@@ -380,16 +399,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.SmokeEvery = 5
 	}
 	if len(cfg.Oracles) == 0 {
-		switch {
-		case cfg.UseTLP && cfg.UseNoREC:
-			cfg.Oracles = append(oracle.TLPFamily(), oracle.NoRECName)
-		case cfg.UseTLP:
-			cfg.Oracles = oracle.TLPFamily()
-		case cfg.UseNoREC:
-			cfg.Oracles = []oracle.Name{oracle.NoRECName}
-		default:
-			cfg.Oracles = oracle.DefaultNames()
-		}
+		cfg.Oracles = oracle.DefaultNames()
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = engine.DefaultBatchSize

@@ -365,7 +365,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		Fingerprint: "fp", TotalShards: 2,
 		Seeds: []int64{3, 9}, Shards: make([]*Report, 2),
 	}
-	cp.Shards[0] = &Report{Dialect: "sqlite", TestCases: 5}
+	cp.Shards[0] = &Report{Dialect: "sqlite", Counters: Counters{TestCases: 5}}
 	if err := saveCheckpointFile(seedPath, cp, nil); err != nil {
 		f.Fatal(err)
 	}
@@ -374,6 +374,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	oldKeys, err := os.ReadFile(filepath.Join("testdata", "old-key-order.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oldKeys)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[len(valid)/3:])
 	f.Add([]byte(`{"Version":2,"Checksum":"cbf29ce484222325","Payload":null}`))

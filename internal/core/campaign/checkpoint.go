@@ -119,8 +119,6 @@ var errInjected = errors.New("injected chaos fault")
 // about in review, never by being forgotten.
 var fingerprintExcluded = map[string]string{
 	"Policy":      "behavior value, unrenderable: checkpointed runs must configure via Mode (which is fingerprinted)",
-	"UseTLP":      "legacy toggle: withDefaults resolves it into Oracles (fingerprinted) before fingerprint runs",
-	"UseNoREC":    "legacy toggle: withDefaults resolves it into Oracles (fingerprinted) before fingerprint runs",
 	"BatchSize":   "execution is observationally identical at every batch width (columnar parity contract)",
 	"CaseTimeout": "wall-clock watchdog is host-dependent infrastructure; hangs never feed reports or validity",
 	"Chaos":       "injected infrastructure faults must be survivable — including by a chaos-free -resume",
@@ -133,8 +131,6 @@ var fingerprintExcluded = map[string]string{
 // separately rejects stale or contradictory entries.)
 var _ = Config{
 	Policy:      nil,
-	UseTLP:      false,
-	UseNoREC:    false,
 	BatchSize:   0,
 	CaseTimeout: 0,
 	Chaos:       nil,
@@ -342,9 +338,9 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration,
 		lastErr = err
 	}
 	return &Report{
+		Counters:      Counters{ShardRetries: maxRetries},
 		Quarantined:   true,
 		QuarantineErr: lastErr.Error(),
-		ShardRetries:  maxRetries,
 	}, nil
 }
 

@@ -39,8 +39,6 @@ func TestFingerprintInsensitiveToExcludedFields(t *testing.T) {
 
 	perturb := map[string]func(*Config){
 		"Policy":      func(c *Config) { c.Policy = gen.AllowAll{} },
-		"UseTLP":      func(c *Config) { c.UseTLP = true },
-		"UseNoREC":    func(c *Config) { c.UseNoREC = true },
 		"BatchSize":   func(c *Config) { c.BatchSize = base.BatchSize + 33 },
 		"CaseTimeout": func(c *Config) { c.CaseTimeout = 5 * time.Second },
 		"Chaos": func(c *Config) {

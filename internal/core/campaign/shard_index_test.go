@@ -178,10 +178,10 @@ func TestCheckpointEncodeGolden(t *testing.T) {
 	cp.Fingerprint += " " + odd
 	shards := []*Report{
 		real,
-		{Quarantined: true, QuarantineErr: "shard 1 attempt 3: " + odd, ShardRetries: 2},
+		{Counters: Counters{ShardRetries: 2}, Quarantined: true, QuarantineErr: "shard 1 attempt 3: " + odd},
 		nil,
 		{
-			Dialect: "sqlite", FeedbackState: []byte{}, TestCases: 4,
+			Dialect: "sqlite", FeedbackState: []byte{}, Counters: Counters{TestCases: 4},
 			Bugs: []*BugCase{{
 				ID: 1, Class: ClassLogic, Detail: odd, Features: []string{"<", "&"},
 				Queries: []string{"SELECT '<&>'"}, Reduced: []string{"SELECT 1 & 2 < 3"},

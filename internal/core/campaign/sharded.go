@@ -166,7 +166,10 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 	nLive := 0
 
 	for i, rep := range reps {
-		merged.ShardRetries += rep.ShardRetries
+		// Take the ID offset before the add. A quarantined placeholder
+		// carries only ShardRetries, so adding it counts nothing else.
+		idOffset := merged.Detected
+		merged.Counters.Add(rep.Counters)
 		if rep.Quarantined {
 			merged.ShardsQuarantined++
 			merged.QuarantinedShards = append(merged.QuarantinedShards, QuarantinedShard{
@@ -177,19 +180,6 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 			})
 			continue
 		}
-		idOffset := merged.Detected
-		merged.TestCases += rep.TestCases
-		merged.ValidCases += rep.ValidCases
-		merged.SetupTotal += rep.SetupTotal
-		merged.SetupOK += rep.SetupOK
-		merged.Detected += rep.Detected
-		merged.FalsePositives += rep.FalsePositives
-		merged.PlanPairsNovel += rep.PlanPairsNovel
-		merged.PlanPairsRepeated += rep.PlanPairsRepeated
-		merged.HarnessCrashes += rep.HarnessCrashes
-		merged.BudgetExceeded += rep.BudgetExceeded
-		merged.Hangs += rep.Hangs
-		merged.CheckpointWriteFailures += rep.CheckpointWriteFailures
 		for c, n := range rep.DetectedByClass {
 			merged.DetectedByClass[c] += n
 		}

@@ -68,8 +68,7 @@ type JoinSpec struct {
 type PlanSpec struct {
 	// DisableIndexPaths suppresses the access-path planner wholesale:
 	// every scan — base-table and join probe alike — is a full scan,
-	// while index maintenance continues. This is the plan the legacy
-	// SetIndexPaths(false) toggle selected.
+	// while index maintenance continues.
 	DisableIndexPaths bool
 	// JoinPerm reorders the leading inner-join chain of the FROM list
 	// before planning: relation j of the permuted FROM is original
@@ -117,8 +116,7 @@ func (p *PlanSpec) joinProbeOff(step int) bool {
 // "perm:<i,j,...>", "nocover", "rel:<alias>=scan",
 // "rel:<alias>=index(<name>)[/w<k>]", "rel:<alias>=auto/w<k>",
 // "join:<step>=probeoff" — with relations sorted by alias and joins by
-// step, so equal specs render identically. ParsePlanSpec inverts it
-// (and still accepts the legacy "swap" spelling of "perm:1,0"); bug
+// step, so equal specs render identically. ParsePlanSpec inverts it; bug
 // reports carry the losing spec in this form and the reducer replays
 // it verbatim.
 func (p PlanSpec) String() string {
@@ -199,9 +197,6 @@ func ParsePlanSpec(s string) (PlanSpec, error) {
 		switch {
 		case tok == "noindex":
 			p.DisableIndexPaths = true
-		case tok == "swap":
-			// Legacy spelling from pre-permutation reports.
-			p.JoinPerm = []int{1, 0}
 		case strings.HasPrefix(tok, "perm:"):
 			parts := strings.Split(tok[len("perm:"):], ",")
 			perm := make([]int, len(parts))

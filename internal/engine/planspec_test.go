@@ -51,18 +51,11 @@ func TestPlanSpecStringParseRoundTrip(t *testing.T) {
 		"bogus", "rel:t", "rel:t=index()", "rel:t=magic", "rel:t=scan/w0",
 		"join:x=probeoff", "join:1=magic", "join:-1=probeoff",
 		"perm:", "perm:0", "perm:0,1", "perm:0,0", "perm:2,0", "perm:1,x",
+		"swap",
 	} {
 		if _, err := ParsePlanSpec(bad); err == nil {
 			t.Errorf("ParsePlanSpec(%q) must fail", bad)
 		}
-	}
-	// The legacy "swap" token parses as the two-relation transposition.
-	legacy, err := ParsePlanSpec("swap")
-	if err != nil {
-		t.Fatalf("legacy swap token: %v", err)
-	}
-	if legacy.String() != "perm:1,0" {
-		t.Errorf("legacy swap parses to %q, want perm:1,0", legacy.String())
 	}
 	// CanonicalPerm trims trailing fixed points and maps identity to nil.
 	if p := CanonicalPerm([]int{1, 0, 2, 3}); len(p) != 2 || p[0] != 1 || p[1] != 0 {

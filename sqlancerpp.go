@@ -102,7 +102,8 @@ type Options struct {
 	// Resume continues an interrupted campaign from Checkpoint; the final
 	// report is byte-identical to an uninterrupted run. A missing or
 	// corrupt checkpoint file falls back to its ".bak" generation; with
-	// neither usable the run starts fresh.
+	// neither usable the run starts fresh. Resume without Checkpoint is
+	// an error.
 	Resume bool
 	// Interrupt, when closed, stops a sharded campaign at the next shard
 	// boundary: Run returns ErrInterrupted after checkpointing every
@@ -149,17 +150,27 @@ type Bug struct {
 	GroundTruthFaults []string
 }
 
+// Counters are a campaign's additive tallies: test cases and valid
+// cases (paper Table 4), setup statements, detected bug-inducing cases,
+// false positives (any non-zero value indicates a defect in this
+// library), PlanDiff's novel and repeated plan pairs, recovered harness
+// crashes, statements over Options.RowBudget, Options.CaseTimeout hangs,
+// shard retries, and failed checkpoint writes.
+type Counters = campaign.Counters
+
+// QuarantinedShard identifies one abandoned shard's seed range — enough
+// to replay its share of the campaign offline.
+type QuarantinedShard = campaign.QuarantinedShard
+
 // Report summarizes a campaign.
 type Report struct {
 	DBMS string
 	Mode string
 
-	Detected    int // all bug-inducing test cases
-	Prioritized int // cases the prioritizer reported
-	UniqueBugs  int // distinct ground-truth faults among detected cases
+	Counters
 
-	TestCases    int
-	ValidCases   int
+	Prioritized  int // cases the prioritizer reported
+	UniqueBugs   int // distinct ground-truth faults among detected cases
 	ValidityRate float64
 
 	Bugs []Bug
@@ -168,50 +179,21 @@ type Report struct {
 	FeedbackState []byte
 	// UnsupportedFeatures lists features learned to be unsupported.
 	UnsupportedFeatures []string
-	// FalsePositives counts bug cases with no ground-truth fault; any
-	// non-zero value indicates a defect in this library.
-	FalsePositives int
-	// PlanPairsNovel and PlanPairsRepeated count the plan specs the
-	// PlanDiff oracle executed whose (query shape, plan spec) pair its
-	// tracker had not / had already diffed; the ratio shows the novelty
-	// scheduler stretching the MaxPlans budget.
-	PlanPairsNovel    int
-	PlanPairsRepeated int
 	// PlanPairState holds the plan-pair tracker's final state for reuse
 	// via Options.PlanPairState (nil with the scheduler disabled).
 	PlanPairState []byte
-	// HarnessCrashes counts Go panics recovered at the campaign's
-	// containment boundary and converted into "harness"-class bug cases.
-	HarnessCrashes int
-	// BudgetExceeded counts statements aborted by the deterministic
-	// Options.RowBudget execution budget.
-	BudgetExceeded int
-	// Hangs counts cases canceled by the Options.CaseTimeout watchdog
-	// and reported as "hang"-class bugs.
-	Hangs int
-	// ShardRetries counts shard attempts that failed and were retried;
 	// ShardsQuarantined counts shards abandoned after exhausting their
 	// retries (the campaign completed degraded). QuarantinedShards holds
 	// each abandoned shard's replay recipe.
-	ShardRetries      int
 	ShardsQuarantined int
 	QuarantinedShards []QuarantinedShard
-	// CheckpointWriteFailures counts checkpoint saves that failed and
-	// were degraded to a warning instead of aborting the campaign.
-	CheckpointWriteFailures int
-}
-
-// QuarantinedShard identifies one abandoned shard's seed range — enough
-// to replay its share of the campaign offline.
-type QuarantinedShard struct {
-	Shard     int
-	Seed      int64
-	TestCases int
-	Err       string
 }
 
 // Run executes a testing campaign against a registered dialect.
 func Run(o Options) (*Report, error) {
+	if o.Resume && o.Checkpoint == "" {
+		return nil, fmt.Errorf("sqlancerpp: Resume needs a Checkpoint to resume from")
+	}
 	d, err := dialect.Get(o.DBMS)
 	if err != nil {
 		return nil, err
@@ -253,7 +235,7 @@ func Run(o Options) (*Report, error) {
 		cfg.Mode = campaign.Adaptive
 	}
 	var rep *campaign.Report
-	if o.Workers > 0 || o.Checkpoint != "" || o.Resume {
+	if o.Workers > 0 || o.Checkpoint != "" {
 		// Checkpointing works at shard granularity, so it implies the
 		// sharded runner even when Workers was left zero.
 		rep, err = campaign.RunShardedOpts(cfg, campaign.ShardedOptions{
@@ -279,30 +261,15 @@ func Run(o Options) (*Report, error) {
 	out := &Report{
 		DBMS:                rep.Dialect,
 		Mode:                rep.Mode,
-		Detected:            rep.Detected,
+		Counters:            rep.Counters,
 		Prioritized:         rep.Prioritized,
 		UniqueBugs:          rep.UniqueGroundTruth,
-		TestCases:           rep.TestCases,
-		ValidCases:          rep.ValidCases,
 		ValidityRate:        rep.ValidityRate(),
 		FeedbackState:       rep.FeedbackState,
 		UnsupportedFeatures: rep.Unsupported,
-		FalsePositives:      rep.FalsePositives,
-		PlanPairsNovel:      rep.PlanPairsNovel,
-		PlanPairsRepeated:   rep.PlanPairsRepeated,
 		PlanPairState:       rep.PlanPairState,
-		HarnessCrashes:      rep.HarnessCrashes,
-		BudgetExceeded:      rep.BudgetExceeded,
-		Hangs:               rep.Hangs,
-		ShardRetries:        rep.ShardRetries,
 		ShardsQuarantined:   rep.ShardsQuarantined,
-
-		CheckpointWriteFailures: rep.CheckpointWriteFailures,
-	}
-	for _, q := range rep.QuarantinedShards {
-		out.QuarantinedShards = append(out.QuarantinedShards, QuarantinedShard{
-			Shard: q.Shard, Seed: q.Seed, TestCases: q.TestCases, Err: q.Err,
-		})
+		QuarantinedShards:   rep.QuarantinedShards,
 	}
 	for _, b := range rep.Bugs {
 		out.Bugs = append(out.Bugs, Bug{

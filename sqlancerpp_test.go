@@ -3,6 +3,7 @@ package sqlancerpp
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -253,5 +254,17 @@ func TestRunWorkersCleanEngineIsQuiet(t *testing.T) {
 	}
 	if rep.Detected != 0 {
 		t.Fatalf("clean engine reported %d bug cases", rep.Detected)
+	}
+}
+
+// TestRunResumeNeedsCheckpoint: Resume without a Checkpoint is refused
+// rather than silently running a fresh sharded campaign.
+func TestRunResumeNeedsCheckpoint(t *testing.T) {
+	if _, err := Run(Options{DBMS: "sqlite", TestCases: 50, Resume: true}); err == nil {
+		t.Fatal("Resume without Checkpoint must be rejected")
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := Run(Options{DBMS: "sqlite", TestCases: 50, Checkpoint: path, Resume: true}); err != nil {
+		t.Fatalf("Resume with a Checkpoint: %v", err)
 	}
 }
