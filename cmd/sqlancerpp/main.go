@@ -8,10 +8,14 @@
 //	           [-pairsched=false] [-state feedback.json] [-workers 8]
 //	           [-batch 64] [-budget 100000] [-checkpoint run.ckpt]
 //	           [-resume] [-timeout 2s] [-shard-retries 2] [-chaos spec]
-//	           [-max-print 5] [-list] [-list-oracles]
+//	           [-max-print 5] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	           [-list] [-list-oracles]
 //
 // -state names a feature-probability file: a missing file starts cold,
 // any other read error or a failed write exits non-zero.
+//
+// -cpuprofile and -memprofile write pprof profiles of the campaign (CPU
+// time while it runs, and the heap once it returns) for 'go tool pprof'.
 //
 // With -checkpoint, SIGINT/SIGTERM stops the campaign at the next shard
 // boundary after saving progress; re-running with -resume continues it
@@ -24,6 +28,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -61,6 +67,8 @@ func main() {
 	list := flag.Bool("list", false, "list registered dialects and exit")
 	listOracles := flag.Bool("list-oracles", false, "list registered oracles and exit")
 	maxPrint := flag.Int("max-print", 5, "bug reports to print in full")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken when the campaign returns, to this file")
 	flag.Parse()
 
 	if *list {
@@ -125,7 +133,16 @@ func main() {
 		}()
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sqlancerpp: %v\n", err)
+		os.Exit(1)
+	}
 	report, err := sqlancerpp.Run(opts)
+	if perr := stopProfiles(); perr != nil {
+		fmt.Fprintf(os.Stderr, "sqlancerpp: %v\n", perr)
+		os.Exit(1)
+	}
 	if errors.Is(err, sqlancerpp.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "sqlancerpp: interrupted; progress saved to %s (continue with -resume)\n", *checkpoint)
 		return
@@ -194,4 +211,44 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that stops it and writes a heap profile to memPath. An empty path skips
+// that profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpu profile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("heap profile: %w", err)
+		}
+		runtime.GC() // up-to-date live-heap statistics
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("heap profile: %w", err)
+		}
+		return nil
+	}, nil
 }

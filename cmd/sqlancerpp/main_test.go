@@ -100,3 +100,32 @@ func TestResumeNeedsCheckpoint(t *testing.T) {
 		t.Fatalf("-resume without -checkpoint exited 0:\n%s", out)
 	}
 }
+
+// TestProfiles: -cpuprofile and -memprofile each write a non-empty
+// gzip-compressed pprof profile, and the printed summary stays byte for
+// byte the serial golden's.
+func TestProfiles(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "serial.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	got, stderr, code := run(t, "-dbms", "sqlite", "-cases", "600", "-seed", "3", "-max-print", "2",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from serial.golden\n--- got\n%s\n--- want\n%s", got, want)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: not a gzip-compressed profile (%d bytes)", filepath.Base(path), len(data))
+		}
+	}
+}

@@ -82,6 +82,9 @@ type DB struct {
 	// sargable-probe lists and the composite-key arena, reset per planned
 	// scan so planning itself allocates nothing on the hot path.
 	scratch planScratch
+	// parse is the statement cache fronting the parser: sqlparse.Shared()
+	// unless WithParseCache supplies the opener's own.
+	parse *sqlparse.Cache
 }
 
 // Option configures a DB.
@@ -137,6 +140,14 @@ func WithCancel(c *atomic.Bool) Option {
 	return func(s *DB) { s.cancel = c }
 }
 
+// WithParseCache parses the instance's statements through c instead of
+// the process-wide sqlparse.Shared(). A campaign runner gives its main
+// and replay instances one small cache of its own, so concurrent shards
+// neither contend on one lock nor keep a large shared set of ASTs alive.
+func WithParseCache(c *sqlparse.Cache) Option {
+	return func(s *DB) { s.parse = c }
+}
+
 // WithPlanSpec opens the instance with a plan-forcing specification
 // already applied — the open-time spelling of SetPlanSpec. The
 // differential tests and benchmark baselines use it with
@@ -160,6 +171,7 @@ func Open(d *dialect.Dialect, opts ...Option) *DB {
 		triggered:     map[string]bool{},
 		budget:        maxBudget,
 		batch:         DefaultBatchSize,
+		parse:         sqlparse.Shared(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -269,12 +281,13 @@ func (s *DB) run(sql string) (*Result, error) {
 	if s.crashed {
 		return nil, errf(ErrCrash, "server is not running (restart required)")
 	}
-	// The process-wide LRU fronts the parser; the cached AST is shared
-	// and immutable. Execution never mutates an AST, so most statements
+	// The instance's statement cache (WithParseCache, else the
+	// process-wide one) fronts the parser; the cached AST is shared and
+	// immutable. Execution never mutates an AST, so most statements
 	// run on the shared copy directly; the exceptions are cloned below.
 	// The black-box contract is unchanged: SQL text in, status and rows
 	// out.
-	stmt, perr := sqlparse.Shared().Parse(sql)
+	stmt, perr := s.parse.Parse(sql)
 	if perr != nil {
 		s.cov.Hit("parse.error")
 		return nil, &Error{Class: ErrSyntax, Msg: perr.Error()}
