@@ -15,6 +15,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sqlancerpp/internal/engine"
@@ -115,8 +116,34 @@ func diffMultisets(a, b map[string]int) string {
 	return ""
 }
 
+// derive returns a shallow copy of base for a query that is built only
+// to be rendered: the caller replaces its Where, Items or Compound slot,
+// and everything else shares base's sub-trees. The copy's slices are
+// clipped to their length, so an append on the copy reallocates instead
+// of writing into base's backing arrays. Neither tree is mutated after
+// this point (see the sqlast package comment).
+func derive(base *sqlast.Select) *sqlast.Select {
+	q := *base
+	q.Items = slices.Clip(q.Items)
+	q.From = slices.Clip(q.From)
+	q.GroupBy = slices.Clip(q.GroupBy)
+	q.Compound = slices.Clip(q.Compound)
+	q.OrderBy = slices.Clip(q.OrderBy)
+	return &q
+}
+
+// tlpPartitions builds the three partition predicates p, NOT p, p IS NULL,
+// sharing pred.
+func tlpPartitions(pred sqlast.Expr) []sqlast.Expr {
+	return []sqlast.Expr{
+		pred,
+		&sqlast.Unary{Op: sqlast.UNot, X: pred},
+		&sqlast.IsNull{X: pred},
+	}
+}
+
 // runner tracks executed queries, their individual costs, and triggered
-// faults.
+// faults. Every query reaches the engine as SQL text.
 type runner struct {
 	db        *engine.DB
 	queries   []string
@@ -129,8 +156,7 @@ func newRunner(db *engine.DB) *runner {
 	return &runner{db: db, triggered: map[string]bool{}}
 }
 
-func (r *runner) query(sel *sqlast.Select) (*engine.Result, error) {
-	sql := sel.SQL()
+func (r *runner) query(sql string) (*engine.Result, error) {
 	r.queries = append(r.queries, sql)
 	res, err := r.db.Query(sql)
 	for _, id := range r.db.TriggeredFaults() {
@@ -167,24 +193,16 @@ func (r *runner) result(oracle Name, outcome Outcome, err error, detail string) 
 func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	r := newRunner(db)
 
-	baseRes, err := r.query(base)
+	baseRes, err := r.query(base.SQL())
 	if err != nil {
 		return r.result(TLPName, Invalid, err, "")
 	}
 
-	mkPart := func(p sqlast.Expr) *sqlast.Select {
-		part := sqlast.CloneSelect(base)
-		part.Where = p
-		return part
-	}
 	union := map[string]int{}
-	parts := []sqlast.Expr{
-		sqlast.CloneExpr(pred),
-		&sqlast.Unary{Op: sqlast.UNot, X: sqlast.CloneExpr(pred)},
-		&sqlast.IsNull{X: sqlast.CloneExpr(pred)},
-	}
-	for _, p := range parts {
-		res, err := r.query(mkPart(p))
+	for _, p := range tlpPartitions(pred) {
+		part := derive(base)
+		part.Where = p
+		res, err := r.query(part.SQL())
 		if err != nil {
 			return r.result(TLPName, Invalid, err, "")
 		}
@@ -206,10 +224,10 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 func NoREC(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	r := newRunner(db)
 
-	opt := sqlast.CloneSelect(base)
+	opt := derive(base)
 	opt.Items = []sqlast.SelectItem{{Expr: &sqlast.Func{Name: "COUNT", Star: true}}}
-	opt.Where = sqlast.CloneExpr(pred)
-	optRes, err := r.query(opt)
+	opt.Where = pred
+	optRes, err := r.query(opt.SQL())
 	if err != nil {
 		return r.result(NoRECName, Invalid, err, "")
 	}
@@ -219,9 +237,9 @@ func NoREC(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	}
 	optCount := optRes.Rows[0][0].I
 
-	ref := sqlast.CloneSelect(base)
-	ref.Items = []sqlast.SelectItem{{Expr: &sqlast.IsBool{X: sqlast.CloneExpr(pred), Val: true}}}
-	refRes, err := r.query(ref)
+	ref := derive(base)
+	ref.Items = []sqlast.SelectItem{{Expr: &sqlast.IsBool{X: pred, Val: true}}}
+	refRes, err := r.query(ref.SQL())
 	if err != nil {
 		return r.result(NoRECName, Invalid, err, "")
 	}

@@ -64,14 +64,15 @@ func PlanDiff(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 func PlanDiffCase(db *engine.DB, c *Case) Result {
 	r := newRunner(db)
 
-	q := sqlast.CloneSelect(c.Base)
-	q.Where = sqlast.CloneExpr(c.Pred)
+	q := derive(c.Base)
+	q.Where = c.Pred
+	sql := q.SQL() // every plan executes the same text
 
 	prev := db.PlanSpec()
 	defer db.SetPlanSpec(prev)
 
 	db.SetPlanSpec(engine.PlanSpec{})
-	baseRes, err := r.query(q)
+	baseRes, err := r.query(sql)
 	if err != nil {
 		return r.result(PlanDiffName, Invalid, err, "")
 	}
@@ -125,7 +126,7 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 			}
 		}
 		db.SetPlanSpec(spec)
-		altRes, err := r.query(q)
+		altRes, err := r.query(sql)
 		if err != nil {
 			if engine.IsBudgetExceeded(err) || engine.IsTimeout(err) ||
 				engine.ClassOf(err) == engine.ErrRuntime {

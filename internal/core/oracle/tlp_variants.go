@@ -8,15 +8,6 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
-// tlpPartitions builds the three partition predicates p, NOT p, p IS NULL.
-func tlpPartitions(pred sqlast.Expr) []sqlast.Expr {
-	return []sqlast.Expr{
-		sqlast.CloneExpr(pred),
-		&sqlast.Unary{Op: sqlast.UNot, X: sqlast.CloneExpr(pred)},
-		&sqlast.IsNull{X: sqlast.CloneExpr(pred)},
-	}
-}
-
 // TLPComposed is the server-side variant of TLP: the three partitions are
 // combined with UNION ALL in a single compound query, so the set-
 // operation machinery of the DBMS is exercised too. Only valid on
@@ -29,21 +20,21 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	}
 	r := newRunner(db)
 
-	baseRes, err := r.query(base)
+	baseRes, err := r.query(base.SQL())
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
 
 	parts := tlpPartitions(pred)
-	first := sqlast.CloneSelect(base)
+	first := derive(base)
 	first.Where = parts[0]
 	for _, p := range parts[1:] {
-		arm := sqlast.CloneSelect(base)
+		arm := derive(base)
 		arm.Where = p
 		first.Compound = append(first.Compound,
 			sqlast.CompoundPart{Op: sqlast.SetUnionAll, Select: arm})
 	}
-	unionRes, err := r.query(first)
+	unionRes, err := r.query(first.SQL())
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
@@ -76,17 +67,18 @@ func TLPAggregate(db *engine.DB, base *sqlast.Select, pred sqlast.Expr, aggIdx i
 	if arg == nil {
 		agg = "COUNT" // star projection: fall back to COUNT(*)
 	}
-	mkAgg := func(where sqlast.Expr) *sqlast.Select {
-		q := sqlast.CloneSelect(base)
-		call := &sqlast.Func{Name: agg}
-		if arg == nil {
-			call.Star = true
-		} else {
-			call.Args = []sqlast.Expr{sqlast.CloneExpr(arg)}
-		}
-		q.Items = []sqlast.SelectItem{{Expr: call}}
+	call := &sqlast.Func{Name: agg}
+	if arg == nil {
+		call.Star = true
+	} else {
+		call.Args = []sqlast.Expr{arg}
+	}
+	items := []sqlast.SelectItem{{Expr: call}}
+	mkAgg := func(where sqlast.Expr) string {
+		q := derive(base)
+		q.Items = items
 		q.Where = where
-		return q
+		return q.SQL()
 	}
 
 	baseRes, err := r.query(mkAgg(nil))

@@ -4,11 +4,25 @@
 // Every node renders to deterministic SQL text via SQL(). Expressions are
 // fully parenthesized on rendering, so rendered text round-trips through
 // internal/sqlparse without precedence ambiguity.
+//
+// Rendering writes the whole tree into one buffer: every node has an
+// unexported writeSQL that appends its text to the caller's buffer, and
+// SQL() is a thin wrapper that takes a pooled buffer, calls the writer
+// and copies the result out. A statement costs one allocation, its
+// string, not one string and one concatenation per node.
+//
+// ASTs are values shared by reference: a tree handed to the engine or
+// kept in a parse cache is never mutated, and a derived query (an
+// oracle's partition, a reducer candidate) may share sub-trees with the
+// tree it came from. Code that must edit a tree edits a copy made by
+// CloneSelect, CloneExpr or CloneStmt.
 package sqlast
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Type is a SQL data type name. The platform supports the paper's three
@@ -42,6 +56,49 @@ type Expr interface {
 	exprNode()
 	// SQL renders the expression as deterministic SQL text.
 	SQL() string
+	writeSQL(w *bytes.Buffer)
+}
+
+// renderBufs recycles rendering buffers, so a rendering allocates once
+// — its result string, sized exactly — however many nodes it has. A new
+// buffer starts at 1 KiB, above the longest oracle queries the generator
+// builds (about 950 bytes), so even after the pool drops a buffer the
+// next rendering needs no growth.
+var renderBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 1024)) }}
+
+// render runs a node's writer over a pooled buffer.
+func render(n interface{ writeSQL(*bytes.Buffer) }) string {
+	w := renderBufs.Get().(*bytes.Buffer)
+	n.writeSQL(w)
+	s := w.String()
+	w.Reset()
+	renderBufs.Put(w)
+	return s
+}
+
+// writeInt appends v in decimal without an intermediate string.
+func writeInt(w *bytes.Buffer, v int64) {
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), v, 10))
+}
+
+// writeList renders a comma-separated expression list.
+func writeList(w *bytes.Buffer, list []Expr) {
+	for i, e := range list {
+		if i > 0 {
+			w.WriteString(", ")
+		}
+		e.writeSQL(w)
+	}
+}
+
+// writeNames renders a comma-separated identifier list.
+func writeNames(w *bytes.Buffer, names []string) {
+	for i, n := range names {
+		if i > 0 {
+			w.WriteString(", ")
+		}
+		w.WriteString(n)
+	}
 }
 
 // LitKind distinguishes literal constants.
@@ -74,21 +131,34 @@ func BoolLit(b bool) *Literal { return &Literal{Kind: LitBool, Bool: b} }
 func (l *Literal) exprNode() {}
 
 // SQL renders the literal. Strings use single quotes with ” escaping.
-func (l *Literal) SQL() string {
+func (l *Literal) SQL() string { return render(l) }
+
+func (l *Literal) writeSQL(w *bytes.Buffer) {
 	switch l.Kind {
-	case LitNull:
-		return "NULL"
 	case LitInt:
-		return strconv.FormatInt(l.Int, 10)
+		writeInt(w, l.Int)
 	case LitText:
-		return "'" + strings.ReplaceAll(l.Text, "'", "''") + "'"
+		w.WriteByte('\'')
+		s := l.Text
+		for {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				break
+			}
+			w.WriteString(s[:i+1])
+			w.WriteByte('\'')
+			s = s[i+1:]
+		}
+		w.WriteString(s)
+		w.WriteByte('\'')
 	case LitBool:
 		if l.Bool {
-			return "TRUE"
+			w.WriteString("TRUE")
+		} else {
+			w.WriteString("FALSE")
 		}
-		return "FALSE"
 	default:
-		return "NULL"
+		w.WriteString("NULL")
 	}
 }
 
@@ -101,11 +171,14 @@ type ColumnRef struct {
 func (c *ColumnRef) exprNode() {}
 
 // SQL renders the (optionally qualified) column reference.
-func (c *ColumnRef) SQL() string {
+func (c *ColumnRef) SQL() string { return render(c) }
+
+func (c *ColumnRef) writeSQL(w *bytes.Buffer) {
 	if c.Table != "" {
-		return c.Table + "." + c.Column
+		w.WriteString(c.Table)
+		w.WriteByte('.')
 	}
-	return c.Column
+	w.WriteString(c.Column)
 }
 
 // UnaryOp enumerates prefix operators.
@@ -146,11 +219,14 @@ func (u *Unary) exprNode() {}
 // SQL renders the unary expression fully parenthesized. A space follows
 // the operator so that "-(-2000)" cannot render as the line comment
 // "--2000".
-func (u *Unary) SQL() string {
-	if u.Op == UNot {
-		return "(NOT " + u.X.SQL() + ")"
-	}
-	return "(" + u.Op.String() + " " + u.X.SQL() + ")"
+func (u *Unary) SQL() string { return render(u) }
+
+func (u *Unary) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	w.WriteString(u.Op.String())
+	w.WriteByte(' ')
+	u.X.writeSQL(w)
+	w.WriteByte(')')
 }
 
 // BinaryOp enumerates infix operators.
@@ -275,8 +351,16 @@ type Binary struct {
 func (b *Binary) exprNode() {}
 
 // SQL renders the binary expression fully parenthesized.
-func (b *Binary) SQL() string {
-	return "(" + b.L.SQL() + " " + b.Op.String() + " " + b.R.SQL() + ")"
+func (b *Binary) SQL() string { return render(b) }
+
+func (b *Binary) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	b.L.writeSQL(w)
+	w.WriteByte(' ')
+	w.WriteString(b.Op.String())
+	w.WriteByte(' ')
+	b.R.writeSQL(w)
+	w.WriteByte(')')
 }
 
 // Func is a scalar or aggregate function call.
@@ -290,25 +374,20 @@ type Func struct {
 func (f *Func) exprNode() {}
 
 // SQL renders the call.
-func (f *Func) SQL() string {
-	var sb strings.Builder
-	sb.WriteString(f.Name)
-	sb.WriteByte('(')
+func (f *Func) SQL() string { return render(f) }
+
+func (f *Func) writeSQL(w *bytes.Buffer) {
+	w.WriteString(f.Name)
+	w.WriteByte('(')
 	if f.Star {
-		sb.WriteByte('*')
+		w.WriteByte('*')
 	} else {
 		if f.Distinct {
-			sb.WriteString("DISTINCT ")
+			w.WriteString("DISTINCT ")
 		}
-		for i, a := range f.Args {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(a.SQL())
-		}
+		writeList(w, f.Args)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	w.WriteByte(')')
 }
 
 // When is one WHEN ... THEN ... arm of a CASE expression.
@@ -327,25 +406,25 @@ type Case struct {
 func (c *Case) exprNode() {}
 
 // SQL renders the CASE expression.
-func (c *Case) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("(CASE")
+func (c *Case) SQL() string { return render(c) }
+
+func (c *Case) writeSQL(w *bytes.Buffer) {
+	w.WriteString("(CASE")
 	if c.Operand != nil {
-		sb.WriteByte(' ')
-		sb.WriteString(c.Operand.SQL())
+		w.WriteByte(' ')
+		c.Operand.writeSQL(w)
 	}
-	for _, w := range c.Whens {
-		sb.WriteString(" WHEN ")
-		sb.WriteString(w.Cond.SQL())
-		sb.WriteString(" THEN ")
-		sb.WriteString(w.Then.SQL())
+	for _, arm := range c.Whens {
+		w.WriteString(" WHEN ")
+		arm.Cond.writeSQL(w)
+		w.WriteString(" THEN ")
+		arm.Then.writeSQL(w)
 	}
 	if c.Else != nil {
-		sb.WriteString(" ELSE ")
-		sb.WriteString(c.Else.SQL())
+		w.WriteString(" ELSE ")
+		c.Else.writeSQL(w)
 	}
-	sb.WriteString(" END)")
-	return sb.String()
+	w.WriteString(" END)")
 }
 
 // Cast converts an expression to a type.
@@ -357,8 +436,14 @@ type Cast struct {
 func (c *Cast) exprNode() {}
 
 // SQL renders the CAST expression.
-func (c *Cast) SQL() string {
-	return "CAST(" + c.X.SQL() + " AS " + c.To.String() + ")"
+func (c *Cast) SQL() string { return render(c) }
+
+func (c *Cast) writeSQL(w *bytes.Buffer) {
+	w.WriteString("CAST(")
+	c.X.writeSQL(w)
+	w.WriteString(" AS ")
+	w.WriteString(c.To.String())
+	w.WriteByte(')')
 }
 
 // Between is x [NOT] BETWEEN lo AND hi.
@@ -370,13 +455,19 @@ type Between struct {
 func (b *Between) exprNode() {}
 
 // SQL renders the BETWEEN expression.
-func (b *Between) SQL() string {
-	not := ""
+func (b *Between) SQL() string { return render(b) }
+
+func (b *Between) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	b.X.writeSQL(w)
 	if b.Not {
-		not = "NOT "
+		w.WriteString(" NOT")
 	}
-	return "(" + b.X.SQL() + " " + not + "BETWEEN " + b.Lo.SQL() +
-		" AND " + b.Hi.SQL() + ")"
+	w.WriteString(" BETWEEN ")
+	b.Lo.writeSQL(w)
+	w.WriteString(" AND ")
+	b.Hi.writeSQL(w)
+	w.WriteByte(')')
 }
 
 // InList is x [NOT] IN (e1, e2, ...).
@@ -389,22 +480,17 @@ type InList struct {
 func (in *InList) exprNode() {}
 
 // SQL renders the IN expression.
-func (in *InList) SQL() string {
-	var sb strings.Builder
-	sb.WriteByte('(')
-	sb.WriteString(in.X.SQL())
+func (in *InList) SQL() string { return render(in) }
+
+func (in *InList) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	in.X.writeSQL(w)
 	if in.Not {
-		sb.WriteString(" NOT")
+		w.WriteString(" NOT")
 	}
-	sb.WriteString(" IN (")
-	for i, e := range in.List {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(e.SQL())
-	}
-	sb.WriteString("))")
-	return sb.String()
+	w.WriteString(" IN (")
+	writeList(w, in.List)
+	w.WriteString("))")
 }
 
 // IsNull is x IS [NOT] NULL.
@@ -416,11 +502,16 @@ type IsNull struct {
 func (i *IsNull) exprNode() {}
 
 // SQL renders the IS NULL test.
-func (i *IsNull) SQL() string {
+func (i *IsNull) SQL() string { return render(i) }
+
+func (i *IsNull) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	i.X.writeSQL(w)
 	if i.Not {
-		return "(" + i.X.SQL() + " IS NOT NULL)"
+		w.WriteString(" IS NOT NULL)")
+	} else {
+		w.WriteString(" IS NULL)")
 	}
-	return "(" + i.X.SQL() + " IS NULL)"
 }
 
 // IsBool is x IS [NOT] TRUE/FALSE.
@@ -433,17 +524,20 @@ type IsBool struct {
 func (i *IsBool) exprNode() {}
 
 // SQL renders the IS TRUE/FALSE test.
-func (i *IsBool) SQL() string {
-	s := "(" + i.X.SQL() + " IS "
+func (i *IsBool) SQL() string { return render(i) }
+
+func (i *IsBool) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	i.X.writeSQL(w)
+	w.WriteString(" IS ")
 	if i.Not {
-		s += "NOT "
+		w.WriteString("NOT ")
 	}
 	if i.Val {
-		s += "TRUE)"
+		w.WriteString("TRUE)")
 	} else {
-		s += "FALSE)"
+		w.WriteString("FALSE)")
 	}
-	return s
 }
 
 // LikeKind distinguishes pattern-matching operators.
@@ -465,15 +559,21 @@ type Like struct {
 func (l *Like) exprNode() {}
 
 // SQL renders the pattern-matching expression.
-func (l *Like) SQL() string {
-	op := "LIKE"
-	if l.Kind == LikeGlob {
-		op = "GLOB"
-	}
+func (l *Like) SQL() string { return render(l) }
+
+func (l *Like) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	l.X.writeSQL(w)
 	if l.Not {
-		op = "NOT " + op
+		w.WriteString(" NOT")
 	}
-	return "(" + l.X.SQL() + " " + op + " " + l.Pattern.SQL() + ")"
+	if l.Kind == LikeGlob {
+		w.WriteString(" GLOB ")
+	} else {
+		w.WriteString(" LIKE ")
+	}
+	l.Pattern.writeSQL(w)
+	w.WriteByte(')')
 }
 
 // Subquery is a scalar subquery: (SELECT ...) used as an expression.
@@ -484,7 +584,13 @@ type Subquery struct {
 func (s *Subquery) exprNode() {}
 
 // SQL renders the scalar subquery.
-func (s *Subquery) SQL() string { return "(" + s.Select.SQL() + ")" }
+func (s *Subquery) SQL() string { return render(s) }
+
+func (s *Subquery) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	s.Select.writeSQL(w)
+	w.WriteByte(')')
+}
 
 // Exists is [NOT] EXISTS (SELECT ...).
 type Exists struct {
@@ -495,9 +601,14 @@ type Exists struct {
 func (e *Exists) exprNode() {}
 
 // SQL renders the EXISTS expression.
-func (e *Exists) SQL() string {
+func (e *Exists) SQL() string { return render(e) }
+
+func (e *Exists) writeSQL(w *bytes.Buffer) {
 	if e.Not {
-		return "(NOT EXISTS (" + e.Select.SQL() + "))"
+		w.WriteString("(NOT EXISTS (")
+	} else {
+		w.WriteString("(EXISTS (")
 	}
-	return "(EXISTS (" + e.Select.SQL() + "))"
+	e.Select.writeSQL(w)
+	w.WriteString("))")
 }

@@ -1,6 +1,7 @@
 package sqlast
 
 import (
+	"math"
 	"testing"
 )
 
@@ -11,6 +12,7 @@ func TestExprRendering(t *testing.T) {
 	}{
 		{Null(), "NULL"},
 		{IntLit(-3), "-3"},
+		{IntLit(math.MinInt64), "-9223372036854775808"},
 		{TextLit("it's"), "'it''s'"},
 		{BoolLit(true), "TRUE"},
 		{&ColumnRef{Table: "t", Column: "c"}, "t.c"},

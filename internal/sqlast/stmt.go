@@ -1,15 +1,13 @@
 package sqlast
 
-import (
-	"strconv"
-	"strings"
-)
+import "bytes"
 
 // Stmt is implemented by all statement nodes.
 type Stmt interface {
 	stmtNode()
 	// SQL renders the statement as deterministic SQL text (no trailing ';').
 	SQL() string
+	writeSQL(w *bytes.Buffer)
 }
 
 // ColumnDef defines one column in CREATE TABLE / ALTER TABLE ADD COLUMN.
@@ -23,15 +21,18 @@ type ColumnDef struct {
 
 // SQL renders the column definition without the PRIMARY KEY constraint
 // (which is table-level).
-func (c *ColumnDef) SQL() string {
-	s := c.Name + " " + c.Type.String()
+func (c *ColumnDef) SQL() string { return render(c) }
+
+func (c *ColumnDef) writeSQL(w *bytes.Buffer) {
+	w.WriteString(c.Name)
+	w.WriteByte(' ')
+	w.WriteString(c.Type.String())
 	if c.NotNull {
-		s += " NOT NULL"
+		w.WriteString(" NOT NULL")
 	}
 	if c.Unique {
-		s += " UNIQUE"
+		w.WriteString(" UNIQUE")
 	}
-	return s
 }
 
 // CreateTable is CREATE TABLE name (cols..., [PRIMARY KEY (...)]).
@@ -44,31 +45,31 @@ type CreateTable struct {
 func (c *CreateTable) stmtNode() {}
 
 // SQL renders the CREATE TABLE statement.
-func (c *CreateTable) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("CREATE TABLE ")
+func (c *CreateTable) SQL() string { return render(c) }
+
+func (c *CreateTable) writeSQL(w *bytes.Buffer) {
+	w.WriteString("CREATE TABLE ")
 	if c.IfNotExists {
-		sb.WriteString("IF NOT EXISTS ")
+		w.WriteString("IF NOT EXISTS ")
 	}
-	sb.WriteString(c.Name)
-	sb.WriteString(" (")
+	w.WriteString(c.Name)
+	w.WriteString(" (")
 	var pk []string
-	for i, col := range c.Columns {
+	for i := range c.Columns {
 		if i > 0 {
-			sb.WriteString(", ")
+			w.WriteString(", ")
 		}
-		sb.WriteString(col.SQL())
-		if col.PrimaryKey {
-			pk = append(pk, col.Name)
+		c.Columns[i].writeSQL(w)
+		if c.Columns[i].PrimaryKey {
+			pk = append(pk, c.Columns[i].Name)
 		}
 	}
 	if len(pk) > 0 {
-		sb.WriteString(", PRIMARY KEY (")
-		sb.WriteString(strings.Join(pk, ", "))
-		sb.WriteByte(')')
+		w.WriteString(", PRIMARY KEY (")
+		writeNames(w, pk)
+		w.WriteByte(')')
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	w.WriteByte(')')
 }
 
 // CreateIndex is CREATE [UNIQUE] INDEX name ON table (cols) [WHERE pred].
@@ -83,24 +84,24 @@ type CreateIndex struct {
 func (c *CreateIndex) stmtNode() {}
 
 // SQL renders the CREATE INDEX statement.
-func (c *CreateIndex) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("CREATE ")
+func (c *CreateIndex) SQL() string { return render(c) }
+
+func (c *CreateIndex) writeSQL(w *bytes.Buffer) {
+	w.WriteString("CREATE ")
 	if c.Unique {
-		sb.WriteString("UNIQUE ")
+		w.WriteString("UNIQUE ")
 	}
-	sb.WriteString("INDEX ")
-	sb.WriteString(c.Name)
-	sb.WriteString(" ON ")
-	sb.WriteString(c.Table)
-	sb.WriteString(" (")
-	sb.WriteString(strings.Join(c.Columns, ", "))
-	sb.WriteByte(')')
+	w.WriteString("INDEX ")
+	w.WriteString(c.Name)
+	w.WriteString(" ON ")
+	w.WriteString(c.Table)
+	w.WriteString(" (")
+	writeNames(w, c.Columns)
+	w.WriteByte(')')
 	if c.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(c.Where.SQL())
+		w.WriteString(" WHERE ")
+		c.Where.writeSQL(w)
 	}
-	return sb.String()
 }
 
 // CreateView is CREATE VIEW name [(cols)] AS select.
@@ -113,18 +114,18 @@ type CreateView struct {
 func (c *CreateView) stmtNode() {}
 
 // SQL renders the CREATE VIEW statement.
-func (c *CreateView) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("CREATE VIEW ")
-	sb.WriteString(c.Name)
+func (c *CreateView) SQL() string { return render(c) }
+
+func (c *CreateView) writeSQL(w *bytes.Buffer) {
+	w.WriteString("CREATE VIEW ")
+	w.WriteString(c.Name)
 	if len(c.Columns) > 0 {
-		sb.WriteString(" (")
-		sb.WriteString(strings.Join(c.Columns, ", "))
-		sb.WriteByte(')')
+		w.WriteString(" (")
+		writeNames(w, c.Columns)
+		w.WriteByte(')')
 	}
-	sb.WriteString(" AS ")
-	sb.WriteString(c.Select.SQL())
-	return sb.String()
+	w.WriteString(" AS ")
+	c.Select.writeSQL(w)
 }
 
 // Insert is INSERT INTO table [(cols)] VALUES (...), (...).
@@ -138,34 +139,29 @@ type Insert struct {
 func (i *Insert) stmtNode() {}
 
 // SQL renders the INSERT statement.
-func (i *Insert) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("INSERT ")
+func (i *Insert) SQL() string { return render(i) }
+
+func (i *Insert) writeSQL(w *bytes.Buffer) {
+	w.WriteString("INSERT ")
 	if i.OrIgnore {
-		sb.WriteString("OR IGNORE ")
+		w.WriteString("OR IGNORE ")
 	}
-	sb.WriteString("INTO ")
-	sb.WriteString(i.Table)
+	w.WriteString("INTO ")
+	w.WriteString(i.Table)
 	if len(i.Columns) > 0 {
-		sb.WriteString(" (")
-		sb.WriteString(strings.Join(i.Columns, ", "))
-		sb.WriteByte(')')
+		w.WriteString(" (")
+		writeNames(w, i.Columns)
+		w.WriteByte(')')
 	}
-	sb.WriteString(" VALUES ")
+	w.WriteString(" VALUES ")
 	for r, row := range i.Rows {
 		if r > 0 {
-			sb.WriteString(", ")
+			w.WriteString(", ")
 		}
-		sb.WriteByte('(')
-		for c, e := range row {
-			if c > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(e.SQL())
-		}
-		sb.WriteByte(')')
+		w.WriteByte('(')
+		writeList(w, row)
+		w.WriteByte(')')
 	}
-	return sb.String()
 }
 
 // Assignment is one SET col = expr clause of UPDATE.
@@ -184,24 +180,24 @@ type Update struct {
 func (u *Update) stmtNode() {}
 
 // SQL renders the UPDATE statement.
-func (u *Update) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("UPDATE ")
-	sb.WriteString(u.Table)
-	sb.WriteString(" SET ")
+func (u *Update) SQL() string { return render(u) }
+
+func (u *Update) writeSQL(w *bytes.Buffer) {
+	w.WriteString("UPDATE ")
+	w.WriteString(u.Table)
+	w.WriteString(" SET ")
 	for i, a := range u.Sets {
 		if i > 0 {
-			sb.WriteString(", ")
+			w.WriteString(", ")
 		}
-		sb.WriteString(a.Column)
-		sb.WriteString(" = ")
-		sb.WriteString(a.Value.SQL())
+		w.WriteString(a.Column)
+		w.WriteString(" = ")
+		a.Value.writeSQL(w)
 	}
 	if u.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(u.Where.SQL())
+		w.WriteString(" WHERE ")
+		u.Where.writeSQL(w)
 	}
-	return sb.String()
 }
 
 // Delete is DELETE FROM table [WHERE pred].
@@ -213,12 +209,15 @@ type Delete struct {
 func (d *Delete) stmtNode() {}
 
 // SQL renders the DELETE statement.
-func (d *Delete) SQL() string {
-	s := "DELETE FROM " + d.Table
+func (d *Delete) SQL() string { return render(d) }
+
+func (d *Delete) writeSQL(w *bytes.Buffer) {
+	w.WriteString("DELETE FROM ")
+	w.WriteString(d.Table)
 	if d.Where != nil {
-		s += " WHERE " + d.Where.SQL()
+		w.WriteString(" WHERE ")
+		d.Where.writeSQL(w)
 	}
-	return s
 }
 
 // AlterTable is ALTER TABLE t ADD COLUMN def | DROP COLUMN name.
@@ -231,11 +230,18 @@ type AlterTable struct {
 func (a *AlterTable) stmtNode() {}
 
 // SQL renders the ALTER TABLE statement.
-func (a *AlterTable) SQL() string {
+func (a *AlterTable) SQL() string { return render(a) }
+
+func (a *AlterTable) writeSQL(w *bytes.Buffer) {
+	w.WriteString("ALTER TABLE ")
+	w.WriteString(a.Table)
 	if a.AddColumn != nil {
-		return "ALTER TABLE " + a.Table + " ADD COLUMN " + a.AddColumn.SQL()
+		w.WriteString(" ADD COLUMN ")
+		a.AddColumn.writeSQL(w)
+		return
 	}
-	return "ALTER TABLE " + a.Table + " DROP COLUMN " + a.DropColumn
+	w.WriteString(" DROP COLUMN ")
+	w.WriteString(a.DropColumn)
 }
 
 // DropTable is DROP TABLE name.
@@ -246,7 +252,12 @@ type DropTable struct {
 func (d *DropTable) stmtNode() {}
 
 // SQL renders the DROP TABLE statement.
-func (d *DropTable) SQL() string { return "DROP TABLE " + d.Name }
+func (d *DropTable) SQL() string { return render(d) }
+
+func (d *DropTable) writeSQL(w *bytes.Buffer) {
+	w.WriteString("DROP TABLE ")
+	w.WriteString(d.Name)
+}
 
 // DropView is DROP VIEW name.
 type DropView struct {
@@ -256,7 +267,12 @@ type DropView struct {
 func (d *DropView) stmtNode() {}
 
 // SQL renders the DROP VIEW statement.
-func (d *DropView) SQL() string { return "DROP VIEW " + d.Name }
+func (d *DropView) SQL() string { return render(d) }
+
+func (d *DropView) writeSQL(w *bytes.Buffer) {
+	w.WriteString("DROP VIEW ")
+	w.WriteString(d.Name)
+}
 
 // DropIndex is DROP INDEX name: tears down the index's ordered store.
 type DropIndex struct {
@@ -266,7 +282,12 @@ type DropIndex struct {
 func (d *DropIndex) stmtNode() {}
 
 // SQL renders the DROP INDEX statement.
-func (d *DropIndex) SQL() string { return "DROP INDEX " + d.Name }
+func (d *DropIndex) SQL() string { return render(d) }
+
+func (d *DropIndex) writeSQL(w *bytes.Buffer) {
+	w.WriteString("DROP INDEX ")
+	w.WriteString(d.Name)
+}
 
 // Reindex is REINDEX [name]: rebuilds one index (or, with no name, every
 // index) from its table's visible rows — the natural repair for stale
@@ -278,11 +299,14 @@ type Reindex struct {
 func (r *Reindex) stmtNode() {}
 
 // SQL renders the REINDEX statement.
-func (r *Reindex) SQL() string {
-	if r.Name == "" {
-		return "REINDEX"
+func (r *Reindex) SQL() string { return render(r) }
+
+func (r *Reindex) writeSQL(w *bytes.Buffer) {
+	w.WriteString("REINDEX")
+	if r.Name != "" {
+		w.WriteByte(' ')
+		w.WriteString(r.Name)
 	}
-	return "REINDEX " + r.Name
 }
 
 // Analyze is ANALYZE [table]: collects planner statistics.
@@ -293,11 +317,14 @@ type Analyze struct {
 func (a *Analyze) stmtNode() {}
 
 // SQL renders the ANALYZE statement.
-func (a *Analyze) SQL() string {
+func (a *Analyze) SQL() string { return render(a) }
+
+func (a *Analyze) writeSQL(w *bytes.Buffer) {
+	w.WriteString("ANALYZE")
 	if a.Table != "" {
-		return "ANALYZE " + a.Table
+		w.WriteByte(' ')
+		w.WriteString(a.Table)
 	}
-	return "ANALYZE"
 }
 
 // Refresh is REFRESH TABLE name — the CrateDB-style statement that makes
@@ -309,7 +336,12 @@ type Refresh struct {
 func (r *Refresh) stmtNode() {}
 
 // SQL renders the REFRESH TABLE statement.
-func (r *Refresh) SQL() string { return "REFRESH TABLE " + r.Table }
+func (r *Refresh) SQL() string { return render(r) }
+
+func (r *Refresh) writeSQL(w *bytes.Buffer) {
+	w.WriteString("REFRESH TABLE ")
+	w.WriteString(r.Table)
+}
 
 // SelectItem is one projection of a SELECT: either * or expr [AS alias].
 type SelectItem struct {
@@ -319,15 +351,18 @@ type SelectItem struct {
 }
 
 // SQL renders the projection item.
-func (s *SelectItem) SQL() string {
+func (s *SelectItem) SQL() string { return render(s) }
+
+func (s *SelectItem) writeSQL(w *bytes.Buffer) {
 	if s.Star {
-		return "*"
+		w.WriteByte('*')
+		return
 	}
-	out := s.Expr.SQL()
+	s.Expr.writeSQL(w)
 	if s.Alias != "" {
-		out += " AS " + s.Alias
+		w.WriteString(" AS ")
+		w.WriteString(s.Alias)
 	}
-	return out
 }
 
 // JoinType enumerates join clauses. JoinNone marks the first FROM item
@@ -373,6 +408,7 @@ type TableRef interface {
 	tableRefNode()
 	// SQL renders the table reference.
 	SQL() string
+	writeSQL(w *bytes.Buffer)
 	// RefName returns the name the source is addressable by (alias or name).
 	RefName() string
 }
@@ -386,11 +422,14 @@ type TableName struct {
 func (t *TableName) tableRefNode() {}
 
 // SQL renders the table reference.
-func (t *TableName) SQL() string {
+func (t *TableName) SQL() string { return render(t) }
+
+func (t *TableName) writeSQL(w *bytes.Buffer) {
+	w.WriteString(t.Name)
 	if t.Alias != "" {
-		return t.Name + " AS " + t.Alias
+		w.WriteString(" AS ")
+		w.WriteString(t.Alias)
 	}
-	return t.Name
 }
 
 // RefName returns the alias if present, else the table name.
@@ -410,8 +449,13 @@ type DerivedTable struct {
 func (d *DerivedTable) tableRefNode() {}
 
 // SQL renders the derived table.
-func (d *DerivedTable) SQL() string {
-	return "(" + d.Select.SQL() + ") AS " + d.Alias
+func (d *DerivedTable) SQL() string { return render(d) }
+
+func (d *DerivedTable) writeSQL(w *bytes.Buffer) {
+	w.WriteByte('(')
+	d.Select.writeSQL(w)
+	w.WriteString(") AS ")
+	w.WriteString(d.Alias)
 }
 
 // RefName returns the mandatory alias.
@@ -486,81 +530,76 @@ func (s *Select) stmtNode() {}
 func (s *Select) exprNode() {} // a bare Select never appears as Expr; Subquery wraps it
 
 // SQL renders the SELECT statement.
-func (s *Select) SQL() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
+func (s *Select) SQL() string { return render(s) }
+
+func (s *Select) writeSQL(w *bytes.Buffer) {
+	w.WriteString("SELECT ")
 	if s.Distinct {
-		sb.WriteString("DISTINCT ")
+		w.WriteString("DISTINCT ")
 	}
 	for i := range s.Items {
 		if i > 0 {
-			sb.WriteString(", ")
+			w.WriteString(", ")
 		}
-		sb.WriteString(s.Items[i].SQL())
+		s.Items[i].writeSQL(w)
 	}
 	if len(s.From) > 0 {
-		sb.WriteString(" FROM ")
+		w.WriteString(" FROM ")
 		for i, f := range s.From {
 			if i == 0 {
-				sb.WriteString(f.Ref.SQL())
+				f.Ref.writeSQL(w)
 				continue
 			}
 			if f.Join == JoinComma {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			} else {
-				sb.WriteByte(' ')
-				sb.WriteString(f.Join.String())
-				sb.WriteByte(' ')
+				w.WriteByte(' ')
+				w.WriteString(f.Join.String())
+				w.WriteByte(' ')
 			}
-			sb.WriteString(f.Ref.SQL())
+			f.Ref.writeSQL(w)
 			if f.On != nil {
-				sb.WriteString(" ON ")
-				sb.WriteString(f.On.SQL())
+				w.WriteString(" ON ")
+				f.On.writeSQL(w)
 			}
 		}
 	}
 	if s.Where != nil {
-		sb.WriteString(" WHERE ")
-		sb.WriteString(s.Where.SQL())
+		w.WriteString(" WHERE ")
+		s.Where.writeSQL(w)
 	}
 	if len(s.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY ")
-		for i, e := range s.GroupBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(e.SQL())
-		}
+		w.WriteString(" GROUP BY ")
+		writeList(w, s.GroupBy)
 	}
 	if s.Having != nil {
-		sb.WriteString(" HAVING ")
-		sb.WriteString(s.Having.SQL())
+		w.WriteString(" HAVING ")
+		s.Having.writeSQL(w)
 	}
 	for _, part := range s.Compound {
-		sb.WriteByte(' ')
-		sb.WriteString(part.Op.String())
-		sb.WriteByte(' ')
-		sb.WriteString(part.Select.SQL())
+		w.WriteByte(' ')
+		w.WriteString(part.Op.String())
+		w.WriteByte(' ')
+		part.Select.writeSQL(w)
 	}
 	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
+		w.WriteString(" ORDER BY ")
 		for i, o := range s.OrderBy {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			sb.WriteString(o.Expr.SQL())
+			o.Expr.writeSQL(w)
 			if o.Desc {
-				sb.WriteString(" DESC")
+				w.WriteString(" DESC")
 			}
 		}
 	}
 	if s.Limit != nil {
-		sb.WriteString(" LIMIT ")
-		sb.WriteString(strconv.FormatInt(*s.Limit, 10))
+		w.WriteString(" LIMIT ")
+		writeInt(w, *s.Limit)
 	}
 	if s.Offset != nil {
-		sb.WriteString(" OFFSET ")
-		sb.WriteString(strconv.FormatInt(*s.Offset, 10))
+		w.WriteString(" OFFSET ")
+		writeInt(w, *s.Offset)
 	}
-	return sb.String()
 }

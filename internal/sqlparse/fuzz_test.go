@@ -7,12 +7,13 @@ import (
 	"sqlancerpp/internal/sqlparse"
 )
 
-// FuzzParse asserts the parser's two robustness contracts on arbitrary
+// FuzzParse asserts the parser's robustness contracts on arbitrary
 // input: it never panics (the campaign's containment boundary should
-// only ever fire on injected panic faults, not on parser defects), and
-// the statement cache is transparent — a cached parse renders to exactly
+// only ever fire on injected panic faults, not on parser defects); the
+// statement cache is transparent — a cached parse renders to exactly
 // the same SQL as a fresh parse, and invalid input fails through the
-// cache just as it fails without it.
+// cache just as it fails without it; and rendering is idempotent — the
+// rendering of any accepted input parses again and renders to itself.
 //
 // Without -fuzz the seed corpus runs as an ordinary test, so tier-1
 // keeps exercising these properties on every build.
@@ -33,6 +34,10 @@ func FuzzParse(f *testing.F) {
 		"((((",
 		"SELECT 'unterminated",
 		"SELECT -- comment\n1",
+		"select Distinct c0 From t0 wHeRe c0 iS nOt NuLl",
+		"SELECT -9223372036854775808, - -9223372036854775808",
+		"SELECT 'it''s', '', '''' FROM t0",
+		"CREATE TABLE A(PRIMARY KEY(A))", // no columns: must not parse
 		"",
 		"\x00\xff",
 	} {
@@ -68,6 +73,13 @@ func FuzzParse(f *testing.F) {
 		}
 		if got := hit.SQL(); got != freshSQL {
 			t.Fatalf("cache-hit parse renders %q, fresh parse %q", got, freshSQL)
+		}
+		again, err := sqlparse.Parse(freshSQL)
+		if err != nil {
+			t.Fatalf("rendering %q of %q does not parse: %v", freshSQL, src, err)
+		}
+		if got := again.SQL(); got != freshSQL {
+			t.Fatalf("rendering %q of %q re-renders as %q", freshSQL, src, got)
 		}
 	})
 }

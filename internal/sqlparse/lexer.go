@@ -2,6 +2,14 @@
 // SQL subset used by the platform. The engine ingests SQL as text — as a
 // real DBMS would — so every statement produced by the generator makes a
 // full round trip through rendering and parsing.
+//
+// The round trip costs allocations in proportion to the AST, not to the
+// tokens: the lexer allocates nothing for a statement whose string
+// literals contain no doubled-quote escape. Identifier, integer and
+// escape-free string tokens are substrings of the source; keywords are
+// recognised by upper-casing into a stack buffer and come from a table
+// of interned spellings; operators are static strings; and the parser
+// holds its one-token lookahead by value.
 package sqlparse
 
 import (
@@ -23,33 +31,60 @@ const (
 	TokError // lexer error; Text holds the message
 )
 
-// Token is one lexical token. Keywords are upper-cased in Text.
+// Token is one lexical token. Keywords are upper-cased in Text; the Text
+// of every other token except an escaped string literal is a substring
+// of the source.
 type Token struct {
 	Kind TokKind
 	Text string
 	Pos  int // byte offset in the input
 }
 
-// keywords recognized by the lexer (upper-case).
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"DISTINCT": true, "AS": true, "ON": true, "AND": true, "OR": true,
-	"NOT": true, "XOR": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"IS": true, "IN": true, "BETWEEN": true, "LIKE": true, "GLOB": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"CAST": true, "EXISTS": true, "CREATE": true, "TABLE": true,
-	"INDEX": true, "VIEW": true, "UNIQUE": true, "PRIMARY": true,
-	"KEY": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "ALTER": true,
-	"ADD": true, "DROP": true, "COLUMN": true, "ANALYZE": true,
-	"REFRESH": true, "REINDEX": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"RIGHT": true, "FULL": true, "CROSS": true, "NATURAL": true,
-	"OUTER": true, "DESC": true, "ASC": true, "INTEGER": true, "INT": true,
-	"TEXT": true, "VARCHAR": true, "BOOLEAN": true, "BOOL": true,
-	"IF": true, "EXIST": true, "DISTINCTFROM": true, "IGNORE": true,
-	"UNION": true, "INTERSECT": true, "EXCEPT": true, "ALL": true,
-	"DEFAULT": true,
+// keywords maps each keyword recognized by the lexer to its interned
+// upper-case spelling, which becomes the token's Text.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
+		"LIMIT", "OFFSET", "DISTINCT", "AS", "ON", "AND", "OR", "NOT",
+		"XOR", "NULL", "TRUE", "FALSE", "IS", "IN", "BETWEEN", "LIKE",
+		"GLOB", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "EXISTS",
+		"CREATE", "TABLE", "INDEX", "VIEW", "UNIQUE", "PRIMARY", "KEY",
+		"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "ALTER",
+		"ADD", "DROP", "COLUMN", "ANALYZE", "REFRESH", "REINDEX", "JOIN",
+		"INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL", "OUTER",
+		"DESC", "ASC", "INTEGER", "INT", "TEXT", "VARCHAR", "BOOLEAN",
+		"BOOL", "IF", "EXIST", "DISTINCTFROM", "IGNORE", "UNION",
+		"INTERSECT", "EXCEPT", "ALL", "DEFAULT",
+	} {
+		if len(kw) > maxKeywordLen {
+			panic("sqlparse: keyword longer than maxKeywordLen: " + kw)
+		}
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen bounds the stack buffer keyword lookup upper-cases into;
+// a longer word is an identifier without a lookup.
+const maxKeywordLen = 12
+
+// keyword returns the interned spelling of word if it is a keyword in
+// any letter case.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lexer tokenizes SQL text.
@@ -82,9 +117,8 @@ func (l *Lexer) Next() Token {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return Token{Kind: TokKeyword, Text: upper, Pos: start}
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}
 	default:
@@ -92,46 +126,83 @@ func (l *Lexer) Next() Token {
 	}
 }
 
+// lexString scans a single-quoted literal. Without a doubled-quote
+// escape the token's Text is the source between the quotes; only an
+// escaped literal builds a new string.
 func (l *Lexer) lexString(start int) Token {
 	l.pos++ // opening quote
 	var sb strings.Builder
+	from := l.pos // first source byte not yet copied into sb
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.src[l.pos] != '\'' {
 			l.pos++
-			return Token{Kind: TokString, Text: sb.String(), Pos: start}
+			continue
 		}
-		sb.WriteByte(c)
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			sb.WriteString(l.src[from : l.pos+1])
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		text := l.src[from:l.pos]
+		if sb.Len() > 0 {
+			sb.WriteString(text)
+			text = sb.String()
+		}
 		l.pos++
+		return Token{Kind: TokString, Text: text, Pos: start}
 	}
 	return Token{Kind: TokError, Text: "unterminated string literal", Pos: start}
 }
 
-// multi-character operators, longest first.
-var multiOps = []string{"<=>", "<<", ">>", "<=", ">=", "!=", "<>", "||", "=="}
+// singleOps holds the static spelling of every one-byte operator and
+// punctuation token; the empty string marks a byte that starts none.
+var singleOps = func() (t [256]string) {
+	for _, op := range []string{"+", "-", "*", "/", "%", "&", "|", "^",
+		"~", "=", "<", ">", "(", ")", ",", ".", ";"} {
+		t[op[0]] = op
+	}
+	return t
+}()
 
+// lexOp scans an operator, longest match first: <=>, then the
+// two-byte operators << >> <= >= != <> || ==, then one byte.
 func (l *Lexer) lexOp(start int) Token {
-	rest := l.src[l.pos:]
-	for _, op := range multiOps {
-		if strings.HasPrefix(rest, op) {
-			l.pos += len(op)
-			return Token{Kind: TokOp, Text: op, Pos: start}
-		}
-	}
 	c := l.src[l.pos]
-	switch c {
-	case '+', '-', '*', '/', '%', '&', '|', '^', '~', '=', '<', '>',
-		'(', ')', ',', '.', ';':
-		l.pos++
-		return Token{Kind: TokOp, Text: string(c), Pos: start}
+	var next, third byte
+	if l.pos+1 < len(l.src) {
+		next = l.src[l.pos+1]
 	}
-	l.pos++
-	return Token{Kind: TokError, Text: fmt.Sprintf("unexpected character %q", c), Pos: start}
+	if l.pos+2 < len(l.src) {
+		third = l.src[l.pos+2]
+	}
+	op := singleOps[c]
+	switch {
+	case c == '<' && next == '=' && third == '>':
+		op = "<=>"
+	case c == '<' && next == '<':
+		op = "<<"
+	case c == '>' && next == '>':
+		op = ">>"
+	case c == '<' && next == '=':
+		op = "<="
+	case c == '>' && next == '=':
+		op = ">="
+	case c == '!' && next == '=':
+		op = "!="
+	case c == '<' && next == '>':
+		op = "<>"
+	case c == '|' && next == '|':
+		op = "||"
+	case c == '=' && next == '=':
+		op = "=="
+	}
+	if op == "" {
+		l.pos++
+		return Token{Kind: TokError, Text: fmt.Sprintf("unexpected character %q", c), Pos: start}
+	}
+	l.pos += len(op)
+	return Token{Kind: TokOp, Text: op, Pos: start}
 }
 
 func (l *Lexer) skipSpace() {

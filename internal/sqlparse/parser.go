@@ -21,9 +21,10 @@ func (e *SyntaxError) Error() string {
 
 // Parser is a recursive-descent parser over a token stream.
 type Parser struct {
-	lex  *Lexer
-	tok  Token // current token
-	peek *Token
+	lex     *Lexer
+	tok     Token // current token
+	peek    Token // lookahead, valid while hasPeek
+	hasPeek bool
 }
 
 // Parse parses a single SQL statement (an optional trailing ';' is allowed).
@@ -58,20 +59,20 @@ func ParseExpr(src string) (sqlast.Expr, error) {
 }
 
 func (p *Parser) advance() {
-	if p.peek != nil {
-		p.tok = *p.peek
-		p.peek = nil
+	if p.hasPeek {
+		p.tok = p.peek
+		p.hasPeek = false
 		return
 	}
 	p.tok = p.lex.Next()
 }
 
 func (p *Parser) peekTok() Token {
-	if p.peek == nil {
-		t := p.lex.Next()
-		p.peek = &t
+	if !p.hasPeek {
+		p.peek = p.lex.Next()
+		p.hasPeek = true
 	}
-	return *p.peek
+	return p.peek
 }
 
 func (p *Parser) errf(format string, args ...any) error {
@@ -290,6 +291,11 @@ func (p *Parser) parseCreateTable() (sqlast.Stmt, error) {
 	}
 	if err := p.expectOp(")"); err != nil {
 		return nil, err
+	}
+	if len(ct.Columns) == 0 {
+		// "CREATE TABLE t (PRIMARY KEY (c))" would render as the
+		// unparsable "CREATE TABLE t ()".
+		return nil, p.errf("CREATE TABLE requires at least one column")
 	}
 	for i := range ct.Columns {
 		if pkCols[strings.ToLower(ct.Columns[i].Name)] {

@@ -171,8 +171,6 @@ func (p *Parser) parseIsTail(left sqlast.Expr) (sqlast.Expr, error) {
 		return &sqlast.IsBool{X: left, Val: true, Not: not}, nil
 	case p.acceptKw("FALSE"):
 		return &sqlast.IsBool{X: left, Val: false, Not: not}, nil
-	case p.tok.Kind == TokIdent && strings.ToUpper(p.tok.Text) == "DISTINCT":
-		return nil, p.errf("expected DISTINCT keyword")
 	case p.isKw("DISTINCT"):
 		p.advance()
 		if err := p.expectKw("FROM"); err != nil {
@@ -327,6 +325,9 @@ func (p *Parser) parseUnary() (sqlast.Expr, error) {
 		switch p.tok.Text {
 		case "-":
 			p.advance()
+			if p.tok.Kind == TokInt {
+				return p.parseNegativeInt()
+			}
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
@@ -354,6 +355,19 @@ func (p *Parser) parseUnary() (sqlast.Expr, error) {
 		}
 	}
 	return p.parsePrimary()
+}
+
+// parseNegativeInt parses the integer token after a unary minus as one
+// signed literal, so the rendering of math.MinInt64, whose magnitude has
+// no positive int64, parses back. Any other magnitude gives the same
+// literal as folding the minus into the parsed integer.
+func (p *Parser) parseNegativeInt() (sqlast.Expr, error) {
+	u, err := strconv.ParseUint(p.tok.Text, 10, 64)
+	if err != nil || u > 1<<63 {
+		return nil, p.errf("invalid integer %q", p.tok.Text)
+	}
+	p.advance()
+	return sqlast.IntLit(-int64(u)), nil
 }
 
 func (p *Parser) parsePrimary() (sqlast.Expr, error) {

@@ -1,10 +1,15 @@
 package sqlparse_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"sqlancerpp/internal/core/gen"
+	"sqlancerpp/internal/core/oracle"
+	"sqlancerpp/internal/dialect"
+	"sqlancerpp/internal/engine"
+	"sqlancerpp/internal/sqlast"
 	"sqlancerpp/internal/sqlparse"
 )
 
@@ -104,6 +109,8 @@ func TestParseExpressions(t *testing.T) {
 		"a == b":                        "(a = b)",
 		"'it''s'":                       "'it''s'",
 		"- - 2000":                      "2000", // folded into one literal
+		"-9223372036854775808":          "-9223372036854775808",
+		"- -9223372036854775807":        "9223372036854775807",
 		"~ 5":                           "(~ 5)",
 		"'a' || 'b' || 'c'":             "(('a' || 'b') || 'c')",
 		"CAST(x AS TEXT)":               "CAST(x AS TEXT)",
@@ -138,6 +145,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT (1",
 		"CREATE TABLE t",
 		"CREATE TABLE t ()",
+		"CREATE TABLE t (PRIMARY KEY (c))",
 		"CREATE TABLE t (c0 FLOAT)",
 		"INSERT INTO t VALUES",
 		"UPDATE t SET",
@@ -148,6 +156,8 @@ func TestParseErrors(t *testing.T) {
 		"DELETE t",                 // missing FROM
 		"CREATE UNIQUE TABLE t (c INTEGER)",
 		"SELECT 1 $ 2",
+		"SELECT 9223372036854775808",  // int64 overflow
+		"SELECT -9223372036854775809", // below math.MinInt64
 	} {
 		if _, err := sqlparse.Parse(sql); err == nil {
 			t.Errorf("parse %q: expected error", sql)
@@ -158,16 +168,24 @@ func TestParseErrors(t *testing.T) {
 // TestGeneratorOutputRoundtrips is the workhorse property test: every
 // statement the adaptive generator can produce must parse back to
 // identical SQL (the engine consumes text, so any asymmetry between
-// renderer and parser breaks the platform).
+// renderer and parser breaks the platform). That covers the queries the
+// oracles derive from each generated case too — TLP's partitions,
+// TLPComposed's UNION ALL compound, TLPAggregate's AGG(x), NoREC's
+// COUNT(*) and IS TRUE projections, PlanDiff's query — taken from the
+// text each oracle actually sent to an engine. Every statement must also
+// parse to the same tree with its keywords in mixed case.
 func TestGeneratorOutputRoundtrips(t *testing.T) {
+	derived := map[oracle.Name]int{}
 	for seed := int64(0); seed < 4; seed++ {
 		g := gen.New(gen.Config{Seed: seed, StartDepth: 3, MaxDepth: 3, RiskyProb: 0.2})
+		db := engine.Open(dialect.MustGet("sqlite"), engine.WithoutFaults())
 		for i := 0; i < 40; i++ {
 			st := g.GenSetup()
 			if st.OnSuccess != nil {
 				st.OnSuccess()
 			}
 			checkRoundtrip(t, st.SQL)
+			_ = db.Exec(st.SQL) // only the round trip is under test here
 		}
 		for i := 0; i < 2500; i++ {
 			var sql string
@@ -175,6 +193,9 @@ func TestGeneratorOutputRoundtrips(t *testing.T) {
 				oc := g.GenOracleCase()
 				if oc == nil {
 					continue
+				}
+				if i%15 == 0 {
+					checkOracleRoundtrips(t, db, oc, i, derived)
 				}
 				sel := oc.Base
 				sel.Where = oc.Pred
@@ -185,18 +206,68 @@ func TestGeneratorOutputRoundtrips(t *testing.T) {
 			checkRoundtrip(t, sql)
 		}
 	}
+	// Each oracle must have derived queries past its base (or, for
+	// PlanDiff, past its baseline) often enough to mean something.
+	for _, name := range oracle.DefaultNames() {
+		if derived[name] < 100 {
+			t.Errorf("%s derived only %d queries", name, derived[name])
+		}
+	}
 }
 
+// checkOracleRoundtrips runs every registered oracle on one generated
+// case and round-trips each query it executed; it counts the queries
+// after the first per oracle.
+func checkOracleRoundtrips(t *testing.T, db *engine.DB, oc *gen.OracleCase, seq int, derived map[oracle.Name]int) {
+	t.Helper()
+	for _, name := range oracle.DefaultNames() {
+		orc, _ := oracle.Get(name)
+		c := &oracle.Case{Base: oc.Base, Pred: oc.Pred, Seq: seq}
+		if !orc.Applicable(db, c) {
+			continue
+		}
+		res := orc.Check(db, c)
+		for _, q := range res.Queries {
+			checkRoundtrip(t, q)
+		}
+		derived[name] += max(len(res.Queries)-1, 0)
+	}
+}
+
+// checkRoundtrip requires sql to render back to itself, and its
+// mixed-case-keyword spelling to render to sql as well.
 func checkRoundtrip(t *testing.T, sql string) {
 	t.Helper()
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatalf("generated SQL does not parse: %v\n  %s", err, sql)
+	checkParsesTo(t, sql, sql)
+	checkParsesTo(t, mixKeywordCase(sql), sql)
+}
+
+// mixKeywordCase rewrites every keyword of sql in alternating letter
+// case (SELECT → sElEcT), leaving identifiers and literals alone.
+func mixKeywordCase(sql string) string {
+	b := []byte(sql)
+	lex := sqlparse.NewLexer(sql)
+	for tok := lex.Next(); tok.Kind != sqlparse.TokEOF && tok.Kind != sqlparse.TokError; tok = lex.Next() {
+		if tok.Kind != sqlparse.TokKeyword {
+			continue
+		}
+		for i := tok.Pos; i < tok.Pos+len(tok.Text); i += 2 {
+			b[i] += 'a' - 'A'
+		}
 	}
-	if got := st.SQL(); got != sql {
+	return string(b)
+}
+
+func checkParsesTo(t *testing.T, src, want string) {
+	t.Helper()
+	st, err := sqlparse.Parse(src)
+	if err != nil {
+		t.Fatalf("generated SQL does not parse: %v\n  %s", err, src)
+	}
+	if got := st.SQL(); got != want {
 		// Show a trimmed diff position.
 		i := 0
-		for i < len(got) && i < len(sql) && got[i] == sql[i] {
+		for i < len(got) && i < len(want) && got[i] == want[i] {
 			i++
 		}
 		lo := i - 20
@@ -204,7 +275,7 @@ func checkRoundtrip(t *testing.T, sql string) {
 			lo = 0
 		}
 		t.Fatalf("roundtrip mismatch near %q:\n  in:  %s\n  out: %s",
-			sql[lo:min(i+20, len(sql))], sql, got)
+			want[lo:min(i+20, len(want))], src, got)
 	}
 }
 
@@ -213,6 +284,25 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestMinInt64RoundTrips pins the one literal whose rendering once failed
+// to parse: math.MinInt64 has no positive int64 magnitude, so its minus
+// and digits must be read as one signed literal.
+func TestMinInt64RoundTrips(t *testing.T) {
+	lit := sqlast.IntLit(math.MinInt64)
+	e, err := sqlparse.ParseExpr(lit.SQL())
+	if err != nil {
+		t.Fatalf("parse %s: %v", lit.SQL(), err)
+	}
+	if got, ok := e.(*sqlast.Literal); !ok || got.Kind != sqlast.LitInt || got.Int != math.MinInt64 {
+		t.Fatalf("parse %s = %#v, want IntLit(math.MinInt64)", lit.SQL(), e)
+	}
+	sel := &sqlast.Select{
+		Items: []sqlast.SelectItem{{Expr: lit}},
+		Where: &sqlast.Binary{Op: sqlast.OpLt, L: lit, R: &sqlast.Unary{Op: sqlast.UMinus, X: &sqlast.ColumnRef{Column: "c0"}}},
+	}
+	checkRoundtrip(t, sel.SQL())
 }
 
 func TestLexerTokens(t *testing.T) {
