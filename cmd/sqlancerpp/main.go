@@ -44,7 +44,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	noFeedback := flag.Bool("no-feedback", false, "disable validity feedback (SQLancer++ Rand)")
 	baselineMode := flag.Bool("baseline", false, "use the per-DBMS baseline generator (SQLancer)")
-	reduceBugs := flag.Bool("reduce", true, "reduce prioritized logic bugs")
+	reduceBugs := flag.Bool("reduce", true, "reduce prioritized logic and harness bugs")
 	maxPlans := flag.Int("plans", 0,
 		"cap enumerated plans per PlanDiff query (0 = oracle default, negative = unlimited)")
 	pairSched := flag.Bool("pairsched", true,

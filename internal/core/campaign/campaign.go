@@ -2,13 +2,14 @@
 // 2): the adaptive statement generator builds a database state while
 // maintaining the schema model, issues oracle-checked queries, feeds
 // execution statuses back into the Bayesian tracker, prioritizes
-// bug-inducing cases by feature-set subsumption, and reduces the
-// prioritized ones.
+// bug-inducing cases by feature-set subsumption, and — in one pass over
+// the finished report's bugs — reduces the prioritized ones.
 package campaign
 
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"sqlancerpp/internal/coverage"
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/engine"
+	"sqlancerpp/internal/par"
 	"sqlancerpp/internal/sqlast"
 	"sqlancerpp/internal/sqlparse"
 )
@@ -190,9 +192,11 @@ type BugCase struct {
 	ID     int
 	Class  BugClass
 	Oracle oracle.Name
-	// Seq is the originating test case's campaign ordinal (logic bugs
-	// only): oracles that derive internal choices from the ordinal
-	// (TLPAggregate) are replayed with it during reduction.
+	// Seq is the originating test case's ordinal within the runner that
+	// detected it (logic, hang and harness bugs): oracles that derive
+	// internal choices from the ordinal (TLPAggregate) are replayed with
+	// it during reduction. In a sharded campaign's merged report it stays
+	// shard-local, unlike ID.
 	Seq      int
 	Setup    []string // DDL/DML statements that built the database state
 	Queries  []string // the oracle's queries (or the failing statement)
@@ -206,9 +210,17 @@ type BugCase struct {
 	Triggered []string
 	// Duplicate marks cases the prioritizer deprioritized.
 	Duplicate bool
-	// Reduced holds the reduced statement sequence (prioritized logic
-	// bugs only, when reduction is enabled).
+	// Reduced holds the reduced statement sequence of a prioritized logic
+	// or harness bug, when reduction is enabled.
 	Reduced []string
+	// Carrier is the pending reduction input of a prioritized logic or
+	// harness bug, when reduction is enabled: the statement that follows
+	// Setup in the sequence the reducer shrinks — the case's base query
+	// with the predicate as WHERE for a logic bug, the triggering
+	// statement for a harness bug. The reduce pass (reduceBugs) sets
+	// Reduced from it and clears it, so only shard reports and
+	// checkpoints carry it.
+	Carrier string `json:",omitempty"`
 }
 
 // Counters are a campaign's additive tallies: every field sums across
@@ -364,8 +376,8 @@ type Runner struct {
 	pairs    *feedback.PairTracker
 	planMemo *oracle.PlanEnumMemo
 
-	// parse is the runner's own statement cache, shared by its main and
-	// replay instances (replayOpts) and by no other runner.
+	// parse is the runner's own statement cache, shared by its engine
+	// instances and by no other runner.
 	parse *sqlparse.Cache
 
 	// cancel is the per-case watchdog's cooperative cancellation flag,
@@ -379,28 +391,26 @@ type Runner struct {
 	// allFaults accumulates every ground-truth fault triggered by a
 	// detected bug case (unique-bug accounting).
 	allFaults map[string]bool
-
-	// mergeDrops, set only for a shard of RunShardedOpts, reports that
-	// the shard merge is certain to drop a bug with the given prioritizer
-	// features (a finished lower shard already holds a subset of them),
-	// so reducing it would be wasted work. nil on the serial path.
-	mergeDrops func(features []string) bool
 }
 
-// parseCacheSize bounds each runner's statement cache. Campaign reuse is
-// short-range: oracle variants re-run the case's base query, and the
-// reducer replays shrinking copies of one setup-plus-carrier sequence.
-// Hit rates by size, seeds 1-4 x 3000 cases of each perfbench workload:
+// parseCacheSize bounds each runner's statement cache, and the reduce
+// pass's. Campaign reuse is short-range: oracle variants re-run the
+// case's base query, and the reducer replays shrinking copies of one
+// setup-plus-carrier sequence.
+// Hit rates by size, seeds 1-4 x 3000 cases of each perfbench workload
+// (bughunt-sharded counts its shards' caches and its 2-worker reduce
+// pass's together):
 //
-//	entries per runner     16     64    256   1024  unbounded  one shared 4096
+//	entries per cache      16     64    256   1024  unbounded  one shared 4096
 //	oracle-loop          1.5%   4.1%   7.1%   9.4%     11.7%       11.4%
 //	plan-diff           50.2%  50.3%  50.6%  51.1%     51.3%       51.3%
-//	bughunt-sharded     63.8%  66.5%  68.6%  68.8%     68.6%       70.3%
+//	bughunt-sharded     58.1%  66.1%  67.1%  67.2%     67.2%       69.5%
 //
-// A bughunt shard never holds more than 610 distinct statements, and
-// oracle-loop's lost hits cost 0.12 extra parses per case. At ~1.5 KB an
-// entry, 256 entries keep under 0.4 MB of ASTs live per runner, where the
-// shared cache kept ~6 MB per process behind one lock.
+// A bughunt shard never holds more than 452 distinct statements, nor its
+// reduce pass more than 859, and oracle-loop's lost hits cost 0.12 extra
+// parses per case. At ~1.5 KB an entry, 256 entries keep under 0.4 MB of
+// ASTs live per cache, where the shared cache kept ~6 MB per process
+// behind one lock.
 const parseCacheSize = 256
 
 // withDefaults resolves the zero-value configuration knobs. RunSharded
@@ -536,8 +546,20 @@ func New(cfg Config) (*Runner, error) {
 // Tracker exposes the feedback tracker (tests and experiments).
 func (r *Runner) Tracker() *feedback.Tracker { return r.tracker }
 
-// Run executes the campaign and returns its report.
+// Run executes the campaign, reduces its prioritized bugs, and returns
+// its report. A reduction that cannot parse its bug's statements, or
+// that panics outside the reducer's own recovery boundaries, fails Run.
 func (r *Runner) Run() (*Report, error) {
+	rep := r.run()
+	if err := reduceBugs(r.cfg, rep.Bugs, 1, sqlparse.NewCache(parseCacheSize)); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// run executes the campaign without the reduce pass: prioritized bugs
+// keep their pending Carrier. Shards run this; the merge reduces.
+func (r *Runner) run() *Report {
 	casesInDB := r.cfg.CasesPerDB // force a fresh DB on the first case
 	for i := 0; i < r.cfg.TestCases; i++ {
 		if casesInDB >= r.cfg.CasesPerDB {
@@ -551,20 +573,20 @@ func (r *Runner) Run() (*Report, error) {
 		casesInDB++
 	}
 	r.finishReport()
-	return r.report, nil
+	return r.report
 }
 
 // replayOpts assembles the engine options reduction replays run with:
-// the execution budget and the runner's statement cache but not
-// coverage, so reducer replays skip the same statements the campaign
-// skipped without polluting coverage counts.
-func (r *Runner) replayOpts() []engine.Option {
-	opts := []engine.Option{engine.WithParseCache(r.parse)}
-	if r.cfg.RowBudget > 0 {
-		opts = append(opts, engine.WithRowBudget(r.cfg.RowBudget))
+// the execution budget and the given statement cache but not coverage,
+// so reducer replays skip the same statements the campaign skipped
+// without polluting coverage counts.
+func replayOpts(cfg Config, cache *sqlparse.Cache) []engine.Option {
+	opts := []engine.Option{engine.WithParseCache(cache)}
+	if cfg.RowBudget > 0 {
+		opts = append(opts, engine.WithRowBudget(cfg.RowBudget))
 	}
-	if r.cfg.BatchSize != 0 {
-		opts = append(opts, engine.WithBatchSize(r.cfg.BatchSize))
+	if cfg.BatchSize != 0 {
+		opts = append(opts, engine.WithBatchSize(cfg.BatchSize))
 	}
 	return opts
 }
@@ -574,7 +596,7 @@ func (r *Runner) replayOpts() []engine.Option {
 // cancel flag. Replay instances deliberately get neither — reduction
 // must shrink against deterministic failures only.
 func (r *Runner) engineOpts() []engine.Option {
-	opts := r.replayOpts()
+	opts := replayOpts(r.cfg, r.parse)
 	if r.cfg.Coverage != nil {
 		opts = append(opts, engine.WithCoverage(r.cfg.Coverage))
 	}
@@ -805,8 +827,17 @@ func (r *Runner) runOracleCase() {
 			Triggered: res.Triggered,
 			Detail:    res.Detail,
 			PlanSpec:  res.PlanSpec,
-		}, oc)
+		}, carrierOf(oc))
 	}
+}
+
+// carrierOf returns the query a logic bug is reduced through: the case's
+// base query with the predicate as WHERE. It shares the case's subtrees,
+// so it is only rendered, never changed.
+func carrierOf(oc *gen.OracleCase) *sqlast.Select {
+	carrier := *oc.Base
+	carrier.Where = oc.Pred
+	return &carrier
 }
 
 // pickOracle returns the test case's oracle: the rotation slot, or —
@@ -831,9 +862,7 @@ func (r *Runner) checkContained(orc oracle.Oracle, c *oracle.Case, oc *gen.Oracl
 	defer func() {
 		if p := recover(); p != nil {
 			crashed = true
-			carrier := sqlast.CloneSelect(oc.Base)
-			carrier.Where = sqlast.CloneExpr(oc.Pred)
-			r.recordHarnessCrash(p, orc.Name(), carrier, oc.Features)
+			r.recordHarnessCrash(p, orc.Name(), carrierOf(oc), oc.Features)
 		}
 	}()
 	wd := r.armWatchdog()
@@ -875,7 +904,7 @@ func (r *Runner) recordHang(orc oracle.Name, queries, features []string) {
 // never completed.
 func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt, features []string) {
 	r.report.HarnessCrashes++
-	bug := &BugCase{
+	r.recordBug(&BugCase{
 		Class:     ClassHarness,
 		Oracle:    orc,
 		Seq:       r.report.TestCases,
@@ -883,11 +912,7 @@ func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt,
 		Features:  features,
 		Triggered: r.db.TriggeredFaults(),
 		Detail:    fmt.Sprintf("harness panic: %v\n%s", p, sanitizeStack(debug.Stack())),
-	}
-	r.recordBug(bug, nil)
-	if r.cfg.ReduceBugs && !bug.Duplicate && !r.mergeDropsBug(prioritizerFeatures(features)) {
-		bug.Reduced = r.reduceHarnessBug(trigger)
-	}
+	}, trigger)
 	r.db.Restart()
 }
 
@@ -930,8 +955,10 @@ func (r *Runner) recordErrorBug(class BugClass, res oracle.Result, features []st
 	}, nil)
 }
 
-// recordBug runs the prioritizer and stores prioritized cases.
-func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
+// recordBug runs the prioritizer and stores prioritized cases. When
+// reduction is enabled, a prioritized bug with a carrier (logic and
+// harness bugs) keeps its rendering as the pending reduction input.
+func (r *Runner) recordBug(bug *BugCase, carrier sqlast.Stmt) {
 	r.bugID++
 	bug.ID = r.bugID
 	r.report.Detected++
@@ -950,8 +977,7 @@ func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
 		})
 	}
 
-	pf := prioritizerFeatures(bug.Features)
-	if !r.pri.Report(pf) {
+	if !r.pri.Report(prioritizerFeatures(bug.Features)) {
 		bug.Duplicate = true
 		return
 	}
@@ -960,40 +986,57 @@ func (r *Runner) recordBug(bug *BugCase, oc *gen.OracleCase) {
 	for _, s := range r.setup {
 		bug.Setup = append(bug.Setup, s.SQL)
 	}
-	if r.cfg.ReduceBugs && bug.Class == ClassLogic && oc != nil && !r.mergeDropsBug(pf) {
-		bug.Reduced = r.reduceLogicBug(bug, oc)
+	if r.cfg.ReduceBugs && carrier != nil {
+		bug.Carrier = carrier.SQL()
 	}
 	r.report.Bugs = append(r.report.Bugs, bug)
 }
 
-// mergeDropsBug reports whether the shard merge is certain to drop a
-// prioritized bug with prioritizer features pf. Reduction is skipped for
-// such bugs only, so every bug a merged report keeps is still reduced.
-func (r *Runner) mergeDropsBug(pf []string) bool {
-	return r.mergeDrops != nil && r.mergeDrops(pf)
+// reduceBugs is the campaign's reduce pass (Figure 2's last step): it
+// reduces every bug that carries a pending Carrier, at most workers at a
+// time, sets its Reduced and clears the Carrier. Each reduction is a
+// pure function of its BugCase and cfg, so the pass's result depends on
+// neither workers nor the order in which bugs are reduced. Parses and
+// replays go through cache, which the pass owns.
+func reduceBugs(cfg Config, bugs []*BugCase, workers int, cache *sqlparse.Cache) error {
+	var pending []*BugCase
+	for _, b := range bugs {
+		if b.Carrier != "" {
+			pending = append(pending, b)
+		}
+	}
+	opts := replayOpts(cfg, cache)
+	return par.ForEach(len(pending), workers, func(i int) error {
+		bug := pending[i]
+		stmts := make([]sqlast.Stmt, 0, len(bug.Setup)+1)
+		for _, sql := range append(slices.Clip(bug.Setup), bug.Carrier) {
+			st, err := cache.Parse(sql)
+			if err != nil {
+				return fmt.Errorf("campaign: reducing bug %d: %w", bug.ID, err)
+			}
+			stmts = append(stmts, st)
+		}
+		switch bug.Class {
+		case ClassLogic:
+			bug.Reduced = reduceLogicBug(cfg, opts, bug, stmts)
+		case ClassHarness:
+			bug.Reduced = reduceHarnessBug(cfg, opts, stmts)
+		}
+		bug.Carrier = ""
+		return nil
+	})
 }
 
-// reduceLogicBug shrinks the setup+query sequence while the *same*
-// oracle — looked up by the bug's attributed registry name — keeps
-// failing, replaying on fresh pristine instances.
-func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
+// reduceLogicBug shrinks the setup-plus-carrier sequence stmts while the
+// *same* oracle — looked up by the bug's attributed registry name —
+// keeps failing, replaying on fresh pristine instances opened with opts.
+// The query under reduction is carried as a SELECT statement holding the
+// predicate in WHERE; the property re-splits it.
+func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqlast.Stmt) []string {
 	orc, ok := oracle.Get(bug.Oracle)
 	if !ok {
 		return nil
 	}
-	var stmts []sqlast.Stmt
-	for _, s := range r.setup {
-		stmts = append(stmts, sqlast.CloneStmt(s.Stmt))
-	}
-	base := sqlast.CloneSelect(oc.Base)
-	pred := sqlast.CloneExpr(oc.Pred)
-
-	// The query under reduction is carried as a SELECT statement holding
-	// the predicate in WHERE; the property re-splits it.
-	carrier := sqlast.CloneSelect(base)
-	carrier.Where = pred
-	stmts = append(stmts, carrier)
-
 	prop := func(cand []sqlast.Stmt) bool {
 		if len(cand) == 0 {
 			return false
@@ -1002,7 +1045,7 @@ func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
 		if !ok || carrier.Where == nil {
 			return false
 		}
-		db := engine.Open(r.cfg.Dialect, r.replayOpts()...)
+		db := engine.Open(cfg.Dialect, opts...)
 		replayStmts(db, cand[:len(cand)-1])
 		cb := sqlast.CloneSelect(carrier)
 		cp := cb.Where
@@ -1012,7 +1055,7 @@ func (r *Runner) reduceLogicBug(bug *BugCase, oc *gen.OracleCase) []string {
 		// instead of re-enumerating a (possibly different) plan space for
 		// the shrunken statement.
 		res, panicked := checkNoPanic(orc, db, &oracle.Case{Base: cb, Pred: cp, Seq: bug.Seq,
-			MaxPlans: r.cfg.MaxPlansPerQuery, PlanSpec: bug.PlanSpec})
+			MaxPlans: cfg.MaxPlansPerQuery, PlanSpec: bug.PlanSpec})
 		// A shrunken candidate that panics the engine does not exhibit
 		// the logic bug under reduction.
 		return !panicked && res.Outcome == oracle.Bug
@@ -1040,19 +1083,14 @@ func checkNoPanic(orc oracle.Oracle, db *engine.DB, c *oracle.Case) (res oracle.
 	return orc.Check(db, c), false
 }
 
-// reduceHarnessBug shrinks the setup-plus-trigger sequence to the
+// reduceHarnessBug shrinks the setup-plus-trigger sequence stmts to the
 // smallest one whose replay still panics the engine, replaying on fresh
-// instances with the same dialect faults and execution budget. The
-// property recovers per statement, so each shrink step stays inside the
-// containment boundary.
-func (r *Runner) reduceHarnessBug(trigger sqlast.Stmt) []string {
-	var stmts []sqlast.Stmt
-	for _, s := range r.setup {
-		stmts = append(stmts, sqlast.CloneStmt(s.Stmt))
-	}
-	stmts = append(stmts, sqlast.CloneStmt(trigger))
+// instances opened with opts: the same dialect faults and execution
+// budget. The property recovers per statement, so each shrink step stays
+// inside the containment boundary.
+func reduceHarnessBug(cfg Config, opts []engine.Option, stmts []sqlast.Stmt) []string {
 	prop := func(cand []sqlast.Stmt) bool {
-		db := engine.Open(r.cfg.Dialect, r.replayOpts()...)
+		db := engine.Open(cfg.Dialect, opts...)
 		for _, st := range cand {
 			if execPanics(db, st) {
 				return true

@@ -12,6 +12,7 @@ import (
 
 	"sqlancerpp/internal/chaos"
 	"sqlancerpp/internal/par"
+	"sqlancerpp/internal/sqlparse"
 )
 
 // ErrInterrupted reports that RunShardedOpts stopped at a shard boundary
@@ -163,8 +164,9 @@ func fingerprint(cfg Config) string {
 // one is merged in, so an interrupted campaign loses at most the shards
 // that were in flight. Shard failures are retried and then quarantined
 // (see ShardedOptions.MaxShardRetries); checkpoint write failures are
-// counted, not fatal. Only configuration errors and interruption abort
-// the run.
+// counted, not fatal. Only configuration errors, interruption, and a
+// failed reduction abort the run. The merged report's bugs are reduced
+// after the merge, by one pass at opts.Workers.
 func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	if cfg.Dialect == nil {
 		return nil, fmt.Errorf("campaign: no dialect configured")
@@ -179,6 +181,9 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		return nil, err
 	}
 	merged.CheckpointWriteFailures += ckptFailures
+	if err := reduceBugs(cfg, merged.Bugs, opts.Workers, sqlparse.NewCache(parseCacheSize)); err != nil {
+		return nil, err
+	}
 	if opts.CheckpointPath != "" {
 		// Campaign complete; nothing to resume. A failed removal is a real
 		// error — a stale checkpoint would resurrect this run's shards
@@ -233,13 +238,8 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 		}
 	}
 
-	// A shard is published to the index only once its encoding sits in
-	// the checkpoint writer, so every checkpoint generation holding a
-	// shard that skipped a reduction also holds the shard that made the
-	// bug redundant. A shard whose report fails to encode is never
-	// written and never published; that counts as a checkpoint write
-	// failure.
-	idx := newShardIndex(nShards)
+	// A shard whose report fails to encode is never written; that counts
+	// as a checkpoint write failure.
 	ckptFailures := 0
 	var ckpt *ckptWriter
 	if opts.CheckpointPath != "" {
@@ -249,18 +249,15 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 		}
 	}
 	for i, rep := range cp.Shards {
-		if rep == nil {
+		if rep == nil || ckpt == nil {
 			continue
 		}
-		if ckpt != nil {
-			enc, err := json.Marshal(rep)
-			if err != nil {
-				ckptFailures++
-				continue
-			}
-			ckpt.setShard(i, enc)
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			ckptFailures++
+			continue
 		}
-		idx.publish(i, rep)
+		ckpt.setShard(i, enc)
 	}
 
 	var mu sync.Mutex
@@ -273,7 +270,7 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 			return ErrInterrupted
 		default:
 		}
-		rep, err := runShardSupervised(shards[i], i, maxRetries, backoff, idx.mergeDrops(i))
+		rep, err := runShardSupervised(shards[i], i, maxRetries, backoff)
 		if err != nil {
 			return err
 		}
@@ -299,7 +296,6 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 				ckptFailures++
 			}
 		}
-		idx.publish(i, rep)
 		return nil
 	})
 	if err != nil {
@@ -314,10 +310,7 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 // the returned placeholder report carries the failure and contributes
 // nothing else to the merge. Configuration errors are fatal immediately:
 // they would fail identically on every retry and on every other shard.
-//
-// mergeDrops is the shard's view of the finished-shard index (see
-// shardIndex); every attempt runs with it.
-func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration, mergeDrops func([]string) bool) (*Report, error) {
+func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration) (*Report, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxRetries+1; attempt++ {
 		if attempt > 1 && backoff > 0 {
@@ -327,7 +320,7 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration,
 			}
 			time.Sleep(d)
 		}
-		rep, fatal, err := runShardAttempt(sc, shard, attempt, mergeDrops)
+		rep, fatal, err := runShardAttempt(sc, shard, attempt)
 		if err == nil {
 			rep.ShardRetries = attempt - 1
 			return rep, nil
@@ -348,8 +341,8 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration,
 // boundary: a panic anywhere in the shard's runner becomes a retryable
 // error with a deterministic message (no stack — retry accounting must
 // not vary with scheduling). fatal marks configuration errors, which
-// retrying cannot fix.
-func runShardAttempt(sc Config, shard, attempt int, mergeDrops func([]string) bool) (rep *Report, fatal bool, err error) {
+// retrying cannot fix. The shard runs without the reduce pass.
+func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep, fatal, err = nil, false,
@@ -366,12 +359,7 @@ func runShardAttempt(sc Config, shard, attempt int, mergeDrops func([]string) bo
 	if err != nil {
 		return nil, true, err
 	}
-	runner.mergeDrops = mergeDrops
-	rep, err = runner.Run()
-	if err != nil {
-		return nil, false, err
-	}
-	return rep, false, nil
+	return runner.run(), false, nil
 }
 
 // loadCheckpoint restores completed shards from path into cp after

@@ -14,7 +14,6 @@ import (
 
 	"sqlancerpp/internal/chaos"
 	"sqlancerpp/internal/core/oracle"
-	"sqlancerpp/internal/core/prioritize"
 	"sqlancerpp/internal/dialect"
 )
 
@@ -112,23 +111,6 @@ func bugHuntCfg(cases int, seed int64) Config {
 		Oracles:    oracle.DefaultNames(),
 		ReduceBugs: true,
 	}
-}
-
-// reduceEverythingShards runs every shard of cfg without the
-// finished-shard index, so each shard reduces every bug its own
-// prioritizer keeps.
-func reduceEverythingShards(t *testing.T, cfg Config, maxRetries int) []*Report {
-	t.Helper()
-	shards := shardConfigs(cfg.withDefaults())
-	reps := make([]*Report, len(shards))
-	for i, sc := range shards {
-		rep, err := runShardSupervised(sc, i, maxRetries, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = rep
-	}
-	return reps
 }
 
 // envelopeReference is the checkpoint encoding by json.Marshal and
@@ -234,144 +216,6 @@ func TestCheckpointEncodeGolden(t *testing.T) {
 	if !bytes.Equal(envelopeReference(t, loaded), data) {
 		t.Fatal("checkpoint does not round-trip through load")
 	}
-}
-
-// TestShardIndexSkipSound: skipping reductions of bugs a finished lower
-// shard makes redundant never changes a merged report. At workers 1, 2,
-// 3 and 8, with and without a checkpoint, across an interrupt and
-// resume, and with a quarantined shard, the merged report equals the
-// merge of shards that reduced every bug their own prioritizer kept.
-func TestShardIndexSkipSound(t *testing.T) {
-	cfg := bugHuntCfg(1400, 5) // 7 shards
-	ref, err := mergeReports(cfg.withDefaults(), reduceEverythingShards(t, cfg, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := marshalReport(t, ref)
-	reduced := 0
-	for _, b := range ref.Bugs {
-		if b.Reduced != nil {
-			reduced++
-		}
-	}
-	if reduced == 0 {
-		t.Fatal("reference merge holds no reduced bug; the test would be vacuous")
-	}
-	// checkReduced restates the byte comparison as the property it
-	// protects: every merged bug the reference reduced is reduced.
-	checkReduced := func(name string, rep, ref *Report) {
-		t.Helper()
-		for i, b := range rep.Bugs {
-			if ref.Bugs[i].Reduced != nil && b.Reduced == nil {
-				t.Fatalf("%s: merged bug %d (%s) lost its reduction", name, b.ID, b.Class)
-			}
-		}
-	}
-	check := func(name string, rep *Report) {
-		t.Helper()
-		if !bytes.Equal(marshalReport(t, rep), want) {
-			t.Fatalf("%s: merged report differs from the reduce-everything merge", name)
-		}
-		checkReduced(name, rep, ref)
-	}
-
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, withCkpt := range []bool{false, true} {
-			opts := ShardedOptions{Workers: workers}
-			if withCkpt {
-				opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-			}
-			rep, err := RunShardedOpts(cfg, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("workers=%d checkpoint=%t", workers, withCkpt), rep)
-		}
-	}
-
-	// Interrupt after the first checkpointed shard, resume at 3 workers.
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	_, err = RunShardedOpts(cfg, ShardedOptions{
-		Workers: 1, CheckpointPath: path,
-		Interrupt: interruptWhen(t, func() bool { return fileExists(path) }),
-	})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	resumed, err := RunShardedOpts(cfg, ShardedOptions{Workers: 3, CheckpointPath: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("interrupt+resume", resumed)
-
-	// A quarantined shard publishes nothing: later shards must reduce
-	// the bugs only it would have made redundant.
-	qcfg := cfg
-	qcfg.Chaos = mustChaos(t, "shard-error=1x9", cfg.Seed)
-	qref, err := mergeReports(qcfg.withDefaults(), reduceEverythingShards(t, qcfg, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qref.ShardsQuarantined != 1 {
-		t.Fatalf("quarantine schedule quarantined %d shards, want 1", qref.ShardsQuarantined)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		rep, err := RunShardedOpts(qcfg, ShardedOptions{
-			Workers: workers, MaxShardRetries: 1, RetryBackoff: -1,
-			CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("quarantine workers=%d", workers)
-		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, qref)) {
-			t.Fatalf("%s: merged report differs from the reduce-everything merge", name)
-		}
-		checkReduced(name, rep, qref)
-	}
-}
-
-// TestShardIndexNoWastedReductions: at one worker every lower shard has
-// finished before a shard starts, so no shard reduces a bug that a lower
-// shard's bug makes redundant — and skipping those reductions is the
-// only difference from shards that reduce everything.
-func TestShardIndexNoWastedReductions(t *testing.T) {
-	cfg := bugHuntCfg(1400, 5).withDefaults()
-	reps, _, err := runShards(cfg, ShardedOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := reduceEverythingShards(t, cfg, 0)
-	lower := prioritize.New()
-	skipped, kept := 0, 0
-	for i, rep := range reps {
-		for k, b := range rep.Bugs {
-			pf := prioritizerFeatures(b.Features)
-			switch {
-			case lower.IsDuplicate(pf):
-				if b.Reduced != nil {
-					t.Fatalf("shard %d bug %d reduced although a lower shard makes it redundant", i, b.ID)
-				}
-				if full[i].Bugs[k].Reduced != nil {
-					skipped++
-				}
-				// The one permitted difference from reducing everything.
-				full[i].Bugs[k].Reduced = nil
-			case full[i].Bugs[k].Reduced != nil:
-				kept++
-			}
-		}
-		if !bytes.Equal(marshalReport(t, rep), marshalReport(t, full[i])) {
-			t.Fatalf("shard %d report differs from reduce-everything beyond skipped reductions", i)
-		}
-		for _, b := range rep.Bugs {
-			lower.Add(prioritizerFeatures(b.Features))
-		}
-	}
-	if skipped == 0 || kept == 0 {
-		t.Fatalf("skipped %d and kept %d reductions; the test would be vacuous", skipped, kept)
-	}
-	t.Logf("reductions: %d kept, %d skipped", kept, skipped)
 }
 
 // TestResumeBakOnlyAfterFailedCommit: a failed commit (the ckpt-rename

@@ -47,22 +47,25 @@ func TestCampaignParsesThroughRunnerCache(t *testing.T) {
 
 // TestParseCacheSizeKeepsReuse pins parseCacheSize against bughunt's
 // configuration (cratedb, every oracle, reduction on): the runner's
-// cache stays within its bound and hits within 2 points of an unbounded
-// cache on the same run. A change that moves the reducer's replays or
-// the oracles' re-executions out of the cache's reach fails here instead
-// of quietly losing the hits.
+// cache and the reduce pass's stay within their bound, and together hit
+// within 2 points of unbounded caches on the same run. A change that
+// moves the reducer's replays or the oracles' re-executions out of the
+// caches' reach fails here instead of quietly losing the hits.
 func TestParseCacheSizeKeepsReuse(t *testing.T) {
-	run := func(capacity int) (hitPct float64, length int, report []byte) {
+	run := func(capacity int) (hitPct float64, lengths [2]int, report []byte) {
 		t.Helper()
 		runner, err := New(bugHuntCfg(1500, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
+		pass := sqlparse.NewCache(parseCacheSize)
 		if capacity > 0 {
 			runner.parse = sqlparse.NewCache(capacity)
+			pass = sqlparse.NewCache(capacity)
 		}
-		rep, err := runner.Run()
-		if err != nil {
+		// Run, with the pass's cache in reach.
+		rep := runner.run()
+		if err := reduceBugs(runner.cfg, rep.Bugs, 1, pass); err != nil {
 			t.Fatal(err)
 		}
 		if len(rep.Bugs) == 0 {
@@ -73,17 +76,21 @@ func TestParseCacheSizeKeepsReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		hits, misses := runner.parse.Stats()
-		return 100 * float64(hits) / float64(hits+misses), runner.parse.Len(), data
+		passHits, passMisses := pass.Stats()
+		hits, misses = hits+passHits, misses+passMisses
+		return 100 * float64(hits) / float64(hits+misses), [2]int{runner.parse.Len(), pass.Len()}, data
 	}
-	bounded, length, rep := run(0)
+	bounded, lengths, rep := run(0)
 	unbounded, distinct, unboundedRep := run(1 << 30)
-	t.Logf("hit rate %.1f%% at %d entries, %.1f%% unbounded (%d distinct statements)",
-		bounded, parseCacheSize, unbounded, distinct)
-	if length > parseCacheSize {
-		t.Errorf("runner cache holds %d statements, bound is %d", length, parseCacheSize)
+	t.Logf("hit rate %.1f%% at %d entries, %.1f%% unbounded (%d distinct statements in the runner, %d in the pass)",
+		bounded, parseCacheSize, unbounded, distinct[0], distinct[1])
+	for i, name := range []string{"runner", "reduce pass"} {
+		if lengths[i] > parseCacheSize {
+			t.Errorf("%s cache holds %d statements, bound is %d", name, lengths[i], parseCacheSize)
+		}
 	}
-	if distinct <= parseCacheSize {
-		t.Errorf("run parsed only %d distinct statements; too small to exercise eviction at %d", distinct, parseCacheSize)
+	if distinct[0] <= parseCacheSize {
+		t.Errorf("run parsed only %d distinct statements; too small to exercise eviction at %d", distinct[0], parseCacheSize)
 	}
 	if unbounded-bounded > 2 {
 		t.Errorf("hit rate %.1f%% at %d entries, more than 2 points below %.1f%% unbounded",

@@ -2,6 +2,7 @@ package sqlparse_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,6 +213,129 @@ func TestGeneratorOutputRoundtrips(t *testing.T) {
 		if derived[name] < 100 {
 			t.Errorf("%s derived only %d queries", name, derived[name])
 		}
+	}
+}
+
+// TestGeneratorOutputParsesToSameTree: the reducer shrinks the trees the
+// parser builds from a bug's recorded text, not the generator's, so every
+// setup statement, smoke or compound query, and oracle carrier query (the
+// base query with the predicate as WHERE) must parse back to the very
+// tree the generator built. sqlast.EqualStmt compares rendered text,
+// which TestGeneratorOutputRoundtrips already covers; this compares
+// structure, with nil and empty slices equal (a zero-argument call such
+// as PI() may hold either).
+func TestGeneratorOutputParsesToSameTree(t *testing.T) {
+	compared := 0
+	check := func(sql string, want sqlast.Stmt) {
+		t.Helper()
+		got, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		if !sameTree(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("%q parses to a different tree than the generator built", sql)
+		}
+		compared++
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		g := gen.New(gen.Config{Seed: seed, StartDepth: 3, MaxDepth: 3, RiskyProb: 0.2})
+		db := engine.Open(dialect.MustGet("sqlite"), engine.WithoutFaults())
+		for i := 0; i < 40; i++ {
+			st := g.GenSetup()
+			check(st.SQL, st.Stmt)
+			if db.Exec(st.SQL) == nil && st.OnSuccess != nil {
+				st.OnSuccess()
+			}
+		}
+		for i := 0; i < 1500; i++ {
+			if i%3 != 0 {
+				st := g.GenQuery()
+				if i%6 == 1 {
+					if cq := g.GenCompoundQuery(); cq != nil {
+						st = cq
+					}
+				}
+				check(st.SQL, st.Stmt)
+				continue
+			}
+			oc := g.GenOracleCase()
+			if oc == nil {
+				continue
+			}
+			carrier := *oc.Base
+			carrier.Where = oc.Pred
+			check(carrier.SQL(), &carrier)
+		}
+	}
+	t.Logf("%d statements parse to the generator's tree", compared)
+
+	one, _ := sqlparse.Parse("SELECT 1 FROM t")
+	two, _ := sqlparse.Parse("SELECT 2 FROM t")
+	if sameTree(reflect.ValueOf(one), reflect.ValueOf(two)) {
+		t.Fatal("sameTree equates different trees")
+	}
+}
+
+// sameTree reports whether a and b are deeply equal, treating nil and
+// empty slices as equal. Unlike reflect.DeepEqual it reads unexported
+// fields by kind, and it compares funcs by nil-ness only.
+func sameTree(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() {
+		return false
+	}
+	if !a.IsValid() {
+		return true
+	}
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameTree(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameTree(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameTree(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if !sameTree(a.MapIndex(k), b.MapIndex(k)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Func, reflect.Chan:
+		return a.IsNil() == b.IsNil()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return a.Uint() == b.Uint()
+	case reflect.Float32, reflect.Float64:
+		return a.Float() == b.Float() || math.IsNaN(a.Float()) && math.IsNaN(b.Float())
+	case reflect.String:
+		return a.String() == b.String()
+	default:
+		panic("sameTree: unhandled kind " + a.Kind().String())
 	}
 }
 

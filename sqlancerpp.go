@@ -55,7 +55,8 @@ type Options struct {
 	// Baseline uses the hand-written per-DBMS generator stand-in
 	// ("SQLancer" in the paper) instead of the adaptive generator.
 	Baseline bool
-	// Reduce runs the test-case reducer on prioritized logic bugs.
+	// Reduce runs the test-case reducer on prioritized logic and harness
+	// bugs.
 	Reduce bool
 	// MaxPlans caps the equivalent plans the PlanDiff oracle diffs per
 	// query (the -plans flag): 0 selects the oracle default, negative is
