@@ -119,8 +119,9 @@ func main() {
 	}
 	if *checkpoint != "" {
 		// SIGINT/SIGTERM closes the interrupt channel; the campaign stops
-		// at the next shard boundary with every completed shard already
-		// checkpointed, and the process exits cleanly.
+		// at the next shard boundary with the completed shards up to the
+		// first one that did not run already checkpointed, and the
+		// process exits cleanly.
 		interrupt := make(chan struct{})
 		opts.Interrupt = interrupt
 		sigs := make(chan os.Signal, 1)

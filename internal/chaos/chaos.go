@@ -1,7 +1,7 @@
 // Package chaos is a seeded, deterministic injection registry for
 // *infrastructure* faults — the harness's own failure modes, as opposed
 // to the DBMS logic-fault catalogue in internal/faults. A campaign
-// supervisor that retries failing shards, salvages corrupt checkpoints,
+// supervisor that retries failing shards, drops torn checkpoint tails,
 // and times out hung cases is only trustworthy if every one of those
 // recovery paths is provoked on demand; this package is how the tests
 // (and the `-chaos` flag) provoke them.
@@ -13,10 +13,10 @@
 //
 // # Injection sites
 //
-//	ckpt-marshal   checkpoint JSON encoding fails
-//	ckpt-write     checkpoint temp-file write fails
-//	ckpt-rename    checkpoint commit rename fails
-//	ckpt-torn      checkpoint commits torn (truncated) bytes
+//	ckpt-marshal   checkpoint encoding fails
+//	ckpt-write     checkpoint journal append fails
+//	ckpt-sync      checkpoint journal fsync fails
+//	ckpt-torn      checkpoint append lands torn (truncated) bytes and reports success
 //	shard-error    a shard attempt fails with an error
 //	shard-panic    a shard attempt panics
 //	case-stall     an oracle case hangs until the watchdog fires
@@ -57,7 +57,7 @@ type Site string
 const (
 	CheckpointMarshal Site = "ckpt-marshal"
 	CheckpointWrite   Site = "ckpt-write"
-	CheckpointRename  Site = "ckpt-rename"
+	CheckpointSync    Site = "ckpt-sync"
 	CheckpointTorn    Site = "ckpt-torn"
 	ShardError        Site = "shard-error"
 	ShardPanic        Site = "shard-panic"
@@ -68,7 +68,7 @@ const (
 var counterSites = map[Site]bool{
 	CheckpointMarshal: true,
 	CheckpointWrite:   true,
-	CheckpointRename:  true,
+	CheckpointSync:    true,
 	CheckpointTorn:    true,
 	CaseStall:         true,
 }

@@ -25,6 +25,7 @@ func TestParseEmpty(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"bogus-site=1",
+		"ckpt-rename=1",
 		"ckpt-write",
 		"ckpt-write=0",
 		"ckpt-write=x",
@@ -74,7 +75,7 @@ func TestCheckpointOrdinals(t *testing.T) {
 		t.Fatalf("Fired = %d, want 2", in.Fired(CheckpointWrite))
 	}
 	// Independent counters per site.
-	if in.CheckpointFault(CheckpointRename) {
+	if in.CheckpointFault(CheckpointSync) {
 		t.Fatal("un-specced site fired")
 	}
 }

@@ -267,8 +267,9 @@ type Counters struct {
 	// the supervisor.
 	ShardRetries int `json:",omitempty"`
 	// CheckpointWriteFailures counts checkpoint saves that failed and
-	// were degraded to a warning (the campaign keeps running; it just
-	// loses that checkpoint generation's progress on a crash).
+	// were degraded to a warning (the campaign keeps running, and the
+	// next save appends what the failed one could not; a crash before
+	// then loses those shards' progress).
 	CheckpointWriteFailures int `json:",omitempty"`
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -31,8 +32,8 @@ func stripChaosCounters(rep *Report) *Report {
 	return &c
 }
 
-// TestChaosAcceptanceCampaign is the PR's acceptance scenario: with
-// injected checkpoint write failures, one torn checkpoint, and a
+// TestChaosAcceptanceCampaign is the chaos acceptance scenario: with an
+// injected failed append, a torn append, a failed fsync, and a
 // twice-failing shard, the campaign completes (not aborts), the retries
 // are counted, nothing is quarantined (the shard recovered on its third
 // attempt), no finding is lost or invented (FalsePositives == 0, report
@@ -47,8 +48,9 @@ func TestChaosAcceptanceCampaign(t *testing.T) {
 
 	for _, workers := range []int{1, 3, 8} {
 		cfg := shardedCfg(t, 800, 7)
-		cfg.Chaos = mustChaos(t, "ckpt-write=2;ckpt-torn=3;shard-error=1x2", cfg.Seed)
-		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cfg.Chaos = mustChaos(t, "ckpt-write=2;ckpt-torn=3;ckpt-sync=3;shard-error=1x2", cfg.Seed)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "run.ckpt")
 		rep, err := RunShardedOpts(cfg, ShardedOptions{
 			Workers: workers, CheckpointPath: path, RetryBackoff: -1,
 		})
@@ -63,8 +65,8 @@ func TestChaosAcceptanceCampaign(t *testing.T) {
 			t.Fatalf("workers=%d: quarantined %d shards; the failing shard should have recovered",
 				workers, rep.ShardsQuarantined)
 		}
-		if rep.CheckpointWriteFailures != 1 {
-			t.Fatalf("workers=%d: CheckpointWriteFailures = %d, want 1 (ckpt-write=2 fires once)",
+		if rep.CheckpointWriteFailures != 2 {
+			t.Fatalf("workers=%d: CheckpointWriteFailures = %d, want 2 (ckpt-write=2 and ckpt-sync=3 fire once each)",
 				workers, rep.CheckpointWriteFailures)
 		}
 		if rep.FalsePositives != 0 {
@@ -74,10 +76,9 @@ func TestChaosAcceptanceCampaign(t *testing.T) {
 		if !bytes.Equal(refJSON, marshalReport(t, stripChaosCounters(rep))) {
 			t.Fatalf("workers=%d: chaos campaign findings differ from the chaos-free run", workers)
 		}
-		for _, p := range []string{path, path + ".bak"} {
-			if _, serr := os.Stat(p); !errors.Is(serr, os.ErrNotExist) {
-				t.Fatalf("workers=%d: %s not cleaned up after completion", workers, p)
-			}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Fatalf("workers=%d: checkpoint directory not empty after completion (%d entries, %v)",
+				workers, len(entries), err)
 		}
 	}
 }
@@ -228,109 +229,87 @@ func TestWatchdogHangDetection(t *testing.T) {
 	}
 }
 
-// TestResumeAfterTornWriteViaBak is the salvage property test: when the
-// newest checkpoint generation is torn (committed truncated bytes, via
-// the real chaos injection site), a resume detects the corruption via
-// the content checksum, falls back to the ".bak" last-known-good
-// generation, and still completes byte-identically to an uninterrupted
-// run.
-func TestResumeAfterTornWriteViaBak(t *testing.T) {
-	cfg := shardedCfg(t, 800, 11) // 4 shards
+// TestResumeAfterTornTail: when an append lands torn (the ckpt-torn
+// chaos site: half its bytes, reported as success) and the writer
+// carries on after it, a resume drops the torn record and every record
+// after it, re-runs those shards, and completes byte-identically to an
+// uninterrupted run.
+func TestResumeAfterTornTail(t *testing.T) {
+	cfg := shardedCfg(t, 800, 11).withDefaults() // 4 shards
 	ref, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Interrupt a checkpointed run so a good generation exists on disk.
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	interrupt := make(chan struct{})
-	go func() {
-		for {
-			if _, err := os.Stat(path); err == nil {
-				close(interrupt)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	_, err = RunShardedOpts(cfg, ShardedOptions{
-		Workers: 1, CheckpointPath: path, Interrupt: interrupt,
-	})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+	// The journal a crash after every shard had finished would leave:
+	// shard 0, then shard 1 torn, then shards 2 and 3 behind it.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	run := cfg
+	run.Chaos = mustChaos(t, "ckpt-torn=2", 0)
+	_, failures, err := runShards(run, ShardedOptions{Workers: 1, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Replay the last save through the torn-write chaos site: the good
-	// generation rotates to .bak and truncated bytes commit at path —
-	// exactly the on-disk state a torn write leaves behind.
-	resolved := cfg.withDefaults()
-	shards := shardConfigs(resolved)
-	cp := &checkpointFile{
-		Fingerprint: fingerprint(resolved),
-		TotalShards: len(shards),
-		Seeds:       make([]int64, len(shards)),
-		Shards:      make([]*Report, len(shards)),
+	if failures != 0 {
+		t.Fatalf("%d checkpoint writes failed; a torn append reports success", failures)
 	}
-	for i, sc := range shards {
-		cp.Seeds[i] = sc.Seed
-	}
-	if err := loadCheckpoint(path, cp); err != nil {
-		t.Fatalf("pre-corruption checkpoint does not load: %v", err)
-	}
-	if err := saveCheckpointFile(path, cp, mustChaos(t, "ckpt-torn=1", 0)); err != nil {
-		t.Fatalf("torn save unexpectedly errored: %v", err)
-	}
-	if _, err := loadCheckpointFile(path); !errors.Is(err, errCkptCorrupt) {
-		t.Fatalf("torn generation loaded as %v, want errCkptCorrupt", err)
-	}
-	if _, err := loadCheckpointFile(path + ".bak"); err != nil {
-		t.Fatalf("last-known-good generation unreadable: %v", err)
+	if n := restoredShards(t, cfg, path); n != 1 {
+		t.Fatalf("torn journal restores %d shards, want 1 (the torn record and all after it dropped)", n)
 	}
 
 	resumed, err := RunShardedOpts(cfg, ShardedOptions{
 		Workers: 2, CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
-		t.Fatalf("resume refused despite a good .bak generation: %v", err)
+		t.Fatalf("resume past a torn tail failed: %v", err)
 	}
 	if !bytes.Equal(marshalReport(t, ref), marshalReport(t, resumed)) {
-		t.Fatal("salvaged resume differs from the uninterrupted run")
+		t.Fatal("resume past a torn tail differs from the uninterrupted run")
 	}
-	for _, p := range []string{path, path + ".bak"} {
-		if _, serr := os.Stat(p); !errors.Is(serr, os.ErrNotExist) {
-			t.Fatalf("%s not cleaned up after completion", p)
-		}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("checkpoint directory not empty after completion (%d entries, %v)", len(entries), err)
 	}
 }
 
-// TestResumeBothGenerationsCorrupt: when the primary and the .bak are
-// both unusable, resume degrades to a fresh start instead of erroring —
-// and still produces the uninterrupted report.
-func TestResumeBothGenerationsCorrupt(t *testing.T) {
+// TestResumeCorruptHeaderStartsFresh: a checkpoint whose header is
+// garbage, torn, or fails its checksum is no usable checkpoint, so the
+// resume starts fresh instead of erroring — and still produces the
+// uninterrupted report.
+func TestResumeCorruptHeaderStartsFresh(t *testing.T) {
 	cfg := shardedCfg(t, 400, 13)
 	ref, err := RunSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".bak", []byte(`{"Version":2,"Checksum":"0","Payload":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunShardedOpts(cfg, ShardedOptions{
-		Workers: 1, CheckpointPath: path, Resume: true,
-	})
-	if err != nil {
-		t.Fatalf("resume with two corrupt generations errored: %v", err)
-	}
-	if !bytes.Equal(marshalReport(t, ref), marshalReport(t, rep)) {
-		t.Fatal("fresh-start resume differs from a plain run")
+	header := journalReference(t, emptyCheckpoint(cfg))
+	flipped := bytes.Clone(header)
+	flipped[len(flipped)/2] ^= 1
+	for name, data := range map[string][]byte{
+		"garbage": []byte("not json at all"),
+		"torn":    header[:len(header)/2],
+		"flipped": flipped,
+	} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n := restoredShards(t, cfg, path); n != 0 {
+			t.Fatalf("%s header: restores %d shards", name, n)
+		}
+		rep, err := RunShardedOpts(cfg, ShardedOptions{
+			Workers: 1, CheckpointPath: path, Resume: true,
+		})
+		if err != nil {
+			t.Fatalf("%s header: resume errored: %v", name, err)
+		}
+		if !bytes.Equal(marshalReport(t, ref), marshalReport(t, rep)) {
+			t.Fatalf("%s header: fresh-start resume differs from a plain run", name)
+		}
 	}
 }
 
-// TestCheckpointFaultsEverySiteDegrade: the marshal, write, and rename
+// TestCheckpointFaultsEverySiteDegrade: the marshal, write, and sync
 // chaos sites each fail one checkpoint save; every failure is counted,
 // none aborts the campaign, and the findings match the chaos-free run.
 func TestCheckpointFaultsEverySiteDegrade(t *testing.T) {
@@ -340,7 +319,7 @@ func TestCheckpointFaultsEverySiteDegrade(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3} {
 		cfg := shardedCfg(t, 800, 7)
-		cfg.Chaos = mustChaos(t, "ckpt-marshal=1;ckpt-write=1;ckpt-rename=1", cfg.Seed)
+		cfg.Chaos = mustChaos(t, "ckpt-marshal=1;ckpt-write=1;ckpt-sync=1", cfg.Seed)
 		path := filepath.Join(t.TempDir(), "run.ckpt")
 		rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: workers, CheckpointPath: path})
 		if err != nil {
@@ -356,23 +335,38 @@ func TestCheckpointFaultsEverySiteDegrade(t *testing.T) {
 }
 
 // FuzzLoadCheckpoint: loading arbitrary bytes as a checkpoint must never
-// panic — it returns an error, salvages, or starts fresh, but a corrupt
-// file can never take the campaign down.
+// panic — it returns an error, restores shards, or starts fresh, but a
+// corrupt file can never take the campaign down. Whatever it restores
+// passed its checksum: from a journal, the kept bytes are the header and
+// one verified record per restored shard, which are a prefix of the
+// shards; from a version 2 file, the envelope's checksum holds.
 func FuzzLoadCheckpoint(f *testing.F) {
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed.ckpt")
-	cp := &checkpointFile{
-		Fingerprint: "fp", TotalShards: 2,
-		Seeds: []int64{3, 9}, Shards: make([]*Report, 2),
+	target := func() *checkpointFile {
+		return &checkpointFile{
+			Fingerprint: "fp", TotalShards: 2,
+			Seeds: []int64{3, 9}, Shards: make([]*Report, 2),
+		}
 	}
+	cp := target()
 	cp.Shards[0] = &Report{Dialect: "sqlite", Counters: Counters{TestCases: 5}}
-	if err := saveCheckpointFile(seedPath, cp, nil); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(seedPath)
+	cp.Shards[1] = &Report{Dialect: "sqlite", Counters: Counters{TestCases: 7, ShardRetries: 1}}
+	journal := journalReference(f, cp)
+	header := journal[:bytes.IndexByte(journal, '\n')+1]
+	badSum := bytes.Clone(journal)
+	badSum[len(header)+5] ^= 1 // inside shard 0's record
+	extra, err := encodeRecord(ckptRecord{Shard: 2, Report: cp.Shards[1]})
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(journal)
+	f.Add(header)
+	f.Add(journal[:len(journal)-5]) // torn final record
+	f.Add(badSum)
+	f.Add(append(bytes.Clone(journal), extra...)) // more records than TotalShards
+	f.Add(append(bytes.Clone(journal), "garbage\n{}"...))
+
+	cp.Shards[1] = nil
+	valid := v2Reference(f, cp)
 	f.Add(valid)
 	oldKeys, err := os.ReadFile(filepath.Join("testdata", "old-key-order.ckpt"))
 	if err != nil {
@@ -391,12 +385,35 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		tgt := &checkpointFile{
-			Fingerprint: "fp", TotalShards: 2,
-			Seeds: []int64{3, 9}, Shards: make([]*Report, 2),
-		}
+		tgt := target()
 		// Errors (hard mismatches) and fresh starts are both fine;
 		// panics are not.
-		_ = loadCheckpoint(path, tgt)
+		kept, err := loadCheckpoint(path, tgt)
+		if err != nil {
+			return
+		}
+		restored := 0
+		for _, rep := range tgt.Shards {
+			if rep != nil {
+				restored++
+			}
+		}
+		switch {
+		case kept > 0:
+			if n, ok := verifiedLines(data[:kept]); !ok || n != 1+restored {
+				t.Fatalf("kept %d bytes: %d verified lines (all verified: %t) for %d restored shards",
+					kept, n, ok, restored)
+			}
+			for j, rep := range tgt.Shards {
+				if (rep != nil) != (j < restored) {
+					t.Fatalf("restored shards are not a prefix: shard %d restored %t", j, rep != nil)
+				}
+			}
+		case restored > 0:
+			var env checkpointEnvelope
+			if json.Unmarshal(data, &env) != nil || env.Checksum != fnvHex(env.Payload) {
+				t.Fatal("shards restored from a file that is neither a journal nor a verified version 2 checkpoint")
+			}
+		}
 	})
 }

@@ -1,12 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -16,10 +16,10 @@ import (
 )
 
 // ErrInterrupted reports that RunShardedOpts stopped at a shard boundary
-// because the Interrupt channel closed. Completed shards are already
-// checkpointed (when a checkpoint path is configured); a later Resume
-// run continues exactly where this one stopped and produces a final
-// report byte-identical to an uninterrupted run.
+// because the Interrupt channel closed. The completed shards up to the
+// first one that did not run are already checkpointed (when a checkpoint
+// path is configured); a later Resume run continues from there and
+// produces a final report byte-identical to an uninterrupted run.
 var ErrInterrupted = errors.New("campaign: interrupted")
 
 // Supervisor defaults: a transient shard failure gets two more chances,
@@ -35,24 +35,25 @@ type ShardedOptions struct {
 	// Workers bounds concurrent shard execution (minimum 1). The worker
 	// count never affects the merged report, only wall-clock time.
 	Workers int
-	// CheckpointPath, when set, persists campaign progress: after every
-	// completed shard the per-shard reports (each carrying its tracker's
-	// feedback state) and the shard seed table are written atomically
-	// (unique temp file + fsync + rename, with the previous generation
-	// rotated to CheckpointPath+".bak") to this path. Write failures
-	// degrade the campaign (counted in Report.CheckpointWriteFailures)
-	// instead of aborting it. Both generations are removed once the
-	// campaign completes.
+	// CheckpointPath, when set, persists campaign progress to this path
+	// as an append-only journal: a header with the configuration
+	// fingerprint and the shard seed table, then one checksummed record
+	// per completed shard (its report, carrying its tracker's feedback
+	// state), appended and fsynced in shard order. Write failures degrade
+	// the campaign (counted in Report.CheckpointWriteFailures) instead of
+	// aborting it. The file is removed once the campaign completes.
 	CheckpointPath string
 	// Resume loads CheckpointPath before running and skips the shards it
-	// already holds. The checkpoint's configuration fingerprint must
-	// match the resolved configuration. A missing or corrupt file falls
-	// back to the ".bak" last-known-good generation, and with no usable
-	// ".bak" either the run starts fresh instead of refusing to resume.
+	// already holds: the longest prefix of records that verify, so a torn
+	// tail is dropped and re-run. The checkpoint's configuration
+	// fingerprint must match the resolved configuration. A missing file
+	// or an unreadable header starts the run fresh instead of refusing to
+	// resume.
 	Resume bool
 	// Interrupt, when closed, stops the run at the next shard boundary
-	// with ErrInterrupted. Shards already in flight finish and are
-	// checkpointed; shards not yet started never start.
+	// with ErrInterrupted. Shards already in flight finish and join the
+	// checkpoint behind the shards before them; shards not yet started
+	// never start.
 	Interrupt <-chan struct{}
 	// MaxShardRetries is how many times the supervisor re-runs a shard
 	// whose attempt failed (error or recovered panic) before
@@ -68,26 +69,16 @@ type ShardedOptions struct {
 }
 
 // checkpointVersion is bumped whenever the checkpoint layout or the
-// shard partitioning scheme changes incompatibly. Version 2 wraps the
-// payload in a checksummed envelope and adds the ".bak" generation.
-const checkpointVersion = 2
+// shard partitioning scheme changes incompatibly. Version 3 is the
+// append-only journal; a version 2 file (one checksummed envelope around
+// the whole checkpoint) still loads, read-only.
+const checkpointVersion = 3
 
-// checkpointEnvelope is the on-disk frame around the checkpoint payload:
-// a version and an FNV-1a content checksum that makes every checkpoint
-// self-verifying. A torn or bit-flipped file fails the checksum and is
-// treated as corrupt (salvageable), while a version or fingerprint
-// mismatch inside an *intact* file stays a hard error — corruption and
-// misuse must not be confused.
-type checkpointEnvelope struct {
-	Version  int
-	Checksum string
-	Payload  json.RawMessage
-}
-
-// checkpointFile is the serialized campaign progress: which shards have
-// completed and their full reports. Reports round-trip losslessly
-// through JSON (every field is exported; FeedbackState is base64), which
-// is what makes a resumed merge byte-identical to an uninterrupted one.
+// checkpointFile is campaign progress: which shards have completed and
+// their full reports. Reports round-trip losslessly through JSON (every
+// field is exported; FeedbackState is base64), which is what makes a
+// resumed merge byte-identical to an uninterrupted one. It is also the
+// payload of a version 2 checkpoint.
 type checkpointFile struct {
 	// Fingerprint pins the resolved configuration (including an FNV-1a
 	// hash of the warm-start feedback state) so a checkpoint cannot be
@@ -98,15 +89,31 @@ type checkpointFile struct {
 	// table form, doubling as a guard against partitioning drift.
 	Seeds []int64
 	// Shards is indexed by shard ordinal; nil marks an incomplete shard.
-	// It must stay the last field: ckptWriter splices the cached shard
-	// encodings in after the encoding of the fields above.
-	Shards []*Report
+	// The journal header leaves it out.
+	Shards []*Report `json:",omitempty"`
 }
 
-// errCkptCorrupt marks a checkpoint generation that cannot be trusted:
-// unreadable, unparseable, or failing its checksum. loadCheckpoint
-// responds by salvaging the previous generation, never by aborting.
-var errCkptCorrupt = errors.New("campaign: checkpoint corrupt")
+// ckptHeader is the journal's first record: the version and the
+// campaign the journal belongs to, without shards.
+type ckptHeader struct {
+	Version int
+	checkpointFile
+}
+
+// ckptRecord is the journal record of one finished shard. Record j of a
+// journal must hold shard j.
+type ckptRecord struct {
+	Shard  int
+	Report *Report
+}
+
+// checkpointEnvelope is a version 2 checkpoint: the whole checkpointFile
+// as Payload, with checksum() of the payload bytes.
+type checkpointEnvelope struct {
+	Version  int
+	Checksum string
+	Payload  json.RawMessage
+}
 
 // errInjected is the error chaos-injected infrastructure faults surface.
 var errInjected = errors.New("injected chaos fault")
@@ -160,9 +167,9 @@ func fingerprint(cfg Config) string {
 
 // RunShardedOpts is RunSharded with supervision, checkpoint/resume, and
 // interruption support. Progress is saved at shard granularity: each
-// completed shard's report is written to the checkpoint before the next
-// one is merged in, so an interrupted campaign loses at most the shards
-// that were in flight. Shard failures are retried and then quarantined
+// completed shard's report joins the checkpoint once every shard before
+// it has, so an interrupted campaign loses at most the shards that were
+// in flight and the finished ones behind them. Shard failures are retried and then quarantined
 // (see ShardedOptions.MaxShardRetries); checkpoint write failures are
 // counted, not fatal. Only configuration errors, interruption, and a
 // failed reduction abort the run. The merged report's bugs are reduced
@@ -188,10 +195,8 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		// Campaign complete; nothing to resume. A failed removal is a real
 		// error — a stale checkpoint would resurrect this run's shards
 		// into the next campaign that reuses the path.
-		for _, p := range []string{opts.CheckpointPath, opts.CheckpointPath + ".bak"} {
-			if rerr := os.Remove(p); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
-			}
+		if rerr := os.Remove(opts.CheckpointPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
 		}
 	}
 	return merged, nil
@@ -232,32 +237,35 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 	for i, sc := range shards {
 		cp.Seeds[i] = sc.Seed
 	}
+	// kept is the length of the journal prefix the resume keeps.
+	var kept int64
 	if opts.Resume && opts.CheckpointPath != "" {
-		if err := loadCheckpoint(opts.CheckpointPath, cp); err != nil {
+		var err error
+		if kept, err = loadCheckpoint(opts.CheckpointPath, cp); err != nil {
 			return nil, 0, err
 		}
 	}
 
-	// A shard whose report fails to encode is never written; that counts
-	// as a checkpoint write failure.
+	// A shard whose report fails to encode is never written, and as the
+	// journal is in shard order neither is any shard after it; that
+	// counts as one checkpoint write failure.
 	ckptFailures := 0
 	var ckpt *ckptWriter
 	if opts.CheckpointPath != "" {
 		var err error
-		if ckpt, err = newCkptWriter(opts.CheckpointPath, cp, cfg.Chaos); err != nil {
+		if ckpt, err = newCkptWriter(opts.CheckpointPath, cp, kept, cfg.Chaos); err != nil {
 			return nil, 0, err
 		}
-	}
-	for i, rep := range cp.Shards {
-		if rep == nil || ckpt == nil {
-			continue
+		// Restored shards the journal does not hold yet (all of a version
+		// 2 file's) go out with the next append.
+		for i := ckpt.next; i < nShards; i++ {
+			if rep := cp.Shards[i]; rep != nil {
+				var err error
+				if ckpt.pending[i], err = encodeRecord(ckptRecord{Shard: i, Report: rep}); err != nil {
+					ckptFailures++
+				}
+			}
 		}
-		enc, err := json.Marshal(rep)
-		if err != nil {
-			ckptFailures++
-			continue
-		}
-		ckpt.setShard(i, enc)
 	}
 
 	var mu sync.Mutex
@@ -275,11 +283,11 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 			return err
 		}
 		// Encode outside the lock: each shard is encoded exactly once,
-		// and a save only splices the cached encodings together.
-		var enc []byte
+		// and a save only appends finished records.
+		var rec []byte
 		var encErr error
 		if ckpt != nil {
-			enc, encErr = json.Marshal(rep)
+			rec, encErr = encodeRecord(ckptRecord{Shard: i, Report: rep})
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -289,15 +297,18 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 				ckptFailures++
 				return nil
 			}
-			ckpt.setShard(i, enc)
+			ckpt.pending[i] = rec
 			if serr := ckpt.save(); serr != nil {
-				// Degrade, don't abort: the campaign keeps running and
-				// only risks redoing this generation's shards on a crash.
+				// Degrade, don't abort: the campaign keeps running, and the
+				// next save appends what this one could not.
 				ckptFailures++
 			}
 		}
 		return nil
 	})
+	if ckpt != nil && ckpt.close() != nil {
+		ckptFailures++
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -362,253 +373,231 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 	return runner.run(), false, nil
 }
 
-// loadCheckpoint restores completed shards from path into cp after
-// validating that the checkpoint belongs to this exact campaign. A
-// missing or corrupt primary falls back to the ".bak" last-known-good
-// generation: a save leaves only ".bak" between its rotation and its
-// commit (and after a failed commit), and a torn write leaves a corrupt
-// primary beside it. With no usable ".bak" either, the run starts from
-// scratch instead of refusing to resume. A corrupt primary salvaged
-// this way is removed, so the next save cannot rotate it over the good
-// ".bak". Version, fingerprint, and shard-layout mismatches in an
-// intact file remain hard errors: they mean the checkpoint is someone
+// loadCheckpoint restores the completed shards of the checkpoint at
+// path into cp, after validating that the checkpoint belongs to this
+// exact campaign, and returns the length of the journal prefix a writer
+// keeps and appends to. A journal restores its longest prefix of records
+// that verify; a torn or garbage tail is dropped. A version 2 file
+// restores its shards and returns 0: the writer starts a new journal. A
+// missing file, or one whose header (or envelope) is unreadable, is a
+// fresh start. Version, fingerprint, layout and seed mismatches in an
+// intact header remain hard errors: they mean the checkpoint is someone
 // else's, not that it is damaged.
-func loadCheckpoint(path string, cp *checkpointFile) error {
-	src := path
-	old, err := loadCheckpointFile(path)
-	primaryCorrupt := errors.Is(err, errCkptCorrupt)
-	switch {
-	case err == nil:
-	case errors.Is(err, os.ErrNotExist), primaryCorrupt:
-		src = path + ".bak"
-		bak, bakErr := loadCheckpointFile(src)
-		switch {
-		case bakErr == nil:
-			old = bak
-		case errors.Is(bakErr, os.ErrNotExist), errors.Is(bakErr, errCkptCorrupt):
-			return nil // no usable generation: start fresh
-		default:
-			return bakErr
+func loadCheckpoint(path string, cp *checkpointFile) (int64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, nil // no usable checkpoint: start fresh
+	}
+	payload, rest, ok := nextRecord(data)
+	if !ok {
+		old, err := loadCheckpointFile(path, data)
+		if old == nil || err != nil {
+			return 0, err
 		}
-	default:
-		return err
+		if err := matchCheckpoint(path, old, cp); err != nil {
+			return 0, err
+		}
+		if len(old.Shards) != cp.TotalShards {
+			return 0, fmt.Errorf("campaign: checkpoint %s shard layout does not match", path)
+		}
+		copy(cp.Shards, old.Shards)
+		return 0, nil
 	}
+	var hdr ckptHeader
+	if json.Unmarshal(payload, &hdr) != nil {
+		return 0, nil
+	}
+	if hdr.Version != checkpointVersion {
+		return 0, fmt.Errorf("campaign: checkpoint %s has version %d, want %d",
+			path, hdr.Version, checkpointVersion)
+	}
+	if err := matchCheckpoint(path, &hdr.checkpointFile, cp); err != nil {
+		return 0, err
+	}
+	for j := range cp.Shards {
+		payload, next, ok := nextRecord(rest)
+		var rec ckptRecord
+		if !ok || json.Unmarshal(payload, &rec) != nil || rec.Shard != j || rec.Report == nil {
+			break
+		}
+		cp.Shards[j], rest = rec.Report, next
+	}
+	return int64(len(data) - len(rest)), nil
+}
+
+// matchCheckpoint checks that the checkpoint old, read from path, was
+// recorded for cp's campaign.
+func matchCheckpoint(path string, old, cp *checkpointFile) error {
 	if old.Fingerprint != cp.Fingerprint {
-		return fmt.Errorf("campaign: checkpoint %s was recorded for a different configuration", src)
+		return fmt.Errorf("campaign: checkpoint %s was recorded for a different configuration", path)
 	}
-	if old.TotalShards != cp.TotalShards ||
-		len(old.Shards) != cp.TotalShards || len(old.Seeds) != cp.TotalShards {
-		return fmt.Errorf("campaign: checkpoint %s shard layout does not match", src)
+	if old.TotalShards != cp.TotalShards || len(old.Seeds) != cp.TotalShards {
+		return fmt.Errorf("campaign: checkpoint %s shard layout does not match", path)
 	}
 	for i, s := range old.Seeds {
 		if s != cp.Seeds[i] {
-			return fmt.Errorf("campaign: checkpoint %s shard %d seed mismatch", src, i)
+			return fmt.Errorf("campaign: checkpoint %s shard %d seed mismatch", path, i)
 		}
 	}
-	if primaryCorrupt {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("campaign: removing corrupt checkpoint: %w", err)
-		}
-	}
-	copy(cp.Shards, old.Shards)
 	return nil
 }
 
-// loadCheckpointFile reads and verifies one checkpoint generation.
-// Unreadable bytes, a broken envelope, a failed checksum, or an
-// undecodable payload all report errCkptCorrupt (salvageable); an intact
-// envelope with the wrong version is a hard error.
-func loadCheckpointFile(path string) (*checkpointFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: reading %s: %v", errCkptCorrupt, path, err)
-	}
+// loadCheckpointFile decodes data, read from path, as a version 2
+// checkpoint. It returns nil and no error when data is not a usable one:
+// a broken envelope, a failed checksum, or an undecodable payload. An
+// intact envelope with another version is a hard error.
+func loadCheckpointFile(path string, data []byte) (*checkpointFile, error) {
 	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("%w: parsing %s: %v", errCkptCorrupt, path, err)
+	if json.Unmarshal(data, &env) != nil {
+		return nil, nil
 	}
-	if env.Version != checkpointVersion {
+	if env.Version != 2 {
 		return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d",
 			path, env.Version, checkpointVersion)
 	}
-	if env.Checksum != ckptChecksum(env.Payload) {
-		return nil, fmt.Errorf("%w: %s checksum mismatch", errCkptCorrupt, path)
-	}
 	var cf checkpointFile
-	if err := json.Unmarshal(env.Payload, &cf); err != nil {
-		return nil, fmt.Errorf("%w: decoding %s payload: %v", errCkptCorrupt, path, err)
+	if env.Checksum != checksum(env.Payload) || json.Unmarshal(env.Payload, &cf) != nil {
+		return nil, nil
 	}
 	return &cf, nil
 }
 
-// ckptChecksum is the envelope's content checksum: FNV-1a-64 over the
-// payload bytes, hex-rendered. Not cryptographic — it defends against
-// torn writes and bit rot, not adversaries.
-func ckptChecksum(payload []byte) string {
-	return fmt.Sprintf("%016x", fnv1a(fnvOffset64, payload))
+// checksum is FNV-1a-64 over p, hex-rendered. Not cryptographic — it
+// defends against torn writes and bit rot, not adversaries.
+func checksum(p []byte) string {
+	h := fnv.New64a()
+	h.Write(p)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// FNV-1a-64 parameters, as in hash/fnv. The checkpoint writer keeps the
-// running state between saves, which hash/fnv does not expose cheaply.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// fnv1a continues an FNV-1a-64 hash from state h over p.
-func fnv1a(h uint64, p []byte) uint64 {
-	for _, c := range p {
-		h ^= uint64(c)
-		h *= fnvPrime64
+// encodeRecord renders v as one journal record: its JSON, a space, the
+// JSON's checksum and a newline. json.Marshal never emits a raw newline,
+// so records are lines.
+func encodeRecord(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
 	}
-	return h
+	return append(append(append(b, ' '), checksum(b)...), '\n'), nil
 }
 
-// ckptEnvelopeHead is the envelope up to its checksum, which is always
-// ckptChecksum's 16 hex digits.
-var ckptEnvelopeHead = fmt.Sprintf(`{"Version":%d,"Checksum":"`, checkpointVersion)
+// nextRecord splits the first record off data and returns its JSON;
+// ok is false when that record is incomplete or fails its checksum.
+func nextRecord(data []byte) (payload, rest []byte, ok bool) {
+	line, rest, ok := bytes.Cut(data, []byte{'\n'})
+	n := len(line) - len(" 0123456789abcdef")
+	if !ok || n < 0 || line[n] != ' ' || string(line[n+1:]) != checksum(line[:n]) {
+		return nil, nil, false
+	}
+	return line[:n], rest, true
+}
 
-// ckptWriter persists campaign progress. Each shard's report is encoded
-// once, when the shard finishes (setShard); a save splices the cached
-// encodings into the checksummed envelope, producing exactly the bytes
-// of json.Marshal(checkpointEnvelope{Payload: json.Marshal(
-// checkpointFile)}) without re-encoding or re-compacting any report.
-//
-// The writer also keeps its last encoding: slots before the first shard
-// set since then are reused as they are, together with the payload
-// checksum state at that point. Shards finish roughly in order, so a
-// save hashes and copies little more than the newly finished shard.
+// ckptWriter appends finished shards to the checkpoint journal in shard
+// order, so the file always holds a prefix of the shards and its bytes
+// do not depend on the worker count. A save appends every consecutive
+// finished shard from the cursor on, in one write plus fsync, at the end
+// of the prefix synced so far; a failed append is overwritten by the
+// next one.
 type ckptWriter struct {
 	path string
 	inj  *chaos.Injector // nil in production
-	// shards holds each shard's encoded report; nil encodes as null, an
-	// incomplete shard.
-	shards [][]byte
-	// buf holds the last encoding, cut after the shard slots. Slot i
-	// starts at buf[offs[i]], where the payload's FNV-1a state is
-	// sums[i]; offs[len(shards)] is where the slots end. Slots from
-	// dirty on are re-encoded by the next save.
-	buf   []byte
-	offs  []int
-	sums  []uint64
-	dirty int
+	f    *os.File        // opened by the first append
+	// header is the encoded header record, written with the first append
+	// to an empty journal.
+	header []byte
+	// pending holds the encoded records of finished shards from next on
+	// that are not in the journal yet; next is the cursor, the first shard
+	// the journal lacks, and off the length of the synced journal.
+	pending [][]byte
+	next    int
+	off     int64
 }
 
-// newCkptWriter prepares a writer for cp's campaign with no shard
-// encoded yet.
-func newCkptWriter(path string, cp *checkpointFile, inj *chaos.Injector) (*ckptWriter, error) {
-	hdr := *cp
-	hdr.Shards = []*Report{}
-	head, err := json.Marshal(&hdr)
+// newCkptWriter prepares a writer for cp's campaign that keeps the first
+// kept bytes of the journal at path (loadCheckpoint's result; those hold
+// the header and cp's leading restored shards) and appends after them.
+func newCkptWriter(path string, cp *checkpointFile, kept int64, inj *chaos.Injector) (*ckptWriter, error) {
+	hdr := ckptHeader{Version: checkpointVersion, checkpointFile: *cp}
+	hdr.Shards = nil
+	header, err := encodeRecord(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encoding checkpoint header: %w", err)
 	}
-	head = head[:len(head)-len("]}")] // reopen the empty Shards array
-	n := len(cp.Shards)
-	w := &ckptWriter{
-		path:   path,
-		inj:    inj,
-		shards: make([][]byte, n),
-		offs:   make([]int, n+1),
-		sums:   make([]uint64, n+1),
+	w := &ckptWriter{path: path, inj: inj, header: header, pending: make([][]byte, len(cp.Shards)), off: kept}
+	for kept > 0 && w.next < len(cp.Shards) && cp.Shards[w.next] != nil {
+		w.next++
 	}
-	w.buf = append(w.buf, ckptEnvelopeHead+"0000000000000000"+`","Payload":`...)
-	w.buf = append(w.buf, head...)
-	w.offs[0], w.sums[0] = len(w.buf), fnv1a(fnvOffset64, head)
 	return w, nil
 }
 
-// setShard caches shard i's encoded report for the following saves.
-func (w *ckptWriter) setShard(i int, enc []byte) {
-	w.shards[i] = enc
-	w.dirty = min(w.dirty, i)
-}
-
-// encode renders the envelope {"Version":…,"Checksum":…,"Payload":…}.
-// json.Marshal already emits compact, HTML-escaped JSON for every piece,
-// so splicing them reproduces its output for the whole envelope byte for
-// byte. The result aliases the writer's buffer until the next encode.
-func (w *ckptWriter) encode() []byte {
-	b, h := w.buf[:w.offs[w.dirty]], w.sums[w.dirty]
-	for i := w.dirty; i < len(w.shards); i++ {
-		w.offs[i], w.sums[i] = len(b), h
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if enc := w.shards[i]; enc != nil {
-			b = append(b, enc...)
-		} else {
-			b = append(b, "null"...)
-		}
-		h = fnv1a(h, b[w.offs[i]:])
-	}
-	n := len(w.shards)
-	w.offs[n], w.sums[n], w.dirty = len(b), h, n
-	b = append(b, "]}"...)
-	h = fnv1a(h, b[len(b)-len("]}"):])
-	copy(b[len(ckptEnvelopeHead):], fmt.Sprintf("%016x", h))
-	b = append(b, '}')
-	w.buf = b
-	return b
-}
-
-// save writes the checkpoint atomically and durably: the checksummed
-// envelope goes to a unique O_EXCL temp file in the same directory
-// (concurrent campaigns sharing a path can no longer clobber each
-// other's temp), is fsynced, and replaces the checkpoint via rename —
-// with the previous generation first rotated to path+".bak" as the
-// salvage target for torn-write recovery. The inj sites fault each stage
-// deterministically under chaos testing.
+// save appends the finished shards from the cursor on. The inj sites
+// fault each stage deterministically under chaos testing; every save
+// probes them whether or not it has records to append, so probe ordinals
+// count saves.
 func (w *ckptWriter) save() error {
-	path, inj := w.path, w.inj
+	inj := w.inj
 	if inj.CheckpointFault(chaos.CheckpointMarshal) {
 		return fmt.Errorf("campaign: encoding checkpoint: %w", errInjected)
 	}
-	data := w.encode()
+	var data []byte
+	if w.off == 0 {
+		data = append(data, w.header...)
+	}
+	end := w.next
+	for ; end < len(w.pending) && w.pending[end] != nil; end++ {
+		data = append(data, w.pending[end]...)
+	}
 	if inj.CheckpointFault(chaos.CheckpointTorn) {
-		// A torn write that still commits: half the bytes reach the final
-		// rename. The checksum catches it on load and the .bak generation
-		// salvages the resume.
+		// A torn append that reports success: half the bytes land and the
+		// writer carries on after them. On load the torn record fails its
+		// checksum, so it and every record after it are dropped.
 		data = data[:len(data)/2]
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: creating checkpoint temp file: %w", err)
+	if inj.CheckpointFault(chaos.CheckpointWrite) {
+		return fmt.Errorf("campaign: appending to checkpoint: %w", errInjected)
 	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if err == nil && inj.CheckpointFault(chaos.CheckpointWrite) {
-		err = errInjected
+	if len(data) > 0 {
+		if err := w.writeAt(data); err != nil {
+			return fmt.Errorf("campaign: appending to checkpoint: %w", err)
+		}
 	}
-	if err == nil {
-		// fsync before rename: the rename must never become visible ahead
-		// of the data it points at.
-		err = f.Sync()
+	if inj.CheckpointFault(chaos.CheckpointSync) {
+		return fmt.Errorf("campaign: syncing checkpoint: %w", errInjected)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if len(data) > 0 {
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("campaign: syncing checkpoint: %w", err)
+		}
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: writing checkpoint: %w", err)
-	}
-	// Rotate the current generation to last-known-good. Between this
-	// rename and the next, path does not exist — a crash in that window
-	// resumes from .bak, which is exactly what .bak is for.
-	if err := os.Rename(path, path+".bak"); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: rotating checkpoint generation: %w", err)
-	}
-	if inj.CheckpointFault(chaos.CheckpointRename) {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: committing checkpoint: %w", errInjected)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: committing checkpoint: %w", err)
-	}
+	w.off += int64(len(data))
+	clear(w.pending[w.next:end])
+	w.next = end
 	return nil
+}
+
+// writeAt writes data at the end of the synced journal. The first write
+// opens the file and cuts it there, so nothing of an older file or of a
+// dropped tail follows the appended records.
+func (w *ckptWriter) writeAt(data []byte) error {
+	if w.f == nil {
+		f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_CREATE, 0o600)
+		if err != nil {
+			return err
+		}
+		if err := f.Truncate(w.off); err != nil {
+			f.Close()
+			return err
+		}
+		w.f = f
+	}
+	_, err := w.f.WriteAt(data, w.off)
+	return err
+}
+
+// close closes the journal file, if an append opened it.
+func (w *ckptWriter) close() error {
+	if w.f == nil {
+		return nil
+	}
+	return w.f.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -164,14 +165,16 @@ func TestReductionIsPureFunctionOfBug(t *testing.T) {
 // fuzzDialects are the dialects FuzzCampaign draws from.
 var fuzzDialects = []string{"sqlite", "tidb", "cratedb"}
 
-// fuzzConfig decodes fuzz input into a campaign on a fault-free engine
-// and the worker count to run it at: byte 0 picks the dialect, byte 1
-// the oracle subset (a non-empty bit set over oracle.DefaultNames()),
-// byte 2 the case count (1-40), byte 3 the database epoch length (1-16
-// cases, so campaigns span several shards), byte 4 reduction (low bit)
-// and workers (1-3), and the next 8 bytes the seed.
-func fuzzConfig(data []byte) (Config, int) {
-	var in [13]byte
+// fuzzConfig decodes fuzz input into a campaign on a fault-free engine,
+// the worker count to run it at, and the number of checkpointed shards
+// after which to interrupt it: byte 0 picks the dialect, byte 1 the
+// oracle subset (a non-empty bit set over oracle.DefaultNames()), byte 2
+// the case count (1-40), byte 3 the database epoch length (1-16 cases,
+// so campaigns span several shards), byte 4 reduction (low bit) and
+// workers (1-3), the next 8 bytes the seed, and byte 13 the interrupt
+// point (0 to the shard count).
+func fuzzConfig(data []byte) (Config, int, int) {
+	var in [14]byte
 	copy(in[:], data)
 	d := dialect.MustGet(fuzzDialects[int(in[0])%len(fuzzDialects)]).Clone()
 	d.Faults = nil
@@ -183,25 +186,28 @@ func fuzzConfig(data []byte) (Config, int) {
 			oracles = append(oracles, n)
 		}
 	}
-	return Config{
+	cfg := Config{
 		Dialect:    d,
 		Mode:       Adaptive,
 		Oracles:    oracles,
 		TestCases:  int(in[2])%40 + 1,
 		CasesPerDB: int(in[3])%16 + 1,
 		ReduceBugs: in[4]&1 == 1,
-		Seed:       int64(binary.LittleEndian.Uint64(in[5:])),
-	}, int(in[4]>>1)%3 + 1
+		Seed:       int64(binary.LittleEndian.Uint64(in[5:13])),
+	}
+	return cfg, int(in[4]>>1)%3 + 1, int(in[13]) % (ShardCount(cfg) + 1)
 }
 
 // FuzzCampaign: across dialects, oracle subsets, sizes, seeds, reduction
 // and worker counts, a campaign on a fault-free engine never panics or
 // fails, reports no false positive, and its merged report is
-// byte-identical at 1 worker, 3 workers and the drawn worker count. The
-// serial runner must run the same campaign cleanly too.
+// byte-identical at 1 worker, 3 workers and the drawn worker count, and
+// after an interrupt once the checkpoint holds the drawn number of
+// shards followed by a resume. The serial runner must run the same
+// campaign cleanly too.
 func FuzzCampaign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, workers := fuzzConfig(data)
+		cfg, workers, k := fuzzConfig(data)
 		runner, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,6 +234,28 @@ func FuzzCampaign(f *testing.F) {
 			} else if !bytes.Equal(got, want) {
 				t.Fatalf("merged report at %d workers differs from 1 worker", w)
 			}
+		}
+
+		// The interrupt lands at a shard boundary once k shards are
+		// checkpointed, or the campaign finishes first; either way the
+		// resume must end at the same bytes.
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		_, err = RunShardedOpts(cfg, ShardedOptions{
+			Workers: workers, CheckpointPath: path,
+			Interrupt: interruptWhen(t, func() bool { return journalShards(cfg, path) >= k }),
+		})
+		if err != nil && !errors.Is(err, ErrInterrupted) {
+			t.Fatal(err)
+		}
+		if err != nil && journalShards(cfg, path) < k {
+			t.Fatalf("interrupted with %d shards checkpointed, want at least %d", journalShards(cfg, path), k)
+		}
+		resumed, err := RunShardedOpts(cfg, ShardedOptions{Workers: workers, CheckpointPath: path, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshalReport(t, resumed), want) {
+			t.Fatalf("resume after an interrupt at %d shards differs from the uninterrupted run", k)
 		}
 	})
 }

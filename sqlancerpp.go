@@ -101,14 +101,15 @@ type Options struct {
 	// one worker) and removes it when the campaign completes.
 	Checkpoint string
 	// Resume continues an interrupted campaign from Checkpoint; the final
-	// report is byte-identical to an uninterrupted run. A missing or
-	// corrupt checkpoint file falls back to its ".bak" generation; with
-	// neither usable the run starts fresh. Resume without Checkpoint is
-	// an error.
+	// report is byte-identical to an uninterrupted run. The shards of the
+	// checkpoint's longest intact prefix are kept and a torn tail is
+	// re-run; a missing checkpoint file, or one whose header is
+	// unreadable, starts the run fresh. Resume without Checkpoint is an
+	// error.
 	Resume bool
 	// Interrupt, when closed, stops a sharded campaign at the next shard
-	// boundary: Run returns ErrInterrupted after checkpointing every
-	// completed shard.
+	// boundary: Run returns ErrInterrupted after checkpointing the
+	// completed shards up to the first one that did not run.
 	Interrupt <-chan struct{}
 	// CaseTimeout bounds each test case's wall-clock time (the -timeout
 	// flag): a watchdog cancels cases that exceed it, reporting them as
@@ -136,7 +137,7 @@ var ErrInterrupted = campaign.ErrInterrupted
 type Bug struct {
 	ID      int
 	Class   string // "logic", "crash", "error", "perf", or "harness"
-	Oracle  string // "TLP" or "NoREC" (empty for non-oracle bugs)
+	Oracle  string // "TLP", "TLPComposed", "TLPAggregate", "NoREC" or "PlanDiff" (empty for non-oracle bugs)
 	Setup   []string
 	Queries []string
 	Reduced []string // reduced statement sequence, when reduction ran
