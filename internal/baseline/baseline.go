@@ -18,6 +18,8 @@
 package baseline
 
 import (
+	"strings"
+
 	"sqlancerpp/internal/core/campaign"
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/feature"
@@ -26,41 +28,47 @@ import (
 // Policy answers feature-support queries from the dialect's ground-truth
 // matrix instead of learned feedback.
 type Policy struct {
-	d *dialect.Dialect
+	allowed feature.Set
 }
 
-// NewPolicy builds the dialect-truth policy.
-func NewPolicy(d *dialect.Dialect) *Policy { return &Policy{d: d} }
-
-// Supported consults the dialect's feature matrix. Composite per-argument
-// type features (FN#i=TYPE) are reported supported only for the declared
-// type on static dialects — the expert-written generator does not probe
-// the type system.
-func (p *Policy) Supported(f string) bool {
-	if f == feature.PropImplicitCast {
-		// The baseline generator never experiments with implicit casts on
-		// statically typed systems.
-		return p.d.TypeSystem == dialect.Dynamic
+// NewPolicy builds the dialect-truth policy. Composite per-argument type
+// features (FN#i=TYPE) are supported iff the function is: the
+// expert-written generator does not probe the type system (the type
+// discipline itself comes from Config.TypeCorrect). Index widths
+// (CREATE INDEX#n) name no function, so they are never generated.
+func NewPolicy(d *dialect.Dialect) *Policy {
+	p := &Policy{}
+	p.allowed.Union(&d.Statements)
+	p.allowed.Union(&d.Clauses)
+	p.allowed.Union(&d.Operators)
+	p.allowed.Union(&d.Functions)
+	p.allowed.Union(&d.Types)
+	// The baseline generator never experiments with implicit casts on
+	// statically typed systems.
+	if d.TypeSystem == dialect.Dynamic {
+		p.allowed.Add(feature.PropImplicitCastID)
+	} else {
+		p.allowed.Remove(feature.PropImplicitCastID)
 	}
-	if i := indexByte(f, '#'); i > 0 {
-		// Composite FN#arg=TYPE feature: supported iff the function is.
-		return p.d.SupportsFunction(f[:i])
-	}
-	if p.d.SupportsStatement(f) || p.d.SupportsClause(f) ||
-		p.d.SupportsOperator(f) || p.d.SupportsFunction(f) ||
-		p.d.SupportsType(f) {
-		return true
-	}
-	return false
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
+	for id := feature.ID(0); id < feature.NumIDs; id++ {
+		name := feature.Name(id)
+		if i := strings.IndexByte(name, '#'); i > 0 {
+			if base, ok := feature.Lookup(name[:i]); ok && d.Functions.Has(base) {
+				p.allowed.Add(id)
+			}
 		}
 	}
-	return -1
+	return p
+}
+
+// SupportedID consults the dialect's feature matrix.
+func (p *Policy) SupportedID(f feature.ID) bool { return p.allowed.Has(f) }
+
+// Supported is SupportedID by name; a name outside the feature table is
+// unsupported.
+func (p *Policy) Supported(f string) bool {
+	id, ok := feature.Lookup(f)
+	return ok && p.SupportedID(id)
 }
 
 // ExtraFunctions returns the dialect-specific functions outside the

@@ -24,6 +24,7 @@ import (
 	"sqlancerpp/internal/coverage"
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/engine"
+	"sqlancerpp/internal/feature"
 	"sqlancerpp/internal/par"
 	"sqlancerpp/internal/sqlast"
 	"sqlancerpp/internal/sqlparse"
@@ -687,7 +688,7 @@ func (r *Runner) execSetup(st *gen.Statement) {
 		return
 	}
 	if engine.IsTimeout(err) {
-		r.recordHang("", []string{st.SQL}, st.Features)
+		r.recordHang("", []string{st.SQL}, &st.FeatureSet)
 		return
 	}
 	ok := err == nil
@@ -702,10 +703,10 @@ func (r *Runner) execSetup(st *gen.Statement) {
 	// *statement* features; expression features inside DML statements are
 	// judged by the Bayesian query model, so that, say, a streak of
 	// failing UPDATEs cannot condemn AND or CASE.
-	ddlFeats, exprFeats := splitSetupFeatures(st.Features)
-	r.tracker.RecordDDL(ddlFeats, ok)
-	if len(exprFeats) > 0 {
-		r.tracker.RecordQuery(exprFeats, ok)
+	ddlFeats, exprFeats := splitSetupFeatures(&st.FeatureSet)
+	r.tracker.RecordDDLSet(&ddlFeats, ok)
+	if !exprFeats.Empty() {
+		r.tracker.RecordQuerySet(&exprFeats, ok)
 	}
 	r.handleExecError(st, err)
 
@@ -734,7 +735,7 @@ func (r *Runner) execContained(st *gen.Statement) (err error, crashed bool) {
 func (r *Runner) containStmt(st *gen.Statement, crashed *bool) {
 	if p := recover(); p != nil {
 		*crashed = true
-		r.recordHarnessCrash(p, "", st.Stmt, st.Features)
+		r.recordHarnessCrash(p, "", st.Stmt, &st.FeatureSet)
 	}
 }
 
@@ -756,10 +757,10 @@ func (r *Runner) runSmokeQuery() {
 		return
 	}
 	if engine.IsTimeout(err) {
-		r.recordHang("", []string{st.SQL}, st.Features)
+		r.recordHang("", []string{st.SQL}, &st.FeatureSet)
 		return
 	}
-	r.tracker.RecordQuery(st.Features, err == nil)
+	r.tracker.RecordQuerySet(&st.FeatureSet, err == nil)
 	r.handleExecError(st, err)
 }
 
@@ -784,16 +785,15 @@ func (r *Runner) runOracleCase() {
 	switch res.Outcome {
 	case oracle.OK:
 		r.report.ValidCases++
-		r.tracker.RecordQuery(oc.Features, true)
+		r.tracker.RecordQuerySet(&oc.FeatureSet, true)
 		if r.cfg.PerfCostLimit > 0 && res.MaxCost > r.cfg.PerfCostLimit {
 			r.recordBug(&BugCase{
 				Class:     ClassPerf,
 				Oracle:    res.Oracle,
 				Queries:   res.Queries,
-				Features:  oc.Features,
 				Triggered: res.Triggered,
 				Detail:    fmt.Sprintf("executor cost %d exceeds limit %d", res.MaxCost, r.cfg.PerfCostLimit),
-			}, nil)
+			}, &oc.FeatureSet, nil)
 		}
 	case oracle.Invalid:
 		if engine.IsBudgetExceeded(res.Err) {
@@ -804,31 +804,30 @@ func (r *Runner) runOracleCase() {
 			// The watchdog canceled the case: report the hang, but teach
 			// the tracker nothing — a timeout says the case was slow on
 			// this host, not that its features are unsupported.
-			r.recordHang(res.Oracle, res.Queries, oc.Features)
+			r.recordHang(res.Oracle, res.Queries, &oc.FeatureSet)
 			return
 		}
-		r.tracker.RecordQuery(oc.Features, false)
+		r.tracker.RecordQuerySet(&oc.FeatureSet, false)
 		if res.Err != nil {
 			if engine.IsCrash(res.Err) {
-				r.recordErrorBug(ClassCrash, res, oc.Features)
+				r.recordErrorBug(ClassCrash, res, &oc.FeatureSet)
 				r.db.Restart()
 			} else if engine.IsInternal(res.Err) {
-				r.recordErrorBug(ClassError, res, oc.Features)
+				r.recordErrorBug(ClassError, res, &oc.FeatureSet)
 			}
 		}
 	case oracle.Bug:
 		r.report.ValidCases++
-		r.tracker.RecordQuery(oc.Features, true)
+		r.tracker.RecordQuerySet(&oc.FeatureSet, true)
 		r.recordBug(&BugCase{
 			Class:     ClassLogic,
 			Oracle:    res.Oracle,
 			Seq:       c.Seq,
 			Queries:   res.Queries,
-			Features:  oc.Features,
 			Triggered: res.Triggered,
 			Detail:    res.Detail,
 			PlanSpec:  res.PlanSpec,
-		}, carrierOf(oc))
+		}, &oc.FeatureSet, carrierOf(oc))
 	}
 }
 
@@ -863,7 +862,7 @@ func (r *Runner) checkContained(orc oracle.Oracle, c *oracle.Case, oc *gen.Oracl
 	defer func() {
 		if p := recover(); p != nil {
 			crashed = true
-			r.recordHarnessCrash(p, orc.Name(), carrierOf(oc), oc.Features)
+			r.recordHarnessCrash(p, orc.Name(), carrierOf(oc), &oc.FeatureSet)
 		}
 	}()
 	wd := r.armWatchdog()
@@ -884,17 +883,16 @@ func (r *Runner) checkContained(orc oracle.Oracle, c *oracle.Case, oc *gen.Oracl
 // hang offline without a timeout. Hangs have no ground-truth fault by
 // construction (wall-clock is not in the fault catalog), so recordBug
 // exempts them from false-positive accounting.
-func (r *Runner) recordHang(orc oracle.Name, queries, features []string) {
+func (r *Runner) recordHang(orc oracle.Name, queries []string, feats *feature.Set) {
 	r.report.Hangs++
 	r.recordBug(&BugCase{
-		Class:    ClassHang,
-		Oracle:   orc,
-		Seq:      r.report.TestCases,
-		Queries:  queries,
-		Features: features,
+		Class:   ClassHang,
+		Oracle:  orc,
+		Seq:     r.report.TestCases,
+		Queries: queries,
 		Detail: fmt.Sprintf("case exceeded wall-clock timeout %s (seed %d, case %d)",
 			r.cfg.CaseTimeout, r.cfg.Seed, r.report.TestCases),
-	}, nil)
+	}, feats, nil)
 }
 
 // recordHarnessCrash converts a recovered panic into a ClassHarness bug
@@ -903,17 +901,16 @@ func (r *Runner) recordHang(orc oracle.Name, queries, features []string) {
 // still attributes: the panic fault sites trigger before panicking, so
 // TriggeredFaults reflects the injected fault even though the statement
 // never completed.
-func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt, features []string) {
+func (r *Runner) recordHarnessCrash(p any, orc oracle.Name, trigger sqlast.Stmt, feats *feature.Set) {
 	r.report.HarnessCrashes++
 	r.recordBug(&BugCase{
 		Class:     ClassHarness,
 		Oracle:    orc,
 		Seq:       r.report.TestCases,
 		Queries:   []string{trigger.SQL()},
-		Features:  features,
 		Triggered: r.db.TriggeredFaults(),
 		Detail:    fmt.Sprintf("harness panic: %v\n%s", p, sanitizeStack(debug.Stack())),
-	}, trigger)
+	}, feats, trigger)
 	r.db.Restart()
 }
 
@@ -927,10 +924,9 @@ func (r *Runner) handleExecError(st *gen.Statement, err error) {
 		r.recordBug(&BugCase{
 			Class:     ClassCrash,
 			Queries:   []string{st.SQL},
-			Features:  st.Features,
 			Triggered: r.db.TriggeredFaults(),
 			Detail:    err.Error(),
-		}, nil)
+		}, &st.FeatureSet, nil)
 		r.db.Restart()
 		return
 	}
@@ -938,30 +934,30 @@ func (r *Runner) handleExecError(st *gen.Statement, err error) {
 		r.recordBug(&BugCase{
 			Class:     ClassError,
 			Queries:   []string{st.SQL},
-			Features:  st.Features,
 			Triggered: r.db.TriggeredFaults(),
 			Detail:    err.Error(),
-		}, nil)
+		}, &st.FeatureSet, nil)
 	}
 }
 
-func (r *Runner) recordErrorBug(class BugClass, res oracle.Result, features []string) {
+func (r *Runner) recordErrorBug(class BugClass, res oracle.Result, feats *feature.Set) {
 	r.recordBug(&BugCase{
 		Class:     class,
 		Oracle:    res.Oracle,
 		Queries:   res.Queries,
-		Features:  features,
 		Triggered: res.Triggered,
 		Detail:    fmt.Sprint(res.Err),
-	}, nil)
+	}, feats, nil)
 }
 
-// recordBug runs the prioritizer and stores prioritized cases. When
-// reduction is enabled, a prioritized bug with a carrier (logic and
-// harness bugs) keeps its rendering as the pending reduction input.
-func (r *Runner) recordBug(bug *BugCase, carrier sqlast.Stmt) {
+// recordBug names the case's features feats, runs the prioritizer and
+// stores prioritized cases. When reduction is enabled, a prioritized bug
+// with a carrier (logic and harness bugs) keeps its rendering as the
+// pending reduction input.
+func (r *Runner) recordBug(bug *BugCase, feats *feature.Set, carrier sqlast.Stmt) {
 	r.bugID++
 	bug.ID = r.bugID
+	bug.Features = feats.Names()
 	r.report.Detected++
 	r.report.DetectedByClass[bug.Class]++
 	// Hangs are exempt: a wall-clock timeout never has a ground-truth
@@ -978,7 +974,7 @@ func (r *Runner) recordBug(bug *BugCase, carrier sqlast.Stmt) {
 		})
 	}
 
-	if !r.pri.Report(prioritizerFeatures(bug.Features)) {
+	if core := prioritizerFeatures(feats); !r.pri.ReportSet(&core) {
 		bug.Duplicate = true
 		return
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"sqlancerpp/internal/feature"
 	"testing"
 
 	"sqlancerpp/internal/coverage"
@@ -104,10 +105,12 @@ func TestCampaignInternalErrors(t *testing.T) {
 }
 
 func TestPrioritizerFeatureProjection(t *testing.T) {
-	got := prioritizerFeatures([]string{
+	in := feature.KnownSetOf([]string{
 		"NULLIF", "!=", "SELECT", "WHERE", "CONSTANT", "COLUMN",
 		"SIN#1=INTEGER", "INTEGER", "LEFT JOIN", "CASE", "IMPLICIT CAST",
 	})
+	projected := prioritizerFeatures(&in)
+	got := projected.Names()
 	want := map[string]bool{"NULLIF": true, "!=": true, "LEFT JOIN": true, "CASE": true}
 	if len(got) != len(want) {
 		t.Fatalf("projected set %v, want keys %v", got, want)

@@ -194,9 +194,12 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	if opts.CheckpointPath != "" {
 		// Campaign complete; nothing to resume. A failed removal is a real
 		// error — a stale checkpoint would resurrect this run's shards
-		// into the next campaign that reuses the path.
-		if rerr := os.Remove(opts.CheckpointPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-			return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
+		// into the next campaign that reuses the path. Builds before the
+		// journal kept a ".bak" beside a version 2 checkpoint; it goes too.
+		for _, path := range []string{opts.CheckpointPath, opts.CheckpointPath + ".bak"} {
+			if rerr := os.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+				return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
+			}
 		}
 	}
 	return merged, nil

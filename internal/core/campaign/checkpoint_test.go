@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -461,5 +462,72 @@ func TestResumeKeepsPrefixWhenAppendsFail(t *testing.T) {
 	}
 	if !bytes.Equal(marshalReport(t, ref), marshalReport(t, resumed)) {
 		t.Fatal("second resume differs from the uninterrupted run")
+	}
+}
+
+// TestResumeRemovesLegacyBackup: a version 2 checkpoint and the ".bak"
+// an older build kept beside it both go once the resumed campaign
+// completes, leaving the directory empty.
+func TestResumeRemovesLegacyBackup(t *testing.T) {
+	cfg := bugHuntCfg(600, 4).withDefaults()
+	shards := shardConfigs(cfg)
+	cp := &checkpointFile{Fingerprint: fingerprint(cfg), TotalShards: len(shards),
+		Shards: make([]*Report, len(shards))}
+	for _, sc := range shards {
+		cp.Seeds = append(cp.Seeds, sc.Seed)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	v2 := v2Reference(t, cp)
+	for _, p := range []string{path, path + ".bak"} {
+		if err := os.WriteFile(p, v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TestCases != cfg.TestCases {
+		t.Fatalf("resumed campaign ran %d cases, want %d", rep.TestCases, cfg.TestCases)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("left behind after a completed resume: %s", e.Name())
+	}
+}
+
+// TestResumeRejectsUnknownFeature: a checkpointed shard whose bug record
+// or feedback state names a feature outside the table fails the resumed
+// merge with an error that names it.
+func TestResumeRejectsUnknownFeature(t *testing.T) {
+	cfg := bugHuntCfg(600, 4).withDefaults()
+	shards := shardConfigs(cfg)
+	for _, tc := range []struct {
+		name string
+		rep  *Report
+	}{
+		{"bug record", &Report{Dialect: "cratedb", Counters: Counters{Detected: 1},
+			Bugs: []*BugCase{{ID: 1, Class: ClassCrash, Features: []string{"SELECT", "NO SUCH FEATURE"}}}}},
+		{"feedback state", &Report{Dialect: "cratedb",
+			FeedbackState: []byte(`{"stats":{"NO SUCH FEATURE":{"n":1,"y":0,"consecFail":1,"ddl":false}},"unsupported":null}`)}},
+	} {
+		cp := &checkpointFile{Fingerprint: fingerprint(cfg), TotalShards: len(shards),
+			Shards: make([]*Report, len(shards))}
+		for _, sc := range shards {
+			cp.Seeds = append(cp.Seeds, sc.Seed)
+		}
+		cp.Shards[0] = tc.rep
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(path, v2Reference(t, cp), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), `"NO SUCH FEATURE"`) {
+			t.Errorf("%s: resume error = %v, want one naming the feature", tc.name, err)
+		}
 	}
 }

@@ -1,93 +1,68 @@
 package campaign
 
 import (
-	"strings"
-
 	"sqlancerpp/internal/engine"
 	"sqlancerpp/internal/feature"
 )
 
-// coreFeature reports whether a feature participates in bug
+// coreFeatures is the mask of features that participate in bug
 // prioritization. The paper's feature sets (Figure 4: {NULLIF, !=}) are
 // the *language elements* of the bug-inducing case — operators,
 // functions, expression forms, and join kinds — not the bookkeeping
 // features the generator also tracks (composite argument types, column/
 // constant leaves, statement kinds), whose inclusion would make every
 // set nearly unique and defeat the subset rule.
-var coreFeatureSet = buildCoreFeatureSet()
+var coreFeatures = buildCoreFeatures()
 
-func buildCoreFeatureSet() map[string]bool {
-	m := map[string]bool{}
-	for _, f := range feature.BinaryOperators {
-		m[f] = true
+func buildCoreFeatures() feature.Set {
+	var m feature.Set
+	m.AddAll(feature.BinaryOperatorIDs)
+	m.Add(feature.OpBitNotID)
+	m.AddAll(feature.ExprFormIDs)
+	m.AddAll(feature.JoinIDs)
+	m.AddAll(feature.AggregateIDs)
+	for _, ids := range [][]feature.ID{feature.FunctionIDs, feature.ExtraFunctionIDs} {
+		for _, id := range ids {
+			if engine.FuncByID(id) != nil {
+				m.Add(id)
+			}
+		}
 	}
-	m["~"] = true
-	for _, f := range feature.ExprForms {
-		m[f] = true
-	}
-	for _, f := range feature.Joins {
-		m[f] = true
-	}
-	for _, f := range feature.Aggregates {
-		m[f] = true
-	}
-	m[feature.Subquery] = true
-	m[feature.DerivedTable] = true
-	m[feature.Distinct] = true
-	m[feature.GroupBy] = true
-	m[feature.Having] = true
-	m[feature.PartialIndex] = true
+	m.AddAll([]feature.ID{feature.SubqueryID, feature.DerivedTableID,
+		feature.DistinctID, feature.GroupByID, feature.HavingID,
+		feature.PartialIndexID})
 	return m
 }
 
 // prioritizerFeatures projects a generated feature set onto the core
 // grammar features used for deduplication.
-func prioritizerFeatures(features []string) []string {
-	var out []string
-	for _, f := range features {
-		if strings.ContainsRune(f, '#') {
-			continue
-		}
-		if coreFeatureSet[f] || engine.LookupFunc(f) != nil {
-			out = append(out, f)
-		}
-	}
+func prioritizerFeatures(fs *feature.Set) feature.Set {
+	out := *fs
+	out.Intersect(&coreFeatures)
 	return out
 }
 
-// setupStatementFeatures are the features the DDL/DML consecutive-
-// failure rule applies to: statement kinds and DDL-only clauses.
-var setupStatementFeatures = buildSetupFeatureSet()
+// setupStatementFeatures is the mask of features the DDL/DML
+// consecutive-failure rule applies to: statement kinds and DDL-only
+// clauses.
+var setupStatementFeatures = buildSetupFeatures()
 
-func buildSetupFeatureSet() map[string]bool {
-	m := map[string]bool{}
-	for _, f := range feature.Statements {
-		m[f] = true
-	}
-	m[feature.StmtDropTable] = true
-	m[feature.StmtDropView] = true
-	m[feature.StmtDropIndex] = true
-	m[feature.StmtReindex] = true
-	m[feature.UniqueIndex] = true
-	m[feature.PartialIndex] = true
-	m[feature.PrimaryKey] = true
-	m[feature.NotNullColumn] = true
-	m[feature.UniqueColumn] = true
-	m[feature.InsertOrIgnore] = true
-	m[feature.InsertMultiRow] = true
-	m[feature.ViewColumnNames] = true
+func buildSetupFeatures() feature.Set {
+	var m feature.Set
+	m.AddAll(feature.StatementIDs)
+	m.AddAll([]feature.ID{feature.StmtDropTableID, feature.StmtDropViewID,
+		feature.StmtDropIndexID, feature.StmtReindexID, feature.UniqueIndexID,
+		feature.PartialIndexID, feature.PrimaryKeyID, feature.NotNullColumnID,
+		feature.UniqueColumnID, feature.InsertOrIgnoreID,
+		feature.InsertMultiRowID, feature.ViewColumnNamesID})
 	return m
 }
 
 // splitSetupFeatures separates a setup statement's features into the
 // DDL-rule set and the Bayesian query set.
-func splitSetupFeatures(features []string) (ddl, expr []string) {
-	for _, f := range features {
-		if setupStatementFeatures[f] {
-			ddl = append(ddl, f)
-		} else {
-			expr = append(expr, f)
-		}
-	}
+func splitSetupFeatures(fs *feature.Set) (ddl, expr feature.Set) {
+	ddl, expr = *fs, *fs
+	ddl.Intersect(&setupStatementFeatures)
+	expr.Subtract(&setupStatementFeatures)
 	return ddl, expr
 }

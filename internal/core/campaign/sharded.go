@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"sqlancerpp/internal/feature"
 
 	"sqlancerpp/internal/core/feedback"
 	"sqlancerpp/internal/core/prioritize"
@@ -141,7 +142,11 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 		for _, b := range rep.Bugs {
 			nb := *b
 			nb.ID += idOffset
-			if !pri.Report(prioritizerFeatures(nb.Features)) {
+			feats, err := feature.SetOf(nb.Features)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: shard %d bug %d: %w", i, b.ID, err)
+			}
+			if core := prioritizerFeatures(&feats); !pri.ReportSet(&core) {
 				continue
 			}
 			merged.Prioritized++

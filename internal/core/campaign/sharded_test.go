@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"sqlancerpp/internal/feature"
 	"testing"
 
 	"sqlancerpp/internal/core/feedback"
@@ -178,10 +179,12 @@ func equalStrings(a, b []string) bool {
 // warm-start FeedbackState, so the merged state must contain the prior's
 // evidence exactly once, not once per shard.
 func TestRunShardedWarmStartCountsPriorOnce(t *testing.T) {
-	// Build a prior whose synthetic feature no campaign can observe.
+	// Build a prior on a feature no campaign can observe: the generator
+	// never builds an index this wide.
+	synthetic := feature.IndexWidth(feature.MaxIndexWidth)
 	prior := feedback.New()
 	for i := 0; i < 12; i++ {
-		prior.RecordQuery([]string{"zz-synthetic-feature"}, i%2 == 0)
+		prior.RecordQuery([]string{synthetic}, i%2 == 0)
 	}
 	state, err := prior.Save()
 	if err != nil {
@@ -199,7 +202,7 @@ func TestRunShardedWarmStartCountsPriorOnce(t *testing.T) {
 	if err := merged.Load(rep.FeedbackState); err != nil {
 		t.Fatal(err)
 	}
-	n, y := merged.Stats("zz-synthetic-feature")
+	n, y := merged.Stats(synthetic)
 	if n != 12 || y != 6 {
 		t.Fatalf("merged prior stats N=%d y=%d, want 12/6 (counted once, not per shard)", n, y)
 	}

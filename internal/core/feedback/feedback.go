@@ -12,8 +12,9 @@ package feedback
 
 import (
 	"encoding/json"
-	"sort"
-	"sync"
+	"fmt"
+
+	"sqlancerpp/internal/feature"
 )
 
 // Defaults match the paper's description (§4: p = 1%, 95% credible mass;
@@ -35,10 +36,12 @@ type featureStats struct {
 }
 
 // Tracker accumulates per-feature execution feedback and classifies
-// features as supported or unsupported.
+// features as supported or unsupported. Its state is indexed by feature
+// ID; feature names appear only in its saved state.
+//
+// A Tracker is not safe for concurrent use: each campaign runner owns
+// its own, and shard trackers meet only through saved state.
 type Tracker struct {
-	mu sync.Mutex
-
 	threshold   float64
 	confidence  float64
 	ddlMax      int
@@ -48,8 +51,11 @@ type Tracker struct {
 	// feedback is recorded but never suppresses anything.
 	enabled bool
 
-	stats       map[string]*featureStats
-	unsupported map[string]bool
+	// stats[id] is meaningful for the features in known: those recorded
+	// or loaded, which the saved state lists.
+	stats       *[feature.NumIDs]featureStats
+	known       feature.Set
+	unsupported feature.Set
 	sinceUpdate int
 	updates     int
 }
@@ -92,8 +98,7 @@ func New(opts ...Option) *Tracker {
 		ddlMax:      DefaultDDLMaxFailures,
 		updateEvery: DefaultUpdateInterval,
 		enabled:     true,
-		stats:       map[string]*featureStats{},
-		unsupported: map[string]bool{},
+		stats:       new([feature.NumIDs]featureStats),
 	}
 	for _, o := range opts {
 		o(t)
@@ -104,30 +109,31 @@ func New(opts ...Option) *Tracker {
 // Enabled reports whether suppression is active.
 func (t *Tracker) Enabled() bool { return t.enabled }
 
-func (t *Tracker) stat(f string) *featureStats {
-	st := t.stats[f]
-	if st == nil {
-		st = &featureStats{}
-		t.stats[f] = st
-	}
-	return st
-}
-
-// RecordQuery records the outcome of a query containing the features.
+// RecordQuery records the outcome of a query containing the named
+// features; names outside the feature table are ignored.
 func (t *Tracker) RecordQuery(features []string, ok bool) {
-	t.record(features, ok, false)
+	s := feature.KnownSetOf(features)
+	t.record(&s, ok, false)
 }
 
-// RecordDDL records the outcome of a DDL/DML statement.
+// RecordDDL records the outcome of a DDL/DML statement containing the
+// named features; names outside the feature table are ignored.
 func (t *Tracker) RecordDDL(features []string, ok bool) {
-	t.record(features, ok, true)
+	s := feature.KnownSetOf(features)
+	t.record(&s, ok, true)
 }
 
-func (t *Tracker) record(features []string, ok bool, ddl bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, f := range features {
-		st := t.stat(f)
+// RecordQuerySet records the outcome of a query with feature set s.
+func (t *Tracker) RecordQuerySet(s *feature.Set, ok bool) { t.record(s, ok, false) }
+
+// RecordDDLSet records the outcome of a DDL/DML statement with feature
+// set s.
+func (t *Tracker) RecordDDLSet(s *feature.Set, ok bool) { t.record(s, ok, true) }
+
+func (t *Tracker) record(s *feature.Set, ok bool, ddl bool) {
+	t.known.Union(s)
+	for id, more := s.Next(0); more; id, more = s.Next(id + 1) {
+		st := &t.stats[id]
 		st.N++
 		st.DDL = st.DDL || ddl
 		if ok {
@@ -139,25 +145,20 @@ func (t *Tracker) record(features []string, ok bool, ddl bool) {
 	}
 	t.sinceUpdate++
 	if t.sinceUpdate >= t.updateEvery {
-		t.updateLocked()
+		t.Update()
 	}
 }
 
 // Update forces a posterior update (step 3 of Figure 5).
 func (t *Tracker) Update() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.updateLocked()
-}
-
-func (t *Tracker) updateLocked() {
 	t.sinceUpdate = 0
 	t.updates++
-	for f, st := range t.stats {
+	for id, ok := t.known.Next(0); ok; id, ok = t.known.Next(id + 1) {
+		st := &t.stats[id]
 		if st.DDL {
 			// DDL/DML rule: repeated consecutive failures ⇒ unsupported.
 			if st.ConsecFail >= t.ddlMax {
-				t.unsupported[f] = true
+				t.unsupported.Add(id)
 			}
 			continue
 		}
@@ -167,56 +168,44 @@ func (t *Tracker) updateLocked() {
 		// P(θ < threshold | y, N) with θ|y ~ Beta(y+1, N−y+1).
 		mass := BetaCDF(t.threshold, float64(st.Y+1), float64(st.N-st.Y+1))
 		if mass >= t.confidence {
-			t.unsupported[f] = true
+			t.unsupported.Add(id)
 		} else {
-			delete(t.unsupported, f)
+			t.unsupported.Remove(id)
 		}
 	}
 }
 
 // Updates returns how many posterior updates have run.
-func (t *Tracker) Updates() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.updates
+func (t *Tracker) Updates() int { return t.updates }
+
+// SupportedID reports whether the generator should keep producing the
+// feature (paper Listing 4's shouldGenerate).
+func (t *Tracker) SupportedID(id feature.ID) bool {
+	return !t.enabled || !t.unsupported.Has(id)
 }
 
-// Supported reports whether the generator should keep producing the
-// feature (paper Listing 4's shouldGenerate).
+// Supported is SupportedID by name; a name outside the feature table
+// has no evidence against it, so it is supported.
 func (t *Tracker) Supported(f string) bool {
-	if !t.enabled {
-		return true
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return !t.unsupported[f]
+	id, ok := feature.Lookup(f)
+	return !ok || t.SupportedID(id)
 }
 
 // Unsupported returns the sorted list of suppressed features.
-func (t *Tracker) Unsupported() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.unsupported))
-	for f := range t.unsupported {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
+func (t *Tracker) Unsupported() []string { return t.unsupported.Names() }
 
 // Stats returns (N, y) for a feature.
 func (t *Tracker) Stats(f string) (n, y int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stats[f]
-	if st == nil {
+	id, ok := feature.Lookup(f)
+	if !ok {
 		return 0, 0
 	}
+	st := &t.stats[id]
 	return st.N, st.Y
 }
 
 // snapshot is the persisted form (paper Figure 5: probabilities can be
-// persisted and loaded by future executions).
+// persisted and loaded by future executions), keyed by feature name.
 type snapshot struct {
 	Stats       map[string]*featureStats `json:"stats"`
 	Unsupported []string                 `json:"unsupported"`
@@ -224,14 +213,47 @@ type snapshot struct {
 
 // Save serializes the tracker state.
 func (t *Tracker) Save() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	snap := snapshot{Stats: t.stats}
-	for f := range t.unsupported {
-		snap.Unsupported = append(snap.Unsupported, f)
+	snap := snapshot{Stats: make(map[string]*featureStats, t.known.Len())}
+	for id, ok := t.known.Next(0); ok; id, ok = t.known.Next(id + 1) {
+		snap.Stats[feature.Name(id)] = &t.stats[id]
 	}
-	sort.Strings(snap.Unsupported)
+	if !t.unsupported.Empty() {
+		snap.Unsupported = t.unsupported.Names()
+	}
 	return json.MarshalIndent(snap, "", "  ")
+}
+
+// decoded is a saved state with its feature names resolved to IDs.
+type decoded struct {
+	stats       [feature.NumIDs]featureStats
+	known       feature.Set
+	unsupported feature.Set
+}
+
+// decode parses a saved state; a feature name outside the table is an
+// error that names it.
+func decode(data []byte) (*decoded, error) {
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	d := &decoded{}
+	for name, st := range snap.Stats {
+		id, ok := feature.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("feedback state: %w", &feature.UnknownError{Name: name})
+		}
+		d.known.Add(id)
+		if st != nil {
+			d.stats[id] = *st
+		}
+	}
+	u, err := feature.SetOf(snap.Unsupported)
+	if err != nil {
+		return nil, fmt.Errorf("feedback state: %w", err)
+	}
+	d.unsupported = u
+	return d, nil
 }
 
 // MergeState folds another tracker's saved state into t: execution
@@ -242,14 +264,14 @@ func (t *Tracker) Save() ([]byte, error) {
 // classifications reflect the pooled evidence; the DDL consecutive-
 // failure rule is monotone, so union is its exact merge.
 func (t *Tracker) MergeState(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	d, err := decode(data)
+	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for f, st := range snap.Stats {
-		dst := t.stat(f)
+	t.known.Union(&d.known)
+	for id, ok := d.known.Next(0); ok; id, ok = d.known.Next(id + 1) {
+		st := &d.stats[id]
+		dst := &t.stats[id]
 		dst.N += st.N
 		dst.Y += st.Y
 		dst.DDL = dst.DDL || st.DDL
@@ -257,9 +279,7 @@ func (t *Tracker) MergeState(data []byte) error {
 			dst.ConsecFail = st.ConsecFail
 		}
 	}
-	for _, f := range snap.Unsupported {
-		t.unsupported[f] = true
-	}
+	t.unsupported.Union(&d.unsupported)
 	return nil
 }
 
@@ -270,20 +290,19 @@ func (t *Tracker) MergeState(data []byte) error {
 // failure streaks, and unsupported markings are left alone — they are
 // monotone under the merge, not additive.
 func (t *Tracker) DiscountState(data []byte, times int) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	d, err := decode(data)
+	if err != nil {
 		return err
 	}
 	if times <= 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for f, st := range snap.Stats {
-		dst := t.stats[f]
-		if dst == nil {
+	for id, ok := d.known.Next(0); ok; id, ok = d.known.Next(id + 1) {
+		if !t.known.Has(id) {
 			continue
 		}
+		st := &d.stats[id]
+		dst := &t.stats[id]
 		dst.N -= times * st.N
 		dst.Y -= times * st.Y
 		if dst.N < 0 {
@@ -298,19 +317,12 @@ func (t *Tracker) DiscountState(data []byte, times int) error {
 
 // Load restores tracker state saved by Save.
 func (t *Tracker) Load(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	d, err := decode(data)
+	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats = snap.Stats
-	if t.stats == nil {
-		t.stats = map[string]*featureStats{}
-	}
-	t.unsupported = map[string]bool{}
-	for _, f := range snap.Unsupported {
-		t.unsupported[f] = true
-	}
+	t.stats = &d.stats
+	t.known = d.known
+	t.unsupported = d.unsupported
 	return nil
 }

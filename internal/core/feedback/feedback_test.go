@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -100,17 +101,17 @@ func TestTrackerRecovery(t *testing.T) {
 	// improves (the posterior update removes it from the unsupported set).
 	tr := New(WithThreshold(0.5), WithUpdateInterval(10))
 	for i := 0; i < 30; i++ {
-		tr.RecordQuery([]string{"F"}, false)
+		tr.RecordQuery([]string{"GLOB"}, false)
 	}
 	tr.Update()
-	if tr.Supported("F") {
+	if tr.Supported("GLOB") {
 		t.Fatal("feature should be suppressed")
 	}
 	for i := 0; i < 500; i++ {
-		tr.RecordQuery([]string{"F"}, true)
+		tr.RecordQuery([]string{"GLOB"}, true)
 	}
 	tr.Update()
-	if !tr.Supported("F") {
+	if !tr.Supported("GLOB") {
 		t.Fatal("feature should recover with overwhelming success evidence")
 	}
 }
@@ -241,5 +242,22 @@ func TestTrackerMergeStateKeepsDDLRule(t *testing.T) {
 	merged.Update()
 	if merged.Supported("CREATE VIEW") {
 		t.Fatal("DDL condemnation must survive the merge")
+	}
+}
+
+// TestStateRejectsUnknownFeature: a saved state naming a feature outside
+// the table fails Load and MergeState with an error that names it.
+func TestStateRejectsUnknownFeature(t *testing.T) {
+	states := []string{
+		`{"stats":{"=":{"n":1,"y":1,"consecFail":0,"ddl":false},"NO SUCH FEATURE":{"n":1,"y":0,"consecFail":1,"ddl":false}},"unsupported":null}`,
+		`{"stats":{},"unsupported":["NO SUCH FEATURE"]}`,
+	}
+	for _, s := range states {
+		tr := New()
+		for name, err := range map[string]error{"Load": tr.Load([]byte(s)), "MergeState": tr.MergeState([]byte(s))} {
+			if err == nil || !strings.Contains(err.Error(), `"NO SUCH FEATURE"`) {
+				t.Errorf("%s(%s) error = %v, want one naming the feature", name, s, err)
+			}
+		}
 	}
 }

@@ -15,14 +15,14 @@ const (
 	tBool
 )
 
-func (t typ) featureName() string {
+func (t typ) featureID() feature.ID {
 	switch t {
 	case tInt:
-		return feature.TypeInteger
+		return feature.TypeIntegerID
 	case tText:
-		return feature.TypeText
+		return feature.TypeTextID
 	default:
-		return feature.TypeBoolean
+		return feature.TypeBooleanID
 	}
 }
 
@@ -77,28 +77,28 @@ func (sc *exprScope) colsOfType(t typ) []scopeCol {
 // genLeaf produces a column reference or constant of the wanted type.
 // Deliberate mismatches (probability MismatchProb, gated by the learned
 // implicit-cast feature) probe the DBMS's type system.
-func (g *Generator) genLeaf(sc *exprScope, want typ, fs featSet) sqlast.Expr {
+func (g *Generator) genLeaf(sc *exprScope, want typ, fs *feature.Set) sqlast.Expr {
 	actual := want
-	if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCast) {
+	if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCastID) {
 		actual = typ(g.intn(3))
 		if actual != want {
-			fs.add(feature.PropImplicitCast)
+			fs.Add(feature.PropImplicitCastID)
 		}
 	}
-	if actual == tBool && !g.supported(feature.TypeBoolean) {
+	if actual == tBool && !g.supported(feature.TypeBooleanID) {
 		actual = tInt
 	}
 	// NULL constants are essential for exercising three-valued logic.
 	if g.prob(0.14) {
-		fs.add(feature.ExprConstant)
+		fs.Add(feature.ExprConstantID)
 		return sqlast.Null()
 	}
 	if cols := sc.colsOfType(actual); len(cols) > 0 && g.prob(0.62) {
 		c := cols[g.intn(len(cols))]
-		fs.add(feature.ExprColumn)
+		fs.Add(feature.ExprColumnID)
 		return &sqlast.ColumnRef{Table: c.Table, Column: c.Column}
 	}
-	fs.add(feature.ExprConstant)
+	fs.Add(feature.ExprConstantID)
 	return g.genConst(actual, fs)
 }
 
@@ -106,14 +106,14 @@ var intConsts = []int64{0, 1, -1, 2, 3, 10, 100, 2000, -2000, 1000000}
 var textConsts = []string{"", "a", "b", "A", "0", "1", " a", "asdf", "%", "_", "ab"}
 
 // genConst produces a literal of the given type.
-func (g *Generator) genConst(t typ, fs featSet) sqlast.Expr {
+func (g *Generator) genConst(t typ, fs *feature.Set) sqlast.Expr {
 	switch t {
 	case tInt:
 		return sqlast.IntLit(intConsts[g.intn(len(intConsts))])
 	case tText:
 		return sqlast.TextLit(textConsts[g.intn(len(textConsts))])
 	default:
-		fs.add(feature.TypeBoolean)
+		fs.Add(feature.TypeBooleanID)
 		return sqlast.BoolLit(g.prob(0.5))
 	}
 }
@@ -127,7 +127,7 @@ func (g *Generator) operandType() typ {
 	case 3:
 		return tText
 	default:
-		if g.supported(feature.TypeBoolean) {
+		if g.supported(feature.TypeBooleanID) {
 			return tBool
 		}
 		return tInt
@@ -135,7 +135,7 @@ func (g *Generator) operandType() typ {
 }
 
 // genExpr generates an expression with the wanted type and depth budget.
-func (g *Generator) genExpr(sc *exprScope, want typ, depth int, fs featSet) sqlast.Expr {
+func (g *Generator) genExpr(sc *exprScope, want typ, depth int, fs *feature.Set) sqlast.Expr {
 	if depth <= 0 {
 		return g.genLeaf(sc, want, fs)
 	}
@@ -149,24 +149,24 @@ func (g *Generator) genExpr(sc *exprScope, want typ, depth int, fs featSet) sqla
 	}
 }
 
-var cmpAlts = []string{"=", "!=", "<>", "<", "<=", ">", ">=", "<=>",
-	"IS DISTINCT FROM", "IS NOT DISTINCT FROM"}
+var cmpAlts = []feature.ID{feature.OpEqID, feature.OpNeqID, feature.OpNeq2ID, feature.OpLtID, feature.OpLeID, feature.OpGtID, feature.OpGeID, feature.OpNullSafeEqID,
+	feature.OpIsDistinctID, feature.OpIsNotDistinctID}
 
-func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
-	alts := []string{"CMP", "CMP", "CMP", "AND", "OR", "XOR", feature.ExprNot,
-		feature.ExprIsNull, feature.ExprIsBool, feature.ExprBetween,
-		feature.ExprIn, feature.ExprNotIn, feature.ExprLike, feature.ExprGlob,
-		feature.ExprCase, feature.ExprExists, "LEAF"}
+func (g *Generator) genBool(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
+	alts := []feature.ID{altCMP, altCMP, altCMP, feature.OpAndID, feature.OpOrID, feature.OpXorID, feature.ExprNotID,
+		feature.ExprIsNullID, feature.ExprIsBoolID, feature.ExprBetweenID,
+		feature.ExprInID, feature.ExprNotInID, feature.ExprLikeID, feature.ExprGlobID,
+		feature.ExprCaseID, feature.ExprExistsID, altLEAF}
 	switch g.pickChoice(alts) {
-	case "CMP":
+	case altCMP:
 		op := g.pickFeature(cmpAlts)
-		fs.add(op)
+		fs.Add(op)
 		lt := g.operandType()
 		rt := lt
-		if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCast) {
+		if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCastID) {
 			rt = g.operandType()
 			if rt != lt {
-				fs.add(feature.PropImplicitCast)
+				fs.Add(feature.PropImplicitCastID)
 			}
 		}
 		return &sqlast.Binary{
@@ -174,29 +174,29 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 			L:  g.genCmpOperand(sc, lt, depth, fs),
 			R:  g.genCmpOperand(sc, rt, depth, fs),
 		}
-	case "AND":
-		fs.add("AND")
+	case feature.OpAndID:
+		fs.Add(feature.OpAndID)
 		return &sqlast.Binary{Op: sqlast.OpAnd,
 			L: g.genBool(sc, depth-1, fs), R: g.genBool(sc, depth-1, fs)}
-	case "OR":
-		fs.add("OR")
+	case feature.OpOrID:
+		fs.Add(feature.OpOrID)
 		return &sqlast.Binary{Op: sqlast.OpOr,
 			L: g.genBool(sc, depth-1, fs), R: g.genBool(sc, depth-1, fs)}
-	case "XOR":
-		fs.add("XOR")
+	case feature.OpXorID:
+		fs.Add(feature.OpXorID)
 		return &sqlast.Binary{Op: sqlast.OpXor,
 			L: g.genBool(sc, depth-1, fs), R: g.genBool(sc, depth-1, fs)}
-	case feature.ExprNot:
-		fs.add(feature.ExprNot)
+	case feature.ExprNotID:
+		fs.Add(feature.ExprNotID)
 		return &sqlast.Unary{Op: sqlast.UNot, X: g.genBool(sc, depth-1, fs)}
-	case feature.ExprIsNull:
-		fs.add(feature.ExprIsNull)
+	case feature.ExprIsNullID:
+		fs.Add(feature.ExprIsNullID)
 		return &sqlast.IsNull{X: g.genExpr(sc, g.operandType(), depth-1, fs), Not: g.prob(0.5)}
-	case feature.ExprIsBool:
-		fs.add(feature.ExprIsBool)
+	case feature.ExprIsBoolID:
+		fs.Add(feature.ExprIsBoolID)
 		return &sqlast.IsBool{X: g.genBool(sc, depth-1, fs), Val: g.prob(0.5), Not: g.prob(0.3)}
-	case feature.ExprBetween:
-		fs.add(feature.ExprBetween)
+	case feature.ExprBetweenID:
+		fs.Add(feature.ExprBetweenID)
 		t := g.operandType()
 		return &sqlast.Between{
 			X:   g.genExpr(sc, t, depth-1, fs),
@@ -204,12 +204,12 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 			Hi:  g.genExpr(sc, t, depth-1, fs),
 			Not: g.prob(0.3),
 		}
-	case feature.ExprIn, feature.ExprNotIn:
+	case feature.ExprInID, feature.ExprNotInID:
 		not := g.prob(0.5)
 		if not {
-			fs.add(feature.ExprNotIn)
+			fs.Add(feature.ExprNotInID)
 		} else {
-			fs.add(feature.ExprIn)
+			fs.Add(feature.ExprInID)
 		}
 		t := g.operandType()
 		n := 1 + g.intn(3)
@@ -218,28 +218,28 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 			list[i] = g.genExpr(sc, t, depth-1, fs)
 		}
 		return &sqlast.InList{X: g.genExpr(sc, t, depth-1, fs), List: list, Not: not}
-	case feature.ExprLike:
-		fs.add(feature.ExprLike)
+	case feature.ExprLikeID:
+		fs.Add(feature.ExprLikeID)
 		return &sqlast.Like{
 			X:       g.genExpr(sc, tText, depth-1, fs),
 			Pattern: g.genLikePattern(sqlast.LikeLike),
 			Kind:    sqlast.LikeLike,
 			Not:     g.prob(0.3),
 		}
-	case feature.ExprGlob:
-		fs.add(feature.ExprGlob)
+	case feature.ExprGlobID:
+		fs.Add(feature.ExprGlobID)
 		return &sqlast.Like{
 			X:       g.genExpr(sc, tText, depth-1, fs),
 			Pattern: g.genLikePattern(sqlast.LikeGlob),
 			Kind:    sqlast.LikeGlob,
 			Not:     g.prob(0.3),
 		}
-	case feature.ExprCase:
-		fs.add(feature.ExprCase)
+	case feature.ExprCaseID:
+		fs.Add(feature.ExprCaseID)
 		return g.genCase(sc, tBool, depth, fs)
-	case feature.ExprExists:
+	case feature.ExprExistsID:
 		if sub := g.genSubSelect(sc, depth, fs); sub != nil {
-			fs.add(feature.ExprExists)
+			fs.Add(feature.ExprExistsID)
 			return &sqlast.Exists{Select: sub, Not: g.prob(0.3)}
 		}
 		return g.genLeaf(sc, tBool, fs)
@@ -248,20 +248,25 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 	}
 }
 
+// Structural alternatives of pickChoice: labels past the feature table,
+// which pickChoice always keeps.
+const (
+	altCMP feature.ID = feature.NumIDs + iota
+	altLEAF
+	altARITH
+	altFUNC
+	altNEG
+)
+
 // pickChoice picks among structural alternatives, filtering those that
 // map to features the policy suppresses.
-func (g *Generator) pickChoice(alts []string) string {
+func (g *Generator) pickChoice(alts []feature.ID) feature.ID {
 	ok := g.choiceBuf[:0]
 	for _, a := range alts {
-		switch a {
 		// Structural labels are not features; the concrete feature inside
 		// them is gated separately.
-		case "CMP", "LEAF", "ARITH", "FUNC", "NEG":
+		if a >= feature.NumIDs || g.supported(a) {
 			ok = append(ok, a)
-		default:
-			if g.supported(a) {
-				ok = append(ok, a)
-			}
 		}
 	}
 	g.choiceBuf = ok
@@ -271,25 +276,25 @@ func (g *Generator) pickChoice(alts []string) string {
 	return ok[g.intn(len(ok))]
 }
 
-func cmpOpOf(spelling string) sqlast.BinaryOp {
-	switch spelling {
-	case "=":
+func cmpOpOf(op feature.ID) sqlast.BinaryOp {
+	switch op {
+	case feature.OpEqID:
 		return sqlast.OpEq
-	case "!=":
+	case feature.OpNeqID:
 		return sqlast.OpNeq
-	case "<>":
+	case feature.OpNeq2ID:
 		return sqlast.OpNeq2
-	case "<":
+	case feature.OpLtID:
 		return sqlast.OpLt
-	case "<=":
+	case feature.OpLeID:
 		return sqlast.OpLe
-	case ">":
+	case feature.OpGtID:
 		return sqlast.OpGt
-	case ">=":
+	case feature.OpGeID:
 		return sqlast.OpGe
-	case "<=>":
+	case feature.OpNullSafeEqID:
 		return sqlast.OpNullSafeEq
-	case "IS DISTINCT FROM":
+	case feature.OpIsDistinctID:
 		return sqlast.OpIsDistinct
 	default:
 		return sqlast.OpIsNotDistinct
@@ -309,7 +314,7 @@ func (g *Generator) genLikePattern(kind sqlast.LikeKind) sqlast.Expr {
 // genCmpOperand produces one comparison operand. Function calls are
 // favored — "col = FN(...)" is the canonical oracle-query shape (the
 // paper's REPLACE bug) — and exercise the composite type features.
-func (g *Generator) genCmpOperand(sc *exprScope, t typ, depth int, fs featSet) sqlast.Expr {
+func (g *Generator) genCmpOperand(sc *exprScope, t typ, depth int, fs *feature.Set) sqlast.Expr {
 	if t == tInt && g.prob(g.cfg.RiskyProb) {
 		d := depth
 		if d < 1 {
@@ -329,99 +334,91 @@ func (g *Generator) genCmpOperand(sc *exprScope, t typ, depth int, fs featSet) s
 	return g.genExpr(sc, t, depth-1, fs)
 }
 
+// riskyAlts are genRisky's constructs, each gated on its feature.
+var riskyAlts = []feature.ID{feature.OpDivID, feature.OpModID, feature.FnASIN,
+	feature.FnLN, feature.FnSQRT, feature.FnPOWER, feature.FnEXP, feature.ExprCastID}
+
 // genRisky produces a failure-prone construct: NULL on dynamic dialects,
 // a runtime error on static ones (the paper's context-dependent
 // failures).
-func (g *Generator) genRisky(sc *exprScope, depth int, fs featSet) sqlast.Expr {
-	type risky struct {
-		feat  string
-		build func() sqlast.Expr
-	}
-	alts := []risky{
-		{"/", func() sqlast.Expr {
-			return &sqlast.Binary{Op: sqlast.OpDiv, L: g.genExpr(sc, tInt, depth-1, fs), R: sqlast.IntLit(0)}
-		}},
-		{"%", func() sqlast.Expr {
-			return &sqlast.Binary{Op: sqlast.OpMod, L: g.genExpr(sc, tInt, depth-1, fs), R: sqlast.IntLit(0)}
-		}},
-		{"ASIN", func() sqlast.Expr {
-			fs.add(feature.FuncArg("ASIN", 1, feature.TypeInteger))
-			return &sqlast.Func{Name: "ASIN", Args: []sqlast.Expr{sqlast.IntLit(2000)}}
-		}},
-		{"LN", func() sqlast.Expr {
-			fs.add(feature.FuncArg("LN", 1, feature.TypeInteger))
-			return &sqlast.Func{Name: "LN", Args: []sqlast.Expr{sqlast.IntLit(0)}}
-		}},
-		{"SQRT", func() sqlast.Expr {
-			fs.add(feature.FuncArg("SQRT", 1, feature.TypeInteger))
-			return &sqlast.Func{Name: "SQRT", Args: []sqlast.Expr{sqlast.IntLit(-1)}}
-		}},
-		{"POWER", func() sqlast.Expr {
-			fs.add(feature.FuncArg("POWER", 1, feature.TypeInteger))
-			return &sqlast.Func{Name: "POWER", Args: []sqlast.Expr{sqlast.IntLit(2), sqlast.IntLit(70)}}
-		}},
-		{"EXP", func() sqlast.Expr {
-			fs.add(feature.FuncArg("EXP", 1, feature.TypeInteger))
-			return &sqlast.Func{Name: "EXP", Args: []sqlast.Expr{sqlast.IntLit(100)}}
-		}},
-		{feature.ExprCast, func() sqlast.Expr {
-			return &sqlast.Cast{X: sqlast.TextLit("abc"), To: sqlast.TypeInt}
-		}},
-	}
-	var ok []risky
-	for _, a := range alts {
-		if g.supported(a.feat) {
+func (g *Generator) genRisky(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
+	ok := g.choiceBuf[:0]
+	for _, a := range riskyAlts {
+		if g.supported(a) {
 			ok = append(ok, a)
 		}
 	}
+	g.choiceBuf = ok
 	if len(ok) == 0 {
 		return g.genLeaf(sc, tInt, fs)
 	}
 	pick := ok[g.intn(len(ok))]
-	fs.add(pick.feat)
-	return pick.build()
+	fs.Add(pick)
+	switch pick {
+	case feature.OpDivID:
+		return &sqlast.Binary{Op: sqlast.OpDiv, L: g.genExpr(sc, tInt, depth-1, fs), R: sqlast.IntLit(0)}
+	case feature.OpModID:
+		return &sqlast.Binary{Op: sqlast.OpMod, L: g.genExpr(sc, tInt, depth-1, fs), R: sqlast.IntLit(0)}
+	case feature.ExprCastID:
+		return &sqlast.Cast{X: sqlast.TextLit("abc"), To: sqlast.TypeInt}
+	}
+	fs.Add(feature.FuncArgID(pick, 1, feature.TypeIntegerID))
+	fn := &sqlast.Func{Name: feature.Name(pick)}
+	switch pick {
+	case feature.FnASIN:
+		fn.Args = []sqlast.Expr{sqlast.IntLit(2000)}
+	case feature.FnLN:
+		fn.Args = []sqlast.Expr{sqlast.IntLit(0)}
+	case feature.FnSQRT:
+		fn.Args = []sqlast.Expr{sqlast.IntLit(-1)}
+	case feature.FnPOWER:
+		fn.Args = []sqlast.Expr{sqlast.IntLit(2), sqlast.IntLit(70)}
+	default: // EXP
+		fn.Args = []sqlast.Expr{sqlast.IntLit(100)}
+	}
+	return fn
 }
 
-var arithAlts = []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}
+var arithAlts = []feature.ID{feature.OpAddID, feature.OpSubID, feature.OpMulID, feature.OpDivID, feature.OpModID, feature.OpBitAndID, feature.OpBitOrID, feature.OpBitXorID, feature.OpShlID, feature.OpShrID}
 
-func (g *Generator) genInt(sc *exprScope, depth int, fs featSet) sqlast.Expr {
+func (g *Generator) genInt(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
 	if g.prob(g.cfg.RiskyProb) {
 		return g.genRisky(sc, depth, fs)
 	}
-	alts := []string{"ARITH", "ARITH", "NEG", "~", "FUNC", "FUNC",
-		feature.ExprCase, feature.ExprCast, feature.Subquery, "LEAF", "LEAF"}
+	alts := []feature.ID{altARITH, altARITH, altNEG, feature.OpBitNotID, altFUNC, altFUNC,
+		feature.ExprCaseID, feature.ExprCastID, feature.SubqueryID, altLEAF, altLEAF}
 	switch g.pickChoice(alts) {
-	case "ARITH":
+	case altARITH:
 		op := g.pickFeature(arithAlts)
-		fs.add(op)
+		fs.Add(op)
 		return &sqlast.Binary{
 			Op: arithOpOf(op),
 			L:  g.genExpr(sc, tInt, depth-1, fs),
 			R:  g.genExpr(sc, tInt, depth-1, fs),
 		}
-	case "NEG":
-		fs.add("-")
+	case altNEG:
+		fs.Add(feature.OpSubID)
 		x := g.genExpr(sc, tInt, depth-1, fs)
 		// Fold literals, matching the parser's canonical form.
 		if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt {
 			return sqlast.IntLit(-lit.Int)
 		}
 		return &sqlast.Unary{Op: sqlast.UMinus, X: x}
-	case "~":
-		fs.add("~")
+	case feature.OpBitNotID:
+		fs.Add(feature.OpBitNotID)
 		return &sqlast.Unary{Op: sqlast.UBitNot, X: g.genExpr(sc, tInt, depth-1, fs)}
-	case "FUNC":
+	case altFUNC:
 		if e := g.genFuncCall(sc, tInt, depth, fs); e != nil {
 			return e
 		}
 		return g.genLeaf(sc, tInt, fs)
-	case feature.ExprCase:
-		fs.add(feature.ExprCase)
+	case feature.ExprCaseID:
+		fs.Add(feature.ExprCaseID)
 		return g.genCase(sc, tInt, depth, fs)
-	case feature.ExprCast:
-		fs.add(feature.ExprCast)
+	case feature.ExprCastID:
+		fs.Add(feature.ExprCastID)
 		return &sqlast.Cast{X: g.genExpr(sc, g.operandType(), depth-1, fs), To: sqlast.TypeInt}
-	case feature.Subquery:
+	case feature.SubqueryID:
 		if sub := g.genScalarSubquery(sc, tInt, depth, fs); sub != nil {
 			return sub
 		}
@@ -431,49 +428,49 @@ func (g *Generator) genInt(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 	}
 }
 
-func arithOpOf(spelling string) sqlast.BinaryOp {
-	switch spelling {
-	case "+":
+func arithOpOf(op feature.ID) sqlast.BinaryOp {
+	switch op {
+	case feature.OpAddID:
 		return sqlast.OpAdd
-	case "-":
+	case feature.OpSubID:
 		return sqlast.OpSub
-	case "*":
+	case feature.OpMulID:
 		return sqlast.OpMul
-	case "/":
+	case feature.OpDivID:
 		return sqlast.OpDiv
-	case "%":
+	case feature.OpModID:
 		return sqlast.OpMod
-	case "&":
+	case feature.OpBitAndID:
 		return sqlast.OpBitAnd
-	case "|":
+	case feature.OpBitOrID:
 		return sqlast.OpBitOr
-	case "^":
+	case feature.OpBitXorID:
 		return sqlast.OpBitXor
-	case "<<":
+	case feature.OpShlID:
 		return sqlast.OpShl
 	default:
 		return sqlast.OpShr
 	}
 }
 
-func (g *Generator) genText(sc *exprScope, depth int, fs featSet) sqlast.Expr {
-	alts := []string{"||", "FUNC", "FUNC", feature.ExprCase, feature.ExprCast,
-		"LEAF", "LEAF"}
+func (g *Generator) genText(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
+	alts := []feature.ID{feature.OpConcatID, altFUNC, altFUNC, feature.ExprCaseID, feature.ExprCastID,
+		altLEAF, altLEAF}
 	switch g.pickChoice(alts) {
-	case "||":
-		fs.add("||")
+	case feature.OpConcatID:
+		fs.Add(feature.OpConcatID)
 		return &sqlast.Binary{Op: sqlast.OpConcat,
 			L: g.genExpr(sc, tText, depth-1, fs), R: g.genExpr(sc, tText, depth-1, fs)}
-	case "FUNC":
+	case altFUNC:
 		if e := g.genFuncCall(sc, tText, depth, fs); e != nil {
 			return e
 		}
 		return g.genLeaf(sc, tText, fs)
-	case feature.ExprCase:
-		fs.add(feature.ExprCase)
+	case feature.ExprCaseID:
+		fs.Add(feature.ExprCaseID)
 		return g.genCase(sc, tText, depth, fs)
-	case feature.ExprCast:
-		fs.add(feature.ExprCast)
+	case feature.ExprCastID:
+		fs.Add(feature.ExprCastID)
 		return &sqlast.Cast{X: g.genExpr(sc, g.operandType(), depth-1, fs), To: sqlast.TypeText}
 	default:
 		return g.genLeaf(sc, tText, fs)
@@ -481,7 +478,7 @@ func (g *Generator) genText(sc *exprScope, depth int, fs featSet) sqlast.Expr {
 }
 
 // genCase generates a searched or operand CASE of the wanted result type.
-func (g *Generator) genCase(sc *exprScope, want typ, depth int, fs featSet) sqlast.Expr {
+func (g *Generator) genCase(sc *exprScope, want typ, depth int, fs *feature.Set) sqlast.Expr {
 	c := &sqlast.Case{}
 	n := 1 + g.intn(2)
 	if g.prob(0.3) {
@@ -510,56 +507,65 @@ func (g *Generator) genCase(sc *exprScope, want typ, depth int, fs featSet) sqla
 // genFuncCall generates a call to a function with the wanted result
 // type, tracking the composite per-argument type features (SIN#1=INTEGER
 // in the paper's Appendix A.1). Returns nil when no candidate exists.
-func (g *Generator) genFuncCall(sc *exprScope, want typ, depth int, fs featSet) sqlast.Expr {
-	var pool []string
-	switch want {
-	case tInt:
-		pool = g.intFuncs
-	case tText:
-		pool = g.textFuncs
-	default:
+func (g *Generator) genFuncCall(sc *exprScope, want typ, depth int, fs *feature.Set) sqlast.Expr {
+	id, ok := g.pickFunc(want)
+	if !ok {
 		return nil
 	}
-	pool = append(pool, g.anyFuncs...)
-	var candidates []string
-	for _, fn := range pool {
-		if g.supported(fn) {
-			candidates = append(candidates, fn)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	name := candidates[g.intn(len(candidates))]
-	def := engine.LookupFunc(name)
-	fs.add(name)
+	def := engine.FuncByID(id)
+	fs.Add(id)
 	nArgs := def.MinArgs
 	if def.MaxArgs > def.MinArgs {
 		nArgs += g.intn(def.MaxArgs - def.MinArgs + 1)
 	} else if def.MaxArgs < 0 {
 		nArgs += g.intn(2)
 	}
-	call := &sqlast.Func{Name: name}
+	call := &sqlast.Func{Name: def.Name}
 	for i := 0; i < nArgs; i++ {
 		at := g.argType(def, i, want)
 		// Composite type feature: the generator learns per-argument
 		// expected types through these.
-		argFeat := feature.FuncArg(name, i+1, at.featureName())
+		argFeat := feature.FuncArgID(id, i+1, at.featureID())
 		if !g.supported(argFeat) {
 			// Pick the declared kind instead.
 			at = declaredArgType(def, i, want)
-			argFeat = feature.FuncArg(name, i+1, at.featureName())
+			argFeat = feature.FuncArgID(id, i+1, at.featureID())
 		}
-		fs.add(argFeat)
+		fs.Add(argFeat)
 		call.Args = append(call.Args, g.genExpr(sc, at, depth-1, fs))
 	}
 	return call
 }
 
+// pickFunc picks uniformly among the supported functions with the wanted
+// result type, in pool order; false when none is left.
+func (g *Generator) pickFunc(want typ) (feature.ID, bool) {
+	var pool []feature.ID
+	switch want {
+	case tInt:
+		pool = g.intPool
+	case tText:
+		pool = g.textPool
+	default:
+		return 0, false
+	}
+	candidates := g.choiceBuf[:0]
+	for _, fn := range pool {
+		if g.supported(fn) {
+			candidates = append(candidates, fn)
+		}
+	}
+	g.choiceBuf = candidates
+	if len(candidates) == 0 {
+		return 0, false
+	}
+	return candidates[g.intn(len(candidates))], true
+}
+
 // argType picks an argument type: usually the declared kind, sometimes a
 // deliberate experiment.
 func (g *Generator) argType(def *engine.FuncDef, i int, want typ) typ {
-	if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCast) {
+	if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCastID) {
 		return typ(g.intn(3))
 	}
 	return declaredArgType(def, i, want)
@@ -587,15 +593,15 @@ func declaredArgType(def *engine.FuncDef, i int, want typ) typ {
 
 // genScalarSubquery produces (SELECT expr FROM t [WHERE p] LIMIT 1) of
 // the wanted type, or nil if no table exists.
-func (g *Generator) genScalarSubquery(sc *exprScope, want typ, depth int, fs featSet) sqlast.Expr {
-	if !g.supported(feature.Subquery) {
+func (g *Generator) genScalarSubquery(sc *exprScope, want typ, depth int, fs *feature.Set) sqlast.Expr {
+	if !g.supported(feature.SubqueryID) {
 		return nil
 	}
 	sub := g.genSubSelect(sc, depth, fs)
 	if sub == nil {
 		return nil
 	}
-	fs.add(feature.Subquery)
+	fs.Add(feature.SubqueryID)
 	// Exactly one projected column of the wanted type; LIMIT 1 bounds the
 	// row count so the scalar subquery cannot fail at runtime.
 	inner := sub.From[0].Ref.(*sqlast.TableName)
@@ -606,22 +612,23 @@ func (g *Generator) genScalarSubquery(sc *exprScope, want typ, depth int, fs fea
 	}
 	sub.Items = []sqlast.SelectItem{{Expr: g.genExpr(innerScope, want, depth-1, fs)}}
 	one := int64(1)
-	if g.supported(feature.Limit) {
-		fs.add(feature.Limit)
+	if g.supported(feature.LimitID) {
+		fs.Add(feature.LimitID)
 		sub.Limit = &one
 	} else {
 		// Without LIMIT, aggregate to guarantee a single row.
 		sub.Items = []sqlast.SelectItem{{Expr: &sqlast.Func{Name: "MAX", Args: []sqlast.Expr{sub.Items[0].Expr}}}}
-		fs.add("MAX", feature.ExprAggr)
+		fs.Add(feature.FnMAX)
+		fs.Add(feature.ExprAggrID)
 	}
 	return &sqlast.Subquery{Select: sub}
 }
 
 // genSubSelect builds the skeleton SELECT * FROM t [WHERE pred] over a
 // random model table, used by EXISTS and scalar subqueries.
-func (g *Generator) genSubSelect(sc *exprScope, depth int, fs featSet) *sqlast.Select {
+func (g *Generator) genSubSelect(sc *exprScope, depth int, fs *feature.Set) *sqlast.Select {
 	tables := g.model.Tables()
-	if len(tables) == 0 || !g.supported(feature.Subquery) {
+	if len(tables) == 0 || !g.supported(feature.SubqueryID) {
 		return nil
 	}
 	t := tables[g.intn(len(tables))]
@@ -637,7 +644,7 @@ func (g *Generator) genSubSelect(sc *exprScope, depth int, fs featSet) *sqlast.S
 		// Correlated predicates may also reference the outer scope.
 		innerScope.cols = append(innerScope.cols, sc.cols...)
 		sel.Where = g.genBool(innerScope, depth-1, fs)
-		fs.add(feature.ClauseWhere)
+		fs.Add(feature.ClauseWhereID)
 	}
 	return sel
 }

@@ -17,7 +17,6 @@ package gen
 
 import (
 	"math/rand"
-	"sort"
 
 	"sqlancerpp/internal/core/schema"
 	"sqlancerpp/internal/engine"
@@ -27,14 +26,14 @@ import (
 
 // Policy decides whether a feature should still be generated.
 type Policy interface {
-	Supported(feature string) bool
+	SupportedID(f feature.ID) bool
 }
 
 // AllowAll is the no-feedback policy ("SQLancer++ Rand").
 type AllowAll struct{}
 
-// Supported always returns true.
-func (AllowAll) Supported(string) bool { return true }
+// SupportedID always returns true.
+func (AllowAll) SupportedID(feature.ID) bool { return true }
 
 // Config parameterizes a Generator. Zero values select the paper's
 // standard settings.
@@ -70,10 +69,12 @@ type Config struct {
 
 // Statement is one generated statement with its feature set.
 type Statement struct {
-	Stmt     sqlast.Stmt
-	SQL      string
-	Features []string
-	IsQuery  bool
+	Stmt sqlast.Stmt
+	SQL  string
+	// Features names FeatureSet's members, sorted.
+	Features   []string
+	FeatureSet feature.Set
+	IsQuery    bool
 	// OnSuccess applies the statement's effect to the schema model; the
 	// campaign calls it after the DBMS confirms execution (Figure 3).
 	OnSuccess func()
@@ -82,9 +83,11 @@ type Statement struct {
 // OracleCase is a generated test case for the logic-bug oracles: a base
 // query without WHERE and a predicate to partition or filter by.
 type OracleCase struct {
-	Base     *sqlast.Select
-	Pred     sqlast.Expr
-	Features []string
+	Base *sqlast.Select
+	Pred sqlast.Expr
+	// Features names FeatureSet's members, sorted.
+	Features   []string
+	FeatureSet feature.Set
 }
 
 // PlanSpaceCounters tallies generated shapes that widen the PlanDiff
@@ -115,14 +118,17 @@ type Generator struct {
 	generated int
 	planSpace PlanSpaceCounters
 
-	intFuncs  []string
-	textFuncs []string
-	anyFuncs  []string
+	// intPool and textPool are the functions genFuncCall draws from for
+	// an INTEGER or TEXT result: those of that result kind, then those
+	// whose result follows their first argument, each run in name order.
+	intPool  []feature.ID
+	textPool []feature.ID
 
-	// choiceBuf is pickFeature's and pickChoice's reused filter buffer:
-	// both run many times per generated statement and consume their
-	// filtered list before returning.
-	choiceBuf []string
+	// choiceBuf is the reused filter buffer of pickFeature, pickChoice,
+	// genRisky and genFuncCall: they run many times per generated
+	// statement and consume their filtered list before recursing or
+	// returning.
+	choiceBuf []feature.ID
 }
 
 // New creates a Generator.
@@ -166,28 +172,30 @@ func New(cfg Config) *Generator {
 // indexFunctions buckets the function pool by result kind using the
 // engine registry's signatures.
 func (g *Generator) indexFunctions() {
-	pool := append([]string{}, feature.Functions...)
-	pool = append(pool, g.cfg.ExtraFunctions...)
-	sort.Strings(pool)
-	seen := map[string]bool{}
-	for _, fn := range pool {
-		if seen[fn] {
-			continue
+	var pool feature.Set
+	pool.AddAll(feature.FunctionIDs)
+	for _, fn := range g.cfg.ExtraFunctions {
+		if id, ok := feature.Lookup(fn); ok {
+			pool.Add(id)
 		}
-		seen[fn] = true
-		def := engine.LookupFunc(fn)
+	}
+	var anyFuncs []feature.ID
+	for id, ok := pool.Next(0); ok; id, ok = pool.Next(id + 1) {
+		def := engine.FuncByID(id)
 		if def == nil {
 			continue
 		}
 		switch def.Result {
 		case engine.KindInt:
-			g.intFuncs = append(g.intFuncs, fn)
+			g.intPool = append(g.intPool, id)
 		case engine.KindText:
-			g.textFuncs = append(g.textFuncs, fn)
+			g.textPool = append(g.textPool, id)
 		default: // result depends on first argument
-			g.anyFuncs = append(g.anyFuncs, fn)
+			anyFuncs = append(anyFuncs, id)
 		}
 	}
+	g.intPool = append(g.intPool, anyFuncs...)
+	g.textPool = append(g.textPool, anyFuncs...)
 }
 
 // Model exposes the internal schema model.
@@ -208,32 +216,14 @@ func (g *Generator) depth() int {
 	return d
 }
 
-// featSet accumulates the features of one statement.
-type featSet map[string]bool
-
-func (fs featSet) add(names ...string) {
-	for _, n := range names {
-		fs[n] = true
-	}
-}
-
-func (fs featSet) list() []string {
-	out := make([]string, 0, len(fs))
-	for f := range fs {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // supported asks the policy (paper Listing 4: shouldGenerate).
-func (g *Generator) supported(f string) bool { return g.cfg.Policy.Supported(f) }
+func (g *Generator) supported(f feature.ID) bool { return g.cfg.Policy.SupportedID(f) }
 
 // pickFeature selects uniformly among the supported alternatives
 // (paper Figure 5 step 4: unsupported alternatives get zero probability,
 // the rest are uniform). If everything is suppressed it falls back to
 // the full list so generation can still make progress (and re-probe).
-func (g *Generator) pickFeature(alts []string) string {
+func (g *Generator) pickFeature(alts []feature.ID) feature.ID {
 	ok := g.choiceBuf[:0]
 	for _, a := range alts {
 		if g.supported(a) {

@@ -11,7 +11,7 @@ import (
 // blockPolicy suppresses a fixed feature set.
 type blockPolicy map[string]bool
 
-func (p blockPolicy) Supported(f string) bool { return !p[f] }
+func (p blockPolicy) SupportedID(f feature.ID) bool { return !p[feature.Name(f)] }
 
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
@@ -265,13 +265,13 @@ func TestSargablePredShape(t *testing.T) {
 	g.Model().Apply(ct)
 	sc := g.tableScope(g.Model().Tables()[0])
 
-	if p := g.genSargablePred(sc, featSet{}); p != nil {
+	if p := g.genSargablePred(sc, &feature.Set{}); p != nil {
 		t.Fatalf("no indexes modeled, want nil, got %s", p.SQL())
 	}
 	g.Model().Apply(&sqlast.CreateIndex{Name: "i", Table: "t", Columns: []string{"a", "b"}})
 	found := false
 	for i := 0; i < 50; i++ {
-		p := g.genSargablePred(sc, featSet{})
+		p := g.genSargablePred(sc, &feature.Set{})
 		if p == nil {
 			t.Fatal("indexed model must yield a sargable predicate")
 		}
@@ -318,5 +318,22 @@ func TestPlanSpaceCountersTrackProbeShapes(t *testing.T) {
 	}
 	if ps.MultiKeyJoins == 0 || ps.MultiKeyJoins > ps.ProbeEligibleJoins {
 		t.Errorf("multi-key joins out of range: %+v", ps)
+	}
+}
+
+// TestPickFuncAllocatesNothing guards genFuncCall's candidate selection:
+// filtering the pool through the policy reuses one buffer.
+func TestPickFuncAllocatesNothing(t *testing.T) {
+	g := New(Config{Seed: 1, Policy: blockPolicy{"ABS": true, "LENGTH": true}})
+	g.pickFunc(tInt) // sizes the buffer
+	for _, want := range []typ{tInt, tText} {
+		if n := testing.AllocsPerRun(100, func() { g.pickFunc(want) }); n != 0 {
+			t.Errorf("pickFunc(%v) allocates %.0f times", want, n)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if id, ok := g.pickFunc(tInt); !ok || id == feature.FnABS {
+			t.Fatalf("pickFunc(tInt) = %s, %v: must skip suppressed ABS", feature.Name(id), ok)
+		}
 	}
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // finish packages a generated statement.
-func (g *Generator) finish(stmt sqlast.Stmt, fs featSet, isQuery bool, onSuccess func()) *Statement {
+func (g *Generator) finish(stmt sqlast.Stmt, fs *feature.Set, isQuery bool, onSuccess func()) *Statement {
 	g.generated++
 	return &Statement{
-		Stmt:      stmt,
-		SQL:       stmt.SQL(),
-		Features:  fs.list(),
-		IsQuery:   isQuery,
-		OnSuccess: onSuccess,
+		Stmt:       stmt,
+		SQL:        stmt.SQL(),
+		Features:   fs.Names(),
+		FeatureSet: *fs,
+		IsQuery:    isQuery,
+		OnSuccess:  onSuccess,
 	}
 }
 
@@ -28,53 +29,53 @@ func (g *Generator) GenSetup() *Statement {
 	tables := g.model.Tables()
 	views := g.model.Views()
 
-	var alts []string
+	var alts []feature.ID
 	if len(tables) < g.cfg.MaxTables {
-		alts = append(alts, feature.StmtCreateTable, feature.StmtCreateTable)
+		alts = append(alts, feature.StmtCreateTableID, feature.StmtCreateTableID)
 	}
 	if len(tables) > 0 {
 		// CREATE INDEX weighs double so database states regularly carry
 		// indexes: the engine's access-path planner only diverges from a
 		// full scan — and the index-maintenance fault sites only fire —
 		// on indexed states.
-		alts = append(alts, feature.StmtInsert, feature.StmtInsert,
-			feature.StmtInsert, feature.StmtInsert,
-			feature.StmtCreateIndex, feature.StmtCreateIndex,
-			feature.StmtUpdate, feature.StmtDelete,
-			feature.StmtAnalyze, feature.StmtAlterTable)
+		alts = append(alts, feature.StmtInsertID, feature.StmtInsertID,
+			feature.StmtInsertID, feature.StmtInsertID,
+			feature.StmtCreateIndexID, feature.StmtCreateIndexID,
+			feature.StmtUpdateID, feature.StmtDeleteID,
+			feature.StmtAnalyzeID, feature.StmtAlterTableID)
 		if len(views) < g.cfg.MaxViews {
-			alts = append(alts, feature.StmtCreateView)
+			alts = append(alts, feature.StmtCreateViewID)
 		}
 		if len(g.model.Indexes()) > 0 {
 			// DROP INDEX tears the ordered store down; REINDEX rebuilds it
 			// from the visible rows (the natural repair for the
 			// stale-index fault path).
-			alts = append(alts, feature.StmtDropIndex, feature.StmtReindex)
+			alts = append(alts, feature.StmtDropIndexID, feature.StmtReindexID)
 		}
 	}
 	if len(alts) == 0 {
-		alts = []string{feature.StmtCreateTable}
+		alts = []feature.ID{feature.StmtCreateTableID}
 	}
 	switch g.pickFeature(alts) {
-	case feature.StmtCreateTable:
+	case feature.StmtCreateTableID:
 		return g.genCreateTable()
-	case feature.StmtCreateIndex:
+	case feature.StmtCreateIndexID:
 		return g.genCreateIndex()
-	case feature.StmtCreateView:
+	case feature.StmtCreateViewID:
 		return g.genCreateView()
-	case feature.StmtInsert:
+	case feature.StmtInsertID:
 		return g.genInsert()
-	case feature.StmtUpdate:
+	case feature.StmtUpdateID:
 		return g.genUpdate()
-	case feature.StmtDelete:
+	case feature.StmtDeleteID:
 		return g.genDelete()
-	case feature.StmtAnalyze:
+	case feature.StmtAnalyzeID:
 		return g.genAnalyze()
-	case feature.StmtAlterTable:
+	case feature.StmtAlterTableID:
 		return g.genAlter()
-	case feature.StmtDropIndex:
+	case feature.StmtDropIndexID:
 		return g.genDropIndex()
-	case feature.StmtReindex:
+	case feature.StmtReindexID:
 		return g.genReindex()
 	default:
 		return g.genCreateTable()
@@ -82,15 +83,15 @@ func (g *Generator) GenSetup() *Statement {
 }
 
 // columnTypeFeatures lists the data-type features in generation order.
-var columnTypes = []string{feature.TypeInteger, feature.TypeText, feature.TypeBoolean}
+var columnTypes = []feature.ID{feature.TypeIntegerID, feature.TypeTextID, feature.TypeBooleanID}
 
-func (g *Generator) pickColumnType(fs featSet) sqlast.Type {
+func (g *Generator) pickColumnType(fs *feature.Set) sqlast.Type {
 	tf := g.pickFeature(columnTypes)
-	fs.add(tf)
+	fs.Add(tf)
 	switch tf {
-	case feature.TypeText:
+	case feature.TypeTextID:
 		return sqlast.TypeText
-	case feature.TypeBoolean:
+	case feature.TypeBooleanID:
 		return sqlast.TypeBool
 	default:
 		return sqlast.TypeInt
@@ -98,26 +99,26 @@ func (g *Generator) pickColumnType(fs featSet) sqlast.Type {
 }
 
 func (g *Generator) genCreateTable() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtCreateTable)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtCreateTableID)
 	name := g.model.FreeTableName()
 	n := 1 + g.intn(4)
 	ct := &sqlast.CreateTable{Name: name}
 	pkDone := false
 	for i := 0; i < n; i++ {
 		col := sqlast.ColumnDef{Name: fmt.Sprintf("c%d", i), Type: g.pickColumnType(fs)}
-		if !pkDone && g.prob(0.3) && g.supported(feature.PrimaryKey) {
+		if !pkDone && g.prob(0.3) && g.supported(feature.PrimaryKeyID) {
 			col.PrimaryKey = true
 			pkDone = true
-			fs.add(feature.PrimaryKey)
+			fs.Add(feature.PrimaryKeyID)
 		} else {
-			if g.prob(0.2) && g.supported(feature.NotNullColumn) {
+			if g.prob(0.2) && g.supported(feature.NotNullColumnID) {
 				col.NotNull = true
-				fs.add(feature.NotNullColumn)
+				fs.Add(feature.NotNullColumnID)
 			}
-			if g.prob(0.15) && g.supported(feature.UniqueColumn) {
+			if g.prob(0.15) && g.supported(feature.UniqueColumnID) {
 				col.Unique = true
-				fs.add(feature.UniqueColumn)
+				fs.Add(feature.UniqueColumnID)
 			}
 		}
 		ct.Columns = append(ct.Columns, col)
@@ -140,8 +141,8 @@ func (g *Generator) tableScope(t *schema.Relation) *exprScope {
 }
 
 func (g *Generator) genCreateIndex() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtCreateIndex)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtCreateIndexID)
 	t := g.randTable()
 	ci := &sqlast.CreateIndex{Name: g.model.FreeIndexName(), Table: t.Name}
 	// Composite width: roughly half the indexes stay single-column (the
@@ -150,9 +151,9 @@ func (g *Generator) genCreateIndex() *Statement {
 	// and the per-width CREATE INDEX#n feature, through which dialect
 	// column-count limits feed back.
 	n := 1
-	if len(t.Columns) > 1 && g.supported(feature.CompositeIndex) && g.prob(0.5) {
+	if len(t.Columns) > 1 && g.supported(feature.CompositeIndexID) && g.prob(0.5) {
 		n = 2
-		if len(t.Columns) > 2 && g.prob(0.35) && g.supported(feature.IndexWidth(3)) {
+		if len(t.Columns) > 2 && g.prob(0.35) && g.supported(feature.IndexWidthID(3)) {
 			n = 3
 		}
 	}
@@ -161,22 +162,23 @@ func (g *Generator) genCreateIndex() *Statement {
 		ci.Columns = append(ci.Columns, t.Columns[perm[i]].Name)
 	}
 	if len(ci.Columns) > 1 {
-		fs.add(feature.CompositeIndex, feature.IndexWidth(len(ci.Columns)))
+		fs.Add(feature.CompositeIndexID)
+		fs.Add(feature.IndexWidthID(len(ci.Columns)))
 	}
-	if g.prob(0.3) && g.supported(feature.UniqueIndex) {
+	if g.prob(0.3) && g.supported(feature.UniqueIndexID) {
 		ci.Unique = true
-		fs.add(feature.UniqueIndex)
+		fs.Add(feature.UniqueIndexID)
 	}
-	if g.prob(0.3) && g.supported(feature.PartialIndex) {
+	if g.prob(0.3) && g.supported(feature.PartialIndexID) {
 		ci.Where = g.genBool(g.tableScope(t), 1, fs)
-		fs.add(feature.PartialIndex)
+		fs.Add(feature.PartialIndexID)
 	}
 	return g.finish(ci, fs, false, func() { g.model.Apply(ci) })
 }
 
 func (g *Generator) genCreateView() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtCreateView)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtCreateViewID)
 	t := g.randTable()
 	sc := g.tableScope(t)
 	name := g.model.FreeViewName()
@@ -186,7 +188,7 @@ func (g *Generator) genCreateView() *Statement {
 	depth := g.depth()
 	for i := 0; i < n; i++ {
 		want := typ(g.intn(3))
-		if want == tBool && !g.supported(feature.TypeBoolean) {
+		if want == tBool && !g.supported(feature.TypeBooleanID) {
 			want = tInt
 		}
 		alias := fmt.Sprintf("x%d", i)
@@ -198,11 +200,11 @@ func (g *Generator) genCreateView() *Statement {
 	}
 	if g.prob(0.4) {
 		sel.Where = g.genBool(sc, depth-1, fs)
-		fs.add(feature.ClauseWhere)
+		fs.Add(feature.ClauseWhereID)
 	}
 	cv := &sqlast.CreateView{Name: name, Select: sel}
-	if g.prob(0.5) && g.supported(feature.ViewColumnNames) {
-		fs.add(feature.ViewColumnNames)
+	if g.prob(0.5) && g.supported(feature.ViewColumnNamesID) {
+		fs.Add(feature.ViewColumnNamesID)
 		for _, c := range cols {
 			cv.Columns = append(cv.Columns, c.Name)
 		}
@@ -211,8 +213,8 @@ func (g *Generator) genCreateView() *Statement {
 }
 
 func (g *Generator) genInsert() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtInsert)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtInsertID)
 	t := g.randTable()
 	ins := &sqlast.Insert{Table: t.Name}
 	var targets []schema.Column
@@ -227,9 +229,9 @@ func (g *Generator) genInsert() *Statement {
 		targets = []schema.Column{t.Columns[0]}
 	}
 	nRows := 1
-	if g.prob(0.4) && g.supported(feature.InsertMultiRow) {
+	if g.prob(0.4) && g.supported(feature.InsertMultiRowID) {
 		nRows += 1 + g.intn(2)
-		fs.add(feature.InsertMultiRow)
+		fs.Add(feature.InsertMultiRowID)
 	}
 	for r := 0; r < nRows; r++ {
 		var row []sqlast.Expr
@@ -239,9 +241,9 @@ func (g *Generator) genInsert() *Statement {
 				continue
 			}
 			want := typOf(c.Type)
-			if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCast) {
+			if g.prob(g.cfg.MismatchProb) && g.supported(feature.PropImplicitCastID) {
 				want = typ(g.intn(3))
-				fs.add(feature.PropImplicitCast)
+				fs.Add(feature.PropImplicitCastID)
 			}
 			// PRIMARY KEY columns draw from a wider pool to reduce
 			// constraint collisions.
@@ -253,16 +255,16 @@ func (g *Generator) genInsert() *Statement {
 		}
 		ins.Rows = append(ins.Rows, row)
 	}
-	if g.prob(0.25) && g.supported(feature.InsertOrIgnore) {
+	if g.prob(0.25) && g.supported(feature.InsertOrIgnoreID) {
 		ins.OrIgnore = true
-		fs.add(feature.InsertOrIgnore)
+		fs.Add(feature.InsertOrIgnoreID)
 	}
 	return g.finish(ins, fs, false, func() { g.model.Apply(ins) })
 }
 
 func (g *Generator) genUpdate() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtUpdate)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtUpdateID)
 	t := g.randTable()
 	sc := g.tableScope(t)
 	up := &sqlast.Update{Table: t.Name}
@@ -281,20 +283,20 @@ func (g *Generator) genUpdate() *Statement {
 		// An index-shaped head exercises the index-assisted UPDATE path
 		// (the mutation set collected through a composite span); the
 		// random tail stays, feeding the validity feedback.
-		if g.prob(0.4) && g.supported("AND") {
+		if g.prob(0.4) && g.supported(feature.OpAndID) {
 			if sp := g.genSargablePred(sc, fs); sp != nil {
-				fs.add("AND")
+				fs.Add(feature.OpAndID)
 				up.Where = &sqlast.Binary{Op: sqlast.OpAnd, L: sp, R: up.Where}
 			}
 		}
-		fs.add(feature.ClauseWhere)
+		fs.Add(feature.ClauseWhereID)
 	}
 	return g.finish(up, fs, false, nil)
 }
 
 func (g *Generator) genDelete() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtDelete)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtDeleteID)
 	t := g.randTable()
 	del := &sqlast.Delete{Table: t.Name}
 	if g.prob(0.85) {
@@ -302,21 +304,21 @@ func (g *Generator) genDelete() *Statement {
 		del.Where = g.genBool(sc, g.depth()-1, fs)
 		// An index-shaped head exercises the index-assisted DELETE path;
 		// the random tail stays, feeding the validity feedback.
-		if g.prob(0.4) && g.supported("AND") {
+		if g.prob(0.4) && g.supported(feature.OpAndID) {
 			if sp := g.genSargablePred(sc, fs); sp != nil {
-				fs.add("AND")
+				fs.Add(feature.OpAndID)
 				del.Where = &sqlast.Binary{Op: sqlast.OpAnd, L: sp, R: del.Where}
 			}
 		}
-		fs.add(feature.ClauseWhere)
+		fs.Add(feature.ClauseWhereID)
 	}
 	stmt := del
 	return g.finish(stmt, fs, false, func() { g.model.Apply(stmt) })
 }
 
 func (g *Generator) genAnalyze() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtAnalyze)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtAnalyzeID)
 	a := &sqlast.Analyze{}
 	if g.prob(0.5) {
 		a.Table = g.randTable().Name
@@ -325,8 +327,8 @@ func (g *Generator) genAnalyze() *Statement {
 }
 
 func (g *Generator) genAlter() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtAlterTable)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtAlterTableID)
 	t := g.randTable()
 	at := &sqlast.AlterTable{Table: t.Name}
 	if len(t.Columns) > 1 && g.prob(0.4) {
@@ -341,8 +343,8 @@ func (g *Generator) genAlter() *Statement {
 }
 
 func (g *Generator) genDropIndex() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtDropIndex)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtDropIndexID)
 	ixs := g.model.Indexes()
 	ix := ixs[g.intn(len(ixs))]
 	di := &sqlast.DropIndex{Name: ix.Name}
@@ -350,8 +352,8 @@ func (g *Generator) genDropIndex() *Statement {
 }
 
 func (g *Generator) genReindex() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtReindex)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtReindexID)
 	ixs := g.model.Indexes()
 	ri := &sqlast.Reindex{}
 	// Mostly target one index; occasionally rebuild everything.
@@ -363,7 +365,7 @@ func (g *Generator) genReindex() *Statement {
 
 // rangeOps are the trailing-range operator spellings of a sargable
 // conjunction.
-var rangeOps = []string{"<", "<=", ">", ">="}
+var rangeOps = []feature.ID{feature.OpLtID, feature.OpLeID, feature.OpGtID, feature.OpGeID}
 
 // genSargablePred builds an index-shaped predicate over a modeled index
 // whose table is in scope under its own name: an equality run over the
@@ -371,8 +373,8 @@ var rangeOps = []string{"<", "<=", ">", ">="}
 // multi-conjunct WHERE shape planIndexAccess compiles into one composite
 // span, and the only shape the composite fault sites fire on. Returns
 // nil when no index matches the scope (or the dialect lacks "=").
-func (g *Generator) genSargablePred(sc *exprScope, fs featSet) sqlast.Expr {
-	if !g.supported("=") {
+func (g *Generator) genSargablePred(sc *exprScope, fs *feature.Set) sqlast.Expr {
+	if !g.supported(feature.OpEqID) {
 		return nil
 	}
 	var cands []*schema.Index
@@ -398,12 +400,14 @@ func (g *Generator) genSargablePred(sc *exprScope, fs featSet) sqlast.Expr {
 		if pred == nil {
 			pred = e
 		} else {
-			fs.add("AND")
+			fs.Add(feature.OpAndID)
 			pred = &sqlast.Binary{Op: sqlast.OpAnd, L: pred, R: e}
 		}
 	}
-	conj := func(op string, c *schema.Column) {
-		fs.add(op, feature.ExprColumn, feature.ExprConstant)
+	conj := func(op feature.ID, c *schema.Column) {
+		fs.Add(op)
+		fs.Add(feature.ExprColumnID)
+		fs.Add(feature.ExprConstantID)
 		nConj++
 		and(&sqlast.Binary{Op: cmpOpOf(op),
 			L: &sqlast.ColumnRef{Table: ix.Table, Column: c.Name},
@@ -415,11 +419,11 @@ func (g *Generator) genSargablePred(sc *exprScope, fs featSet) sqlast.Expr {
 		if c == nil {
 			return g.noteSargableHead(pred, nConj)
 		}
-		conj("=", c)
+		conj(feature.OpEqID, c)
 	}
 	if eqn < len(ix.Columns) && g.prob(0.75) {
 		if c := rel.Column(ix.Columns[eqn]); c != nil {
-			var ops []string
+			var ops []feature.ID
 			for _, op := range rangeOps {
 				if g.supported(op) {
 					ops = append(ops, op)
@@ -448,14 +452,14 @@ func (g *Generator) noteSargableHead(pred sqlast.Expr, nConj int) sqlast.Expr {
 // GenRefresh produces the REFRESH TABLE statement dialect adapters issue
 // after inserts (paper §6, CrateDB).
 func (g *Generator) GenRefresh(table string) *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtRefresh)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtRefreshID)
 	return g.finish(&sqlast.Refresh{Table: table}, fs, false, nil)
 }
 
 // queryScope builds the FROM clause of a query: relations with join
 // types, plus the visible column scope.
-func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *exprScope) {
+func (g *Generator) queryScope(fs *feature.Set, forOracle bool) ([]sqlast.FromItem, *exprScope) {
 	rels := g.model.Relations()
 	if len(rels) == 0 {
 		return nil, nil
@@ -478,7 +482,7 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 		}
 		used[r.Name]++
 		var ref sqlast.TableRef
-		if forOracle && g.prob(0.12) && g.supported(feature.DerivedTable) && !r.IsView {
+		if forOracle && g.prob(0.12) && g.supported(feature.DerivedTableID) && !r.IsView {
 			// Derived table: (SELECT * FROM r) AS subN.
 			alias = fmt.Sprintf("sub%d", i)
 			ref = &sqlast.DerivedTable{
@@ -488,7 +492,7 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 				},
 				Alias: alias,
 			}
-			fs.add(feature.DerivedTable)
+			fs.Add(feature.DerivedTableID)
 		} else {
 			tn := &sqlast.TableName{Name: r.Name}
 			if alias != r.Name {
@@ -498,8 +502,8 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 		}
 		item := sqlast.FromItem{Ref: ref}
 		if i > 0 {
-			jf := g.pickFeature(feature.Joins)
-			fs.add(jf)
+			jf := g.pickFeature(feature.JoinIDs)
+			fs.Add(jf)
 			item.Join = joinTypeOf(jf)
 			if item.Join != sqlast.JoinComma && item.Join != sqlast.JoinCross &&
 				item.Join != sqlast.JoinNatural {
@@ -514,7 +518,7 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 				// shape the engine's index-nested-loop join planner
 				// accelerates (and the only shape its fault sites fire on).
 				eq := sqlast.Expr(nil)
-				if g.prob(0.5) && g.supported("=") {
+				if g.prob(0.5) && g.supported(feature.OpEqID) {
 					eq = g.genJoinEq(sc, r, alias, fs)
 					if eq != nil {
 						g.planSpace.ProbeEligibleJoins++
@@ -522,9 +526,9 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 					// A second equality key makes the ON multi-conjunct —
 					// the shape the composite join probe binds as a
 					// two-column equality prefix.
-					if eq != nil && g.prob(0.35) && g.supported("AND") {
+					if eq != nil && g.prob(0.35) && g.supported(feature.OpAndID) {
 						if eq2 := g.genJoinEq(sc, r, alias, fs); eq2 != nil {
-							fs.add("AND")
+							fs.Add(feature.OpAndID)
 							g.planSpace.MultiKeyJoins++
 							eq = &sqlast.Binary{Op: sqlast.OpAnd, L: eq, R: eq2}
 						}
@@ -533,8 +537,8 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 				switch {
 				case eq == nil:
 					item.On = g.genBool(onScope, 1, fs)
-				case g.prob(0.45) && g.supported("AND"):
-					fs.add("AND")
+				case g.prob(0.45) && g.supported(feature.OpAndID):
+					fs.Add(feature.OpAndID)
 					item.On = &sqlast.Binary{Op: sqlast.OpAnd, L: eq,
 						R: g.genBool(onScope, 1, fs)}
 				default:
@@ -554,7 +558,7 @@ func (g *Generator) queryScope(fs featSet, forOracle bool) ([]sqlast.FromItem, *
 // scope compared to a same-typed column of the relation being joined
 // (type alignment keeps the conjunct valid on statically typed
 // dialects). Returns nil when no type-aligned pair exists.
-func (g *Generator) genJoinEq(sc *exprScope, r *schema.Relation, alias string, fs featSet) sqlast.Expr {
+func (g *Generator) genJoinEq(sc *exprScope, r *schema.Relation, alias string, fs *feature.Set) sqlast.Expr {
 	if len(sc.cols) == 0 || len(r.Columns) == 0 {
 		return nil
 	}
@@ -569,26 +573,27 @@ func (g *Generator) genJoinEq(sc *exprScope, r *schema.Relation, alias string, f
 		return nil
 	}
 	rc := rcs[g.intn(len(rcs))]
-	fs.add("=", feature.ExprColumn)
+	fs.Add(feature.OpEqID)
+	fs.Add(feature.ExprColumnID)
 	return &sqlast.Binary{Op: sqlast.OpEq,
 		L: &sqlast.ColumnRef{Table: lc.Table, Column: lc.Column},
 		R: &sqlast.ColumnRef{Table: alias, Column: rc.Name},
 	}
 }
 
-func joinTypeOf(f string) sqlast.JoinType {
+func joinTypeOf(f feature.ID) sqlast.JoinType {
 	switch f {
-	case feature.JoinComma:
+	case feature.JoinCommaID:
 		return sqlast.JoinComma
-	case feature.JoinInner:
+	case feature.JoinInnerID:
 		return sqlast.JoinInner
-	case feature.JoinLeft:
+	case feature.JoinLeftID:
 		return sqlast.JoinLeft
-	case feature.JoinRight:
+	case feature.JoinRightID:
 		return sqlast.JoinRight
-	case feature.JoinFull:
+	case feature.JoinFullID:
 		return sqlast.JoinFull
-	case feature.JoinCross:
+	case feature.JoinCrossID:
 		return sqlast.JoinCross
 	default:
 		return sqlast.JoinNatural
@@ -603,8 +608,8 @@ func (g *Generator) GenCompoundQuery() *Statement {
 	if len(tables) == 0 {
 		return nil
 	}
-	fs := featSet{}
-	fs.add(feature.StmtSelect)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtSelectID)
 	nCols := 1 + g.intn(2)
 	types := make([]typ, nCols)
 	for i := range types {
@@ -621,16 +626,16 @@ func (g *Generator) GenCompoundQuery() *Statement {
 		}
 		if g.prob(0.4) {
 			sel.Where = g.genBool(sc, g.depth()-1, fs)
-			fs.add(feature.ClauseWhere)
+			fs.Add(feature.ClauseWhereID)
 		}
 		return sel
 	}
 	sel := core()
 	nArms := 1 + g.intn(2)
-	ops := []string{feature.Union, feature.UnionAll, feature.UnionAll, feature.Intersect, feature.Except}
+	ops := []feature.ID{feature.UnionID, feature.UnionAllID, feature.UnionAllID, feature.IntersectID, feature.ExceptID}
 	for i := 0; i < nArms; i++ {
 		opFeat := g.pickFeature(ops)
-		fs.add(opFeat)
+		fs.Add(opFeat)
 		sel.Compound = append(sel.Compound, sqlast.CompoundPart{
 			Op: setOpOf(opFeat), Select: core(),
 		})
@@ -638,13 +643,13 @@ func (g *Generator) GenCompoundQuery() *Statement {
 	return g.finish(sel, fs, true, nil)
 }
 
-func setOpOf(f string) sqlast.SetOp {
+func setOpOf(f feature.ID) sqlast.SetOp {
 	switch f {
-	case feature.Union:
+	case feature.UnionID:
 		return sqlast.SetUnion
-	case feature.UnionAll:
+	case feature.UnionAllID:
 		return sqlast.SetUnionAll
-	case feature.Intersect:
+	case feature.IntersectID:
 		return sqlast.SetIntersect
 	default:
 		return sqlast.SetExcept
@@ -654,8 +659,8 @@ func setOpOf(f string) sqlast.SetOp {
 // GenQuery produces a free-form query exercising the full clause grammar
 // (used for feedback probing and coverage; not oracle-checked).
 func (g *Generator) GenQuery() *Statement {
-	fs := featSet{}
-	fs.add(feature.StmtSelect)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtSelectID)
 	from, sc := g.queryScope(fs, false)
 	if sc == nil {
 		sc = &exprScope{gen: g}
@@ -666,16 +671,17 @@ func (g *Generator) GenQuery() *Statement {
 	useAggr := len(from) > 0 && g.prob(0.18)
 	for i := 0; i < nItems; i++ {
 		if useAggr {
-			agg := g.pickFeature(feature.Aggregates)
-			fs.add(agg, feature.ExprAggr)
-			call := &sqlast.Func{Name: agg}
-			if agg == "COUNT" && g.prob(0.5) {
+			agg := g.pickFeature(feature.AggregateIDs)
+			fs.Add(agg)
+			fs.Add(feature.ExprAggrID)
+			call := &sqlast.Func{Name: feature.Name(agg)}
+			if agg == feature.FnCOUNT && g.prob(0.5) {
 				call.Star = true
 			} else {
 				call.Args = []sqlast.Expr{g.genExpr(sc, tInt, depth-1, fs)}
-				if g.prob(0.2) && g.supported(feature.Distinct) {
+				if g.prob(0.2) && g.supported(feature.DistinctID) {
 					call.Distinct = true
-					fs.add(feature.Distinct)
+					fs.Add(feature.DistinctID)
 				}
 			}
 			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: call})
@@ -689,30 +695,30 @@ func (g *Generator) GenQuery() *Statement {
 	}
 	if len(from) > 0 && g.prob(0.6) {
 		sel.Where = g.genBool(sc, depth, fs)
-		fs.add(feature.ClauseWhere)
+		fs.Add(feature.ClauseWhereID)
 	}
-	if useAggr && g.prob(0.4) && g.supported(feature.GroupBy) {
-		fs.add(feature.GroupBy)
+	if useAggr && g.prob(0.4) && g.supported(feature.GroupByID) {
+		fs.Add(feature.GroupByID)
 		sel.GroupBy = []sqlast.Expr{g.genExpr(sc, typ(g.intn(3)), 0, fs)}
-		if g.prob(0.4) && g.supported(feature.Having) {
-			fs.add(feature.Having)
+		if g.prob(0.4) && g.supported(feature.HavingID) {
+			fs.Add(feature.HavingID)
 			sel.Having = g.genBool(sc, 1, fs)
 		}
 	}
-	if g.prob(0.25) && g.supported(feature.Distinct) && !useAggr {
+	if g.prob(0.25) && g.supported(feature.DistinctID) && !useAggr {
 		sel.Distinct = true
-		fs.add(feature.Distinct)
+		fs.Add(feature.DistinctID)
 	}
-	if g.prob(0.3) && g.supported(feature.OrderBy) && !useAggr {
-		fs.add(feature.OrderBy)
+	if g.prob(0.3) && g.supported(feature.OrderByID) && !useAggr {
+		fs.Add(feature.OrderByID)
 		sel.OrderBy = []sqlast.OrderItem{{Expr: g.genExpr(sc, typ(g.intn(3)), 1, fs), Desc: g.prob(0.5)}}
 	}
-	if g.prob(0.25) && g.supported(feature.Limit) {
-		fs.add(feature.Limit)
+	if g.prob(0.25) && g.supported(feature.LimitID) {
+		fs.Add(feature.LimitID)
 		lim := int64(g.intn(10))
 		sel.Limit = &lim
-		if g.prob(0.3) && g.supported(feature.Offset) {
-			fs.add(feature.Offset)
+		if g.prob(0.3) && g.supported(feature.OffsetID) {
+			fs.Add(feature.OffsetID)
 			off := int64(g.intn(3))
 			sel.Offset = &off
 		}
@@ -724,8 +730,8 @@ func (g *Generator) GenQuery() *Statement {
 // DISTINCT/ORDER/LIMIT — the shape the TLP partitioning property needs)
 // plus a predicate. Returns nil when the model has no relations yet.
 func (g *Generator) GenOracleCase() *OracleCase {
-	fs := featSet{}
-	fs.add(feature.StmtSelect)
+	fs := &feature.Set{}
+	fs.Add(feature.StmtSelectID)
 	from, sc := g.queryScope(fs, true)
 	if from == nil || len(sc.cols) == 0 {
 		return nil
@@ -754,8 +760,8 @@ func (g *Generator) GenOracleCase() *OracleCase {
 	// unmasked, fully index-shaped filters.
 	if g.prob(0.33) {
 		if sp := g.genSargablePred(sc, fs); sp != nil {
-			if g.prob(0.65) && g.supported("AND") {
-				fs.add("AND")
+			if g.prob(0.65) && g.supported(feature.OpAndID) {
+				fs.Add(feature.OpAndID)
 				pred = &sqlast.Binary{Op: sqlast.OpAnd, L: sp, R: pred}
 			} else {
 				pred = sp
@@ -763,5 +769,5 @@ func (g *Generator) GenOracleCase() *OracleCase {
 		}
 	}
 	g.generated++
-	return &OracleCase{Base: sel, Pred: pred, Features: fs.list()}
+	return &OracleCase{Base: sel, Pred: pred, Features: fs.Names(), FeatureSet: *fs}
 }

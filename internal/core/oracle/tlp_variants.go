@@ -13,7 +13,7 @@ import (
 // operation machinery of the DBMS is exercised too. Only valid on
 // dialects that support UNION ALL.
 func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
-	if !db.Dialect().SupportsClause(feature.UnionAll) {
+	if !db.Dialect().Clauses.Has(feature.UnionAllID) {
 		res := TLP(db, base, pred)
 		res.Oracle = TLPComposedName // attribution follows the registered name
 		return res

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"sqlancerpp/internal/feature"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestTLPComposedDetectsUnionDedupFault(t *testing.T) {
 func TestTLPComposedFallsBackWithoutUnionAll(t *testing.T) {
 	d := dialect.MustGet("sqlite").Clone()
 	d.Name = "oracle-test-no-union"
-	delete(d.Clauses, "UNION ALL")
+	d.Clauses.Remove(feature.UnionAllID)
 	db := engine.Open(d, engine.WithoutFaults())
 	for _, sql := range []string{
 		"CREATE TABLE t (a INTEGER)",

@@ -6,84 +6,68 @@
 // enabled when the earlier bug triggered.
 package prioritize
 
-import "sort"
+import "sqlancerpp/internal/feature"
 
 // Prioritizer stores the feature sets of reported bug-inducing cases.
 type Prioritizer struct {
-	sets [][]string // each sorted ascending
+	sets []feature.Set
 }
 
 // New returns an empty prioritizer.
 func New() *Prioritizer { return &Prioritizer{} }
 
-// normalize sorts and dedupes a feature set.
-func normalize(features []string) []string {
-	m := map[string]bool{}
-	for _, f := range features {
-		m[f] = true
-	}
-	out := make([]string, 0, len(m))
-	for f := range m {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// subset reports whether sorted set a ⊆ sorted set b.
-func subset(a, b []string) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] > b[j]:
-			j++
-		default:
-			return false
-		}
-	}
-	return i == len(a)
-}
-
-// IsDuplicate reports whether a stored feature set is a subset of the
-// candidate's — the case would then be deprioritized (analyzed only
-// after the earlier bugs are fixed).
-func (p *Prioritizer) IsDuplicate(features []string) bool {
-	fs := normalize(features)
-	for _, s := range p.sets {
-		if subset(s, fs) {
+// IsDuplicateSet reports whether a stored feature set is a subset of the
+// candidate's (stored &^ fs == 0) — the case would then be deprioritized
+// (analyzed only after the earlier bugs are fixed).
+func (p *Prioritizer) IsDuplicateSet(fs *feature.Set) bool {
+	for i := range p.sets {
+		if p.sets[i].SubsetOf(fs) {
 			return true
 		}
 	}
 	return false
 }
 
-// Add stores a new (prioritized) case's feature set.
-func (p *Prioritizer) Add(features []string) {
-	p.sets = append(p.sets, normalize(features))
-}
-
-// Report combines the check and the update: it returns true (and stores
-// the set) when the case should be reported, false when it is a
+// ReportSet combines the check and the update: it returns true (and
+// stores the set) when the case should be reported, false when it is a
 // potential duplicate.
-func (p *Prioritizer) Report(features []string) bool {
-	if p.IsDuplicate(features) {
+func (p *Prioritizer) ReportSet(fs *feature.Set) bool {
+	if p.IsDuplicateSet(fs) {
 		return false
 	}
-	p.Add(features)
+	p.sets = append(p.sets, *fs)
 	return true
+}
+
+// IsDuplicate is IsDuplicateSet over feature names; names outside the
+// feature table are ignored.
+func (p *Prioritizer) IsDuplicate(features []string) bool {
+	fs := feature.KnownSetOf(features)
+	return p.IsDuplicateSet(&fs)
+}
+
+// Add stores a new (prioritized) case's feature set, given by name;
+// names outside the feature table are ignored.
+func (p *Prioritizer) Add(features []string) {
+	p.sets = append(p.sets, feature.KnownSetOf(features))
+}
+
+// Report is ReportSet over feature names; names outside the feature
+// table are ignored.
+func (p *Prioritizer) Report(features []string) bool {
+	fs := feature.KnownSetOf(features)
+	return p.ReportSet(&fs)
 }
 
 // Size returns the number of stored feature sets.
 func (p *Prioritizer) Size() int { return len(p.sets) }
 
-// Sets returns copies of the stored sets (for inspection and tests).
+// Sets returns the stored sets' names, each sorted (for inspection and
+// tests).
 func (p *Prioritizer) Sets() [][]string {
 	out := make([][]string, len(p.sets))
-	for i, s := range p.sets {
-		out[i] = append([]string(nil), s...)
+	for i := range p.sets {
+		out[i] = p.sets[i].Names()
 	}
 	return out
 }

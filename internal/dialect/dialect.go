@@ -51,12 +51,14 @@ type Dialect struct {
 	TypeSystem TypeSystem
 
 	// Statements, Clauses, Operators, Functions, and Types are the
-	// supported feature sets, keyed by canonical feature names.
-	Statements map[string]bool
-	Clauses    map[string]bool
-	Operators  map[string]bool
-	Functions  map[string]bool
-	Types      map[string]bool
+	// supported feature sets: masks over the feature table. Clause
+	// keywords and operator spellings are separate namespaces (SUBQUERY
+	// is in both), so each has its own mask.
+	Statements feature.Set
+	Clauses    feature.Set
+	Operators  feature.Set
+	Functions  feature.Set
+	Types      feature.Set
 
 	// MaxIndexColumns caps the number of columns per index (0 means
 	// unlimited). Statements exceeding it fail validation, which is how
@@ -79,86 +81,85 @@ type Dialect struct {
 	Faults *faults.Set
 }
 
-// SupportsStatement reports whether the statement feature is supported.
-func (d *Dialect) SupportsStatement(name string) bool { return d.Statements[name] }
-
-// SupportsClause reports whether the clause feature is supported.
-func (d *Dialect) SupportsClause(name string) bool { return d.Clauses[name] }
-
-// SupportsOperator reports whether the operator spelling is supported.
-func (d *Dialect) SupportsOperator(op string) bool { return d.Operators[op] }
-
-// SupportsFunction reports whether the function is supported.
-func (d *Dialect) SupportsFunction(name string) bool { return d.Functions[name] }
-
-// SupportsType reports whether the data type is supported.
-func (d *Dialect) SupportsType(name string) bool { return d.Types[name] }
+// SupportsFunction reports whether the named function is supported; a
+// name outside the feature table is not.
+func (d *Dialect) SupportsFunction(name string) bool {
+	id, ok := feature.Lookup(name)
+	return ok && d.Functions.Has(id)
+}
 
 // FunctionList returns the sorted supported function names.
-func (d *Dialect) FunctionList() []string {
-	out := make([]string, 0, len(d.Functions))
-	for f, ok := range d.Functions {
-		if ok {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (d *Dialect) FunctionList() []string { return d.Functions.Names() }
 
 // OperatorList returns the sorted supported operator spellings.
-func (d *Dialect) OperatorList() []string {
-	out := make([]string, 0, len(d.Operators))
-	for o, ok := range d.Operators {
-		if ok {
-			out = append(out, o)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (d *Dialect) OperatorList() []string { return d.Operators.Names() }
 
-// Clone returns a deep copy, so callers can derive custom dialects.
+// Clone returns a copy, so callers can derive custom dialects. The
+// feature masks are values, so the copy shares nothing mutable but the
+// fault set, which is read-only.
 func (d *Dialect) Clone() *Dialect {
 	c := *d
-	c.Statements = copySet(d.Statements)
-	c.Clauses = copySet(d.Clauses)
-	c.Operators = copySet(d.Operators)
-	c.Functions = copySet(d.Functions)
-	c.Types = copySet(d.Types)
 	return &c
 }
 
-func copySet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// builtin is a registry entry whose dialect is built on first use.
+type builtin struct {
+	name  string
+	build func() *Dialect
+	once  sync.Once
+	d     *Dialect
+}
+
+// get builds the dialect once and returns the same pointer every time.
+func (b *builtin) get() *Dialect {
+	b.once.Do(func() { b.d = withFaults(b.build()) })
+	return b.d
 }
 
 var (
-	regMu    sync.RWMutex
-	registry = map[string]*Dialect{}
+	regMu sync.RWMutex
+	// custom holds the dialects added by Register.
+	custom map[string]*Dialect
 )
 
-// Register adds a dialect to the registry. It returns an error if the
-// name is already taken.
-func Register(d *Dialect) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[d.Name]; ok {
-		return fmt.Errorf("dialect: %q already registered", d.Name)
+// lookupBuiltin returns the built-in entry of that name, if any.
+func lookupBuiltin(name string) *builtin {
+	for i := range builtins {
+		if builtins[i].name == name {
+			return &builtins[i]
+		}
 	}
-	registry[d.Name] = d
 	return nil
 }
 
-// Get returns a registered dialect by name.
+// Register adds a dialect to the registry. It returns an error if the
+// name is already taken, by a built-in dialect (built or not) or by an
+// earlier registration.
+func Register(d *Dialect) error {
+	if lookupBuiltin(d.Name) != nil {
+		return fmt.Errorf("dialect: %q already registered", d.Name)
+	}
+	regMu.Lock()
+	defer regMu.Unlock()
+	if _, ok := custom[d.Name]; ok {
+		return fmt.Errorf("dialect: %q already registered", d.Name)
+	}
+	if custom == nil {
+		custom = map[string]*Dialect{}
+	}
+	custom[d.Name] = d
+	return nil
+}
+
+// Get returns a registered dialect by name. A built-in dialect is built
+// on its first Get; every later Get returns the same pointer.
 func Get(name string) (*Dialect, error) {
+	if b := lookupBuiltin(name); b != nil {
+		return b.get(), nil
+	}
 	regMu.RLock()
 	defer regMu.RUnlock()
-	d, ok := registry[name]
+	d, ok := custom[name]
 	if !ok {
 		return nil, fmt.Errorf("dialect: unknown dialect %q", name)
 	}
@@ -174,63 +175,63 @@ func MustGet(name string) *Dialect {
 	return d
 }
 
-// Names returns all registered dialect names, sorted.
+// Names returns all registered dialect names, sorted, without building
+// any dialect.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(builtins)+len(custom))
+	for i := range builtins {
+		out = append(out, builtins[i].name)
+	}
+	for n := range custom {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// set builds a feature set from lists.
-func set(lists ...[]string) map[string]bool {
-	m := map[string]bool{}
+// set builds a feature mask from ID lists.
+func set(lists ...[]feature.ID) feature.Set {
+	var s feature.Set
 	for _, l := range lists {
-		for _, f := range l {
-			m[f] = true
-		}
+		s.AddAll(l)
+	}
+	return s
+}
+
+// without returns the mask less the given features.
+func without(m feature.Set, items ...feature.ID) feature.Set {
+	for _, it := range items {
+		m.Remove(it)
 	}
 	return m
 }
 
-// without removes features from a set (in place) and returns it.
-func without(m map[string]bool, items ...string) map[string]bool {
-	for _, it := range items {
-		delete(m, it)
-	}
-	return m
-}
-
-// with adds features to a set (in place) and returns it.
-func with(m map[string]bool, items ...string) map[string]bool {
-	for _, it := range items {
-		m[it] = true
-	}
+// with returns the mask plus the given features.
+func with(m feature.Set, items ...feature.ID) feature.Set {
+	m.AddAll(items)
 	return m
 }
 
 // universalStatements returns the statements every base profile starts
 // from (the paper's six core statements plus the DML/DDL extensions).
-func universalStatements() map[string]bool {
-	return set(feature.Statements, []string{feature.StmtDropTable,
-		feature.StmtDropView, feature.StmtDropIndex, feature.StmtReindex})
+func universalStatements() feature.Set {
+	return set(feature.StatementIDs, []feature.ID{feature.StmtDropTableID,
+		feature.StmtDropViewID, feature.StmtDropIndexID, feature.StmtReindexID})
 }
 
-func universalClauses() map[string]bool {
-	return set(feature.Clauses, []string{feature.ClauseWhere,
-		feature.PrimaryKey, feature.NotNullColumn, feature.UniqueColumn,
-		feature.ViewColumnNames})
+func universalClauses() feature.Set {
+	return set(feature.ClauseIDs, []feature.ID{feature.ClauseWhereID,
+		feature.PrimaryKeyID, feature.NotNullColumnID, feature.UniqueColumnID,
+		feature.ViewColumnNamesID})
 }
 
-func universalOperators() map[string]bool {
-	return set(feature.BinaryOperators, []string{"~"}, feature.ExprForms,
-		[]string{feature.ExprIsNull, feature.ExprIsBool, feature.ExprNot})
+func universalOperators() feature.Set {
+	return set(feature.BinaryOperatorIDs, []feature.ID{feature.OpBitNotID}, feature.ExprFormIDs,
+		[]feature.ID{feature.ExprIsNullID, feature.ExprIsBoolID, feature.ExprNotID})
 }
 
-func universalFunctions() map[string]bool {
-	return set(feature.Functions, feature.Aggregates)
+func universalFunctions() feature.Set {
+	return set(feature.FunctionIDs, feature.AggregateIDs)
 }

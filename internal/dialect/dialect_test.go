@@ -34,10 +34,11 @@ func TestFaultParamsAreSupportedFeatures(t *testing.T) {
 			if f.Param == "" {
 				continue
 			}
-			supported := d.SupportsOperator(f.Param) ||
-				d.SupportsFunction(f.Param) ||
-				d.SupportsClause(f.Param) ||
-				d.SupportsStatement(f.Param)
+			id, ok := feature.Lookup(f.Param)
+			supported := ok && (d.Operators.Has(id) ||
+				d.Functions.Has(id) ||
+				d.Clauses.Has(id) ||
+				d.Statements.Has(id))
 			if !supported {
 				t.Errorf("%s: fault %s targets unsupported feature %q",
 					name, f.ID, f.Param)
@@ -74,36 +75,36 @@ func TestDialectDivergence(t *testing.T) {
 	sqlite := MustGet("sqlite")
 	pg := MustGet("postgresql")
 	mysql := MustGet("mysql")
-	if pg.SupportsOperator("<=>") {
+	if pg.Operators.Has(feature.OpNullSafeEqID) {
 		t.Error("postgresql must not support <=>")
 	}
-	if !mysql.SupportsOperator("<=>") {
+	if !mysql.Operators.Has(feature.OpNullSafeEqID) {
 		t.Error("mysql must support <=>")
 	}
-	if mysql.SupportsOperator("||") {
+	if mysql.Operators.Has(feature.OpConcatID) {
 		t.Error("mysql must not support ||")
 	}
-	if !sqlite.SupportsOperator(feature.ExprGlob) {
+	if !sqlite.Operators.Has(feature.ExprGlobID) {
 		t.Error("sqlite must support GLOB")
 	}
-	if pg.SupportsOperator(feature.ExprGlob) {
+	if pg.Operators.Has(feature.ExprGlobID) {
 		t.Error("postgresql must not support GLOB")
 	}
-	if mysql.SupportsClause(feature.JoinFull) {
+	if mysql.Clauses.Has(feature.JoinFullID) {
 		t.Error("mysql must not support FULL JOIN")
 	}
 	crate := MustGet("cratedb")
-	if crate.SupportsStatement(feature.StmtCreateIndex) {
+	if crate.Statements.Has(feature.StmtCreateIndexID) {
 		t.Error("cratedb must not support CREATE INDEX (paper Appendix A.1)")
 	}
 	if !crate.RequiresRefresh {
 		t.Error("cratedb requires REFRESH TABLE (paper §6)")
 	}
 	oracle := MustGet("oracle")
-	if oracle.SupportsType(feature.TypeBoolean) {
+	if oracle.Types.Has(feature.TypeBooleanID) {
 		t.Error("oracle must not support BOOLEAN")
 	}
-	if oracle.SupportsClause(feature.Limit) {
+	if oracle.Clauses.Has(feature.LimitID) {
 		t.Error("oracle must not support LIMIT")
 	}
 }
@@ -127,10 +128,10 @@ func TestTypeSystemSplit(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	d := MustGet("sqlite")
 	c := d.Clone()
-	c.Functions["BOGUS"] = true
-	c.Operators["@@@"] = true
-	if d.SupportsFunction("BOGUS") || d.SupportsOperator("@@@") {
-		t.Fatal("Clone must copy the feature maps")
+	c.Functions.Add(feature.FnINITCAP)
+	c.Operators.Add(feature.OpXorID)
+	if d.Functions.Has(feature.FnINITCAP) || d.Operators.Has(feature.OpXorID) {
+		t.Fatal("Clone must copy the feature masks")
 	}
 }
 
@@ -154,13 +155,13 @@ func TestUniversalGrammarGaps(t *testing.T) {
 	for _, name := range PaperDBMSs {
 		d := MustGet(name)
 		missing := 0
-		for _, f := range feature.Functions {
-			if !d.SupportsFunction(f) {
+		for _, f := range feature.FunctionIDs {
+			if !d.Functions.Has(f) {
 				missing++
 			}
 		}
-		for _, op := range feature.BinaryOperators {
-			if !d.SupportsOperator(op) {
+		for _, op := range feature.BinaryOperatorIDs {
+			if !d.Operators.Has(op) {
 				missing++
 			}
 		}

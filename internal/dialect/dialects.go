@@ -5,29 +5,21 @@ import (
 	"sqlancerpp/internal/feature"
 )
 
-// Function groups used to carve per-dialect gaps out of the universal set.
-var (
-	grpTrig        = []string{"SIN", "COS", "TAN", "COT", "ASIN", "ACOS", "ATAN", "ATAN2", "DEGREES", "RADIANS", "PI"}
-	grpLogExp      = []string{"EXP", "LN", "LOG", "LOG10", "LOG2", "POWER", "POW", "SQRT"}
-	grpStrPad      = []string{"LPAD", "RPAD", "SPACE", "REVERSE"}
-	grpStrAdv      = []string{"INITCAP", "STRPOS", "SPLIT_PART", "TRANSLATE"}
-	grpLenVariants = []string{"CHAR_LENGTH", "BIT_LENGTH", "OCTET_LENGTH"}
-	grpNumMisc     = []string{"TRUNC", "GCD", "LCM"}
-	grpBitwiseOps  = []string{"&", "|", "^", "<<", ">>", "~"}
-)
+// grpBitwiseOps are the bitwise operators some dialects lack.
+var grpBitwiseOps = []feature.ID{feature.OpBitAndID, feature.OpBitOrID, feature.OpBitXorID, feature.OpShlID, feature.OpShrID, feature.OpBitNotID}
 
 // Dialect-specific extra functions, outside the adaptive generator's
 // universal grammar: only the per-DBMS baseline generators know about
 // them (Figure 7's baseline-only Venn regions; Table 3's coverage gap).
 var (
-	extrasPG     = []string{"GREATEST", "LEAST", "CONCAT", "CONCAT_WS", "TO_HEX"}
-	extrasMySQL  = []string{"GREATEST", "LEAST", "CONCAT", "CONCAT_WS", "REPEAT", "ELT", "FIELD", "BIN", "OCT"}
-	extrasSQLite = []string{"PRINTF", "LIKELY", "UNLIKELY", "CONCAT"}
-	extrasDuck   = []string{"GREATEST", "LEAST", "CONCAT", "REPEAT", "BIN"}
+	extrasPG     = []feature.ID{feature.FnGREATEST, feature.FnLEAST, feature.FnCONCAT, feature.FnCONCAT_WS, feature.FnTO_HEX}
+	extrasMySQL  = []feature.ID{feature.FnGREATEST, feature.FnLEAST, feature.FnCONCAT, feature.FnCONCAT_WS, feature.FnREPEAT, feature.FnELT, feature.FnFIELD, feature.FnBIN, feature.FnOCT}
+	extrasSQLite = []feature.ID{feature.FnPRINTF, feature.FnLIKELY, feature.FnUNLIKELY, feature.FnCONCAT}
+	extrasDuck   = []feature.ID{feature.FnGREATEST, feature.FnLEAST, feature.FnCONCAT, feature.FnREPEAT, feature.FnBIN}
 )
 
-func allTypes() map[string]bool {
-	return set([]string{feature.TypeInteger, feature.TypeText, feature.TypeBoolean})
+func allTypes() feature.Set {
+	return set([]feature.ID{feature.TypeIntegerID, feature.TypeTextID, feature.TypeBooleanID})
 }
 
 // profilePG is the statically typed PostgreSQL-family base.
@@ -39,10 +31,11 @@ func profilePG(name, display string) *Dialect {
 		Statements:  universalStatements(),
 		Clauses:     universalClauses(),
 		Operators: without(universalOperators(),
-			"<=>", "XOR", feature.ExprGlob),
+			feature.OpNullSafeEqID, feature.OpXorID, feature.ExprGlobID),
 		Functions: without(universalFunctions(),
-			"IFNULL", "IIF", "INSTR", "HEX", "QUOTE", "TYPEOF", "UNICODE",
-			"SPACE", "LOG2"),
+			feature.FnIFNULL, feature.FnIIF, feature.FnINSTR, feature.FnHEX,
+			feature.FnQUOTE, feature.FnTYPEOF, feature.FnUNICODE,
+			feature.FnSPACE, feature.FnLOG2),
 		Types:           allTypes(),
 		DivZeroError:    true,
 		CastTextError:   true,
@@ -59,18 +52,18 @@ func profileMySQL(name, display string) *Dialect {
 		// MySQL-family systems have no REINDEX (index rebuilds go through
 		// OPTIMIZE/ALTER) — one more intentionally divergent statement for
 		// the adaptive generator to learn.
-		Statements: without(universalStatements(), feature.StmtReindex),
+		Statements: without(universalStatements(), feature.StmtReindexID),
 		Clauses: without(universalClauses(),
-			feature.JoinFull, feature.InsertOrIgnore, feature.PartialIndex,
-			feature.Intersect, feature.Except),
+			feature.JoinFullID, feature.InsertOrIgnoreID, feature.PartialIndexID,
+			feature.IntersectID, feature.ExceptID),
 		Operators: without(universalOperators(),
-			"||", "IS DISTINCT FROM", "IS NOT DISTINCT FROM", feature.ExprGlob),
+			feature.OpConcatID, feature.OpIsDistinctID, feature.OpIsNotDistinctID, feature.ExprGlobID),
 		Functions: without(universalFunctions(),
-			"IIF", "TYPEOF", "INITCAP", "SPLIT_PART", "TRANSLATE", "CHR",
-			"UNICODE", "TRUNC", "GCD", "LCM"),
+			feature.FnIIF, feature.FnTYPEOF, feature.FnINITCAP, feature.FnSPLIT_PART, feature.FnTRANSLATE, feature.FnCHR,
+			feature.FnUNICODE, feature.FnTRUNC, feature.FnGCD, feature.FnLCM),
 		Types: allTypes(),
 	}
-	with(d.Functions, extrasMySQL...)
+	d.Functions = with(d.Functions, extrasMySQL...)
 	return d
 }
 
@@ -84,14 +77,14 @@ func profileSQLite(name, display string) *Dialect {
 		TypeSystem:  Dynamic,
 		Statements:  universalStatements(),
 		Clauses:     universalClauses(),
-		Operators:   without(universalOperators(), "<=>", "XOR"),
+		Operators:   without(universalOperators(), feature.OpNullSafeEqID, feature.OpXorID),
 		Functions: without(universalFunctions(),
-			"INITCAP", "STRPOS", "SPLIT_PART", "TRANSLATE", "LPAD", "RPAD",
-			"SPACE", "REVERSE", "CHAR_LENGTH", "BIT_LENGTH", "OCTET_LENGTH",
-			"ASCII", "CHR", "GCD", "LCM"),
+			feature.FnINITCAP, feature.FnSTRPOS, feature.FnSPLIT_PART, feature.FnTRANSLATE, feature.FnLPAD, feature.FnRPAD,
+			feature.FnSPACE, feature.FnREVERSE, feature.FnCHAR_LENGTH, feature.FnBIT_LENGTH, feature.FnOCTET_LENGTH,
+			feature.FnASCII, feature.FnCHR, feature.FnGCD, feature.FnLCM),
 		Types: allTypes(),
 	}
-	with(d.Functions, extrasSQLite...)
+	d.Functions = with(d.Functions, extrasSQLite...)
 	return d
 }
 
@@ -100,123 +93,169 @@ func withFaults(d *Dialect) *Dialect {
 	return d
 }
 
-func mustRegister(d *Dialect) {
-	if err := Register(d); err != nil {
-		panic(err)
-	}
+// builtins is the registry of built-in dialects, sorted by name. Each
+// one is built, with its fault set, on its first Get.
+var builtins = [...]builtin{
+	{name: "cedardb", build: cedarDB},
+	{name: "cratedb", build: crateDB},
+	{name: "cubrid", build: cubrid},
+	{name: "dolt", build: dolt},
+	{name: "duckdb", build: duckDB},
+	{name: "firebird", build: firebird},
+	{name: "h2", build: h2},
+	{name: "mariadb", build: func() *Dialect { return profileMySQL("mariadb", "MariaDB") }},
+	{name: "monetdb", build: monetDB},
+	{name: "mysql", build: func() *Dialect { return profileMySQL("mysql", "MySQL") }},
+	{name: "oracle", build: oracle},
+	{name: "percona", build: func() *Dialect { return profileMySQL("percona", "Percona MySQL") }},
+	{name: "postgresql", build: postgreSQL},
+	{name: "risingwave", build: risingWave},
+	{name: "sqlite", build: func() *Dialect { return profileSQLite("sqlite", "SQLite") }},
+	{name: "tidb", build: tidb},
+	{name: "umbra", build: umbra},
+	{name: "virtuoso", build: virtuoso},
+	{name: "vitess", build: vitess},
 }
 
-func init() {
-	// --- dynamically typed systems ---------------------------------------
+// --- dynamically typed systems -------------------------------------------
 
-	mustRegister(withFaults(profileSQLite("sqlite", "SQLite")))
+func tidb() *Dialect {
+	d := profileMySQL("tidb", "TiDB")
+	d.Clauses = with(d.Clauses, feature.IntersectID, feature.ExceptID) // TiDB ≥ v5
+	d.Clauses = without(d.Clauses, feature.JoinNaturalID)
+	d.Functions = without(d.Functions, feature.FnCOT, feature.FnELT, feature.FnFIELD)
+	return d
+}
 
-	mustRegister(withFaults(profileMySQL("mysql", "MySQL")))
-	mustRegister(withFaults(profileMySQL("mariadb", "MariaDB")))
-	mustRegister(withFaults(profileMySQL("percona", "Percona MySQL")))
+func dolt() *Dialect {
+	d := profileMySQL("dolt", "Dolt")
+	d.Statements = without(d.Statements, feature.StmtAnalyzeID)
+	d.Functions = without(d.Functions, feature.FnBIN, feature.FnOCT, feature.FnATAN2, feature.FnCOT)
+	return d
+}
 
-	tidb := profileMySQL("tidb", "TiDB")
-	with(tidb.Clauses, feature.Intersect, feature.Except) // TiDB ≥ v5
-	without(tidb.Clauses, feature.JoinNatural)
-	without(tidb.Functions, "COT", "ELT", "FIELD")
-	mustRegister(withFaults(tidb))
-
-	dolt := profileMySQL("dolt", "Dolt")
-	without(dolt.Statements, feature.StmtAnalyze)
-	without(dolt.Functions, "BIN", "OCT", "ATAN2", "COT")
-	mustRegister(withFaults(dolt))
-
-	vitess := profileMySQL("vitess", "Vitess")
+func vitess() *Dialect {
+	d := profileMySQL("vitess", "Vitess")
 	// Vitess secondary indexes route scatter queries by a single column
 	// here: no composite keys — a learnable gap for the generator.
-	without(vitess.Clauses, feature.JoinNatural, feature.Subquery, feature.DerivedTable,
-		feature.CompositeIndex)
-	without(vitess.Operators, feature.Subquery, feature.ExprExists)
-	without(vitess.Functions, "ELT", "FIELD", "BIN", "OCT", "COT", "ATAN2", "LOG2")
-	mustRegister(withFaults(vitess))
+	d.Clauses = without(d.Clauses, feature.JoinNaturalID, feature.SubqueryID,
+		feature.DerivedTableID, feature.CompositeIndexID)
+	d.Operators = without(d.Operators, feature.SubqueryID, feature.ExprExistsID)
+	d.Functions = without(d.Functions, feature.FnELT, feature.FnFIELD, feature.FnBIN,
+		feature.FnOCT, feature.FnCOT, feature.FnATAN2, feature.FnLOG2)
+	return d
+}
 
-	cubrid := profileMySQL("cubrid", "Cubrid")
-	with(cubrid.Operators, "||")
-	without(cubrid.Operators, "<=>")
-	without(cubrid.Functions, "REPEAT", "CONCAT_WS", "LOG2", "ATAN2")
-	mustRegister(withFaults(cubrid))
+func cubrid() *Dialect {
+	d := profileMySQL("cubrid", "Cubrid")
+	d.Operators = with(d.Operators, feature.OpConcatID)
+	d.Operators = without(d.Operators, feature.OpNullSafeEqID)
+	d.Functions = without(d.Functions, feature.FnREPEAT, feature.FnCONCAT_WS, feature.FnLOG2, feature.FnATAN2)
+	return d
+}
 
-	// --- statically typed systems ----------------------------------------
+// --- statically typed systems --------------------------------------------
 
-	pg := profilePG("postgresql", "PostgreSQL")
-	with(pg.Functions, extrasPG...)
-	mustRegister(withFaults(pg)) // clean: no catalogue entry
+// postgreSQL is clean: it has no catalogue entry.
+func postgreSQL() *Dialect {
+	d := profilePG("postgresql", "PostgreSQL")
+	d.Functions = with(d.Functions, extrasPG...)
+	return d
+}
 
-	crate := profilePG("cratedb", "CrateDB")
+func crateDB() *Dialect {
+	d := profilePG("cratedb", "CrateDB")
 	// CrateDB does not support CREATE INDEX (paper Appendix A.1) and
 	// requires REFRESH TABLE before reads see inserted rows (paper §6).
-	without(crate.Statements, feature.StmtCreateIndex,
-		feature.StmtDropIndex, feature.StmtReindex)
-	without(crate.Clauses, feature.UniqueIndex, feature.PartialIndex)
-	without(crate.Functions, "GCD", "LCM", "COT", "IIF")
-	with(crate.Functions, "GREATEST", "LEAST", "CONCAT")
-	crate.RequiresRefresh = true
-	mustRegister(withFaults(crate))
+	d.Statements = without(d.Statements, feature.StmtCreateIndexID,
+		feature.StmtDropIndexID, feature.StmtReindexID)
+	d.Clauses = without(d.Clauses, feature.UniqueIndexID, feature.PartialIndexID)
+	d.Functions = without(d.Functions, feature.FnGCD, feature.FnLCM, feature.FnCOT, feature.FnIIF)
+	d.Functions = with(d.Functions, feature.FnGREATEST, feature.FnLEAST, feature.FnCONCAT)
+	d.RequiresRefresh = true
+	return d
+}
 
-	duck := profilePG("duckdb", "DuckDB")
-	with(duck.Operators, feature.ExprGlob)
-	with(duck.Functions, extrasDuck...)
-	with(duck.Functions, "INSTR", "HEX", "TYPEOF", "IFNULL")
-	mustRegister(withFaults(duck))
+func duckDB() *Dialect {
+	d := profilePG("duckdb", "DuckDB")
+	d.Operators = with(d.Operators, feature.ExprGlobID)
+	d.Functions = with(d.Functions, extrasDuck...)
+	d.Functions = with(d.Functions, feature.FnINSTR, feature.FnHEX, feature.FnTYPEOF, feature.FnIFNULL)
+	return d
+}
 
-	umbra := profilePG("umbra", "Umbra")
-	without(umbra.Functions, "GCD", "LCM", "TRANSLATE")
-	with(umbra.Functions, "GREATEST", "LEAST", "HEX")
-	mustRegister(withFaults(umbra))
+func umbra() *Dialect {
+	d := profilePG("umbra", "Umbra")
+	d.Functions = without(d.Functions, feature.FnGCD, feature.FnLCM, feature.FnTRANSLATE)
+	d.Functions = with(d.Functions, feature.FnGREATEST, feature.FnLEAST, feature.FnHEX)
+	return d
+}
 
-	cedar := profilePG("cedardb", "CedarDB")
-	without(cedar.Functions, "GCD", "LCM", "TRANSLATE", "COT")
-	with(cedar.Functions, "GREATEST", "LEAST")
-	mustRegister(withFaults(cedar))
+func cedarDB() *Dialect {
+	d := profilePG("cedardb", "CedarDB")
+	d.Functions = without(d.Functions, feature.FnGCD, feature.FnLCM, feature.FnTRANSLATE, feature.FnCOT)
+	d.Functions = with(d.Functions, feature.FnGREATEST, feature.FnLEAST)
+	return d
+}
 
-	rw := profilePG("risingwave", "RisingWave")
-	without(rw.Statements, feature.StmtAnalyze)
-	without(rw.Clauses, feature.PartialIndex)
-	without(rw.Functions, "GCD", "LCM", "COT", "ATAN2")
-	rw.RequiresRefresh = true
-	mustRegister(withFaults(rw))
+func risingWave() *Dialect {
+	d := profilePG("risingwave", "RisingWave")
+	d.Statements = without(d.Statements, feature.StmtAnalyzeID)
+	d.Clauses = without(d.Clauses, feature.PartialIndexID)
+	d.Functions = without(d.Functions, feature.FnGCD, feature.FnLCM, feature.FnCOT, feature.FnATAN2)
+	d.RequiresRefresh = true
+	return d
+}
 
-	monet := profilePG("monetdb", "MonetDB")
-	without(monet.Operators, "IS DISTINCT FROM", "IS NOT DISTINCT FROM")
-	without(monet.Functions, "INITCAP", "SPLIT_PART", "GCD", "LCM", "TO_HEX")
-	mustRegister(withFaults(monet))
+func monetDB() *Dialect {
+	d := profilePG("monetdb", "MonetDB")
+	d.Operators = without(d.Operators, feature.OpIsDistinctID, feature.OpIsNotDistinctID)
+	d.Functions = without(d.Functions, feature.FnINITCAP, feature.FnSPLIT_PART,
+		feature.FnGCD, feature.FnLCM, feature.FnTO_HEX)
+	return d
+}
 
-	h2 := profilePG("h2", "H2")
-	h2.MaxIndexColumns = 2 // column-count limit: wider CREATE INDEX fails
-	with(h2.Functions, "IFNULL", "INSTR", "SPACE")
-	without(h2.Functions, "SPLIT_PART", "TO_HEX", "GCD", "LCM")
-	mustRegister(withFaults(h2))
+func h2() *Dialect {
+	d := profilePG("h2", "H2")
+	d.MaxIndexColumns = 2 // column-count limit: wider CREATE INDEX fails
+	d.Functions = with(d.Functions, feature.FnIFNULL, feature.FnINSTR, feature.FnSPACE)
+	d.Functions = without(d.Functions, feature.FnSPLIT_PART, feature.FnTO_HEX, feature.FnGCD, feature.FnLCM)
+	return d
+}
 
-	fb := profilePG("firebird", "Firebird")
-	without(fb.Clauses, feature.Intersect, feature.Except)
-	without(fb.Operators, grpBitwiseOps...)
-	without(fb.Operators, "IS DISTINCT FROM", "IS NOT DISTINCT FROM")
-	without(fb.Functions, "INITCAP", "SPLIT_PART", "TRANSLATE", "TO_HEX",
-		"GCD", "LCM", "LOG10", "CHR", "ATAN2", "COT")
-	without(fb.Clauses, feature.JoinFull)
-	mustRegister(withFaults(fb))
+func firebird() *Dialect {
+	d := profilePG("firebird", "Firebird")
+	d.Clauses = without(d.Clauses, feature.IntersectID, feature.ExceptID)
+	d.Operators = without(d.Operators, grpBitwiseOps...)
+	d.Operators = without(d.Operators, feature.OpIsDistinctID, feature.OpIsNotDistinctID)
+	d.Functions = without(d.Functions, feature.FnINITCAP, feature.FnSPLIT_PART,
+		feature.FnTRANSLATE, feature.FnTO_HEX, feature.FnGCD, feature.FnLCM,
+		feature.FnLOG10, feature.FnCHR, feature.FnATAN2, feature.FnCOT)
+	d.Clauses = without(d.Clauses, feature.JoinFullID)
+	return d
+}
 
-	oracle := profilePG("oracle", "Oracle")
-	without(oracle.Operators, grpBitwiseOps...)
-	without(oracle.Clauses, feature.Limit, feature.Offset)
-	without(oracle.Types, feature.TypeBoolean)
-	without(oracle.Functions, "IFNULL", "SPLIT_PART", "TO_HEX", "GCD",
-		"LCM", "LOG2", "LOG10", "DEGREES", "RADIANS", "PI")
-	with(oracle.Functions, "GREATEST", "LEAST", "CONCAT")
-	mustRegister(withFaults(oracle))
+func oracle() *Dialect {
+	d := profilePG("oracle", "Oracle")
+	d.Operators = without(d.Operators, grpBitwiseOps...)
+	d.Clauses = without(d.Clauses, feature.LimitID, feature.OffsetID)
+	d.Types = without(d.Types, feature.TypeBooleanID)
+	d.Functions = without(d.Functions, feature.FnIFNULL, feature.FnSPLIT_PART,
+		feature.FnTO_HEX, feature.FnGCD, feature.FnLCM, feature.FnLOG2,
+		feature.FnLOG10, feature.FnDEGREES, feature.FnRADIANS, feature.FnPI)
+	d.Functions = with(d.Functions, feature.FnGREATEST, feature.FnLEAST, feature.FnCONCAT)
+	return d
+}
 
-	virt := profilePG("virtuoso", "Virtuoso")
-	without(virt.Clauses, feature.JoinNatural, feature.JoinFull,
-		feature.CompositeIndex)
-	without(virt.Operators, "IS DISTINCT FROM", "IS NOT DISTINCT FROM")
-	without(virt.Functions, "INITCAP", "STRPOS", "SPLIT_PART", "TRANSLATE",
-		"TO_HEX", "GCD", "LCM", "TRUNC", "COT", "ATAN2", "UNICODE")
-	mustRegister(withFaults(virt))
+func virtuoso() *Dialect {
+	d := profilePG("virtuoso", "Virtuoso")
+	d.Clauses = without(d.Clauses, feature.JoinNaturalID, feature.JoinFullID,
+		feature.CompositeIndexID)
+	d.Operators = without(d.Operators, feature.OpIsDistinctID, feature.OpIsNotDistinctID)
+	d.Functions = without(d.Functions, feature.FnINITCAP, feature.FnSTRPOS,
+		feature.FnSPLIT_PART, feature.FnTRANSLATE, feature.FnTO_HEX, feature.FnGCD,
+		feature.FnLCM, feature.FnTRUNC, feature.FnCOT, feature.FnATAN2, feature.FnUNICODE)
+	return d
 }
 
 // PaperDBMSs lists the 18 systems of the paper's Table 2 (sorted as in

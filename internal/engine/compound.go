@@ -8,6 +8,19 @@ import (
 )
 
 // setOpFeature maps a set operator to its feature name.
+func setOpFeatureID(op sqlast.SetOp) feature.ID {
+	switch op {
+	case sqlast.SetUnion:
+		return feature.UnionID
+	case sqlast.SetUnionAll:
+		return feature.UnionAllID
+	case sqlast.SetIntersect:
+		return feature.IntersectID
+	default:
+		return feature.ExceptID
+	}
+}
+
 func setOpFeature(op sqlast.SetOp) string {
 	switch op {
 	case sqlast.SetUnion:
@@ -43,8 +56,9 @@ func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error
 		return nil, err
 	}
 	for _, part := range sel.Compound {
-		featName := setOpFeature(part.Op)
-		if !s.dialect.SupportsClause(featName) {
+		id := setOpFeatureID(part.Op)
+		featName := feature.Name(id)
+		if !s.dialect.Clauses.Has(id) {
 			return nil, unsupported(featName)
 		}
 		armCols, err := s.validateSelect(part.Select, outer)
@@ -77,10 +91,10 @@ func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error
 			return nil, errf(ErrSemantic, "no such output column %q", cr.Column)
 		}
 	}
-	if sel.Limit != nil && !s.dialect.SupportsClause(feature.Limit) {
+	if sel.Limit != nil && !s.dialect.Clauses.Has(feature.LimitID) {
 		return nil, unsupported(feature.Limit)
 	}
-	if sel.Offset != nil && !s.dialect.SupportsClause(feature.Offset) {
+	if sel.Offset != nil && !s.dialect.Clauses.Has(feature.OffsetID) {
 		return nil, unsupported(feature.Offset)
 	}
 	return cols, nil

@@ -270,7 +270,7 @@ func TestEvalEveryRegisteredFunction(t *testing.T) {
 	d := dialect.MustGet("sqlite").Clone()
 	d.Name = "all-functions-test"
 	for _, name := range FuncNames() {
-		d.Functions[name] = true
+		d.Functions.Add(LookupFunc(name).Feature)
 	}
 	db := Open(d, WithoutFaults())
 	for _, name := range FuncNames() {

@@ -1,66 +1,62 @@
 package engine
 
 import (
-	"sort"
-
 	"sqlancerpp/internal/feature"
 	"sqlancerpp/internal/sqlast"
 )
 
 // ScanFeatures returns the canonical feature names appearing in a
-// statement: the statement keyword, clause keywords, operator spellings,
-// expression forms, and function names. The engine uses it to trigger
-// feature-keyed faults; the experiment harness uses it to cross-execute
-// bug-inducing cases (Figure 6).
+// statement, sorted: the statement keyword, clause keywords, operator
+// spellings, expression forms, and function names. The experiment
+// harness uses it to cross-execute bug-inducing cases (Figure 6).
 func ScanFeatures(stmt sqlast.Stmt) []string {
-	set := map[string]bool{}
-	scanStmtFeatures(stmt, set)
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+	var set feature.Set
+	ScanFeatureSet(stmt, &set)
+	return set.Names()
 }
 
-func scanStmtFeatures(stmt sqlast.Stmt, set map[string]bool) {
+// ScanFeatureSet adds the features appearing in a statement to set; the
+// engine uses it to trigger feature-keyed faults.
+func ScanFeatureSet(stmt sqlast.Stmt, set *feature.Set) {
 	switch st := stmt.(type) {
 	case *sqlast.CreateTable:
-		set[feature.StmtCreateTable] = true
+		set.Add(feature.StmtCreateTableID)
 		for _, c := range st.Columns {
-			set[c.Type.String()] = true
+			if id, ok := typeFeature(c.Type); ok {
+				set.Add(id)
+			}
 			if c.NotNull {
-				set[feature.NotNullColumn] = true
+				set.Add(feature.NotNullColumnID)
 			}
 			if c.Unique {
-				set[feature.UniqueColumn] = true
+				set.Add(feature.UniqueColumnID)
 			}
 			if c.PrimaryKey {
-				set[feature.PrimaryKey] = true
+				set.Add(feature.PrimaryKeyID)
 			}
 		}
 	case *sqlast.CreateIndex:
-		set[feature.StmtCreateIndex] = true
+		set.Add(feature.StmtCreateIndexID)
 		if st.Unique {
-			set[feature.UniqueIndex] = true
+			set.Add(feature.UniqueIndexID)
 		}
 		if st.Where != nil {
-			set[feature.PartialIndex] = true
+			set.Add(feature.PartialIndexID)
 			scanExprFeatures(st.Where, set)
 		}
 	case *sqlast.CreateView:
-		set[feature.StmtCreateView] = true
+		set.Add(feature.StmtCreateViewID)
 		if len(st.Columns) > 0 {
-			set[feature.ViewColumnNames] = true
+			set.Add(feature.ViewColumnNamesID)
 		}
 		scanSelectFeatures(st.Select, set)
 	case *sqlast.Insert:
-		set[feature.StmtInsert] = true
+		set.Add(feature.StmtInsertID)
 		if st.OrIgnore {
-			set[feature.InsertOrIgnore] = true
+			set.Add(feature.InsertOrIgnoreID)
 		}
 		if len(st.Rows) > 1 {
-			set[feature.InsertMultiRow] = true
+			set.Add(feature.InsertMultiRowID)
 		}
 		for _, row := range st.Rows {
 			for _, e := range row {
@@ -68,76 +64,101 @@ func scanStmtFeatures(stmt sqlast.Stmt, set map[string]bool) {
 			}
 		}
 	case *sqlast.Update:
-		set[feature.StmtUpdate] = true
+		set.Add(feature.StmtUpdateID)
 		for _, a := range st.Sets {
 			scanExprFeatures(a.Value, set)
 		}
 		if st.Where != nil {
-			set[feature.ClauseWhere] = true
+			set.Add(feature.ClauseWhereID)
 			scanExprFeatures(st.Where, set)
 		}
 	case *sqlast.Delete:
-		set[feature.StmtDelete] = true
+		set.Add(feature.StmtDeleteID)
 		if st.Where != nil {
-			set[feature.ClauseWhere] = true
+			set.Add(feature.ClauseWhereID)
 			scanExprFeatures(st.Where, set)
 		}
 	case *sqlast.AlterTable:
-		set[feature.StmtAlterTable] = true
+		set.Add(feature.StmtAlterTableID)
 	case *sqlast.DropTable:
-		set[feature.StmtDropTable] = true
+		set.Add(feature.StmtDropTableID)
 	case *sqlast.DropView:
-		set[feature.StmtDropView] = true
+		set.Add(feature.StmtDropViewID)
 	case *sqlast.DropIndex:
-		set[feature.StmtDropIndex] = true
+		set.Add(feature.StmtDropIndexID)
 	case *sqlast.Reindex:
-		set[feature.StmtReindex] = true
+		set.Add(feature.StmtReindexID)
 	case *sqlast.Analyze:
-		set[feature.StmtAnalyze] = true
+		set.Add(feature.StmtAnalyzeID)
 	case *sqlast.Refresh:
-		set[feature.StmtRefresh] = true
+		set.Add(feature.StmtRefreshID)
 	case *sqlast.Select:
 		scanSelectFeatures(st, set)
 	}
 }
 
 func joinFeature(j sqlast.JoinType) string {
+	if id, ok := joinFeatureID(j); ok {
+		return feature.Name(id)
+	}
+	return ""
+}
+
+func joinFeatureID(j sqlast.JoinType) (feature.ID, bool) {
 	switch j {
 	case sqlast.JoinComma:
-		return feature.JoinComma
+		return feature.JoinCommaID, true
 	case sqlast.JoinInner:
-		return feature.JoinInner
+		return feature.JoinInnerID, true
 	case sqlast.JoinLeft:
-		return feature.JoinLeft
+		return feature.JoinLeftID, true
 	case sqlast.JoinRight:
-		return feature.JoinRight
+		return feature.JoinRightID, true
 	case sqlast.JoinFull:
-		return feature.JoinFull
+		return feature.JoinFullID, true
 	case sqlast.JoinCross:
-		return feature.JoinCross
+		return feature.JoinCrossID, true
 	case sqlast.JoinNatural:
-		return feature.JoinNatural
+		return feature.JoinNaturalID, true
 	default:
-		return ""
+		return 0, false
 	}
 }
 
-func scanSelectFeatures(sel *sqlast.Select, set map[string]bool) {
-	set[feature.StmtSelect] = true
+// binaryFeature returns an operator's feature: feature.BinaryOperators
+// lists the spellings in sqlast.BinaryOp order.
+func binaryFeature(op sqlast.BinaryOp) feature.ID { return feature.BinaryOperatorIDs[op] }
+
+// typeFeature returns a data type's feature.
+func typeFeature(t sqlast.Type) (feature.ID, bool) {
+	switch t {
+	case sqlast.TypeInt:
+		return feature.TypeIntegerID, true
+	case sqlast.TypeText:
+		return feature.TypeTextID, true
+	case sqlast.TypeBool:
+		return feature.TypeBooleanID, true
+	default:
+		return 0, false
+	}
+}
+
+func scanSelectFeatures(sel *sqlast.Select, set *feature.Set) {
+	set.Add(feature.StmtSelectID)
 	if sel.Distinct {
-		set[feature.Distinct] = true
+		set.Add(feature.DistinctID)
 	}
 	for i := range sel.Items {
 		scanExprFeatures(sel.Items[i].Expr, set)
 	}
 	for i, f := range sel.From {
 		if i > 0 {
-			if jf := joinFeature(f.Join); jf != "" {
-				set[jf] = true
+			if jf, ok := joinFeatureID(f.Join); ok {
+				set.Add(jf)
 			}
 		}
 		if d, ok := f.Ref.(*sqlast.DerivedTable); ok {
-			set[feature.DerivedTable] = true
+			set.Add(feature.DerivedTableID)
 			scanSelectFeatures(d.Select, set)
 		}
 		if f.On != nil {
@@ -145,85 +166,87 @@ func scanSelectFeatures(sel *sqlast.Select, set map[string]bool) {
 		}
 	}
 	if sel.Where != nil {
-		set[feature.ClauseWhere] = true
+		set.Add(feature.ClauseWhereID)
 		scanExprFeatures(sel.Where, set)
 	}
 	if len(sel.GroupBy) > 0 {
-		set[feature.GroupBy] = true
+		set.Add(feature.GroupByID)
 		for _, g := range sel.GroupBy {
 			scanExprFeatures(g, set)
 		}
 	}
 	if sel.Having != nil {
-		set[feature.Having] = true
+		set.Add(feature.HavingID)
 		scanExprFeatures(sel.Having, set)
 	}
 	for _, part := range sel.Compound {
-		set[setOpFeature(part.Op)] = true
+		set.Add(setOpFeatureID(part.Op))
 		scanSelectFeatures(part.Select, set)
 	}
 	if len(sel.OrderBy) > 0 {
-		set[feature.OrderBy] = true
+		set.Add(feature.OrderByID)
 		for _, o := range sel.OrderBy {
 			scanExprFeatures(o.Expr, set)
 		}
 	}
 	if sel.Limit != nil {
-		set[feature.Limit] = true
+		set.Add(feature.LimitID)
 	}
 	if sel.Offset != nil {
-		set[feature.Offset] = true
+		set.Add(feature.OffsetID)
 	}
 }
 
-func scanExprFeatures(e sqlast.Expr, set map[string]bool) {
+func scanExprFeatures(e sqlast.Expr, set *feature.Set) {
 	sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
 		switch n := x.(type) {
 		case *sqlast.Literal:
 			if n.Kind == sqlast.LitBool {
-				set[feature.TypeBoolean] = true
+				set.Add(feature.TypeBooleanID)
 			}
 		case *sqlast.Unary:
 			if n.Op == sqlast.UBitNot {
-				set["~"] = true
+				set.Add(feature.OpBitNotID)
 			} else if n.Op == sqlast.UNot {
-				set[feature.ExprNot] = true
+				set.Add(feature.ExprNotID)
 			}
 		case *sqlast.Binary:
-			set[n.Op.String()] = true
+			set.Add(binaryFeature(n.Op))
 		case *sqlast.Func:
-			set[n.Name] = true
+			if id, ok := funcFeature(n.Name); ok {
+				set.Add(id)
+			}
 			if n.Distinct {
-				set[feature.Distinct] = true
+				set.Add(feature.DistinctID)
 			}
 		case *sqlast.Case:
-			set[feature.ExprCase] = true
+			set.Add(feature.ExprCaseID)
 		case *sqlast.Cast:
-			set[feature.ExprCast] = true
+			set.Add(feature.ExprCastID)
 		case *sqlast.Between:
-			set[feature.ExprBetween] = true
+			set.Add(feature.ExprBetweenID)
 		case *sqlast.InList:
 			if n.Not {
-				set[feature.ExprNotIn] = true
+				set.Add(feature.ExprNotInID)
 			} else {
-				set[feature.ExprIn] = true
+				set.Add(feature.ExprInID)
 			}
 		case *sqlast.IsNull:
-			set[feature.ExprIsNull] = true
+			set.Add(feature.ExprIsNullID)
 		case *sqlast.IsBool:
-			set[feature.ExprIsBool] = true
+			set.Add(feature.ExprIsBoolID)
 		case *sqlast.Like:
 			if n.Kind == sqlast.LikeGlob {
-				set[feature.ExprGlob] = true
+				set.Add(feature.ExprGlobID)
 			} else {
-				set[feature.ExprLike] = true
+				set.Add(feature.ExprLikeID)
 			}
 		case *sqlast.Subquery:
-			set[feature.Subquery] = true
+			set.Add(feature.SubqueryID)
 			scanSelectFeatures(n.Select, set)
 			return false // already descended
 		case *sqlast.Exists:
-			set[feature.ExprExists] = true
+			set.Add(feature.ExprExistsID)
 			scanSelectFeatures(n.Select, set)
 			return false
 		}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sqlancerpp/internal/feature"
 )
 
 // FuncDef describes one scalar function: its arity, the argument kinds a
@@ -17,7 +19,9 @@ import (
 // dialect: statically typed systems raise runtime errors — the paper's
 // context-dependent failures — and dynamic systems yield NULL.
 type FuncDef struct {
-	Name    string
+	Name string
+	// Feature is the function's feature ID (set on registration).
+	Feature feature.ID
 	MinArgs int
 	MaxArgs int // -1 means variadic
 	// ArgKinds lists required kinds per position for static type checking;
@@ -62,7 +66,27 @@ func FuncNames() []string {
 // LookupFunc returns a function definition by upper-case name.
 func LookupFunc(name string) *FuncDef { return funcRegistry[name] }
 
-func reg(d *FuncDef) { regMap[d.Name] = d }
+// funcByID indexes the registry by feature ID.
+var funcByID [feature.NumIDs]*FuncDef
+
+// FuncByID returns the definition of the function with that feature ID,
+// or nil.
+func FuncByID(id feature.ID) *FuncDef { return funcByID[id] }
+
+// funcFeature returns the feature ID of a function name: the registry's
+// for an implemented function, else the table's (aggregates).
+func funcFeature(name string) (feature.ID, bool) {
+	if d := funcRegistry[name]; d != nil {
+		return d.Feature, true
+	}
+	return feature.Lookup(name)
+}
+
+func reg(d *FuncDef) {
+	d.Feature = feature.MustLookup(d.Name)
+	regMap[d.Name] = d
+	funcByID[d.Feature] = d
+}
 
 // anyNull returns the index of the first NULL argument, or -1.
 func anyNull(args []Value) int {

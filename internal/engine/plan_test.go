@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sqlancerpp/internal/feature"
 	"testing"
 
 	"sqlancerpp/internal/dialect"
@@ -98,7 +99,7 @@ func TestIndexMaintenanceAcrossDML(t *testing.T) {
 func TestIndexMaintenanceOnRefresh(t *testing.T) {
 	d := dialect.MustGet("cratedb").Clone()
 	d.Name = "cratedb-refresh-index-test"
-	d.Statements["CREATE INDEX"] = true
+	d.Statements.Add(feature.StmtCreateIndexID)
 	db := Open(d, WithoutFaults())
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	mustExec(t, db, "CREATE INDEX i ON t (a)")

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sort"
+	"sqlancerpp/internal/feature"
 	"sync/atomic"
 
 	"sqlancerpp/internal/coverage"
@@ -336,23 +337,35 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 }
 
 // checkFeatureFaults fires CrashOnFeature / CrashOnDeepExpr /
-// InternalErrorOnFeature faults and arms PerfOnFeature.
+// InternalErrorOnFeature faults and arms PerfOnFeature. A fault set with
+// none of these skips the scan; otherwise the statement's features are
+// scanned into a set, and when it misses every feature-keyed trigger one
+// mask test skips the feature faults. When several match, they fire in
+// feature-name order.
 func (s *DB) checkFeatureFaults(stmt sqlast.Stmt) error {
 	fs := s.faultSet()
-	if fs == nil {
+	triggers := fs.FeatureTriggers()
+	if fs == nil || (triggers.Empty() && fs.CrashDeep() == nil) {
 		return nil
 	}
-	feats := ScanFeatures(stmt)
-	for _, ft := range feats {
-		if f := fs.CrashFeature(ft); f != nil {
+	var feats feature.Set
+	ScanFeatureSet(stmt, &feats)
+	// Only the features that hit a trigger are looked up, in ID order,
+	// which is name order.
+	hits := feats
+	hits.Intersect(triggers)
+	for id, ok := hits.Next(0); ok; id, ok = hits.Next(id + 1) {
+		if f := fs.CrashFeature(id); f != nil {
 			s.trigger(f)
 			s.crashed = true
+			ft := feature.Name(id)
 			return &Error{Class: ErrCrash, Msg: "server crashed while executing " + ft, Feature: ft, FaultID: f.ID}
 		}
 	}
-	for _, ft := range feats {
-		if f := fs.ErrFeature(ft); f != nil {
+	for id, ok := hits.Next(0); ok; id, ok = hits.Next(id + 1) {
+		if f := fs.ErrFeature(id); f != nil {
 			s.trigger(f)
+			ft := feature.Name(id)
 			return &Error{Class: ErrInternal, Msg: "internal error: unexpected state in " + ft + " execution", Feature: ft, FaultID: f.ID}
 		}
 	}
@@ -361,8 +374,8 @@ func (s *DB) checkFeatureFaults(stmt sqlast.Stmt) error {
 		s.crashed = true
 		return &Error{Class: ErrCrash, Msg: "server crashed: expression nesting overflow", FaultID: f.ID}
 	}
-	for _, ft := range feats {
-		if f := fs.PerfFeature(ft); f != nil {
+	for id, ok := hits.Next(0); ok; id, ok = hits.Next(id + 1) {
+		if f := fs.PerfFeature(id); f != nil {
 			s.trigger(f)
 			s.cost += 1_000_000 // simulated performance cliff
 		}

@@ -70,7 +70,7 @@ func (s *DB) static() bool { return s.dialect.TypeSystem == dialect.Static }
 func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		if !s.dialect.SupportsStatement(feature.StmtSelect) {
+		if !s.dialect.Statements.Has(feature.StmtSelectID) {
 			return unsupported(feature.StmtSelect)
 		}
 		_, err := s.validateSelect(st, nil)
@@ -88,40 +88,40 @@ func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 	case *sqlast.Delete:
 		return s.validateDelete(st)
 	case *sqlast.AlterTable:
-		if !s.dialect.SupportsStatement(feature.StmtAlterTable) {
+		if !s.dialect.Statements.Has(feature.StmtAlterTableID) {
 			return unsupported(feature.StmtAlterTable)
 		}
-		if st.AddColumn != nil && !s.dialect.SupportsType(st.AddColumn.Type.String()) {
+		if st.AddColumn != nil && !s.supportsType(st.AddColumn.Type) {
 			return unsupported(st.AddColumn.Type.String())
 		}
 		return nil
 	case *sqlast.DropTable:
-		if !s.dialect.SupportsStatement(feature.StmtDropTable) {
+		if !s.dialect.Statements.Has(feature.StmtDropTableID) {
 			return unsupported(feature.StmtDropTable)
 		}
 		return nil
 	case *sqlast.DropView:
-		if !s.dialect.SupportsStatement(feature.StmtDropView) {
+		if !s.dialect.Statements.Has(feature.StmtDropViewID) {
 			return unsupported(feature.StmtDropView)
 		}
 		return nil
 	case *sqlast.DropIndex:
-		if !s.dialect.SupportsStatement(feature.StmtDropIndex) {
+		if !s.dialect.Statements.Has(feature.StmtDropIndexID) {
 			return unsupported(feature.StmtDropIndex)
 		}
 		return nil
 	case *sqlast.Reindex:
-		if !s.dialect.SupportsStatement(feature.StmtReindex) {
+		if !s.dialect.Statements.Has(feature.StmtReindexID) {
 			return unsupported(feature.StmtReindex)
 		}
 		return nil
 	case *sqlast.Analyze:
-		if !s.dialect.SupportsStatement(feature.StmtAnalyze) {
+		if !s.dialect.Statements.Has(feature.StmtAnalyzeID) {
 			return unsupported(feature.StmtAnalyze)
 		}
 		return nil
 	case *sqlast.Refresh:
-		if !s.dialect.SupportsStatement(feature.StmtRefresh) {
+		if !s.dialect.Statements.Has(feature.StmtRefreshID) {
 			return unsupported(feature.StmtRefresh)
 		}
 		return nil
@@ -131,7 +131,7 @@ func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 }
 
 func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
-	if !s.dialect.SupportsStatement(feature.StmtCreateTable) {
+	if !s.dialect.Statements.Has(feature.StmtCreateTableID) {
 		return unsupported(feature.StmtCreateTable)
 	}
 	if len(st.Columns) == 0 {
@@ -139,7 +139,7 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 	}
 	seen := map[string]bool{}
 	for _, c := range st.Columns {
-		if !s.dialect.SupportsType(c.Type.String()) {
+		if !s.supportsType(c.Type) {
 			return unsupported(c.Type.String())
 		}
 		lc := strings.ToLower(c.Name)
@@ -147,13 +147,13 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 			return errf(ErrSemantic, "duplicate column name %q", c.Name)
 		}
 		seen[lc] = true
-		if c.NotNull && !s.dialect.SupportsClause(feature.NotNullColumn) {
+		if c.NotNull && !s.dialect.Clauses.Has(feature.NotNullColumnID) {
 			return unsupported(feature.NotNullColumn)
 		}
-		if c.Unique && !s.dialect.SupportsClause(feature.UniqueColumn) {
+		if c.Unique && !s.dialect.Clauses.Has(feature.UniqueColumnID) {
 			return unsupported(feature.UniqueColumn)
 		}
-		if c.PrimaryKey && !s.dialect.SupportsClause(feature.PrimaryKey) {
+		if c.PrimaryKey && !s.dialect.Clauses.Has(feature.PrimaryKeyID) {
 			return unsupported(feature.PrimaryKey)
 		}
 	}
@@ -161,16 +161,16 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 }
 
 func (s *DB) validateCreateIndex(st *sqlast.CreateIndex) error {
-	if !s.dialect.SupportsStatement(feature.StmtCreateIndex) {
+	if !s.dialect.Statements.Has(feature.StmtCreateIndexID) {
 		return unsupported(feature.StmtCreateIndex)
 	}
-	if st.Unique && !s.dialect.SupportsClause(feature.UniqueIndex) {
+	if st.Unique && !s.dialect.Clauses.Has(feature.UniqueIndexID) {
 		return unsupported(feature.UniqueIndex)
 	}
-	if st.Where != nil && !s.dialect.SupportsClause(feature.PartialIndex) {
+	if st.Where != nil && !s.dialect.Clauses.Has(feature.PartialIndexID) {
 		return unsupported(feature.PartialIndex)
 	}
-	if len(st.Columns) > 1 && !s.dialect.SupportsClause(feature.CompositeIndex) {
+	if len(st.Columns) > 1 && !s.dialect.Clauses.Has(feature.CompositeIndexID) {
 		return unsupported(feature.CompositeIndex)
 	}
 	if max := s.dialect.MaxIndexColumns; max > 0 && len(st.Columns) > max {
@@ -208,10 +208,10 @@ func (s *DB) validateCreateIndex(st *sqlast.CreateIndex) error {
 }
 
 func (s *DB) validateCreateView(st *sqlast.CreateView) error {
-	if !s.dialect.SupportsStatement(feature.StmtCreateView) {
+	if !s.dialect.Statements.Has(feature.StmtCreateViewID) {
 		return unsupported(feature.StmtCreateView)
 	}
-	if len(st.Columns) > 0 && !s.dialect.SupportsClause(feature.ViewColumnNames) {
+	if len(st.Columns) > 0 && !s.dialect.Clauses.Has(feature.ViewColumnNamesID) {
 		return unsupported(feature.ViewColumnNames)
 	}
 	cols, err := s.validateSelect(st.Select, nil)
@@ -225,13 +225,13 @@ func (s *DB) validateCreateView(st *sqlast.CreateView) error {
 }
 
 func (s *DB) validateInsert(st *sqlast.Insert) error {
-	if !s.dialect.SupportsStatement(feature.StmtInsert) {
+	if !s.dialect.Statements.Has(feature.StmtInsertID) {
 		return unsupported(feature.StmtInsert)
 	}
-	if st.OrIgnore && !s.dialect.SupportsClause(feature.InsertOrIgnore) {
+	if st.OrIgnore && !s.dialect.Clauses.Has(feature.InsertOrIgnoreID) {
 		return unsupported(feature.InsertOrIgnore)
 	}
-	if len(st.Rows) > 1 && !s.dialect.SupportsClause(feature.InsertMultiRow) {
+	if len(st.Rows) > 1 && !s.dialect.Clauses.Has(feature.InsertMultiRowID) {
 		return unsupported(feature.InsertMultiRow)
 	}
 	t := s.store.table(st.Table)
@@ -282,7 +282,7 @@ func insertTargets(t *Table, cols []string) ([]int, *Error) {
 }
 
 func (s *DB) validateUpdate(st *sqlast.Update) error {
-	if !s.dialect.SupportsStatement(feature.StmtUpdate) {
+	if !s.dialect.Statements.Has(feature.StmtUpdateID) {
 		return unsupported(feature.StmtUpdate)
 	}
 	t := s.store.table(st.Table)
@@ -309,7 +309,7 @@ func (s *DB) validateUpdate(st *sqlast.Update) error {
 }
 
 func (s *DB) validateDelete(st *sqlast.Delete) error {
-	if !s.dialect.SupportsStatement(feature.StmtDelete) {
+	if !s.dialect.Statements.Has(feature.StmtDeleteID) {
 		return unsupported(feature.StmtDelete)
 	}
 	t := s.store.table(st.Table)
@@ -342,16 +342,15 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 	if len(sel.Compound) > 0 {
 		return s.validateCompound(sel, outer)
 	}
-	if sel.Distinct && !s.dialect.SupportsClause(feature.Distinct) {
+	if sel.Distinct && !s.dialect.Clauses.Has(feature.DistinctID) {
 		return nil, unsupported(feature.Distinct)
 	}
 	sc := &scope{outer: outer}
 	seenAlias := map[string]bool{}
 	for i, f := range sel.From {
 		if i > 0 {
-			jf := joinFeature(f.Join)
-			if jf != "" && !s.dialect.SupportsClause(jf) {
-				return nil, unsupported(jf)
+			if jf, ok := joinFeatureID(f.Join); ok && !s.dialect.Clauses.Has(jf) {
+				return nil, unsupported(feature.Name(jf))
 			}
 		}
 		var rel scopeRel
@@ -363,7 +362,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			}
 			rel = scopeRel{alias: r.RefName(), cols: cols}
 		case *sqlast.DerivedTable:
-			if !s.dialect.SupportsClause(feature.DerivedTable) {
+			if !s.dialect.Clauses.Has(feature.DerivedTableID) {
 				return nil, unsupported(feature.DerivedTable)
 			}
 			cols, err := s.validateSelect(r.Select, outer)
@@ -388,7 +387,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if sel.Where != nil {
-		if !s.dialect.SupportsClause(feature.ClauseWhere) {
+		if !s.dialect.Clauses.Has(feature.ClauseWhereID) {
 			return nil, unsupported(feature.ClauseWhere)
 		}
 		if err := s.validateBoolClause(sel.Where, sc); err != nil {
@@ -399,7 +398,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if len(sel.GroupBy) > 0 {
-		if !s.dialect.SupportsClause(feature.GroupBy) {
+		if !s.dialect.Clauses.Has(feature.GroupByID) {
 			return nil, unsupported(feature.GroupBy)
 		}
 		for _, g := range sel.GroupBy {
@@ -409,7 +408,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if sel.Having != nil {
-		if !s.dialect.SupportsClause(feature.Having) {
+		if !s.dialect.Clauses.Has(feature.HavingID) {
 			return nil, unsupported(feature.Having)
 		}
 		if len(sel.GroupBy) == 0 {
@@ -426,7 +425,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if len(sel.OrderBy) > 0 {
-		if !s.dialect.SupportsClause(feature.OrderBy) {
+		if !s.dialect.Clauses.Has(feature.OrderByID) {
 			return nil, unsupported(feature.OrderBy)
 		}
 		for _, o := range sel.OrderBy {
@@ -435,10 +434,10 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			}
 		}
 	}
-	if sel.Limit != nil && !s.dialect.SupportsClause(feature.Limit) {
+	if sel.Limit != nil && !s.dialect.Clauses.Has(feature.LimitID) {
 		return nil, unsupported(feature.Limit)
 	}
-	if sel.Offset != nil && !s.dialect.SupportsClause(feature.Offset) {
+	if sel.Offset != nil && !s.dialect.Clauses.Has(feature.OffsetID) {
 		return nil, unsupported(feature.Offset)
 	}
 

@@ -21,7 +21,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		case sqlast.LitText:
 			return sqlast.TypeText, nil
 		case sqlast.LitBool:
-			if !s.dialect.SupportsType(feature.TypeBoolean) {
+			if !s.dialect.Types.Has(feature.TypeBooleanID) {
 				return sqlast.TypeUnknown, unsupported(feature.TypeBoolean)
 			}
 			return sqlast.TypeBool, nil
@@ -38,11 +38,11 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 	case *sqlast.Unary:
 		switch x.Op {
 		case sqlast.UBitNot:
-			if !s.dialect.SupportsOperator("~") {
-				return sqlast.TypeUnknown, unsupported("~")
+			if !s.dialect.Operators.Has(feature.OpBitNotID) {
+				return sqlast.TypeUnknown, unsupported(feature.OpBitNot)
 			}
 		case sqlast.UNot:
-			if !s.dialect.SupportsOperator(feature.ExprNot) {
+			if !s.dialect.Operators.Has(feature.ExprNotID) {
 				return sqlast.TypeUnknown, unsupported(feature.ExprNot)
 			}
 		}
@@ -75,10 +75,10 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return s.validateCase(x, sc, allowAggr)
 
 	case *sqlast.Cast:
-		if !s.dialect.SupportsOperator(feature.ExprCast) {
+		if !s.dialect.Operators.Has(feature.ExprCastID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprCast)
 		}
-		if !s.dialect.SupportsType(x.To.String()) {
+		if !s.supportsType(x.To) {
 			return sqlast.TypeUnknown, unsupported(x.To.String())
 		}
 		if _, err := s.validateExpr(x.X, sc, allowAggr); err != nil {
@@ -87,7 +87,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return x.To, nil
 
 	case *sqlast.Between:
-		if !s.dialect.SupportsOperator(feature.ExprBetween) {
+		if !s.dialect.Operators.Has(feature.ExprBetweenID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprBetween)
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
@@ -114,12 +114,12 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.InList:
-		featName := feature.ExprIn
+		id := feature.ExprInID
 		if x.Not {
-			featName = feature.ExprNotIn
+			id = feature.ExprNotInID
 		}
-		if !s.dialect.SupportsOperator(featName) {
-			return sqlast.TypeUnknown, unsupported(featName)
+		if !s.dialect.Operators.Has(id) {
+			return sqlast.TypeUnknown, unsupported(feature.Name(id))
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
 		if err != nil {
@@ -139,7 +139,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.IsNull:
-		if !s.dialect.SupportsOperator(feature.ExprIsNull) {
+		if !s.dialect.Operators.Has(feature.ExprIsNullID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprIsNull)
 		}
 		if _, err := s.validateExpr(x.X, sc, allowAggr); err != nil {
@@ -148,7 +148,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.IsBool:
-		if !s.dialect.SupportsOperator(feature.ExprIsBool) {
+		if !s.dialect.Operators.Has(feature.ExprIsBoolID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprIsBool)
 		}
 		typ, err := s.validateExpr(x.X, sc, allowAggr)
@@ -163,12 +163,12 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.Like:
-		featName := feature.ExprLike
+		id := feature.ExprLikeID
 		if x.Kind == sqlast.LikeGlob {
-			featName = feature.ExprGlob
+			id = feature.ExprGlobID
 		}
-		if !s.dialect.SupportsOperator(featName) {
-			return sqlast.TypeUnknown, unsupported(featName)
+		if !s.dialect.Operators.Has(id) {
+			return sqlast.TypeUnknown, unsupported(feature.Name(id))
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
 		if err != nil {
@@ -189,7 +189,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.Subquery:
-		if !s.dialect.SupportsClause(feature.Subquery) {
+		if !s.dialect.Clauses.Has(feature.SubqueryID) {
 			return sqlast.TypeUnknown, unsupported(feature.Subquery)
 		}
 		cols, err := s.validateSelect(x.Select, sc)
@@ -202,7 +202,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return cols[0].Type, nil
 
 	case *sqlast.Exists:
-		if !s.dialect.SupportsOperator(feature.ExprExists) {
+		if !s.dialect.Operators.Has(feature.ExprExistsID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprExists)
 		}
 		if _, err := s.validateSelect(x.Select, sc); err != nil {
@@ -216,8 +216,9 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 }
 
 func (s *DB) validateBinary(x *sqlast.Binary, sc *scope, allowAggr bool) (sqlast.Type, error) {
-	op := x.Op.String()
-	if !s.dialect.SupportsOperator(op) {
+	id := binaryFeature(x.Op)
+	op := feature.Name(id)
+	if !s.dialect.Operators.Has(id) {
 		return sqlast.TypeUnknown, unsupported(op)
 	}
 	lt, err := s.validateExpr(x.L, sc, allowAggr)
@@ -277,7 +278,7 @@ func (s *DB) validateBinary(x *sqlast.Binary, sc *scope, allowAggr bool) (sqlast
 // operand with each WHEN; a searched CASE requires boolean WHENs. All
 // THEN/ELSE results must share a type family.
 func (s *DB) validateCase(x *sqlast.Case, sc *scope, allowAggr bool) (sqlast.Type, error) {
-	if !s.dialect.SupportsOperator(feature.ExprCase) {
+	if !s.dialect.Operators.Has(feature.ExprCaseID) {
 		return sqlast.TypeUnknown, unsupported(feature.ExprCase)
 	}
 	var opType sqlast.Type = sqlast.TypeUnknown
@@ -351,7 +352,7 @@ func (s *DB) validateFunc(x *sqlast.Func, sc *scope, allowAggr bool) (sqlast.Typ
 	// Scalar MIN/MAX: two or more arguments of one comparable family
 	// (SQLite-style).
 	if (x.Name == "MIN" || x.Name == "MAX") && len(x.Args) >= 2 {
-		if !s.dialect.SupportsFunction(x.Name) {
+		if !s.supportsFunction(x.Name) {
 			return sqlast.TypeUnknown, unsupported(x.Name)
 		}
 		var res sqlast.Type = sqlast.TypeUnknown
@@ -374,7 +375,7 @@ func (s *DB) validateFunc(x *sqlast.Func, sc *scope, allowAggr bool) (sqlast.Typ
 	if def == nil {
 		return sqlast.TypeUnknown, errf(ErrSemantic, "no such function %s", x.Name)
 	}
-	if !s.dialect.SupportsFunction(x.Name) {
+	if !s.dialect.Functions.Has(def.Feature) {
 		return sqlast.TypeUnknown, unsupported(x.Name)
 	}
 	if x.Star || x.Distinct {
@@ -412,7 +413,7 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 	if !allowAggr {
 		return sqlast.TypeUnknown, errf(ErrSemantic, "aggregate %s is not allowed here", x.Name)
 	}
-	if !s.dialect.SupportsFunction(x.Name) {
+	if !s.supportsFunction(x.Name) {
 		return sqlast.TypeUnknown, unsupported(x.Name)
 	}
 	if x.Star {
@@ -445,4 +446,17 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 	default: // MIN, MAX
 		return at, nil
 	}
+}
+
+// supportsType reports whether the dialect supports a data type.
+func (s *DB) supportsType(t sqlast.Type) bool {
+	id, ok := typeFeature(t)
+	return ok && s.dialect.Types.Has(id)
+}
+
+// supportsFunction reports whether the dialect supports a function or
+// aggregate by name.
+func (s *DB) supportsFunction(name string) bool {
+	id, ok := funcFeature(name)
+	return ok && s.dialect.Functions.Has(id)
 }

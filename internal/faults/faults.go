@@ -18,6 +18,12 @@
 // generator, oracles, and prioritizer — never sees fault IDs.
 package faults
 
+import (
+	"fmt"
+
+	"sqlancerpp/internal/feature"
+)
+
 // Class categorizes a fault by user-visible symptom, mirroring the
 // paper's bug classes in Table 2 and §6.
 type Class int
@@ -243,10 +249,13 @@ type Set struct {
 	prefixTrunc  *Fault
 	joinResidual *Fault
 	unionDedup   *Fault
-	crashFeature map[string]*Fault
+	crashFeature map[feature.ID]*Fault
 	crashDeep    *Fault
-	errFeature   map[string]*Fault
-	perfFeature  map[string]*Fault
+	errFeature   map[feature.ID]*Fault
+	perfFeature  map[feature.ID]*Fault
+	// triggers holds the features the three maps above are keyed by: a
+	// statement whose features miss it fires no feature-keyed fault.
+	triggers     feature.Set
 	panicRebuild *Fault
 	panicProbe   *Fault
 	vecNull      map[string]*Fault // by comparison operator spelling
@@ -267,9 +276,9 @@ func NewSet(list []Fault) *Set {
 		notElim:      map[string]*Fault{},
 		joinFlatten:  map[string]*Fault{},
 		rangeBound:   map[string]*Fault{},
-		crashFeature: map[string]*Fault{},
-		errFeature:   map[string]*Fault{},
-		perfFeature:  map[string]*Fault{},
+		crashFeature: map[feature.ID]*Fault{},
+		errFeature:   map[feature.ID]*Fault{},
+		perfFeature:  map[feature.ID]*Fault{},
 		vecNull:      map[string]*Fault{},
 	}
 	for i := range s.all {
@@ -318,13 +327,13 @@ func NewSet(list []Fault) *Set {
 		case UnionAllDedup:
 			s.unionDedup = f
 		case CrashOnFeature:
-			s.crashFeature[f.Param] = f
+			s.crashFeature[s.trigger(f)] = f
 		case CrashOnDeepExpr:
 			s.crashDeep = f
 		case InternalErrorOnFeature:
-			s.errFeature[f.Param] = f
+			s.errFeature[s.trigger(f)] = f
 		case PerfOnFeature:
-			s.perfFeature[f.Param] = f
+			s.perfFeature[s.trigger(f)] = f
 		case PanicOnCompositeRebuild:
 			s.panicRebuild = f
 		case PanicOnProbeStep:
@@ -340,6 +349,19 @@ func NewSet(list []Fault) *Set {
 		}
 	}
 	return s
+}
+
+// trigger adds the feature a feature-keyed fault fires on to the
+// triggers and returns it. Fault lists come from the catalogue (or
+// tests), whose parameters a test checks against the feature table, so
+// an unknown one is a bug.
+func (s *Set) trigger(f *Fault) feature.ID {
+	id, ok := feature.Lookup(f.Param)
+	if !ok {
+		panic(fmt.Sprintf("faults: %s fires on unknown feature %q", f.ID, f.Param))
+	}
+	s.triggers.Add(id)
+	return id
 }
 
 // All returns the fault list.
@@ -544,12 +566,21 @@ func (s *Set) UnionDedup() *Fault {
 	return s.unionDedup
 }
 
-// CrashFeature returns the crash fault for a feature keyword.
-func (s *Set) CrashFeature(feature string) *Fault {
+// FeatureTriggers returns the features that fire a CrashOnFeature,
+// InternalErrorOnFeature or PerfOnFeature fault (nil for a nil set).
+func (s *Set) FeatureTriggers() *feature.Set {
 	if s == nil {
 		return nil
 	}
-	return s.crashFeature[feature]
+	return &s.triggers
+}
+
+// CrashFeature returns the crash fault for a feature.
+func (s *Set) CrashFeature(id feature.ID) *Fault {
+	if s == nil {
+		return nil
+	}
+	return s.crashFeature[id]
 }
 
 // CrashDeep returns the deep-expression crash fault, if any.
@@ -560,20 +591,20 @@ func (s *Set) CrashDeep() *Fault {
 	return s.crashDeep
 }
 
-// ErrFeature returns the internal-error fault for a feature keyword.
-func (s *Set) ErrFeature(feature string) *Fault {
+// ErrFeature returns the internal-error fault for a feature.
+func (s *Set) ErrFeature(id feature.ID) *Fault {
 	if s == nil {
 		return nil
 	}
-	return s.errFeature[feature]
+	return s.errFeature[id]
 }
 
-// PerfFeature returns the performance fault for a feature keyword.
-func (s *Set) PerfFeature(feature string) *Fault {
+// PerfFeature returns the performance fault for a feature.
+func (s *Set) PerfFeature(id feature.ID) *Fault {
 	if s == nil {
 		return nil
 	}
-	return s.perfFeature[feature]
+	return s.perfFeature[id]
 }
 
 // PanicRebuild returns the composite-index-rebuild panic fault, if any.

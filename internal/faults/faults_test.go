@@ -1,6 +1,10 @@
 package faults
 
-import "testing"
+import (
+	"testing"
+
+	"sqlancerpp/internal/feature"
+)
 
 func TestSetIndexing(t *testing.T) {
 	s := NewSet([]Fault{
@@ -78,13 +82,13 @@ func TestSetIndexing(t *testing.T) {
 			t.Errorf("%s lookup failed", name)
 		}
 	}
-	if f := s.CrashFeature("XOR"); f == nil || f.ID != "n" {
+	if f := s.CrashFeature(feature.OpXorID); f == nil || f.ID != "n" {
 		t.Error("CrashFeature lookup failed")
 	}
-	if f := s.ErrFeature("HEX"); f == nil || f.ID != "p" {
+	if f := s.ErrFeature(feature.FnHEX); f == nil || f.ID != "p" {
 		t.Error("ErrFeature lookup failed")
 	}
-	if f := s.PerfFeature("IN"); f == nil || f.ID != "q" {
+	if f := s.PerfFeature(feature.ExprInID); f == nil || f.ID != "q" {
 		t.Error("PerfFeature lookup failed")
 	}
 	if f := s.RangeBoundary("<="); f == nil || f.ID != "s" {
@@ -107,7 +111,7 @@ func TestNilSetIsNoop(t *testing.T) {
 		t.Error("nil set must be empty")
 	}
 	if s.CmpNullTrue("=") != nil || s.Between() != nil ||
-		s.CrashFeature("X") != nil || s.CrashDeep() != nil {
+		s.CrashFeature(feature.OpXorID) != nil || s.CrashDeep() != nil {
 		t.Error("nil set lookups must return nil")
 	}
 }

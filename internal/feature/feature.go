@@ -1,11 +1,17 @@
-// Package feature defines the canonical names of SQL features.
+// Package feature defines the canonical names of SQL features and the
+// table that gives each one a dense ID.
 //
 // A feature (paper §3, "SQL features") is an element or property of the
 // query language expected to be either supported or unsupported by a
 // given DBMS: a statement, a clause or keyword, an operator, a function,
-// a data type, or an abstract property. The same names are used by the
+// a data type, or an abstract property. The same features are used by the
 // dialect feature matrices, the adaptive generator's feature sets, the
 // engine's feature scanner, and the fault catalogue's trigger parameters.
+//
+// Inside the program a feature is an ID and a feature set is a Set
+// bitset; names appear only where state crosses a boundary (saved
+// feedback state, checkpoints, bug records, fault messages). The table
+// (table.go) lists every name in byte order, so ID order is name order.
 package feature
 
 import "strconv"
@@ -62,6 +68,36 @@ const (
 	Except          = "EXCEPT"
 )
 
+// Operator spellings (paper Table 6's operator features). Unary minus,
+// unary plus and NOT share the spellings of their binary counterparts.
+const (
+	OpAdd           = "+"
+	OpSub           = "-"
+	OpMul           = "*"
+	OpDiv           = "/"
+	OpMod           = "%"
+	OpConcat        = "||"
+	OpBitAnd        = "&"
+	OpBitOr         = "|"
+	OpBitXor        = "^"
+	OpShl           = "<<"
+	OpShr           = ">>"
+	OpEq            = "="
+	OpNeq           = "!="
+	OpNeq2          = "<>"
+	OpLt            = "<"
+	OpLe            = "<="
+	OpGt            = ">"
+	OpGe            = ">="
+	OpNullSafeEq    = "<=>"
+	OpAnd           = "AND"
+	OpOr            = "OR"
+	OpXor           = "XOR"
+	OpIsDistinct    = "IS DISTINCT FROM"
+	OpIsNotDistinct = "IS NOT DISTINCT FROM"
+	OpBitNot        = "~"
+)
+
 // SetOps lists the compound-query features.
 var SetOps = []string{Union, UnionAll, Intersect, Except}
 
@@ -95,6 +131,14 @@ const (
 	TypeText    = "TEXT"
 	TypeBoolean = "BOOLEAN"
 )
+
+// MaxFuncArgPos is the highest argument position with a FuncArg feature
+// in the table: no function the generator calls takes more arguments.
+const MaxFuncArgPos = 3
+
+// MaxIndexWidth is the widest index with an IndexWidth feature in the
+// table. Widths stay single digits, so "CREATE INDEX#n" sorts by n.
+const MaxIndexWidth = 9
 
 // FuncArg returns the composite data-type feature for a function argument,
 // e.g. FuncArg("SIN", 1, "INTEGER") == "SIN#1=INTEGER" — the paper's
@@ -138,19 +182,20 @@ var Clauses = []string{
 // BinaryOperators lists the universal grammar's binary operator
 // spellings. Together with the unary operators and expression forms below
 // this yields the paper's 47 operator features.
+// The order is sqlast.BinaryOp's.
 var BinaryOperators = []string{
-	"+", "-", "*", "/", "%",
-	"||",
-	"&", "|", "^", "<<", ">>",
-	"=", "!=", "<>", "<", "<=", ">", ">=", "<=>",
-	"AND", "OR", "XOR",
-	"IS DISTINCT FROM", "IS NOT DISTINCT FROM",
+	OpAdd, OpSub, OpMul, OpDiv, OpMod,
+	OpConcat,
+	OpBitAnd, OpBitOr, OpBitXor, OpShl, OpShr,
+	OpEq, OpNeq, OpNeq2, OpLt, OpLe, OpGt, OpGe, OpNullSafeEq,
+	OpAnd, OpOr, OpXor,
+	OpIsDistinct, OpIsNotDistinct,
 }
 
 // UnaryOperators lists prefix operator spellings. Unary minus and NOT
 // share spellings with their binary counterparts; the generator tracks
 // them under the same feature, as the paper's features are spellings.
-var UnaryOperators = []string{"-", "+", "~", "NOT"}
+var UnaryOperators = []string{OpSub, OpAdd, OpBitNot, ExprNot}
 
 // ExprForms lists the non-spelling operator features.
 var ExprForms = []string{
@@ -159,7 +204,7 @@ var ExprForms = []string{
 }
 
 // Comparison operator spellings usable as fault parameters.
-var ComparisonOperators = []string{"=", "!=", "<>", "<", "<=", ">", ">=", "<=>"}
+var ComparisonOperators = []string{OpEq, OpNeq, OpNeq2, OpLt, OpLe, OpGt, OpGe, OpNullSafeEq}
 
 // Functions lists the universal grammar's 58 scalar functions
 // (paper Table 6: 58 functions).
@@ -176,6 +221,13 @@ var Functions = []string{
 	"INITCAP", "STRPOS", "SPLIT_PART", "TRANSLATE", "LPAD", "RPAD",
 	// conditional / null handling / misc
 	"NULLIF", "COALESCE", "IFNULL", "IIF", "TYPEOF",
+}
+
+// ExtraFunctions lists the dialect-specific scalar functions outside the
+// universal grammar: only the per-DBMS baseline generators emit them.
+var ExtraFunctions = []string{
+	"GREATEST", "LEAST", "CONCAT", "CONCAT_WS", "TO_HEX", "REPEAT", "ELT",
+	"FIELD", "BIN", "OCT", "PRINTF", "LIKELY", "UNLIKELY",
 }
 
 // Aggregates lists aggregate functions (available to the generator for

@@ -362,7 +362,7 @@ type DialectSpec struct {
 	Base string
 	// RemoveFeatures / AddFeatures adjust the feature matrices; names are
 	// statement keywords, clause keywords, operator spellings, function
-	// names, or data types.
+	// names, or data types. A name the feature table lacks is an error.
 	RemoveFeatures []string
 	AddFeatures    []string
 	// RequiresRefresh marks CrateDB-style visibility semantics.
@@ -381,36 +381,44 @@ func RegisterDialect(spec DialectSpec) error {
 	d.RequiresRefresh = spec.RequiresRefresh
 	d.Faults = faults.NewSet(faults.ForDialect(spec.Name))
 	for _, f := range spec.RemoveFeatures {
-		delete(d.Statements, f)
-		delete(d.Clauses, f)
-		delete(d.Operators, f)
-		delete(d.Functions, f)
-		delete(d.Types, f)
+		id, ok := feature.Lookup(f)
+		if !ok {
+			return fmt.Errorf("sqlancerpp: RemoveFeatures: %w", &feature.UnknownError{Name: f})
+		}
+		d.Statements.Remove(id)
+		d.Clauses.Remove(id)
+		d.Operators.Remove(id)
+		d.Functions.Remove(id)
+		d.Types.Remove(id)
 	}
 	for _, f := range spec.AddFeatures {
+		id, ok := feature.Lookup(f)
+		if !ok {
+			return fmt.Errorf("sqlancerpp: AddFeatures: %w", &feature.UnknownError{Name: f})
+		}
 		switch {
 		case engine.LookupFunc(f) != nil:
-			d.Functions[f] = true
-		case isStatementFeature(f):
-			d.Statements[f] = true
-		case f == feature.TypeInteger || f == feature.TypeText || f == feature.TypeBoolean:
-			d.Types[f] = true
+			d.Functions.Add(id)
+		case isStatementFeature(id):
+			d.Statements.Add(id)
+		case id == feature.TypeIntegerID || id == feature.TypeTextID || id == feature.TypeBooleanID:
+			d.Types.Add(id)
 		default:
 			// Clause keywords and operator spellings share a namespace;
-			// set both, as lookups are per-map.
-			d.Clauses[f] = true
-			d.Operators[f] = true
+			// set both, as lookups are per-mask.
+			d.Clauses.Add(id)
+			d.Operators.Add(id)
 		}
 	}
 	return dialect.Register(d)
 }
 
-func isStatementFeature(f string) bool {
-	for _, s := range feature.Statements {
-		if s == f {
+func isStatementFeature(id feature.ID) bool {
+	for _, s := range feature.StatementIDs {
+		if s == id {
 			return true
 		}
 	}
-	return f == feature.StmtDropTable || f == feature.StmtDropView ||
-		f == feature.StmtDropIndex || f == feature.StmtReindex
+	return id == feature.StmtDropTableID || id == feature.StmtDropViewID ||
+		id == feature.StmtDropIndexID || id == feature.StmtReindexID
 }

@@ -268,3 +268,17 @@ func TestRunResumeNeedsCheckpoint(t *testing.T) {
 		t.Fatalf("Resume with a Checkpoint: %v", err)
 	}
 }
+
+// TestRegisterDialectUnknownFeature: a feature name outside the table is
+// an error that names it, whether added or removed.
+func TestRegisterDialectUnknownFeature(t *testing.T) {
+	for _, spec := range []DialectSpec{
+		{Name: "unknown-add-test", Base: "sqlite", AddFeatures: []string{"NO SUCH FEATURE"}},
+		{Name: "unknown-remove-test", Base: "sqlite", RemoveFeatures: []string{"NO SUCH FEATURE"}},
+	} {
+		err := RegisterDialect(spec)
+		if err == nil || !strings.Contains(err.Error(), `"NO SUCH FEATURE"`) {
+			t.Errorf("%s: error = %v, want one naming the feature", spec.Name, err)
+		}
+	}
+}
