@@ -718,52 +718,41 @@ func BenchmarkCompositeProbe(b *testing.B) {
 	b.Run("leading", func(b *testing.B) { run(b, setup("CREATE INDEX i0 ON t (c0)")) })
 }
 
-// BenchmarkColumnarScan measures the batch executor against the
-// row-at-a-time reference on a full-scan filter whose conjuncts are all
-// vectorizable (column-op-literal): 16384 rows, no usable index, a
-// two-conjunct WHERE. The "batch" arm precomputes lane verdicts over the
-// selection bitmap in chunks of the default width; "row" runs the
-// identical state with WithBatchSize(-1). rows-touched/op must be
-// identical across arms — the batch executor changes throughput and
-// allocation, never the charged cost.
-func BenchmarkColumnarScan(b *testing.B) {
-	setup := func(opts ...engine.Option) *engine.DB {
-		db := engine.Open(dialect.MustGet("sqlite"), append([]engine.Option{engine.WithoutFaults()}, opts...)...)
-		if err := db.Exec("CREATE TABLE t (c0 INTEGER, c1 INTEGER, c2 TEXT)"); err != nil {
+// BenchmarkFilterScan measures the WHERE filter on a full scan whose
+// conjuncts are both resolved column-literal comparisons: 16384 rows, no
+// usable index, a two-conjunct WHERE. rows-touched/op is the charged
+// cost, which the filter must keep equal to the scalar evaluator's.
+func BenchmarkFilterScan(b *testing.B) {
+	db := engine.Open(dialect.MustGet("sqlite"), engine.WithoutFaults())
+	if err := db.Exec("CREATE TABLE t (c0 INTEGER, c1 INTEGER, c2 TEXT)"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 16384; i += 16 {
+		sql := "INSERT INTO t VALUES "
+		for j := i; j < i+16; j++ {
+			if j > i {
+				sql += ", "
+			}
+			sql += fmt.Sprintf("(%d, %d, 'r%d')", j%512, j%97, j)
+		}
+		if err := db.Exec(sql); err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < 16384; i += 16 {
-			sql := "INSERT INTO t VALUES "
-			for j := i; j < i+16; j++ {
-				if j > i {
-					sql += ", "
-				}
-				sql += fmt.Sprintf("(%d, %d, 'r%d')", j%512, j%97, j)
-			}
-			if err := db.Exec(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db
 	}
 	const q = "SELECT c2 FROM t WHERE c0 > 255 AND c1 <= 48"
-	run := func(b *testing.B, db *engine.DB) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var rows int
-		for i := 0; i < b.N; i++ {
-			res, err := db.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = len(res.Rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rows int
+	for i := 0; i < b.N; i++ {
+		res, err := db.Query(q)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(rows), "rows/query")
-		b.ReportMetric(float64(db.LastCost()), "rows-touched/op")
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
+		rows = len(res.Rows)
 	}
-	b.Run("batch", func(b *testing.B) { run(b, setup()) })
-	b.Run("row", func(b *testing.B) { run(b, setup(engine.WithBatchSize(-1))) })
+	b.ReportMetric(float64(rows), "rows/query")
+	b.ReportMetric(float64(db.LastCost()), "rows-touched/op")
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // BenchmarkCoveringIndexSelect measures covering-index projection against

@@ -6,8 +6,8 @@
 //	sqlancerpp -dbms cratedb [-cases 20000] [-oracle all|tlp-family|<names>]
 //	           [-seed 1] [-no-feedback] [-baseline] [-reduce] [-plans 6]
 //	           [-pairsched=false] [-state feedback.json] [-workers 8]
-//	           [-batch 64] [-budget 100000] [-checkpoint run.ckpt]
-//	           [-resume] [-timeout 2s] [-shard-retries 2] [-chaos spec]
+//	           [-budget 100000] [-checkpoint run.ckpt] [-resume]
+//	           [-timeout 2s] [-shard-retries 2] [-chaos spec]
 //	           [-max-print 5] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	           [-list] [-list-oracles]
 //
@@ -51,8 +51,6 @@ func main() {
 		"rank plan specs whose (query shape, plan) pair is not yet diffed ahead of the canonical order (false = truncate canonical order)")
 	statePath := flag.String("state", "", "load/persist learned feature probabilities (JSON)")
 	workers := flag.Int("workers", 0, "run the campaign as deterministic parallel shards over N workers (0 = serial)")
-	batch := flag.Int("batch", 0,
-		"columnar batch width for the engine's scan filter (0 = engine default, negative = row-at-a-time)")
 	budget := flag.Int64("budget", 0,
 		"deterministic per-statement rows-touched budget (0 = unlimited); exceeded statements are skipped, counted, never reported as bugs")
 	checkpoint := flag.String("checkpoint", "",
@@ -100,7 +98,6 @@ func main() {
 		NoPlanPairSched: !*pairSched,
 		Workers:         *workers,
 		RowBudget:       *budget,
-		BatchSize:       *batch,
 		Checkpoint:      *checkpoint,
 		Resume:          *resume,
 		CaseTimeout:     *caseTimeout,

@@ -122,11 +122,12 @@ type Config struct {
 	// they are tallied in Report.BudgetExceeded and never reported as
 	// bugs. 0 disables the budget.
 	RowBudget int64
-	// BatchSize sets the engine's columnar batch width (the -batch flag):
-	// 0 selects engine.DefaultBatchSize, negative selects the
-	// row-at-a-time reference executor. Execution is observationally
-	// identical at every width, so campaign reports are byte-identical
-	// across batch sizes.
+	// BatchSize is read by nothing.
+	//
+	// Deprecated: the engine filters row at a time and has no batch
+	// width. The field exists only so the frozen benchmark harness
+	// (perfbench/workload.go) builds, and goes when perfbench/driver.go
+	// does.
 	BatchSize int
 	// PerfCostLimit flags queries whose executor cost exceeds the limit
 	// as performance bugs (0 disables).
@@ -434,9 +435,6 @@ func (cfg Config) withDefaults() Config {
 	if len(cfg.Oracles) == 0 {
 		cfg.Oracles = oracle.DefaultNames()
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = engine.DefaultBatchSize
-	}
 	if cfg.Threshold == 0 {
 		// The paper's p = 1% needs ~300 zero-success observations per
 		// feature — proportionate to its 100K-statement update windows.
@@ -586,9 +584,6 @@ func replayOpts(cfg Config, cache *sqlparse.Cache) []engine.Option {
 	opts := []engine.Option{engine.WithParseCache(cache)}
 	if cfg.RowBudget > 0 {
 		opts = append(opts, engine.WithRowBudget(cfg.RowBudget))
-	}
-	if cfg.BatchSize != 0 {
-		opts = append(opts, engine.WithBatchSize(cfg.BatchSize))
 	}
 	return opts
 }

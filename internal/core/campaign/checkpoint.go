@@ -127,7 +127,7 @@ var errInjected = errors.New("injected chaos fault")
 // about in review, never by being forgotten.
 var fingerprintExcluded = map[string]string{
 	"Policy":      "behavior value, unrenderable: checkpointed runs must configure via Mode (which is fingerprinted)",
-	"BatchSize":   "execution is observationally identical at every batch width (columnar parity contract)",
+	"BatchSize":   "inert; kept only for the frozen benchmark harness",
 	"CaseTimeout": "wall-clock watchdog is host-dependent infrastructure; hangs never feed reports or validity",
 	"Chaos":       "injected infrastructure faults must be survivable — including by a chaos-free -resume",
 	"Coverage":    "observer sink: records engine coverage and never feeds generation or the report",

@@ -171,10 +171,13 @@ var fuzzDialects = []string{"sqlite", "tidb", "cratedb"}
 // oracle subset (a non-empty bit set over oracle.DefaultNames()), byte 2
 // the case count (1-40), byte 3 the database epoch length (1-16 cases,
 // so campaigns span several shards), byte 4 reduction (low bit) and
-// workers (1-3), the next 8 bytes the seed, and byte 13 the interrupt
-// point (0 to the shard count).
+// workers (1-3), the next 8 bytes the seed, byte 13 the interrupt
+// point (0 to the shard count), byte 14 the per-statement row budget
+// (0 unlimited, else 256-4320 rows) and byte 15 the PlanDiff plan cap
+// (0 the oracle default, 1 unlimited, else 1-6 plans). Missing bytes
+// read as zero, so shorter inputs keep the defaults.
 func fuzzConfig(data []byte) (Config, int, int) {
-	var in [14]byte
+	var in [16]byte
 	copy(in[:], data)
 	d := dialect.MustGet(fuzzDialects[int(in[0])%len(fuzzDialects)]).Clone()
 	d.Faults = nil
@@ -194,6 +197,16 @@ func fuzzConfig(data []byte) (Config, int, int) {
 		CasesPerDB: int(in[3])%16 + 1,
 		ReduceBugs: in[4]&1 == 1,
 		Seed:       int64(binary.LittleEndian.Uint64(in[5:13])),
+	}
+	if b := in[14]; b != 0 {
+		cfg.RowBudget = 256 + 16*int64(b-1)
+	}
+	switch m := in[15] % 8; m {
+	case 0:
+	case 1:
+		cfg.MaxPlansPerQuery = -1
+	default:
+		cfg.MaxPlansPerQuery = int(m) - 1
 	}
 	return cfg, int(in[4]>>1)%3 + 1, int(in[13]) % (ShardCount(cfg) + 1)
 }

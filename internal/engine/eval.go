@@ -21,20 +21,33 @@ type rowEnv struct {
 	outer *rowEnv
 }
 
-// lookup resolves a column reference to its current value. Validation has
-// already established existence and unambiguity.
+// resolve finds a column in this scope alone: the first relation, in
+// FROM order, whose alias matches the qualifier (when there is one) and
+// that has a column of that name, both compared case-insensitively.
+// Column resolution order is decided here: lookup and the WHERE
+// filter's resolved comparisons both go through it.
+func (env *rowEnv) resolve(table, col string) (rel, idx int, ok bool) {
+	for i := range env.rels {
+		r := &env.rels[i]
+		if table != "" && !strings.EqualFold(r.alias, table) {
+			continue
+		}
+		for j, c := range r.cols {
+			if strings.EqualFold(c, col) {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// lookup resolves a column reference to its current value, innermost
+// scope first. Validation has already established existence and
+// unambiguity.
 func (env *rowEnv) lookup(table, col string) (Value, bool) {
 	for e := env; e != nil; e = e.outer {
-		for i := range e.rels {
-			rel := &e.rels[i]
-			if table != "" && !strings.EqualFold(rel.alias, table) {
-				continue
-			}
-			for j, c := range rel.cols {
-				if strings.EqualFold(c, col) {
-					return rel.vals[j], true
-				}
-			}
+		if i, j, ok := e.resolve(table, col); ok {
+			return e.rels[i].vals[j], true
 		}
 	}
 	return Null(), false
@@ -238,6 +251,9 @@ func (ctx *evalCtx) evalBinary(x *sqlast.Binary) (Value, *Error) {
 	if err != nil {
 		return Null(), err
 	}
+	if op.IsComparison() {
+		return ctx.compareNode(op, l, r).Value(), nil
+	}
 	ctx.s.cov.Hit(binCovKeys[op].hit)
 	switch {
 	case op.IsLogical():
@@ -250,9 +266,6 @@ func (ctx *evalCtx) evalBinary(x *sqlast.Binary) (Value, *Error) {
 		default:
 			return lt.Xor(rt).Value(), nil
 		}
-	case op.IsComparison():
-		ctx.s.cov.HitBranch(binCovKeys[op].null, l.IsNull() || r.IsNull())
-		return ctx.evalCompare(op, l, r).Value(), nil
 	case op == sqlast.OpConcat:
 		if l.IsNull() || r.IsNull() {
 			return Null(), nil
@@ -277,13 +290,22 @@ var binCovKeys = func() (keys [sqlast.OpIsNotDistinct + 1]struct{ hit, null stri
 	return
 }()
 
+// compareNode evaluates a comparison node over its evaluated operands
+// and records the node's coverage: the operator's binary hit and its
+// NULL-operand branch. evalBinary and the WHERE filter's resolved
+// comparisons both go through it.
+func (ctx *evalCtx) compareNode(op sqlast.BinaryOp, l, r Value) Tri {
+	ctx.s.cov.Hit(binCovKeys[op].hit)
+	ctx.s.cov.HitBranch(binCovKeys[op].null, l.IsNull() || r.IsNull())
+	return compareValues(op, l, r)
+}
+
 // evalCompare implements the reference comparison semantics.
 func (ctx *evalCtx) evalCompare(op sqlast.BinaryOp, l, r Value) Tri {
 	return compareValues(op, l, r)
 }
 
-// compareValues is the context-free comparison kernel: the scalar
-// evaluator and the batch filter's lane kernels share it.
+// compareValues is the context-free comparison kernel.
 func compareValues(op sqlast.BinaryOp, l, r Value) Tri {
 	switch op {
 	case sqlast.OpNullSafeEq: // <=>

@@ -381,36 +381,15 @@ func (s *DB) execUpdate(st *sqlast.Update) error {
 	// the rows actually probed.
 	cand, planned := s.planDMLAccess(t, conjs)
 	s.cov.HitBranch("dml.index", planned)
-	// The WHERE collection runs batch-at-a-time like the SELECT filter
-	// (batch.go): lane verdicts are precomputed per chunk — wasted work on
-	// rows the candidate set then skips, but pure and unobservable — and
-	// each visited row commits with the DML site's own precedence: budget
-	// exhaustion outranks an evaluation error on the same row.
-	fp := s.buildFilterPlan(conjs, []matRel{{alias: t.Name, cols: t.colNames(), table: t}})
-	useVec := s.batch > 0 && len(fp.vecs) > 0
-	var b Batch
+	fp := s.buildFilterPlan(conjs, env)
 	for ri, row := range t.Rows {
-		if useVec && ri%s.batch == 0 {
-			n := len(t.Rows) - ri
-			if n > s.batch {
-				n = s.batch
-			}
-			fp.vectorPassRows(&b, t.Rows, ri, n)
-		}
 		if planned && (len(row) == 0 || !cand[&row[0]]) {
 			newRows[ri] = row
 			continue
 		}
 		env.rels[0].vals = row
 		if st.Where != nil {
-			bp, lane := (*Batch)(nil), 0
-			if useVec {
-				bp, lane = &b, ri%s.batch
-			}
-			pass, err := s.commitFilterRow(&fp, bp, lane, ctx)
-			if cerr := s.chargeRow(); cerr != nil {
-				return cerr
-			}
+			pass, err := s.dmlWhere(&fp, ctx)
 			if err != nil {
 				return err
 			}
@@ -481,31 +460,14 @@ func (s *DB) execDelete(st *sqlast.Delete) error {
 	// and are kept without touching them.
 	cand, planned := s.planDMLAccess(t, conjs)
 	s.cov.HitBranch("dml.index", planned)
-	// Batched WHERE collection, mirroring execUpdate (see there).
-	fp := s.buildFilterPlan(conjs, []matRel{{alias: t.Name, cols: t.colNames(), table: t}})
-	useVec := s.batch > 0 && len(fp.vecs) > 0
-	var b Batch
-	for ri, row := range t.Rows {
-		if useVec && ri%s.batch == 0 {
-			n := len(t.Rows) - ri
-			if n > s.batch {
-				n = s.batch
-			}
-			fp.vectorPassRows(&b, t.Rows, ri, n)
-		}
+	fp := s.buildFilterPlan(conjs, env)
+	for _, row := range t.Rows {
 		if planned && (len(row) == 0 || !cand[&row[0]]) {
 			kept = append(kept, row)
 			continue
 		}
 		env.rels[0].vals = row
-		bp, lane := (*Batch)(nil), 0
-		if useVec {
-			bp, lane = &b, ri%s.batch
-		}
-		pass, err := s.commitFilterRow(&fp, bp, lane, ctx)
-		if cerr := s.chargeRow(); cerr != nil {
-			return cerr
-		}
+		pass, err := s.dmlWhere(&fp, ctx)
 		if err != nil {
 			return err
 		}

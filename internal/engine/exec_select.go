@@ -248,17 +248,15 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 	// probe, rows already holds only the candidate span, so the filter —
 	// and the cost it charges — covers just the rows actually touched.
 	// With the CompositeProbePrefixSkip defect active, the conjunct the
-	// probe claims to have consumed is excised from the predicate. The
-	// filter itself runs batch-at-a-time over column vectors (batch.go),
-	// observationally identical to row-at-a-time at every batch size.
+	// probe claims to have consumed is excised from the predicate.
 	if sel.Where != nil {
 		filterConjs := conjs
 		if skipConj >= 0 {
 			filterConjs = append(conjs[:skipConj:skipConj], conjs[skipConj+1:]...)
 		}
-		fp := s.buildFilterPlan(filterConjs, rels)
+		fp := s.buildFilterPlan(filterConjs, env)
 		var err *Error
-		rows, err = s.filterSelectRows(&fp, rows, env, ctx)
+		rows, err = s.filterRows(&fp, rows, env, ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -313,11 +313,11 @@ func TestFaultCatalogueShape(t *testing.T) {
 			}
 		}
 	}
-	if total != 130 {
-		t.Errorf("catalogue total = %d, want 130", total)
+	if total != 128 {
+		t.Errorf("catalogue total = %d, want 128", total)
 	}
-	if logic != 98 {
-		t.Errorf("logic faults = %d, want 98", logic)
+	if logic != 96 {
+		t.Errorf("logic faults = %d, want 96", logic)
 	}
 	// Shape: Umbra > MonetDB > Dolt ≈ CrateDB > the rest (paper Table 2).
 	if !(perDialect["umbra"] > perDialect["monetdb"] &&

@@ -35,10 +35,181 @@ func countConjs(e sqlast.Expr) int {
 	return 1
 }
 
+// filterPlan is one WHERE predicate prepared for the row loop: its
+// top-level conjuncts, with every `column op literal` conjunct's column
+// resolved once per statement instead of once per row.
+type filterPlan struct {
+	conjs []sqlast.Expr
+	// cmps[i] is conjunct i's resolved comparison, or a zero entry when
+	// the conjunct evaluates through evalFilterRoot; nil when no
+	// conjunct resolves.
+	cmps []resolvedCmp
+	// clean is true when no fault set is armed: a comparison root then
+	// evaluates through evalBinary, otherwise through
+	// evalFaultyComparison, and the two charge differently.
+	clean bool
+}
+
+// resolvedCmp is a WHERE conjunct comparing a bare column of the
+// statement's own relations with a literal through a plain comparison
+// operator, its column resolved to a (relation, column) slot. The row
+// loop reads the slot directly and charges exactly what evalFilterRoot
+// charges for the same conjunct.
+type resolvedCmp struct {
+	ok        bool
+	rel, col  int
+	op        sqlast.BinaryOp
+	lit       Value
+	colOnLeft bool
+}
+
+// buildFilterPlan resolves the predicate's conjuncts against env's own
+// relations (the statement's FROM list, outer scopes excluded).
+func (s *DB) buildFilterPlan(conjs []sqlast.Expr, env *rowEnv) filterPlan {
+	fs := s.faultSet()
+	p := filterPlan{conjs: conjs, clean: fs == nil}
+	for ci, e := range conjs {
+		rc, ok := resolveCmp(e, env, fs)
+		if !ok {
+			continue
+		}
+		if p.cmps == nil {
+			p.cmps = make([]resolvedCmp, len(conjs))
+		}
+		p.cmps[ci] = rc
+	}
+	return p
+}
+
+// resolveCmp recognizes `column op literal` and `literal op column`
+// with a plain comparison operator whose column resolves in env's own
+// scope; an outer-scope reference stays with the scalar path, which
+// walks enclosing environments. With faults armed, an operator carrying
+// a comparison-root fault (CmpNullTrue, CmpNullEqTrue, CmpMixedText)
+// never resolves: those defects live in evalFaultyComparison. No other
+// comparison-root fault can fire on a column-literal comparison.
+func resolveCmp(e sqlast.Expr, env *rowEnv, fs *faults.Set) (resolvedCmp, bool) {
+	b, ok := e.(*sqlast.Binary)
+	if !ok {
+		return resolvedCmp{}, false
+	}
+	switch b.Op {
+	case sqlast.OpEq, sqlast.OpNeq, sqlast.OpNeq2,
+		sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
+	default:
+		return resolvedCmp{}, false
+	}
+	ref, lref := b.L.(*sqlast.ColumnRef)
+	lit, rlit := b.R.(*sqlast.Literal)
+	colOnLeft := lref && rlit
+	if !colOnLeft {
+		var rref, llit bool
+		ref, rref = b.R.(*sqlast.ColumnRef)
+		lit, llit = b.L.(*sqlast.Literal)
+		if !rref || !llit {
+			return resolvedCmp{}, false
+		}
+	}
+	ri, ci, found := env.resolve(ref.Table, ref.Column)
+	if !found {
+		return resolvedCmp{}, false
+	}
+	if fs != nil {
+		op := b.Op.String()
+		if fs.CmpNullTrue(op) != nil || fs.CmpNullEq(op) != nil || fs.CmpMixed(op) != nil {
+			return resolvedCmp{}, false
+		}
+	}
+	return resolvedCmp{ok: true, rel: ri, col: ci, op: b.Op, lit: litValue(lit), colOnLeft: colOnLeft}, true
+}
+
+// eval compares the bound row's column with the literal. Clean, it
+// charges what eval charges a comparison of two leaves (one unit per
+// node) and records the comparison's coverage through compareNode, as
+// evalBinary does; with faults armed it charges what
+// evalFaultyComparison does, the two leaves and no coverage.
+func (rc *resolvedCmp) eval(ctx *evalCtx, clean bool) Tri {
+	l, r := ctx.env.rels[rc.rel].vals[rc.col], rc.lit
+	if !rc.colOnLeft {
+		l, r = r, l
+	}
+	if !clean {
+		ctx.s.cost += 2
+		return compareValues(rc.op, l, r)
+	}
+	ctx.s.cost += 3
+	return ctx.compareNode(rc.op, l, r)
+}
+
+// filterRow decides the WHERE for the row bound in ctx's environment:
+// the row is kept when every conjunct is TRUE. Conjuncts run in order
+// and each runs to completion, so cost, coverage, errors and fault
+// triggers are those of evalFilterConjs on the same row.
+func (s *DB) filterRow(p *filterPlan, ctx *evalCtx) (bool, *Error) {
+	if s.filterProbe != nil {
+		return s.filterProbe(*p, ctx)
+	}
+	return s.evalFilterPlan(p, ctx)
+}
+
+func (s *DB) evalFilterPlan(p *filterPlan, ctx *evalCtx) (bool, *Error) {
+	s.cov.Hit("filter.eval")
+	keep := true
+	for ci, e := range p.conjs {
+		var t Tri
+		if p.cmps != nil && p.cmps[ci].ok {
+			t = p.cmps[ci].eval(ctx, p.clean)
+		} else {
+			var err *Error
+			if t, err = s.evalFilterRoot(e, ctx); err != nil {
+				return false, err
+			}
+		}
+		if t != TriTrue {
+			keep = false
+		}
+	}
+	s.cov.HitBranch("filter.keep", keep)
+	return keep, nil
+}
+
+// filterRows runs a SELECT's WHERE over its candidate rows and returns
+// the rows kept. Each row is charged after its verdict, so an
+// evaluation error outranks budget exhaustion on the same row.
+func (s *DB) filterRows(p *filterPlan, rows []jrow, env *rowEnv, ctx *evalCtx) ([]jrow, *Error) {
+	kept := rows[:0:0]
+	for _, row := range rows {
+		env.bindRow(row)
+		keep, err := s.filterRow(p, ctx)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			kept = append(kept, row)
+		}
+		if cerr := s.chargeRow(); cerr != nil {
+			return nil, cerr
+		}
+	}
+	return kept, nil
+}
+
+// dmlWhere runs an UPDATE or DELETE's WHERE on the target-table row
+// bound in env. The row is charged before an evaluation error surfaces:
+// at the DML sites budget exhaustion outranks an error on the same row.
+func (s *DB) dmlWhere(p *filterPlan, ctx *evalCtx) (bool, *Error) {
+	pass, err := s.filterRow(p, ctx)
+	if cerr := s.chargeRow(); cerr != nil {
+		return false, cerr
+	}
+	return pass, err
+}
+
 // evalFilterConjs evaluates a predicate as an optimized filter: TRUE
 // keeps the row. conjs are the predicate's top-level conjuncts, split
 // once per statement (splitAnd); ctx is the caller's reused evaluation
-// context, already bound to the current row.
+// context, already bound to the current row. It is the scalar reference
+// the WHERE filter (filterRow) must match.
 func (s *DB) evalFilterConjs(conjs []sqlast.Expr, ctx *evalCtx) (bool, *Error) {
 	s.cov.Hit("filter.eval")
 	result := TriTrue

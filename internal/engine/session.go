@@ -74,11 +74,12 @@ type DB struct {
 	// instance (never reset) — the denominator for work-normalized
 	// metrics like novel plan pairs per rows touched.
 	totalCost int64
-	// batch is the scan filter's columnar batch width (rows per selection
-	// bitmap chunk); <= 0 selects the row-at-a-time reference executor.
-	// Execution is observationally identical at every width — the knob
-	// exists for the differential tests and for cache-footprint tuning.
-	batch int
+	// filterProbe, when non-nil, stands in for the WHERE filter's body on
+	// every candidate row (filterRow). The package's tests set it to run
+	// the filter and its scalar reference side by side; Open leaves it
+	// nil. It takes the plan by value so the plan never escapes to the
+	// heap on the path where the probe is nil.
+	filterProbe func(p filterPlan, ctx *evalCtx) (bool, *Error)
 	// scratch holds the access-path planner's reusable buffers (plan.go):
 	// sargable-probe lists and the composite-key arena, reset per planned
 	// scan so planning itself allocates nothing on the hot path.
@@ -117,18 +118,17 @@ func WithRowBudget(n int64) Option {
 	}
 }
 
-// WithBatchSize sets the scan filter's columnar batch width: how many
-// candidate rows each vectorized filter chunk covers (default
-// DefaultBatchSize). n <= 0 selects the row-at-a-time reference
-// executor — the pre-batch engine the differential tests pin against.
-// Results, cost, coverage, errors, and fault triggers are identical at
-// every width by construction (see batch.go), so campaign reports stay
-// byte-identical when the width changes.
-func WithBatchSize(n int) Option {
-	return func(s *DB) { s.batch = n }
-}
+// WithBatchSize returns an Option that changes nothing.
+//
+// Deprecated: the engine filters row at a time and has no batch width.
+// It exists only so the frozen benchmark harness (perfbench/driver.go)
+// builds, and goes when that driver does.
+func WithBatchSize(int) Option { return func(*DB) {} }
 
-// DefaultBatchSize is the scan filter's default columnar batch width.
+// DefaultBatchSize is read by nothing in the engine.
+//
+// Deprecated: it exists only so the frozen benchmark harness
+// (perfbench/workload.go) builds, and goes with perfbench/driver.go.
 const DefaultBatchSize = 64
 
 // WithCancel attaches a cooperative cancellation flag. When the flag is
@@ -171,7 +171,6 @@ func Open(d *dialect.Dialect, opts ...Option) *DB {
 		faultsEnabled: true,
 		triggered:     map[string]bool{},
 		budget:        maxBudget,
-		batch:         DefaultBatchSize,
 		parse:         sqlparse.Shared(),
 	}
 	for _, o := range opts {

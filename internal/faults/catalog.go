@@ -159,8 +159,6 @@ var catalog = map[string][]spec{
 		{Logic, UnionAllDedup, "", "UNION ALL removes duplicates in the vectorized concatenation"},
 		{Crash, CrashOnFeature, "<<", "left shift crashes the vector executor"},
 		{Error, InternalErrorOnFeature, "HEX", "HEX raises an internal error"},
-		{Logic, VecCompareNullTrue, "=", "vectorized = kernel leaves the selection bit set for NULL lanes"},
-		{Logic, BatchTailDrop, "", "scan filter zeroes the selection bitmap's final partial 64-lane word, dropping the last batch's rows"},
 	},
 	"virtuoso": {
 		{Logic, CmpNullEqTrue, "<=", "NULL<=NULL evaluates TRUE"},

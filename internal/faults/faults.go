@@ -176,15 +176,6 @@ const (
 	// process (read-only SELECT path, so recovered state is consistent).
 	// Triggered before the panic, like PanicOnCompositeRebuild.
 	PanicOnProbeStep
-	// VecCompareNullTrue: the vectorized comparison kernel for operator
-	// Param leaves a lane's selection bit *set* when the comparison
-	// yields NULL — the SIMD-style "three-valued logic collapsed to a
-	// bitmap" defect class vectorized executors grow. Applies wherever
-	// the filter vectorizes a column-op-literal conjunct (SELECT WHERE
-	// and DML collection alike, so the defect is plan-independent);
-	// non-vectorizable conjuncts fall back to scalar evaluation and are
-	// unaffected.
-	VecCompareNullTrue
 	// CoveringIndexProjSwap: a covering-index projection — one served
 	// straight from the ordered index entries without touching heap
 	// rows — reads its first two key columns through a transposed
@@ -194,14 +185,6 @@ const (
 	// plans, and rows whose two lead columns happen to hold equal
 	// values are unaffected.
 	CoveringIndexProjSwap
-	// BatchTailDrop: the batch filter's selection bitmap allocates in
-	// 64-lane words, and a candidate stream longer than one word whose
-	// length is not a multiple of 64 has its final partial word zeroed
-	// before evaluation — the rows of the last partial batch silently
-	// vanish. Streams of at most 64 rows (or an exact multiple) are
-	// unaffected, so small tables mask the defect. SELECT filtering
-	// only: DML collection orders mutations row-at-a-time.
-	BatchTailDrop
 	// JoinPermConjDrop: the join reorderer drops an ON conjunct that a
 	// join-order permutation re-attached at a later step than it
 	// originally joined under — the step evaluates only the conjuncts
@@ -258,9 +241,7 @@ type Set struct {
 	triggers     feature.Set
 	panicRebuild *Fault
 	panicProbe   *Fault
-	vecNull      map[string]*Fault // by comparison operator spelling
 	coverSwap    *Fault
-	batchTail    *Fault
 	permDrop     *Fault
 }
 
@@ -279,7 +260,6 @@ func NewSet(list []Fault) *Set {
 		crashFeature: map[feature.ID]*Fault{},
 		errFeature:   map[feature.ID]*Fault{},
 		perfFeature:  map[feature.ID]*Fault{},
-		vecNull:      map[string]*Fault{},
 	}
 	for i := range s.all {
 		f := &s.all[i]
@@ -338,12 +318,8 @@ func NewSet(list []Fault) *Set {
 			s.panicRebuild = f
 		case PanicOnProbeStep:
 			s.panicProbe = f
-		case VecCompareNullTrue:
-			s.vecNull[f.Param] = f
 		case CoveringIndexProjSwap:
 			s.coverSwap = f
-		case BatchTailDrop:
-			s.batchTail = f
 		case JoinPermConjDrop:
 			s.permDrop = f
 		}
@@ -623,15 +599,6 @@ func (s *Set) PanicProbe() *Fault {
 	return s.panicProbe
 }
 
-// VecNull returns the vectorized NULL-lane fault for a comparison
-// operator spelling.
-func (s *Set) VecNull(op string) *Fault {
-	if s == nil {
-		return nil
-	}
-	return s.vecNull[op]
-}
-
 // CoveringSwap returns the covering-projection column-transposition
 // fault, if any.
 func (s *Set) CoveringSwap() *Fault {
@@ -639,14 +606,6 @@ func (s *Set) CoveringSwap() *Fault {
 		return nil
 	}
 	return s.coverSwap
-}
-
-// BatchTail returns the partial-batch bitmap-drop fault, if any.
-func (s *Set) BatchTail() *Fault {
-	if s == nil {
-		return nil
-	}
-	return s.batchTail
 }
 
 // PermConjDrop returns the join-reorderer conjunct-drop fault, if any.

@@ -31,11 +31,9 @@ func TestSetIndexing(t *testing.T) {
 		{ID: "u", Kind: CompositeSpanBoundary},
 		{ID: "v", Kind: CompositeProbePrefixSkip},
 		{ID: "w", Kind: PrefixSpanTruncate},
-		{ID: "x", Kind: VecCompareNullTrue, Param: "="},
 		{ID: "y", Kind: CoveringIndexProjSwap},
-		{ID: "z", Kind: BatchTailDrop},
 	})
-	if s.Len() != 26 {
+	if s.Len() != 24 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	if f := s.CmpNullTrue("="); f == nil || f.ID != "a" {
@@ -76,7 +74,6 @@ func TestSetIndexing(t *testing.T) {
 		"PrefixTrunc":  s.PrefixTruncate(),
 		"CrashDeep":    s.CrashDeep(),
 		"CoveringSwap": s.CoveringSwap(),
-		"BatchTail":    s.BatchTail(),
 	} {
 		if f == nil {
 			t.Errorf("%s lookup failed", name)
@@ -96,12 +93,6 @@ func TestSetIndexing(t *testing.T) {
 	}
 	if s.RangeBoundary(">=") != nil {
 		t.Error("RangeBoundary must be keyed by operator")
-	}
-	if f := s.VecNull("="); f == nil || f.ID != "x" {
-		t.Error("VecNull lookup failed")
-	}
-	if s.VecNull("<") != nil {
-		t.Error("VecNull must be keyed by operator")
 	}
 }
 

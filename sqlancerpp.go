@@ -92,10 +92,6 @@ type Options struct {
 	// skipped identically at every worker count and tallied in
 	// Report.BudgetExceeded, never reported as bugs. 0 disables.
 	RowBudget int64
-	// BatchSize sets the engine's columnar batch width (the -batch flag):
-	// 0 selects the engine default, negative selects the row-at-a-time
-	// reference executor. Reports are byte-identical at every width.
-	BatchSize int
 	// Checkpoint, when set, persists campaign progress to this file after
 	// every completed shard (implies the sharded runner, with at least
 	// one worker) and removes it when the campaign completes.
@@ -222,7 +218,6 @@ func Run(o Options) (*Report, error) {
 		MaxPlansPerQuery: o.MaxPlans,
 		NoPlanPairSched:  o.NoPlanPairSched,
 		RowBudget:        o.RowBudget,
-		BatchSize:        o.BatchSize,
 		FeedbackState:    o.FeedbackState,
 		PlanPairState:    o.PlanPairState,
 		CaseTimeout:      o.CaseTimeout,
