@@ -162,7 +162,8 @@ func TestReductionIsPureFunctionOfBug(t *testing.T) {
 	}
 }
 
-// fuzzDialects are the dialects FuzzCampaign draws from.
+// fuzzDialects are the dialects FuzzCampaign draws from unless byte 16
+// opts in to every registered dialect.
 var fuzzDialects = []string{"sqlite", "tidb", "cratedb"}
 
 // fuzzConfig decodes fuzz input into a campaign on a fault-free engine,
@@ -173,13 +174,18 @@ var fuzzDialects = []string{"sqlite", "tidb", "cratedb"}
 // so campaigns span several shards), byte 4 reduction (low bit) and
 // workers (1-3), the next 8 bytes the seed, byte 13 the interrupt
 // point (0 to the shard count), byte 14 the per-statement row budget
-// (0 unlimited, else 256-4320 rows) and byte 15 the PlanDiff plan cap
-// (0 the oracle default, 1 unlimited, else 1-6 plans). Missing bytes
-// read as zero, so shorter inputs keep the defaults.
+// (0 unlimited, else 256-4320 rows), byte 15 the PlanDiff plan cap
+// (0 the oracle default, 1 unlimited, else 1-6 plans) and byte 16, when
+// non-zero, makes byte 0 draw from all dialects instead of fuzzDialects.
+// Missing bytes read as zero, so shorter inputs keep the defaults.
 func fuzzConfig(data []byte) (Config, int, int) {
-	var in [16]byte
+	var in [17]byte
 	copy(in[:], data)
-	d := dialect.MustGet(fuzzDialects[int(in[0])%len(fuzzDialects)]).Clone()
+	dialects := fuzzDialects
+	if in[16] != 0 {
+		dialects = dialect.Names()
+	}
+	d := dialect.MustGet(dialects[int(in[0])%len(dialects)]).Clone()
 	d.Faults = nil
 	var oracles []oracle.Name
 	names := oracle.DefaultNames()
