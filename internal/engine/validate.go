@@ -381,9 +381,6 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			if err := s.validateBoolClause(f.On, sc); err != nil {
 				return nil, err
 			}
-			if hasAggregate(f.On) {
-				return nil, errf(ErrSemantic, "aggregates are not allowed in ON")
-			}
 		}
 	}
 	if sel.Where != nil {
@@ -392,9 +389,6 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 		if err := s.validateBoolClause(sel.Where, sc); err != nil {
 			return nil, err
-		}
-		if hasAggregate(sel.Where) {
-			return nil, errf(ErrSemantic, "aggregates are not allowed in WHERE")
 		}
 	}
 	if len(sel.GroupBy) > 0 {

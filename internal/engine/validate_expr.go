@@ -425,11 +425,7 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 	if len(x.Args) != 1 {
 		return sqlast.TypeUnknown, errf(ErrSemantic, "aggregate %s takes one argument", x.Name)
 	}
-	// Aggregates must not nest.
-	if hasAggregate(x.Args[0]) {
-		return sqlast.TypeUnknown, errf(ErrSemantic, "aggregates cannot be nested")
-	}
-	at, err := s.validateExpr(x.Args[0], sc, false)
+	at, err := s.validateExpr(x.Args[0], sc, false) // aggregates must not nest
 	if err != nil {
 		return sqlast.TypeUnknown, err
 	}

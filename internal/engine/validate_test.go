@@ -62,6 +62,33 @@ func TestStaticTypingRules(t *testing.T) {
 	}
 }
 
+// TestAggregatePlacement: an aggregate outside a projection, HAVING or
+// ORDER BY, or inside another aggregate, is a semantic error; one inside
+// a subquery belongs to the subquery.
+func TestAggregatePlacement(t *testing.T) {
+	db := openClean(t, "sqlite")
+	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+	mustExec(t, db, "CREATE TABLE u (b INTEGER)")
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE COUNT(a) > 0",
+		"SELECT a FROM t WHERE NOT (SUM(a) = 1)",
+		"SELECT a FROM t JOIN u ON MAX(b) = a",
+		"SELECT COUNT(SUM(a)) FROM t",
+		"SELECT SUM(a + MIN(a)) FROM t",
+		"DELETE FROM t WHERE AVG(a) > 1",
+	} {
+		expectClass(t, db, sql, ErrSemantic)
+	}
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE a > (SELECT MAX(b) FROM u)",
+		"SELECT a FROM t JOIN u ON (SELECT COUNT(*) FROM u) > a",
+		"SELECT COUNT(a) FROM t GROUP BY a HAVING SUM(a) > 0",
+		"SELECT MIN(a, 1) FROM t WHERE MAX(a, 2) > 0", // scalar MIN/MAX
+	} {
+		mustExec(t, db, sql)
+	}
+}
+
 func TestDynamicTypingAcceptsEverything(t *testing.T) {
 	db := openClean(t, "sqlite")
 	mustExec(t, db, "CREATE TABLE t (i INTEGER, s TEXT, b BOOLEAN)")
