@@ -42,8 +42,8 @@ func TestReportDigests(t *testing.T) {
 		digestSeed, digestCases, digestPerfLimit)
 	for _, name := range dialect.Names() {
 		cfg := Config{
-			Dialect:   dialect.MustGet(name),
-			Mode:      Adaptive,
+			Dialect:       dialect.MustGet(name),
+			Mode:          Adaptive,
 			TestCases:     digestCases,
 			Seed:          digestSeed,
 			PerfCostLimit: digestPerfLimit,
