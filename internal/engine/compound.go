@@ -58,7 +58,7 @@ func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error
 	for _, part := range sel.Compound {
 		id := setOpFeatureID(part.Op)
 		featName := feature.Name(id)
-		if !s.dialect.Clauses.Has(id) {
+		if !s.uses(&s.dialect.Clauses, id) {
 			return nil, unsupported(featName)
 		}
 		armCols, err := s.validateSelect(part.Select, outer)
@@ -81,6 +81,12 @@ func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error
 			}
 		}
 	}
+	if len(sel.OrderBy) > 0 {
+		// The terms name output columns rather than expressions: ORDER BY
+		// is recorded without a support check, each term one level deep.
+		s.feats.Add(feature.OrderByID)
+		s.maxDepth = max(s.maxDepth, s.depth+1)
+	}
 	for _, o := range sel.OrderBy {
 		cr, ok := o.Expr.(*sqlast.ColumnRef)
 		if !ok || cr.Table != "" {
@@ -91,10 +97,10 @@ func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error
 			return nil, errf(ErrSemantic, "no such output column %q", cr.Column)
 		}
 	}
-	if sel.Limit != nil && !s.dialect.Clauses.Has(feature.LimitID) {
+	if sel.Limit != nil && !s.uses(&s.dialect.Clauses, feature.LimitID) {
 		return nil, unsupported(feature.Limit)
 	}
-	if sel.Offset != nil && !s.dialect.Clauses.Has(feature.OffsetID) {
+	if sel.Offset != nil && !s.uses(&s.dialect.Clauses, feature.OffsetID) {
 		return nil, unsupported(feature.Offset)
 	}
 	return cols, nil

@@ -1,23 +1,38 @@
 package engine
 
+// The reference feature walk: the standalone scanner that fed the fault
+// check before validation recorded a statement's features and depth
+// itself. It walks the AST alone, with no dialect and no name
+// resolution, and the property test in feature_walk_test.go checks the
+// validator's record against it on every statement that validates.
+
 import (
 	"sqlancerpp/internal/feature"
 	"sqlancerpp/internal/sqlast"
 )
 
-// ScanFeatures returns the canonical feature names appearing in a
-// statement, sorted: the statement keyword, clause keywords, operator
-// spellings, expression forms, and function names. The experiment
-// harness uses it to cross-execute bug-inducing cases (Figure 6).
-func ScanFeatures(stmt sqlast.Stmt) []string {
+// ReferenceFeatures returns the features a statement uses and its
+// deepest expression nesting, by the reference walk.
+func ReferenceFeatures(stmt sqlast.Stmt) (feature.Set, int) {
 	var set feature.Set
-	ScanFeatureSet(stmt, &set)
-	return set.Names()
+	refStmtFeatures(stmt, &set)
+	return set, refMaxDepth(stmt)
 }
 
-// ScanFeatureSet adds the features appearing in a statement to set; the
-// engine uses it to trigger feature-keyed faults.
-func ScanFeatureSet(stmt sqlast.Stmt, set *feature.Set) {
+// ValidatedFeatures validates stmt on db as RunStmt does and returns what
+// validation recorded: the statement's features and deepest expression
+// nesting. The record is meaningful only when err is nil.
+func ValidatedFeatures(db *DB, stmt sqlast.Stmt) (feature.Set, int, error) {
+	err := db.validateStmt(stmt)
+	return db.feats, db.maxDepth, err
+}
+
+// CheckFeatureFaults runs the feature-keyed fault check for the statement
+// db validated last.
+func CheckFeatureFaults(db *DB) error { return db.checkFeatureFaults() }
+
+// refStmtFeatures adds the features appearing in a statement to set.
+func refStmtFeatures(stmt sqlast.Stmt, set *feature.Set) {
 	switch st := stmt.(type) {
 	case *sqlast.CreateTable:
 		set.Add(feature.StmtCreateTableID)
@@ -42,14 +57,14 @@ func ScanFeatureSet(stmt sqlast.Stmt, set *feature.Set) {
 		}
 		if st.Where != nil {
 			set.Add(feature.PartialIndexID)
-			scanExprFeatures(st.Where, set)
+			refExprFeatures(st.Where, set)
 		}
 	case *sqlast.CreateView:
 		set.Add(feature.StmtCreateViewID)
 		if len(st.Columns) > 0 {
 			set.Add(feature.ViewColumnNamesID)
 		}
-		scanSelectFeatures(st.Select, set)
+		refSelectFeatures(st.Select, set)
 	case *sqlast.Insert:
 		set.Add(feature.StmtInsertID)
 		if st.OrIgnore {
@@ -60,23 +75,23 @@ func ScanFeatureSet(stmt sqlast.Stmt, set *feature.Set) {
 		}
 		for _, row := range st.Rows {
 			for _, e := range row {
-				scanExprFeatures(e, set)
+				refExprFeatures(e, set)
 			}
 		}
 	case *sqlast.Update:
 		set.Add(feature.StmtUpdateID)
 		for _, a := range st.Sets {
-			scanExprFeatures(a.Value, set)
+			refExprFeatures(a.Value, set)
 		}
 		if st.Where != nil {
 			set.Add(feature.ClauseWhereID)
-			scanExprFeatures(st.Where, set)
+			refExprFeatures(st.Where, set)
 		}
 	case *sqlast.Delete:
 		set.Add(feature.StmtDeleteID)
 		if st.Where != nil {
 			set.Add(feature.ClauseWhereID)
-			scanExprFeatures(st.Where, set)
+			refExprFeatures(st.Where, set)
 		}
 	case *sqlast.AlterTable:
 		set.Add(feature.StmtAlterTableID)
@@ -93,63 +108,17 @@ func ScanFeatureSet(stmt sqlast.Stmt, set *feature.Set) {
 	case *sqlast.Refresh:
 		set.Add(feature.StmtRefreshID)
 	case *sqlast.Select:
-		scanSelectFeatures(st, set)
+		refSelectFeatures(st, set)
 	}
 }
 
-func joinFeature(j sqlast.JoinType) string {
-	if id, ok := joinFeatureID(j); ok {
-		return feature.Name(id)
-	}
-	return ""
-}
-
-func joinFeatureID(j sqlast.JoinType) (feature.ID, bool) {
-	switch j {
-	case sqlast.JoinComma:
-		return feature.JoinCommaID, true
-	case sqlast.JoinInner:
-		return feature.JoinInnerID, true
-	case sqlast.JoinLeft:
-		return feature.JoinLeftID, true
-	case sqlast.JoinRight:
-		return feature.JoinRightID, true
-	case sqlast.JoinFull:
-		return feature.JoinFullID, true
-	case sqlast.JoinCross:
-		return feature.JoinCrossID, true
-	case sqlast.JoinNatural:
-		return feature.JoinNaturalID, true
-	default:
-		return 0, false
-	}
-}
-
-// binaryFeature returns an operator's feature: feature.BinaryOperators
-// lists the spellings in sqlast.BinaryOp order.
-func binaryFeature(op sqlast.BinaryOp) feature.ID { return feature.BinaryOperatorIDs[op] }
-
-// typeFeature returns a data type's feature.
-func typeFeature(t sqlast.Type) (feature.ID, bool) {
-	switch t {
-	case sqlast.TypeInt:
-		return feature.TypeIntegerID, true
-	case sqlast.TypeText:
-		return feature.TypeTextID, true
-	case sqlast.TypeBool:
-		return feature.TypeBooleanID, true
-	default:
-		return 0, false
-	}
-}
-
-func scanSelectFeatures(sel *sqlast.Select, set *feature.Set) {
+func refSelectFeatures(sel *sqlast.Select, set *feature.Set) {
 	set.Add(feature.StmtSelectID)
 	if sel.Distinct {
 		set.Add(feature.DistinctID)
 	}
 	for i := range sel.Items {
-		scanExprFeatures(sel.Items[i].Expr, set)
+		refExprFeatures(sel.Items[i].Expr, set)
 	}
 	for i, f := range sel.From {
 		if i > 0 {
@@ -159,34 +128,34 @@ func scanSelectFeatures(sel *sqlast.Select, set *feature.Set) {
 		}
 		if d, ok := f.Ref.(*sqlast.DerivedTable); ok {
 			set.Add(feature.DerivedTableID)
-			scanSelectFeatures(d.Select, set)
+			refSelectFeatures(d.Select, set)
 		}
 		if f.On != nil {
-			scanExprFeatures(f.On, set)
+			refExprFeatures(f.On, set)
 		}
 	}
 	if sel.Where != nil {
 		set.Add(feature.ClauseWhereID)
-		scanExprFeatures(sel.Where, set)
+		refExprFeatures(sel.Where, set)
 	}
 	if len(sel.GroupBy) > 0 {
 		set.Add(feature.GroupByID)
 		for _, g := range sel.GroupBy {
-			scanExprFeatures(g, set)
+			refExprFeatures(g, set)
 		}
 	}
 	if sel.Having != nil {
 		set.Add(feature.HavingID)
-		scanExprFeatures(sel.Having, set)
+		refExprFeatures(sel.Having, set)
 	}
 	for _, part := range sel.Compound {
 		set.Add(setOpFeatureID(part.Op))
-		scanSelectFeatures(part.Select, set)
+		refSelectFeatures(part.Select, set)
 	}
 	if len(sel.OrderBy) > 0 {
 		set.Add(feature.OrderByID)
 		for _, o := range sel.OrderBy {
-			scanExprFeatures(o.Expr, set)
+			refExprFeatures(o.Expr, set)
 		}
 	}
 	if sel.Limit != nil {
@@ -197,7 +166,7 @@ func scanSelectFeatures(sel *sqlast.Select, set *feature.Set) {
 	}
 }
 
-func scanExprFeatures(e sqlast.Expr, set *feature.Set) {
+func refExprFeatures(e sqlast.Expr, set *feature.Set) {
 	sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
 		switch n := x.(type) {
 		case *sqlast.Literal:
@@ -243,19 +212,19 @@ func scanExprFeatures(e sqlast.Expr, set *feature.Set) {
 			}
 		case *sqlast.Subquery:
 			set.Add(feature.SubqueryID)
-			scanSelectFeatures(n.Select, set)
+			refSelectFeatures(n.Select, set)
 			return false // already descended
 		case *sqlast.Exists:
 			set.Add(feature.ExprExistsID)
-			scanSelectFeatures(n.Select, set)
+			refSelectFeatures(n.Select, set)
 			return false
 		}
 		return true
 	})
 }
 
-// exprDepth computes the nesting depth of an expression tree.
-func exprDepth(e sqlast.Expr) int {
+// refExprDepth is the nesting depth of an expression tree.
+func refExprDepth(e sqlast.Expr) int {
 	if e == nil {
 		return 0
 	}
@@ -269,60 +238,60 @@ func exprDepth(e sqlast.Expr) int {
 	case *sqlast.Literal, *sqlast.ColumnRef:
 		return 1
 	case *sqlast.Unary:
-		bump(exprDepth(x.X))
+		bump(refExprDepth(x.X))
 	case *sqlast.Binary:
-		bump(exprDepth(x.L))
-		bump(exprDepth(x.R))
+		bump(refExprDepth(x.L))
+		bump(refExprDepth(x.R))
 	case *sqlast.Func:
 		for _, a := range x.Args {
-			bump(exprDepth(a))
+			bump(refExprDepth(a))
 		}
 	case *sqlast.Case:
-		bump(exprDepth(x.Operand))
+		bump(refExprDepth(x.Operand))
 		for _, w := range x.Whens {
-			bump(exprDepth(w.Cond))
-			bump(exprDepth(w.Then))
+			bump(refExprDepth(w.Cond))
+			bump(refExprDepth(w.Then))
 		}
-		bump(exprDepth(x.Else))
+		bump(refExprDepth(x.Else))
 	case *sqlast.Cast:
-		bump(exprDepth(x.X))
+		bump(refExprDepth(x.X))
 	case *sqlast.Between:
-		bump(exprDepth(x.X))
-		bump(exprDepth(x.Lo))
-		bump(exprDepth(x.Hi))
+		bump(refExprDepth(x.X))
+		bump(refExprDepth(x.Lo))
+		bump(refExprDepth(x.Hi))
 	case *sqlast.InList:
-		bump(exprDepth(x.X))
+		bump(refExprDepth(x.X))
 		for _, e := range x.List {
-			bump(exprDepth(e))
+			bump(refExprDepth(e))
 		}
 	case *sqlast.IsNull:
-		bump(exprDepth(x.X))
+		bump(refExprDepth(x.X))
 	case *sqlast.IsBool:
-		bump(exprDepth(x.X))
+		bump(refExprDepth(x.X))
 	case *sqlast.Like:
-		bump(exprDepth(x.X))
-		bump(exprDepth(x.Pattern))
+		bump(refExprDepth(x.X))
+		bump(refExprDepth(x.Pattern))
 	case *sqlast.Subquery:
-		bump(maxSelectDepth(x.Select))
+		bump(refSelectDepth(x.Select))
 	case *sqlast.Exists:
-		bump(maxSelectDepth(x.Select))
+		bump(refSelectDepth(x.Select))
 	}
 	return max + 1
 }
 
-func maxSelectDepth(sel *sqlast.Select) int {
+func refSelectDepth(sel *sqlast.Select) int {
 	max := 0
 	sqlast.WalkSelectExprs(sel, func(e sqlast.Expr) bool {
-		if d := exprDepth(e); d > max {
+		if d := refExprDepth(e); d > max {
 			max = d
 		}
-		return false // exprDepth already descends
+		return false // refExprDepth already descends
 	})
 	return max
 }
 
-// maxExprDepth returns the deepest expression in a statement.
-func maxExprDepth(stmt sqlast.Stmt) int {
+// refMaxDepth returns the deepest expression in a statement.
+func refMaxDepth(stmt sqlast.Stmt) int {
 	max := 0
 	bump := func(d int) {
 		if d > max {
@@ -331,24 +300,24 @@ func maxExprDepth(stmt sqlast.Stmt) int {
 	}
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		bump(maxSelectDepth(st))
+		bump(refSelectDepth(st))
 	case *sqlast.CreateView:
-		bump(maxSelectDepth(st.Select))
+		bump(refSelectDepth(st.Select))
 	case *sqlast.CreateIndex:
-		bump(exprDepth(st.Where))
+		bump(refExprDepth(st.Where))
 	case *sqlast.Insert:
 		for _, row := range st.Rows {
 			for _, e := range row {
-				bump(exprDepth(e))
+				bump(refExprDepth(e))
 			}
 		}
 	case *sqlast.Update:
 		for _, a := range st.Sets {
-			bump(exprDepth(a.Value))
+			bump(refExprDepth(a.Value))
 		}
-		bump(exprDepth(st.Where))
+		bump(refExprDepth(st.Where))
 	case *sqlast.Delete:
-		bump(exprDepth(st.Where))
+		bump(refExprDepth(st.Where))
 	}
 	return max
 }

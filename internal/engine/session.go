@@ -80,6 +80,12 @@ type DB struct {
 	// nil. It takes the plan by value so the plan never escapes to the
 	// heap on the path where the probe is nil.
 	filterProbe func(p filterPlan, ctx *evalCtx) (bool, *Error)
+	// feats and maxDepth are what validateStmt recorded of the last
+	// statement: the features it uses and its deepest expression nesting
+	// (depth counts the validateExpr calls open). checkFeatureFaults
+	// reads them, so the statement is walked once.
+	feats           feature.Set
+	depth, maxDepth int
 	// scratch holds the access-path planner's reusable buffers (plan.go):
 	// sargable-probe lists and the composite-key arena, reset per planned
 	// scan so planning itself allocates nothing on the hot path.
@@ -322,7 +328,7 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 	// Injected crash / internal-error / perf faults fire only for
 	// statements that passed validation: the defect is in the executor,
 	// not the parser.
-	if err := s.checkFeatureFaults(stmt); err != nil {
+	if err := s.checkFeatureFaults(); err != nil {
 		return nil, err
 	}
 	res, err := s.execStmt(stmt)
@@ -336,23 +342,19 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 }
 
 // checkFeatureFaults fires CrashOnFeature / CrashOnDeepExpr /
-// InternalErrorOnFeature faults and arms PerfOnFeature. A fault set with
-// none of these skips the scan; otherwise the statement's features are
-// scanned into a set, and when it misses every feature-keyed trigger one
-// mask test skips the feature faults. When several match, they fire in
-// feature-name order.
-func (s *DB) checkFeatureFaults(stmt sqlast.Stmt) error {
+// InternalErrorOnFeature faults and arms PerfOnFeature for the statement
+// just validated, from the features and depth validation recorded. When
+// the features miss every feature-keyed trigger, one mask test skips the
+// feature faults. When several match, they fire in feature-name order.
+func (s *DB) checkFeatureFaults() error {
 	fs := s.faultSet()
-	triggers := fs.FeatureTriggers()
-	if fs == nil || (triggers.Empty() && fs.CrashDeep() == nil) {
+	if fs == nil {
 		return nil
 	}
-	var feats feature.Set
-	ScanFeatureSet(stmt, &feats)
 	// Only the features that hit a trigger are looked up, in ID order,
 	// which is name order.
-	hits := feats
-	hits.Intersect(triggers)
+	hits := s.feats
+	hits.Intersect(fs.FeatureTriggers())
 	for id, ok := hits.Next(0); ok; id, ok = hits.Next(id + 1) {
 		if f := fs.CrashFeature(id); f != nil {
 			s.trigger(f)
@@ -368,7 +370,7 @@ func (s *DB) checkFeatureFaults(stmt sqlast.Stmt) error {
 			return &Error{Class: ErrInternal, Msg: "internal error: unexpected state in " + ft + " execution", Feature: ft, FaultID: f.ID}
 		}
 	}
-	if f := fs.CrashDeep(); f != nil && maxExprDepth(stmt) > 6 {
+	if f := fs.CrashDeep(); f != nil && s.maxDepth > 6 {
 		s.trigger(f)
 		s.crashed = true
 		return &Error{Class: ErrCrash, Msg: "server crashed: expression nesting overflow", FaultID: f.ID}

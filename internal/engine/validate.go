@@ -51,8 +51,9 @@ func (sc *scope) resolve(table, col string) (sqlast.Type, *Error) {
 	return sqlast.TypeUnknown, errf(ErrSemantic, "no such column %s", col)
 }
 
-// typeFamily collapses Unknown-compatible typing: Unknown unifies with
-// anything (it arises from NULL literals and polymorphic functions).
+// unify returns the common type of a and b, if they have one: Unknown
+// unifies with anything (it arises from NULL literals and polymorphic
+// functions).
 func unify(a, b sqlast.Type) (sqlast.Type, bool) {
 	if a == sqlast.TypeUnknown {
 		return b, true
@@ -66,11 +67,18 @@ func unify(a, b sqlast.Type) (sqlast.Type, bool) {
 func (s *DB) static() bool { return s.dialect.TypeSystem == dialect.Static }
 
 // validateStmt checks dialect feature support, resolves names, and (for
-// statically typed dialects) type-checks the statement.
+// statically typed dialects) type-checks the statement. On the way it
+// records the features the statement uses and its deepest expression
+// nesting in s.feats and s.maxDepth, which the fault check reads: each
+// support check goes through uses, and depth counts the open
+// validateExpr calls. The record is complete only when validation
+// passes.
 func (s *DB) validateStmt(stmt sqlast.Stmt) error {
+	s.feats = feature.Set{}
+	s.depth, s.maxDepth = 0, 0
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		if !s.dialect.Statements.Has(feature.StmtSelectID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtSelectID) {
 			return unsupported(feature.StmtSelect)
 		}
 		_, err := s.validateSelect(st, nil)
@@ -88,7 +96,7 @@ func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 	case *sqlast.Delete:
 		return s.validateDelete(st)
 	case *sqlast.AlterTable:
-		if !s.dialect.Statements.Has(feature.StmtAlterTableID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtAlterTableID) {
 			return unsupported(feature.StmtAlterTable)
 		}
 		if st.AddColumn != nil && !s.supportsType(st.AddColumn.Type) {
@@ -96,32 +104,32 @@ func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 		}
 		return nil
 	case *sqlast.DropTable:
-		if !s.dialect.Statements.Has(feature.StmtDropTableID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtDropTableID) {
 			return unsupported(feature.StmtDropTable)
 		}
 		return nil
 	case *sqlast.DropView:
-		if !s.dialect.Statements.Has(feature.StmtDropViewID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtDropViewID) {
 			return unsupported(feature.StmtDropView)
 		}
 		return nil
 	case *sqlast.DropIndex:
-		if !s.dialect.Statements.Has(feature.StmtDropIndexID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtDropIndexID) {
 			return unsupported(feature.StmtDropIndex)
 		}
 		return nil
 	case *sqlast.Reindex:
-		if !s.dialect.Statements.Has(feature.StmtReindexID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtReindexID) {
 			return unsupported(feature.StmtReindex)
 		}
 		return nil
 	case *sqlast.Analyze:
-		if !s.dialect.Statements.Has(feature.StmtAnalyzeID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtAnalyzeID) {
 			return unsupported(feature.StmtAnalyze)
 		}
 		return nil
 	case *sqlast.Refresh:
-		if !s.dialect.Statements.Has(feature.StmtRefreshID) {
+		if !s.uses(&s.dialect.Statements, feature.StmtRefreshID) {
 			return unsupported(feature.StmtRefresh)
 		}
 		return nil
@@ -131,7 +139,7 @@ func (s *DB) validateStmt(stmt sqlast.Stmt) error {
 }
 
 func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
-	if !s.dialect.Statements.Has(feature.StmtCreateTableID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtCreateTableID) {
 		return unsupported(feature.StmtCreateTable)
 	}
 	if len(st.Columns) == 0 {
@@ -139,7 +147,7 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 	}
 	seen := map[string]bool{}
 	for _, c := range st.Columns {
-		if !s.supportsType(c.Type) {
+		if id, ok := typeFeature(c.Type); !ok || !s.uses(&s.dialect.Types, id) {
 			return unsupported(c.Type.String())
 		}
 		lc := strings.ToLower(c.Name)
@@ -147,13 +155,13 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 			return errf(ErrSemantic, "duplicate column name %q", c.Name)
 		}
 		seen[lc] = true
-		if c.NotNull && !s.dialect.Clauses.Has(feature.NotNullColumnID) {
+		if c.NotNull && !s.uses(&s.dialect.Clauses, feature.NotNullColumnID) {
 			return unsupported(feature.NotNullColumn)
 		}
-		if c.Unique && !s.dialect.Clauses.Has(feature.UniqueColumnID) {
+		if c.Unique && !s.uses(&s.dialect.Clauses, feature.UniqueColumnID) {
 			return unsupported(feature.UniqueColumn)
 		}
-		if c.PrimaryKey && !s.dialect.Clauses.Has(feature.PrimaryKeyID) {
+		if c.PrimaryKey && !s.uses(&s.dialect.Clauses, feature.PrimaryKeyID) {
 			return unsupported(feature.PrimaryKey)
 		}
 	}
@@ -161,13 +169,13 @@ func (s *DB) validateCreateTable(st *sqlast.CreateTable) error {
 }
 
 func (s *DB) validateCreateIndex(st *sqlast.CreateIndex) error {
-	if !s.dialect.Statements.Has(feature.StmtCreateIndexID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtCreateIndexID) {
 		return unsupported(feature.StmtCreateIndex)
 	}
-	if st.Unique && !s.dialect.Clauses.Has(feature.UniqueIndexID) {
+	if st.Unique && !s.uses(&s.dialect.Clauses, feature.UniqueIndexID) {
 		return unsupported(feature.UniqueIndex)
 	}
-	if st.Where != nil && !s.dialect.Clauses.Has(feature.PartialIndexID) {
+	if st.Where != nil && !s.uses(&s.dialect.Clauses, feature.PartialIndexID) {
 		return unsupported(feature.PartialIndex)
 	}
 	if len(st.Columns) > 1 && !s.dialect.Clauses.Has(feature.CompositeIndexID) {
@@ -208,10 +216,10 @@ func (s *DB) validateCreateIndex(st *sqlast.CreateIndex) error {
 }
 
 func (s *DB) validateCreateView(st *sqlast.CreateView) error {
-	if !s.dialect.Statements.Has(feature.StmtCreateViewID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtCreateViewID) {
 		return unsupported(feature.StmtCreateView)
 	}
-	if len(st.Columns) > 0 && !s.dialect.Clauses.Has(feature.ViewColumnNamesID) {
+	if len(st.Columns) > 0 && !s.uses(&s.dialect.Clauses, feature.ViewColumnNamesID) {
 		return unsupported(feature.ViewColumnNames)
 	}
 	cols, err := s.validateSelect(st.Select, nil)
@@ -225,13 +233,13 @@ func (s *DB) validateCreateView(st *sqlast.CreateView) error {
 }
 
 func (s *DB) validateInsert(st *sqlast.Insert) error {
-	if !s.dialect.Statements.Has(feature.StmtInsertID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtInsertID) {
 		return unsupported(feature.StmtInsert)
 	}
-	if st.OrIgnore && !s.dialect.Clauses.Has(feature.InsertOrIgnoreID) {
+	if st.OrIgnore && !s.uses(&s.dialect.Clauses, feature.InsertOrIgnoreID) {
 		return unsupported(feature.InsertOrIgnore)
 	}
-	if len(st.Rows) > 1 && !s.dialect.Clauses.Has(feature.InsertMultiRowID) {
+	if len(st.Rows) > 1 && !s.uses(&s.dialect.Clauses, feature.InsertMultiRowID) {
 		return unsupported(feature.InsertMultiRow)
 	}
 	t := s.store.table(st.Table)
@@ -282,7 +290,7 @@ func insertTargets(t *Table, cols []string) ([]int, *Error) {
 }
 
 func (s *DB) validateUpdate(st *sqlast.Update) error {
-	if !s.dialect.Statements.Has(feature.StmtUpdateID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtUpdateID) {
 		return unsupported(feature.StmtUpdate)
 	}
 	t := s.store.table(st.Table)
@@ -305,11 +313,14 @@ func (s *DB) validateUpdate(st *sqlast.Update) error {
 			}
 		}
 	}
+	if st.Where != nil {
+		s.feats.Add(feature.ClauseWhereID) // every dialect takes a DML WHERE: recorded, not checked
+	}
 	return s.validateBoolClause(st.Where, sc)
 }
 
 func (s *DB) validateDelete(st *sqlast.Delete) error {
-	if !s.dialect.Statements.Has(feature.StmtDeleteID) {
+	if !s.uses(&s.dialect.Statements, feature.StmtDeleteID) {
 		return unsupported(feature.StmtDelete)
 	}
 	t := s.store.table(st.Table)
@@ -317,6 +328,9 @@ func (s *DB) validateDelete(st *sqlast.Delete) error {
 		return errf(ErrSemantic, "no such table %q", st.Table)
 	}
 	sc := &scope{rels: []scopeRel{{alias: t.Name, cols: t.Columns}}}
+	if st.Where != nil {
+		s.feats.Add(feature.ClauseWhereID) // every dialect takes a DML WHERE: recorded, not checked
+	}
 	return s.validateBoolClause(st.Where, sc)
 }
 
@@ -339,17 +353,21 @@ func (s *DB) validateBoolClause(e sqlast.Expr, sc *scope) error {
 // validateSelect resolves and checks a SELECT, returning its output
 // columns.
 func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) {
+	// Nested SELECTs (views, derived tables, subqueries, compound arms)
+	// need no statement-level support check, but the statement uses
+	// SELECT all the same.
+	s.feats.Add(feature.StmtSelectID)
 	if len(sel.Compound) > 0 {
 		return s.validateCompound(sel, outer)
 	}
-	if sel.Distinct && !s.dialect.Clauses.Has(feature.DistinctID) {
+	if sel.Distinct && !s.uses(&s.dialect.Clauses, feature.DistinctID) {
 		return nil, unsupported(feature.Distinct)
 	}
 	sc := &scope{outer: outer}
 	seenAlias := map[string]bool{}
 	for i, f := range sel.From {
 		if i > 0 {
-			if jf, ok := joinFeatureID(f.Join); ok && !s.dialect.Clauses.Has(jf) {
+			if jf, ok := joinFeatureID(f.Join); ok && !s.uses(&s.dialect.Clauses, jf) {
 				return nil, unsupported(feature.Name(jf))
 			}
 		}
@@ -362,7 +380,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			}
 			rel = scopeRel{alias: r.RefName(), cols: cols}
 		case *sqlast.DerivedTable:
-			if !s.dialect.Clauses.Has(feature.DerivedTableID) {
+			if !s.uses(&s.dialect.Clauses, feature.DerivedTableID) {
 				return nil, unsupported(feature.DerivedTable)
 			}
 			cols, err := s.validateSelect(r.Select, outer)
@@ -384,7 +402,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if sel.Where != nil {
-		if !s.dialect.Clauses.Has(feature.ClauseWhereID) {
+		if !s.uses(&s.dialect.Clauses, feature.ClauseWhereID) {
 			return nil, unsupported(feature.ClauseWhere)
 		}
 		if err := s.validateBoolClause(sel.Where, sc); err != nil {
@@ -392,7 +410,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if len(sel.GroupBy) > 0 {
-		if !s.dialect.Clauses.Has(feature.GroupByID) {
+		if !s.uses(&s.dialect.Clauses, feature.GroupByID) {
 			return nil, unsupported(feature.GroupBy)
 		}
 		for _, g := range sel.GroupBy {
@@ -402,7 +420,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if sel.Having != nil {
-		if !s.dialect.Clauses.Has(feature.HavingID) {
+		if !s.uses(&s.dialect.Clauses, feature.HavingID) {
 			return nil, unsupported(feature.Having)
 		}
 		if len(sel.GroupBy) == 0 {
@@ -419,7 +437,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		}
 	}
 	if len(sel.OrderBy) > 0 {
-		if !s.dialect.Clauses.Has(feature.OrderByID) {
+		if !s.uses(&s.dialect.Clauses, feature.OrderByID) {
 			return nil, unsupported(feature.OrderBy)
 		}
 		for _, o := range sel.OrderBy {
@@ -428,10 +446,10 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			}
 		}
 	}
-	if sel.Limit != nil && !s.dialect.Clauses.Has(feature.LimitID) {
+	if sel.Limit != nil && !s.uses(&s.dialect.Clauses, feature.LimitID) {
 		return nil, unsupported(feature.Limit)
 	}
-	if sel.Offset != nil && !s.dialect.Clauses.Has(feature.OffsetID) {
+	if sel.Offset != nil && !s.uses(&s.dialect.Clauses, feature.OffsetID) {
 		return nil, unsupported(feature.Offset)
 	}
 

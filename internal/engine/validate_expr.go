@@ -10,7 +10,18 @@ import (
 // returned type is advisory (TypeUnknown unless structurally known); on
 // static dialects mismatches are semantic errors.
 // allowAggr permits aggregate calls (projections, HAVING, ORDER BY).
+// Each call is one level of the statement's expression nesting; an
+// expression inside a subquery nests below the subquery.
 func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type, error) {
+	s.depth++
+	s.maxDepth = max(s.maxDepth, s.depth)
+	t, err := s.validateNode(e, sc, allowAggr)
+	s.depth--
+	return t, err
+}
+
+// validateNode is validateExpr for the expression's own node.
+func (s *DB) validateNode(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type, error) {
 	switch x := e.(type) {
 	case *sqlast.Literal:
 		switch x.Kind {
@@ -21,7 +32,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		case sqlast.LitText:
 			return sqlast.TypeText, nil
 		case sqlast.LitBool:
-			if !s.dialect.Types.Has(feature.TypeBooleanID) {
+			if !s.uses(&s.dialect.Types, feature.TypeBooleanID) {
 				return sqlast.TypeUnknown, unsupported(feature.TypeBoolean)
 			}
 			return sqlast.TypeBool, nil
@@ -38,11 +49,11 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 	case *sqlast.Unary:
 		switch x.Op {
 		case sqlast.UBitNot:
-			if !s.dialect.Operators.Has(feature.OpBitNotID) {
+			if !s.uses(&s.dialect.Operators, feature.OpBitNotID) {
 				return sqlast.TypeUnknown, unsupported(feature.OpBitNot)
 			}
 		case sqlast.UNot:
-			if !s.dialect.Operators.Has(feature.ExprNotID) {
+			if !s.uses(&s.dialect.Operators, feature.ExprNotID) {
 				return sqlast.TypeUnknown, unsupported(feature.ExprNot)
 			}
 		}
@@ -75,7 +86,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return s.validateCase(x, sc, allowAggr)
 
 	case *sqlast.Cast:
-		if !s.dialect.Operators.Has(feature.ExprCastID) {
+		if !s.uses(&s.dialect.Operators, feature.ExprCastID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprCast)
 		}
 		if !s.supportsType(x.To) {
@@ -87,7 +98,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return x.To, nil
 
 	case *sqlast.Between:
-		if !s.dialect.Operators.Has(feature.ExprBetweenID) {
+		if !s.uses(&s.dialect.Operators, feature.ExprBetweenID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprBetween)
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
@@ -118,7 +129,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		if x.Not {
 			id = feature.ExprNotInID
 		}
-		if !s.dialect.Operators.Has(id) {
+		if !s.uses(&s.dialect.Operators, id) {
 			return sqlast.TypeUnknown, unsupported(feature.Name(id))
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
@@ -139,7 +150,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.IsNull:
-		if !s.dialect.Operators.Has(feature.ExprIsNullID) {
+		if !s.uses(&s.dialect.Operators, feature.ExprIsNullID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprIsNull)
 		}
 		if _, err := s.validateExpr(x.X, sc, allowAggr); err != nil {
@@ -148,7 +159,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.IsBool:
-		if !s.dialect.Operators.Has(feature.ExprIsBoolID) {
+		if !s.uses(&s.dialect.Operators, feature.ExprIsBoolID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprIsBool)
 		}
 		typ, err := s.validateExpr(x.X, sc, allowAggr)
@@ -167,7 +178,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		if x.Kind == sqlast.LikeGlob {
 			id = feature.ExprGlobID
 		}
-		if !s.dialect.Operators.Has(id) {
+		if !s.uses(&s.dialect.Operators, id) {
 			return sqlast.TypeUnknown, unsupported(feature.Name(id))
 		}
 		tx, err := s.validateExpr(x.X, sc, allowAggr)
@@ -189,7 +200,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return sqlast.TypeBool, nil
 
 	case *sqlast.Subquery:
-		if !s.dialect.Clauses.Has(feature.SubqueryID) {
+		if !s.uses(&s.dialect.Clauses, feature.SubqueryID) {
 			return sqlast.TypeUnknown, unsupported(feature.Subquery)
 		}
 		cols, err := s.validateSelect(x.Select, sc)
@@ -202,7 +213,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 		return cols[0].Type, nil
 
 	case *sqlast.Exists:
-		if !s.dialect.Operators.Has(feature.ExprExistsID) {
+		if !s.uses(&s.dialect.Operators, feature.ExprExistsID) {
 			return sqlast.TypeUnknown, unsupported(feature.ExprExists)
 		}
 		if _, err := s.validateSelect(x.Select, sc); err != nil {
@@ -218,7 +229,7 @@ func (s *DB) validateExpr(e sqlast.Expr, sc *scope, allowAggr bool) (sqlast.Type
 func (s *DB) validateBinary(x *sqlast.Binary, sc *scope, allowAggr bool) (sqlast.Type, error) {
 	id := binaryFeature(x.Op)
 	op := feature.Name(id)
-	if !s.dialect.Operators.Has(id) {
+	if !s.uses(&s.dialect.Operators, id) {
 		return sqlast.TypeUnknown, unsupported(op)
 	}
 	lt, err := s.validateExpr(x.L, sc, allowAggr)
@@ -278,7 +289,7 @@ func (s *DB) validateBinary(x *sqlast.Binary, sc *scope, allowAggr bool) (sqlast
 // operand with each WHEN; a searched CASE requires boolean WHENs. All
 // THEN/ELSE results must share a type family.
 func (s *DB) validateCase(x *sqlast.Case, sc *scope, allowAggr bool) (sqlast.Type, error) {
-	if !s.dialect.Operators.Has(feature.ExprCaseID) {
+	if !s.uses(&s.dialect.Operators, feature.ExprCaseID) {
 		return sqlast.TypeUnknown, unsupported(feature.ExprCase)
 	}
 	var opType sqlast.Type = sqlast.TypeUnknown
@@ -352,7 +363,7 @@ func (s *DB) validateFunc(x *sqlast.Func, sc *scope, allowAggr bool) (sqlast.Typ
 	// Scalar MIN/MAX: two or more arguments of one comparable family
 	// (SQLite-style).
 	if (x.Name == "MIN" || x.Name == "MAX") && len(x.Args) >= 2 {
-		if !s.supportsFunction(x.Name) {
+		if !s.usesFunction(x.Name) {
 			return sqlast.TypeUnknown, unsupported(x.Name)
 		}
 		var res sqlast.Type = sqlast.TypeUnknown
@@ -375,7 +386,7 @@ func (s *DB) validateFunc(x *sqlast.Func, sc *scope, allowAggr bool) (sqlast.Typ
 	if def == nil {
 		return sqlast.TypeUnknown, errf(ErrSemantic, "no such function %s", x.Name)
 	}
-	if !s.dialect.Functions.Has(def.Feature) {
+	if !s.uses(&s.dialect.Functions, def.Feature) {
 		return sqlast.TypeUnknown, unsupported(x.Name)
 	}
 	if x.Star || x.Distinct {
@@ -413,8 +424,11 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 	if !allowAggr {
 		return sqlast.TypeUnknown, errf(ErrSemantic, "aggregate %s is not allowed here", x.Name)
 	}
-	if !s.supportsFunction(x.Name) {
+	if !s.usesFunction(x.Name) {
 		return sqlast.TypeUnknown, unsupported(x.Name)
+	}
+	if x.Distinct {
+		s.feats.Add(feature.DistinctID) // DISTINCT inside an aggregate: recorded, not checked
 	}
 	if x.Star {
 		if x.Name != "COUNT" {
@@ -444,15 +458,71 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 	}
 }
 
-// supportsType reports whether the dialect supports a data type.
+// uses records that the statement uses feature id and reports whether
+// the dialect supports it, have being the dialect's set for its kind.
+func (s *DB) uses(have *feature.Set, id feature.ID) bool {
+	s.feats.Add(id)
+	return have.Has(id)
+}
+
+// supportsType reports whether the dialect supports a data type, without
+// recording it: a CAST target or an added column's type is not one of
+// the statement's features.
 func (s *DB) supportsType(t sqlast.Type) bool {
 	id, ok := typeFeature(t)
 	return ok && s.dialect.Types.Has(id)
 }
 
-// supportsFunction reports whether the dialect supports a function or
-// aggregate by name.
-func (s *DB) supportsFunction(name string) bool {
+// usesFunction is uses for a function or aggregate by name.
+func (s *DB) usesFunction(name string) bool {
 	id, ok := funcFeature(name)
-	return ok && s.dialect.Functions.Has(id)
+	return ok && s.uses(&s.dialect.Functions, id)
+}
+
+// joinFeatureID returns a join type's feature.
+func joinFeatureID(j sqlast.JoinType) (feature.ID, bool) {
+	switch j {
+	case sqlast.JoinComma:
+		return feature.JoinCommaID, true
+	case sqlast.JoinInner:
+		return feature.JoinInnerID, true
+	case sqlast.JoinLeft:
+		return feature.JoinLeftID, true
+	case sqlast.JoinRight:
+		return feature.JoinRightID, true
+	case sqlast.JoinFull:
+		return feature.JoinFullID, true
+	case sqlast.JoinCross:
+		return feature.JoinCrossID, true
+	case sqlast.JoinNatural:
+		return feature.JoinNaturalID, true
+	default:
+		return 0, false
+	}
+}
+
+// joinFeature is joinFeatureID's name ("" for none).
+func joinFeature(j sqlast.JoinType) string {
+	if id, ok := joinFeatureID(j); ok {
+		return feature.Name(id)
+	}
+	return ""
+}
+
+// binaryFeature returns an operator's feature: feature.BinaryOperators
+// lists the spellings in sqlast.BinaryOp order.
+func binaryFeature(op sqlast.BinaryOp) feature.ID { return feature.BinaryOperatorIDs[op] }
+
+// typeFeature returns a data type's feature.
+func typeFeature(t sqlast.Type) (feature.ID, bool) {
+	switch t {
+	case sqlast.TypeInt:
+		return feature.TypeIntegerID, true
+	case sqlast.TypeText:
+		return feature.TypeTextID, true
+	case sqlast.TypeBool:
+		return feature.TypeBooleanID, true
+	default:
+		return 0, false
+	}
 }
