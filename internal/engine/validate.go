@@ -314,7 +314,7 @@ func (s *DB) validateUpdate(st *sqlast.Update) error {
 		}
 	}
 	if st.Where != nil {
-		s.feats.Add(feature.ClauseWhereID) // every dialect takes a DML WHERE: recorded, not checked
+		s.feats.Add(feature.ClauseWhereID) // a DML WHERE has no support check: recorded only
 	}
 	return s.validateBoolClause(st.Where, sc)
 }
@@ -329,7 +329,7 @@ func (s *DB) validateDelete(st *sqlast.Delete) error {
 	}
 	sc := &scope{rels: []scopeRel{{alias: t.Name, cols: t.Columns}}}
 	if st.Where != nil {
-		s.feats.Add(feature.ClauseWhereID) // every dialect takes a DML WHERE: recorded, not checked
+		s.feats.Add(feature.ClauseWhereID) // a DML WHERE has no support check: recorded only
 	}
 	return s.validateBoolClause(st.Where, sc)
 }

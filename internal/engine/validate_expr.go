@@ -428,7 +428,7 @@ func (s *DB) validateAggregate(x *sqlast.Func, sc *scope, allowAggr bool) (sqlas
 		return sqlast.TypeUnknown, unsupported(x.Name)
 	}
 	if x.Distinct {
-		s.feats.Add(feature.DistinctID) // DISTINCT inside an aggregate: recorded, not checked
+		s.feats.Add(feature.DistinctID) // no support check inside an aggregate: recorded only
 	}
 	if x.Star {
 		if x.Name != "COUNT" {
