@@ -4,8 +4,9 @@ package engine_test
 // features a statement uses and its deepest expression nesting, and the
 // fault check reads that record. On every dialect, armed and clean, over
 // fixed statements, generated setup statements, oracle-case queries and
-// every query the oracles derive from them, the record of each statement
-// that validates must equal the reference walk's (featureref_test.go).
+// every query each case's oracle runs (rotating over the default
+// oracles), the record of each statement that validates must equal the
+// reference walk's (featureref_test.go).
 
 import (
 	"testing"
@@ -104,10 +105,10 @@ func TestValidatorRecordsReferenceFeatures(t *testing.T) {
 // record with the reference walk before executing it.
 func checkFeatureWalk(t *testing.T, d *dialect.Dialect, stats *walkStats, opts ...engine.Option) {
 	db := engine.Open(d, append(opts, engine.WithRowBudget(4000))...)
-	check := func(stmt sqlast.Stmt) bool {
+	check := func(stmt sqlast.Stmt) (feature.Set, int, bool) {
 		got, gotDepth, err := engine.ValidatedFeatures(db, stmt)
 		if err != nil {
-			return false
+			return got, gotDepth, false
 		}
 		want, wantDepth := engine.ReferenceFeatures(stmt)
 		if got != want || gotDepth != wantDepth {
@@ -119,7 +120,7 @@ func checkFeatureWalk(t *testing.T, d *dialect.Dialect, stats *walkStats, opts .
 		if gotDepth > 6 {
 			stats.deep++
 		}
-		return true
+		return got, gotDepth, true
 	}
 	exec := func(sql string) bool {
 		ok, crashed := run(db, sql)
@@ -141,11 +142,11 @@ func checkFeatureWalk(t *testing.T, d *dialect.Dialect, stats *walkStats, opts .
 		if err != nil {
 			t.Fatalf("parse %s: %v", c.sql, err)
 		}
-		if !check(stmt) {
+		got, depth, ok := check(stmt)
+		if !ok {
 			continue
 		}
 		stats.fixed[c.sql]++
-		got, depth, _ := engine.ValidatedFeatures(db, stmt)
 		for _, f := range c.want {
 			if !got.Has(feature.MustLookup(f)) {
 				t.Errorf("%s: %s missing from %v", c.sql, f, got.Names())
