@@ -756,7 +756,27 @@ func (r *Runner) runSmokeQuery() {
 		return
 	}
 	r.tracker.RecordQuerySet(&st.FeatureSet, err == nil)
+	if err == nil {
+		r.checkPerf("", []string{st.SQL}, r.db.TriggeredFaults(), r.db.LastCost(), &st.FeatureSet)
+		return
+	}
 	r.handleExecError(st, err)
+}
+
+// checkPerf is the performance watchdog: with Config.PerfCostLimit set,
+// a query that ran but cost the executor more than the limit is a
+// ClassPerf bug. Oracle checks and smoke queries both go through it.
+func (r *Runner) checkPerf(o oracle.Name, queries, triggered []string, cost int64, feats *feature.Set) {
+	if r.cfg.PerfCostLimit <= 0 || cost <= r.cfg.PerfCostLimit {
+		return
+	}
+	r.recordBug(&BugCase{
+		Class:     ClassPerf,
+		Oracle:    o,
+		Queries:   queries,
+		Triggered: triggered,
+		Detail:    fmt.Sprintf("executor cost %d exceeds limit %d", cost, r.cfg.PerfCostLimit),
+	}, feats, nil)
 }
 
 // runOracleCase runs one oracle check (Figure 2 steps 2–5), dispatching
@@ -781,15 +801,7 @@ func (r *Runner) runOracleCase() {
 	case oracle.OK:
 		r.report.ValidCases++
 		r.tracker.RecordQuerySet(&oc.FeatureSet, true)
-		if r.cfg.PerfCostLimit > 0 && res.MaxCost > r.cfg.PerfCostLimit {
-			r.recordBug(&BugCase{
-				Class:     ClassPerf,
-				Oracle:    res.Oracle,
-				Queries:   res.Queries,
-				Triggered: res.Triggered,
-				Detail:    fmt.Sprintf("executor cost %d exceeds limit %d", res.MaxCost, r.cfg.PerfCostLimit),
-			}, &oc.FeatureSet, nil)
-		}
+		r.checkPerf(res.Oracle, res.Queries, res.Triggered, res.MaxCost, &oc.FeatureSet)
 	case oracle.Invalid:
 		if engine.IsBudgetExceeded(res.Err) {
 			r.report.BudgetExceeded++

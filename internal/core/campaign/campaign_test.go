@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"slices"
 	"testing"
 
 	"sqlancerpp/internal/dialect"
+	"sqlancerpp/internal/faults"
 )
 
 // TestCleanDialectNoFalsePositives is the platform's soundness anchor: on
@@ -85,4 +87,49 @@ func TestFaultedDialectFindsBugs(t *testing.T) {
 	}
 	t.Logf("detected=%d prioritized=%d unique=%d validity=%.1f%%",
 		rep.Detected, rep.Prioritized, rep.UniqueGroundTruth, 100*rep.ValidityRate())
+}
+
+// TestSmokeQueriesReachPerfWatchdog checks that free-form smoke queries
+// go through the performance watchdog: umbra's PerfOnFeature fault on
+// DISTINCT fires only on SELECT DISTINCT statements, which the oracle
+// cases never generate, so a perf bug attributed to it can come only
+// from a smoke query. The same campaign on a fault-free engine reports
+// no perf bug.
+func TestSmokeQueriesReachPerfWatchdog(t *testing.T) {
+	d := dialect.MustGet("umbra")
+	var faultID string
+	for _, f := range d.Faults.All() {
+		if f.Kind == faults.PerfOnFeature && f.Param == "DISTINCT" {
+			faultID = f.ID
+		}
+	}
+	if faultID == "" {
+		t.Fatal("umbra has no PerfOnFeature DISTINCT fault")
+	}
+	run := func(d *dialect.Dialect) *Report {
+		t.Helper()
+		r, err := New(Config{Dialect: d, Mode: Adaptive, TestCases: 1000, Seed: 26, PerfCostLimit: 500_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	attributed := 0
+	for _, b := range run(d).Bugs {
+		if b.Class == ClassPerf && slices.Contains(b.Triggered, faultID) {
+			attributed++
+		}
+	}
+	if attributed == 0 {
+		t.Errorf("no perf bug attributed to %s", faultID)
+	}
+	clean := d.Clone()
+	clean.Faults = nil
+	if n := run(clean).DetectedByClass[ClassPerf]; n != 0 {
+		t.Errorf("fault-free engine: %d perf bugs", n)
+	}
 }
