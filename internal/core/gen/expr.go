@@ -63,15 +63,31 @@ func typOf(t sqlast.Type) typ {
 	}
 }
 
-// colsOfType returns the in-scope columns of an intended type.
-func (sc *exprScope) colsOfType(t typ) []scopeCol {
-	var out []scopeCol
-	for _, c := range sc.cols {
-		if c.Type == t {
-			out = append(out, c)
+// countOfType counts the in-scope columns of an intended type.
+func (sc *exprScope) countOfType(t typ) int {
+	n := 0
+	for i := range sc.cols {
+		if sc.cols[i].Type == t {
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// nthOfType returns the in-scope column of type t at position n (from
+// 0, in scope order) among the columns of that type; n must be below
+// countOfType(t). Leaf generation picks a column without building a list.
+func (sc *exprScope) nthOfType(t typ, n int) scopeCol {
+	for i := range sc.cols {
+		if sc.cols[i].Type != t {
+			continue
+		}
+		if n == 0 {
+			return sc.cols[i]
+		}
+		n--
+	}
+	panic("gen: column index out of range")
 }
 
 // genLeaf produces a column reference or constant of the wanted type.
@@ -93,8 +109,8 @@ func (g *Generator) genLeaf(sc *exprScope, want typ, fs *feature.Set) sqlast.Exp
 		fs.Add(feature.ExprConstantID)
 		return sqlast.Null()
 	}
-	if cols := sc.colsOfType(actual); len(cols) > 0 && g.prob(0.62) {
-		c := cols[g.intn(len(cols))]
+	if n := sc.countOfType(actual); n > 0 && g.prob(0.62) {
+		c := sc.nthOfType(actual, g.intn(n))
 		fs.Add(feature.ExprColumnID)
 		return &sqlast.ColumnRef{Table: c.Table, Column: c.Column}
 	}

@@ -337,3 +337,21 @@ func TestPickFuncAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafColumnPickAllocatesNothing guards genLeaf's column choice:
+// counting the typed columns and taking the n-th builds no list.
+func TestLeafColumnPickAllocatesNothing(t *testing.T) {
+	sc := &exprScope{cols: []scopeCol{
+		{Table: "t0", Column: "a", Type: tInt}, {Table: "t0", Column: "b", Type: tText},
+		{Table: "t1", Column: "c", Type: tInt}, {Table: "t1", Column: "d", Type: tBool},
+	}}
+	var got scopeCol
+	if n := testing.AllocsPerRun(100, func() {
+		got = sc.nthOfType(tInt, sc.countOfType(tInt)-1)
+	}); n != 0 {
+		t.Errorf("the leaf column pick allocates %.0f times", n)
+	}
+	if got.Column != "c" {
+		t.Errorf("last INTEGER column = %s, want c", got.Column)
+	}
+}
