@@ -14,9 +14,13 @@ func (ctx *evalCtx) evalAggregate(x *sqlast.Func) (Value, *Error) {
 	}
 	// Collect the argument's values over the group, fault-free: aggregate
 	// inputs are reference-path evaluations. One context is rebound per
-	// member instead of allocated per member.
-	vals := make([]Value, 0, len(ctx.group))
-	mctx := ctx.s.newEvalCtx(nil)
+	// member instead of allocated per member; both live in the scratch
+	// for the call.
+	st := &ctx.s.st
+	m := st.mark()
+	defer st.release(m)
+	vals := st.vals.alloc(len(ctx.group))[:0]
+	mctx := ctx.s.scratchCtx(nil)
 	for _, env := range ctx.group {
 		mctx.env = env
 		v, err := mctx.eval(x.Args[0])
@@ -28,16 +32,17 @@ func (ctx *evalCtx) evalAggregate(x *sqlast.Func) (Value, *Error) {
 		}
 	}
 	if x.Distinct {
-		seen := map[string]bool{}
-		var dv []Value
+		seen := st.maps.take()
+		n := 0
 		for _, v := range vals {
-			k := v.Render()
-			if !seen[k] {
-				seen[k] = true
-				dv = append(dv, v)
+			st.key = appendValue(st.key[:0], v)
+			if _, dup := seen[string(st.key)]; !dup {
+				seen[string(st.key)] = 0
+				vals[n] = v
+				n++
 			}
 		}
-		vals = dv
+		vals = vals[:n]
 	}
 	switch x.Name {
 	case "COUNT":

@@ -36,22 +36,11 @@ func setOpFeature(op sqlast.SetOp) string {
 	}
 }
 
-// coreOf strips the compound arms and trailing clauses, leaving one
-// executable SELECT core (shallow copy).
-func coreOf(sel *sqlast.Select) *sqlast.Select {
-	core := *sel
-	core.Compound = nil
-	core.OrderBy = nil
-	core.Limit = nil
-	core.Offset = nil
-	return &core
-}
-
 // validateCompound checks a compound query: each arm must be supported by
 // the dialect, produce the same column count, and (static dialects) have
 // unifiable column types. ORDER BY terms must name output columns.
 func (s *DB) validateCompound(sel *sqlast.Select, outer *scope) ([]Column, error) {
-	cols, err := s.validateSelect(coreOf(sel), outer)
+	cols, err := s.validateSelect(s.st.coreOf(sel), outer)
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +104,10 @@ func compoundOrderIndex(cols []Column, name string) int {
 	return -1
 }
 
-// execCompound executes a compound query.
-func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
+// execCompound executes a compound query, building its result into out
+// (see execSelectEnv). The result's rows are its arms' rows, so the arms
+// build theirs into out too.
+func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv, out *stmtScratch) (*Result, *Error) {
 	s.cov.Hit("exec.compound")
 	// A compound-level LIMIT/OFFSET cuts the concatenated arm rows by
 	// position, so the arms' scan order becomes observable: keep every
@@ -126,7 +117,7 @@ func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
 		s.planSpec = PlanSpec{DisableIndexPaths: true}
 		defer func() { s.planSpec = restore }()
 	}
-	left, err := s.execSelectEnv(coreOf(sel), outer)
+	left, err := s.execSelectEnv(s.st.coreOf(sel), outer, out)
 	if err != nil {
 		return nil, err
 	}
@@ -135,27 +126,32 @@ func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
 		if s.cov != nil {
 			s.cov.Hit("exec.setop." + setOpFeature(part.Op))
 		}
-		right, err := s.execSelectEnv(part.Select, outer)
+		right, err := s.execSelectEnv(part.Select, outer, out)
 		if err != nil {
 			return nil, err
 		}
-		rows = s.applySetOp(part.Op, rows, right.Rows)
+		rows = s.applySetOp(part.Op, rows, right.Rows, out)
 	}
 
 	// ORDER BY over output columns, then LIMIT / OFFSET.
 	if len(sel.OrderBy) > 0 {
 		s.cov.Hit("exec.orderby")
-		keys := make([][]Value, len(rows))
+		// Each term names an output column (validateCompound): resolve
+		// the positions once.
+		pos := s.st.ints.alloc(len(sel.OrderBy))
+		for j, o := range sel.OrderBy {
+			pos[j] = nameIndex(left.Columns, o.Expr.(*sqlast.ColumnRef).Column)
+		}
+		keys := s.st.lists.alloc(len(rows))
+		kflat := s.st.vals.alloc(len(rows) * len(pos))
 		for i, row := range rows {
-			key := make([]Value, len(sel.OrderBy))
-			for j, o := range sel.OrderBy {
-				cr := o.Expr.(*sqlast.ColumnRef)
-				idx := compoundOrderIndex(columnsOf(left.Columns), cr.Column)
+			key := kflat[i*len(pos) : (i+1)*len(pos) : (i+1)*len(pos)]
+			for j, idx := range pos {
 				key[j] = row[idx]
 			}
 			keys[i] = key
 		}
-		sortRows(rows, keys, sel.OrderBy)
+		s.sortRows(rows, keys, sel.OrderBy)
 	}
 	if sel.Offset != nil {
 		off := int(*sel.Offset)
@@ -176,71 +172,81 @@ func (s *DB) execCompound(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
 			rows = rows[:lim]
 		}
 	}
-	return &Result{Columns: left.Columns, Rows: rows}, nil
+	res := out.result()
+	res.Columns, res.Rows = left.Columns, rows
+	return res, nil
 }
 
-func columnsOf(names []string) []Column {
-	out := make([]Column, len(names))
+// nameIndex is the position of the first name equal to name, ignoring
+// case, or -1.
+func nameIndex(names []string, name string) int {
 	for i, n := range names {
-		out[i] = Column{Name: n}
+		if strings.EqualFold(n, name) {
+			return i
+		}
 	}
-	return out
+	return -1
 }
 
-// applySetOp combines two row multisets. Non-ALL operators use set
-// semantics. The UnionAllDedup fault makes UNION ALL behave like UNION.
-func (s *DB) applySetOp(op sqlast.SetOp, left, right [][]Value) [][]Value {
+// applySetOp combines two row multisets into out (see execSelectEnv).
+// Non-ALL operators use set semantics, deduplicating in place: the
+// compound owns both lists. The UnionAllDedup fault makes UNION ALL
+// behave like UNION.
+func (s *DB) applySetOp(op sqlast.SetOp, left, right [][]Value, out *stmtScratch) [][]Value {
 	switch op {
 	case sqlast.SetUnionAll:
-		combined := append(append([][]Value{}, left...), right...)
+		combined := concatRows(left, right, out)
 		if f := s.faultSet().UnionDedup(); f != nil {
-			deduped := dedupeRows(combined)
-			if len(deduped) != len(combined) {
+			n := len(combined)
+			deduped := s.dedupeRows(combined)
+			if len(deduped) != n {
 				s.trigger(f)
 			}
 			return deduped
 		}
 		return combined
 	case sqlast.SetUnion:
-		return dedupeRows(append(append([][]Value{}, left...), right...))
-	case sqlast.SetIntersect:
-		inRight := map[string]bool{}
+		return s.dedupeRows(concatRows(left, right, out))
+	case sqlast.SetIntersect, sqlast.SetExcept:
+		inRight := s.st.maps.take()
 		for _, r := range right {
-			inRight[renderRow(r)] = true
+			s.st.key = appendRow(s.st.key[:0], r)
+			inRight[string(s.st.key)] = 0
 		}
-		var out [][]Value
-		for _, r := range dedupeRows(left) {
-			if inRight[renderRow(r)] {
-				out = append(out, r)
+		want := op == sqlast.SetIntersect
+		kept := s.dedupeRows(left)
+		n := 0
+		for _, r := range kept {
+			s.st.key = appendRow(s.st.key[:0], r)
+			if _, ok := inRight[string(s.st.key)]; ok == want {
+				kept[n] = r
+				n++
 			}
 		}
-		return out
-	case sqlast.SetExcept:
-		inRight := map[string]bool{}
-		for _, r := range right {
-			inRight[renderRow(r)] = true
-		}
-		var out [][]Value
-		for _, r := range dedupeRows(left) {
-			if !inRight[renderRow(r)] {
-				out = append(out, r)
-			}
-		}
-		return out
+		return kept[:n]
 	default:
 		return left
 	}
 }
 
-func dedupeRows(rows [][]Value) [][]Value {
-	seen := map[string]bool{}
-	var out [][]Value
+// concatRows is left followed by right, in a new list from out.
+func concatRows(left, right [][]Value, out *stmtScratch) [][]Value {
+	rows := out.rowList(len(left) + len(right))
+	copy(rows[copy(rows, left):], right)
+	return rows
+}
+
+// dedupeRows keeps the first of each set of equal rows, in place.
+func (s *DB) dedupeRows(rows [][]Value) [][]Value {
+	seen := s.st.maps.take()
+	n := 0
 	for _, r := range rows {
-		k := renderRow(r)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+		s.st.key = appendRow(s.st.key[:0], r)
+		if _, dup := seen[string(s.st.key)]; !dup {
+			seen[string(s.st.key)] = 0
+			rows[n] = r
+			n++
 		}
 	}
-	return out
+	return rows[:n]
 }

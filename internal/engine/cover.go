@@ -156,22 +156,23 @@ func coveredRefsOnly(e sqlast.Expr, alias string, t *Table, ix *Index) bool {
 // coveringProject serves every kept row's projection and sort keys from
 // the entry columns the plan mapped — no expression evaluation, no
 // per-row allocation (both outputs subslice two exactly-sized backing
-// arrays). The CoveringIndexProjSwap defect triggers only when a served
-// row actually reads a transposed column and the two transposed values
-// render differently: the emitted row then differs from the clean
-// engine's, an observable divergence.
-func (s *DB) coveringProject(cp *coverPlan, rows []jrow) ([][]Value, [][]Value) {
+// arrays; the projection goes to out, see execSelectEnv). The
+// CoveringIndexProjSwap defect triggers only when a served row actually
+// reads a transposed column and the two transposed values render
+// differently: the emitted row then differs from the clean engine's, an
+// observable divergence.
+func (s *DB) coveringProject(cp *coverPlan, rows []jrow, out *stmtScratch) ([][]Value, [][]Value) {
 	s.cov.Hit("exec.proj.covering")
 	n := len(rows)
 	width := len(cp.items)
 	klen := len(cp.keys)
-	outRows := make([][]Value, n)
-	flat := make([]Value, n*width)
+	outRows := out.rowList(n)
+	flat := out.values(n * width)
 	var sortKeys [][]Value
 	var kflat []Value
 	if klen > 0 {
-		sortKeys = make([][]Value, n)
-		kflat = make([]Value, n*klen)
+		sortKeys = s.st.lists.alloc(n)
+		kflat = s.st.vals.alloc(n * klen)
 	}
 	for i, jr := range rows {
 		row := jr[0]

@@ -70,8 +70,9 @@ type dialectFlags struct {
 	MathDomainError bool
 }
 
-func (s *DB) newEvalCtx(env *rowEnv) *evalCtx {
-	return &evalCtx{
+// evalCtxFor is an evaluation context over env.
+func (s *DB) evalCtxFor(env *rowEnv) evalCtx {
+	return evalCtx{
 		s:   s,
 		env: env,
 		dialect: dialectFlags{
@@ -80,6 +81,21 @@ func (s *DB) newEvalCtx(env *rowEnv) *evalCtx {
 			MathDomainError: s.dialect.MathDomainError,
 		},
 	}
+}
+
+// newEvalCtx is an evaluation context over env on the heap, for loops
+// that build one per row and would otherwise grow the scratch with the
+// row count.
+func (s *DB) newEvalCtx(env *rowEnv) *evalCtx {
+	ctx := s.evalCtxFor(env)
+	return &ctx
+}
+
+// scratchCtx is an evaluation context over env in the statement scratch.
+func (s *DB) scratchCtx(env *rowEnv) *evalCtx {
+	ctx := &s.st.ctxs.alloc(1)[0]
+	*ctx = s.evalCtxFor(env)
+	return ctx
 }
 
 // eval computes the reference (fault-free) value of an expression.
@@ -174,32 +190,36 @@ func (ctx *evalCtx) eval(e sqlast.Expr) (Value, *Error) {
 		return t.Value(), nil
 
 	case *sqlast.Subquery:
-		rows, err := ctx.s.execSelectEnv(x.Select, ctx.env)
-		if err != nil {
-			return Null(), err
-		}
-		if len(rows.Rows) == 0 {
-			return Null(), nil
-		}
-		if len(rows.Rows) > 1 {
-			return Null(), errf(ErrRuntime, "scalar subquery returned %d rows", len(rows.Rows))
-		}
-		return rows.Rows[0][0], nil
+		return ctx.evalSubquery(x.Select, false, false)
 
 	case *sqlast.Exists:
-		rows, err := ctx.s.execSelectEnv(x.Select, ctx.env)
-		if err != nil {
-			return Null(), err
-		}
-		res := len(rows.Rows) > 0
-		if x.Not {
-			res = !res
-		}
-		return Bool(res), nil
+		return ctx.evalSubquery(x.Select, true, x.Not)
 
 	default:
 		return Null(), errf(ErrSemantic, "unhandled expression kind")
 	}
+}
+
+// evalSubquery runs a scalar subquery, or with exists an [NOT] EXISTS,
+// for the current row. The subquery's result lives in the scratch only
+// until its one value is copied out: a correlated subquery reruns per
+// outer row, and releasing each run keeps its memory flat.
+func (ctx *evalCtx) evalSubquery(sel *sqlast.Select, exists, not bool) (Value, *Error) {
+	st := &ctx.s.st
+	m := st.mark()
+	res, err := ctx.s.execSelectEnv(sel, ctx.env, st)
+	var v Value
+	switch {
+	case err != nil:
+	case exists:
+		v = Bool((len(res.Rows) > 0) != not)
+	case len(res.Rows) > 1:
+		err = errf(ErrRuntime, "scalar subquery returned %d rows", len(res.Rows))
+	case len(res.Rows) == 1:
+		v = res.Rows[0][0]
+	}
+	st.release(m)
+	return v, err
 }
 
 // evalTri evaluates an expression as a predicate.
@@ -433,10 +453,14 @@ func (ctx *evalCtx) evalFunc(x *sqlast.Func) (Value, *Error) {
 	if def == nil {
 		return Null(), errf(ErrSemantic, "no such function %s", x.Name)
 	}
-	args := make([]Value, len(x.Args))
+	// The arguments live on the scratch's value stack for the call.
+	vals := &ctx.s.st.vals
+	p := vals.pos()
+	args := vals.alloc(len(x.Args))
 	for i, a := range x.Args {
 		v, err := ctx.eval(a)
 		if err != nil {
+			vals.release(p)
 			return Null(), err
 		}
 		args[i] = v
@@ -445,7 +469,9 @@ func (ctx *evalCtx) evalFunc(x *sqlast.Func) (Value, *Error) {
 		ctx.s.cov.Hit("eval.func." + x.Name)
 		ctx.s.cov.HitBranch("func.null."+x.Name, anyNull(args) >= 0)
 	}
-	return def.Impl(ctx, args)
+	v, err := def.Impl(ctx, args)
+	vals.release(p)
+	return v, err
 }
 
 func (ctx *evalCtx) evalCase(x *sqlast.Case) (Value, *Error) {

@@ -10,7 +10,7 @@ import (
 func (s *DB) execStmt(stmt sqlast.Stmt) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		res, err := s.execSelectEnv(st, nil)
+		res, err := s.execSelectEnv(st, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func (s *DB) execInsert(st *sqlast.Insert) error {
 	ctx := s.newEvalCtx(&rowEnv{})
 	var newRows [][]Value
 	for _, exprRow := range st.Rows {
-		row := nullRow(len(t.Columns))
+		row := make([]Value, len(t.Columns)) // all NULL: the zero Value is NULL
 		for i, e := range exprRow {
 			v, err := ctx.eval(e)
 			if err != nil {

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"sqlancerpp/internal/sqlast"
@@ -18,62 +18,32 @@ type matRel struct {
 // jrow is one combined join row: one value slice per relation.
 type jrow [][]Value
 
-// buildEnv exposes a combined row to the evaluator. It allocates a fresh
-// environment and is reserved for rows that must be retained (the grouped
-// path keeps one environment per group member); transient per-row
-// evaluation uses a scratch environment instead.
-func buildEnv(rels []matRel, row jrow, outer *rowEnv) *rowEnv {
-	env := &rowEnv{outer: outer, rels: make([]rowRel, len(rels))}
-	for i := range rels {
-		env.rels[i] = rowRel{alias: rels[i].alias, cols: rels[i].cols, vals: row[i]}
-	}
-	return env
-}
-
-// newScratchEnv builds a reusable environment over a fixed relation list.
-// Callers point it at successive rows with bindRow, so a statement that
-// scans a million rows allocates one environment, not a million.
-func newScratchEnv(rels []matRel, outer *rowEnv) *rowEnv {
-	env := &rowEnv{outer: outer, rels: make([]rowRel, len(rels))}
-	for i := range rels {
-		env.rels[i] = rowRel{alias: rels[i].alias, cols: rels[i].cols}
-	}
-	return env
-}
-
-// scratchExec bundles the per-statement scratch environment, its
-// relation slots, and the evaluation context into one allocation; all
-// three live exactly as long as one statement execution, and the
-// execution hot paths build them in lockstep.
+// scratchExec bundles a scratch environment, its relation slots, and
+// the evaluation context over it into one scratch element; the
+// execution hot paths build them in lockstep, and one serves every row
+// of a loop: callers point it at successive rows with bindRow.
 type scratchExec struct {
 	env  rowEnv
 	ctx  evalCtx
 	rels [4]rowRel
 }
 
-// newScratchExec is newScratchEnv plus newEvalCtx fused into a single
-// allocation (the inline relation array covers every generated query
-// shape; wider joins fall back to a heap slice).
+// newScratchExec builds a scratch environment over a fixed relation list
+// and its evaluation context (the inline relation array covers every
+// generated query shape; wider joins take their slots from the scratch
+// too).
 func (s *DB) newScratchExec(rels []matRel, outer *rowEnv) (*rowEnv, *evalCtx) {
-	sc := &scratchExec{}
+	sc := &s.st.execs.alloc(1)[0]
 	sc.env.outer = outer
 	if len(rels) <= len(sc.rels) {
-		sc.env.rels = sc.rels[:len(rels)]
+		sc.env.rels = sc.rels[:len(rels):len(rels)]
 	} else {
-		sc.env.rels = make([]rowRel, len(rels))
+		sc.env.rels = s.st.rowRels.alloc(len(rels))
 	}
 	for i := range rels {
 		sc.env.rels[i] = rowRel{alias: rels[i].alias, cols: rels[i].cols}
 	}
-	sc.ctx = evalCtx{
-		s:   s,
-		env: &sc.env,
-		dialect: dialectFlags{
-			DivZeroError:    s.dialect.DivZeroError,
-			CastTextError:   s.dialect.CastTextError,
-			MathDomainError: s.dialect.MathDomainError,
-		},
-	}
+	sc.ctx = s.evalCtxFor(&sc.env)
 	return &sc.env, &sc.ctx
 }
 
@@ -90,9 +60,13 @@ func (env *rowEnv) bindRow(row jrow) {
 // step's arena memory tracks its output: a step that emits one row pays
 // for a small chunk, not a full one. Correlated subqueries rerun their
 // join steps once per outer row, which makes a fixed chunk cost add up.
+//
+// With src set, chunks come from that scratch stack; the zero arena
+// allocates them on the heap.
 type jrowArena struct {
 	buf  [][]Value
 	next int // slots in the next chunk; 0 before the first
+	src  *stack[[]Value]
 }
 
 const (
@@ -105,20 +79,16 @@ func (a *jrowArena) row(lrow jrow, rrow []Value) jrow {
 	if len(a.buf) < n {
 		size := max(a.next, jrowChunkMin)
 		a.next = min(2*size, jrowChunkMax)
-		a.buf = make([][]Value, max(size, n))
+		if a.src != nil {
+			a.buf = a.src.alloc(max(size, n))
+		} else {
+			a.buf = make([][]Value, max(size, n))
+		}
 	}
 	out := a.buf[:n:n]
 	a.buf = a.buf[n:]
 	copy(out, lrow)
 	out[n-1] = rrow
-	return out
-}
-
-func nullRow(n int) []Value {
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Null()
-	}
 	return out
 }
 
@@ -135,7 +105,7 @@ func (s *DB) materializeRef(ref sqlast.TableRef, outer *rowEnv) (matRel, *Error)
 		}
 		if v := s.store.view(r.Name); v != nil {
 			s.cov.Hit("exec.scan.view")
-			res, err := s.execSelectEnv(v.Def, nil)
+			res, err := s.execSelectEnv(v.Def, nil, &s.st)
 			if err != nil {
 				return matRel{}, err
 			}
@@ -144,7 +114,7 @@ func (s *DB) materializeRef(ref sqlast.TableRef, outer *rowEnv) (matRel, *Error)
 		return matRel{}, errf(ErrSemantic, "no such table or view %q", r.Name)
 	case *sqlast.DerivedTable:
 		s.cov.Hit("exec.scan.derived")
-		res, err := s.execSelectEnv(r.Select, outer)
+		res, err := s.execSelectEnv(r.Select, outer, &s.st)
 		if err != nil {
 			return matRel{}, err
 		}
@@ -155,19 +125,23 @@ func (s *DB) materializeRef(ref sqlast.TableRef, outer *rowEnv) (matRel, *Error)
 }
 
 // execSelectEnv executes a SELECT with an optional outer environment for
-// correlated subqueries. Errors use the engine's *Error type.
-func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) {
+// correlated subqueries. out is where the result is built: nil for the
+// heap, when the caller keeps the Result, or the statement scratch (see
+// stmtScratch's allocators). Everything else the execution builds comes
+// from the scratch. Errors use the engine's *Error type.
+func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv, out *stmtScratch) (*Result, *Error) {
 	if len(sel.Compound) > 0 {
-		return s.execCompound(sel, outer)
+		return s.execCompound(sel, outer, out)
 	}
 	s.cov.Hit("exec.select")
+	st := &s.st
 	var rels []matRel
 	var rows []jrow
 	// Filter conjuncts are split once per statement; the access-path
 	// planner and the WHERE loop share them.
 	var conjs []sqlast.Expr
 	if sel.Where != nil {
-		conjs = splitAnd(sel.Where, nil)
+		conjs = st.splitAnd(sel.Where)
 	}
 
 	// skipConj is the WHERE-conjunct position consumed by a faulty index
@@ -190,7 +164,7 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		if perm := s.planSpec.JoinPerm; len(perm) > 0 {
 			if m := permPrefixLen(sel); len(perm) <= m {
 				from, moved = permutedFrom(from, perm)
-				starOrder = make([]int, len(from))
+				starOrder = st.ints.alloc(len(from))
 				for j := range starOrder {
 					starOrder[j] = j
 				}
@@ -217,11 +191,12 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 				}
 			}
 		}
-		rels = []matRel{first}
-		rows = make([]jrow, len(first.rows))
+		rels = st.rels.alloc(len(from))[:1]
+		rels[0] = first
+		rows = st.jrows.alloc(len(first.rows))
 		for i := range first.rows {
-			// Slice into the materialized row list: one allocation for the
-			// whole scan instead of one jrow header per row.
+			// Slice into the materialized row list: no combined-row
+			// storage for a single relation.
 			rows[i] = first.rows[i : i+1 : i+1]
 		}
 		for step, item := range from[1:] {
@@ -229,14 +204,14 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 			if err != nil {
 				return nil, err
 			}
-			rows, err = s.joinStep(sel, rels, rows, right, item, step, moved, outer)
+			rels = append(rels, right) // within the capacity of len(from)
+			rows, err = s.joinStep(sel, rels, rows, item, step, moved, outer)
 			if err != nil {
 				return nil, err
 			}
-			rels = append(rels, right)
 		}
 	} else {
-		rows = []jrow{{}} // SELECT without FROM: one empty row
+		rows = st.jrows.alloc(1) // SELECT without FROM: one empty row
 	}
 
 	// One scratch environment and evaluation context serve every row of
@@ -252,7 +227,9 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 	if sel.Where != nil {
 		filterConjs := conjs
 		if skipConj >= 0 {
-			filterConjs = append(conjs[:skipConj:skipConj], conjs[skipConj+1:]...)
+			filterConjs = st.exprs.alloc(len(conjs) - 1)
+			copy(filterConjs, conjs[:skipConj])
+			copy(filterConjs[skipConj:], conjs[skipConj+1:])
 		}
 		fp := s.buildFilterPlan(filterConjs, env)
 		var err *Error
@@ -262,19 +239,19 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		}
 	}
 
-	colNames := s.outputColumns(sel, rels, starOrder)
+	colNames := s.outputColumns(sel, rels, starOrder, out)
 
 	grouped := len(sel.GroupBy) > 0 || selHasAggregates(sel)
 	var outRows [][]Value
 	var sortKeys [][]Value
 	if grouped {
 		var err *Error
-		outRows, sortKeys, err = s.execGrouped(sel, rels, rows, outer)
+		outRows, sortKeys, err = s.execGrouped(sel, rels, rows, outer, out)
 		if err != nil {
 			return nil, err
 		}
 	} else if cover != nil {
-		outRows, sortKeys = s.coveringProject(cover, rows)
+		outRows, sortKeys = s.coveringProject(cover, rows, out)
 	} else {
 		// Heap projection. Output rows and sort keys subslice two
 		// exactly-sized backing arrays: one allocation each per statement
@@ -284,12 +261,12 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		width := projWidth(sel, rels)
 		n := len(rows)
 		klen := len(sel.OrderBy)
-		outRows = make([][]Value, 0, n)
-		flat := make([]Value, n*width)
+		outRows = out.rowList(n)[:0]
+		flat := out.values(n * width)
 		var kflat []Value
 		if klen > 0 {
-			sortKeys = make([][]Value, 0, n)
-			kflat = make([]Value, n*klen)
+			sortKeys = st.lists.alloc(n)[:0]
+			kflat = st.vals.alloc(n * klen)
 		}
 		for i, row := range rows {
 			env.bindRow(row)
@@ -297,11 +274,11 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 			if klen > 0 {
 				kbuf = kflat[i*klen : (i+1)*klen : (i+1)*klen]
 			}
-			out, keys, err := s.projectRow(sel, rels, row, starOrder, ctx, flat[i*width:i*width:(i+1)*width], kbuf)
+			prow, keys, err := s.projectRow(sel, rels, row, starOrder, ctx, flat[i*width:i*width:(i+1)*width], kbuf)
 			if err != nil {
 				return nil, err
 			}
-			outRows = append(outRows, out)
+			outRows = append(outRows, prow)
 			if klen > 0 {
 				sortKeys = append(sortKeys, keys)
 			}
@@ -310,26 +287,31 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 
 	if sel.Distinct {
 		s.cov.Hit("exec.distinct")
-		seen := map[string]bool{}
-		var dr [][]Value
-		var dk [][]Value
+		// Dedup in place: the frame owns its output list.
+		seen := st.maps.take()
+		n := 0
 		for i, r := range outRows {
-			k := renderRow(r)
-			s.cov.HitBranch("distinct.dup", seen[k])
-			if !seen[k] {
-				seen[k] = true
-				dr = append(dr, r)
+			st.key = appendRow(st.key[:0], r)
+			_, dup := seen[string(st.key)]
+			s.cov.HitBranch("distinct.dup", dup)
+			if !dup {
+				seen[string(st.key)] = 0
+				outRows[n] = r
 				if sortKeys != nil {
-					dk = append(dk, sortKeys[i])
+					sortKeys[n] = sortKeys[i]
 				}
+				n++
 			}
 		}
-		outRows, sortKeys = dr, dk
+		outRows = outRows[:n]
+		if sortKeys != nil {
+			sortKeys = sortKeys[:n]
+		}
 	}
 
 	if len(sel.OrderBy) > 0 {
 		s.cov.Hit("exec.orderby")
-		sortRows(outRows, sortKeys, sel.OrderBy)
+		s.sortRows(outRows, sortKeys, sel.OrderBy)
 	}
 
 	if sel.Offset != nil {
@@ -354,15 +336,19 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv) (*Result, *Error) 
 		}
 	}
 
-	return &Result{Columns: colNames, Rows: outRows}, nil
+	res := out.result()
+	res.Columns, res.Rows = colNames, outRows
+	return res, nil
 }
 
-// joinStep combines the accumulated rows with one new relation. step is
-// the join-step ordinal (0 joins the second FROM item), which the plan
-// spec's per-join forcing keys on. moved marks ON conjuncts a JoinPerm
-// reorder re-attached at a later step — the JoinPermConjDrop defect
-// loses exactly those.
-func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matRel, item sqlast.FromItem, step int, moved map[sqlast.Expr]bool, outer *rowEnv) ([]jrow, *Error) {
+// joinStep combines the accumulated rows with one new relation, the
+// last of rels. step is the join-step ordinal (0 joins the second FROM
+// item), which the plan spec's per-join forcing keys on. moved marks ON
+// conjuncts a JoinPerm reorder re-attached at a later step — the
+// JoinPermConjDrop defect loses exactly those.
+func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, item sqlast.FromItem, step int, moved map[sqlast.Expr]bool, outer *rowEnv) ([]jrow, *Error) {
+	st := &s.st
+	lrels, right := rels[:len(rels)-1], rels[len(rels)-1]
 	jf := joinFeature(item.Join)
 	// Coverage keys are built only when a recorder is attached: the
 	// match branch is hit once per candidate pair, and concatenating its
@@ -371,11 +357,6 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 	if s.cov != nil {
 		s.cov.Hit("exec.join." + jf)
 		matchKey = "join.match." + jf
-	}
-
-	on := item.On
-	if item.Join == sqlast.JoinNatural {
-		on = naturalOn(rels, right)
 	}
 
 	// The ON→WHERE flattener defect degrades an outer join to inner when
@@ -387,16 +368,15 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 	// conjuncts are split once per join step, and combined output rows
 	// come from a chunked arena that grows with the output — the loop
 	// allocates only for rows it emits, never per candidate pair.
-	jrels := make([]matRel, len(rels)+1)
-	copy(jrels, rels)
-	jrels[len(rels)] = right
-	env, ctx := s.newScratchExec(jrels, outer)
+	env, ctx := s.newScratchExec(rels, outer)
 	var onConjs []sqlast.Expr
-	if on != nil {
-		onConjs = splitAnd(on, nil)
+	if item.Join == sqlast.JoinNatural {
+		onConjs = s.naturalOn(lrels, right)
+	} else if item.On != nil {
+		onConjs = st.splitAnd(item.On)
 	}
 	match := func(lrow jrow, rrow []Value) (bool, *Error) {
-		if on == nil {
+		if len(onConjs) == 0 {
 			return true, nil
 		}
 		env.bindRow(lrow)
@@ -409,20 +389,25 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 	// NULL-extension rows exist only for outer joins. They are immutable,
 	// so every NULL-extended output row of a step shares the same backing
 	// slices.
-	var arena jrowArena
+	arena := jrowArena{src: &st.lists}
 	var rightNull []Value
 	var leftNull jrow
 	if item.Join == sqlast.JoinLeft || item.Join == sqlast.JoinFull {
-		rightNull = nullRow(len(right.cols))
+		rightNull = st.nullRow(len(right.cols))
 	}
 	if item.Join == sqlast.JoinRight || item.Join == sqlast.JoinFull {
-		leftNull = make(jrow, len(rels))
-		for i := range rels {
-			leftNull[i] = nullRow(len(rels[i].cols))
+		leftNull = st.lists.alloc(len(lrels))
+		for i := range lrels {
+			leftNull[i] = st.nullRow(len(lrels[i].cols))
 		}
 	}
 
+	// emit appends a combined row to the step's output list, which grows
+	// in the scratch.
 	var out []jrow
+	emit := func(lrow jrow, rrow []Value) {
+		out = append(st.jrows.grow(out), arena.row(lrow, rrow))
+	}
 	switch item.Join {
 	case sqlast.JoinComma, sqlast.JoinCross, sqlast.JoinInner, sqlast.JoinNatural:
 		// The join-reorderer conjunct-drop defect loses the ON conjuncts
@@ -445,8 +430,8 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 		}
 		if len(dropped) == 0 {
 			dropFault = nil
-			if probe := s.planJoinProbe(sel, rels, right, onConjs, step); probe != nil {
-				return s.joinProbeStep(probe, left, matchKey, env, ctx, onConjs, &arena)
+			if probe, ok := s.planJoinProbe(sel, lrels, right, onConjs, step); ok {
+				return s.joinProbeStep(&probe, left, matchKey, env, ctx, onConjs, &arena)
 			}
 		}
 		for _, lrow := range left {
@@ -465,7 +450,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 						if s.permDropRejects(ctx, dropped) {
 							s.trigger(dropFault)
 						}
-						out = append(out, arena.row(lrow, rrow))
+						emit(lrow, rrow)
 					}
 					if cerr := s.chargeRow(); cerr != nil {
 						return nil, cerr
@@ -477,7 +462,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 					return nil, err
 				}
 				if ok {
-					out = append(out, arena.row(lrow, rrow))
+					emit(lrow, rrow)
 				}
 				if cerr := s.chargeRow(); cerr != nil {
 					return nil, cerr
@@ -485,7 +470,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 			}
 		}
 	case sqlast.JoinLeft, sqlast.JoinFull:
-		matchedRight := make([]bool, len(right.rows))
+		matchedRight := st.bools.alloc(len(right.rows))
 		for _, lrow := range left {
 			any := false
 			for ri, rrow := range right.rows {
@@ -496,7 +481,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 				if ok {
 					any = true
 					matchedRight[ri] = true
-					out = append(out, arena.row(lrow, rrow))
+					emit(lrow, rrow)
 				}
 				if cerr := s.chargeRow(); cerr != nil {
 					return nil, cerr
@@ -507,7 +492,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 					s.trigger(flatten)
 					continue
 				}
-				out = append(out, arena.row(lrow, rightNull))
+				emit(lrow, rightNull)
 			}
 		}
 		if item.Join == sqlast.JoinFull {
@@ -519,7 +504,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 					s.trigger(flatten)
 					continue
 				}
-				out = append(out, arena.row(leftNull, rrow))
+				emit(leftNull, rrow)
 			}
 		}
 	case sqlast.JoinRight:
@@ -532,7 +517,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 				}
 				if ok {
 					any = true
-					out = append(out, arena.row(lrow, rrow))
+					emit(lrow, rrow)
 				}
 				if cerr := s.chargeRow(); cerr != nil {
 					return nil, cerr
@@ -543,7 +528,7 @@ func (s *DB) joinStep(sel *sqlast.Select, rels []matRel, left []jrow, right matR
 					s.trigger(flatten)
 					continue
 				}
-				out = append(out, arena.row(leftNull, rrow))
+				emit(leftNull, rrow)
 			}
 		}
 	default:
@@ -585,7 +570,7 @@ func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, matchKey string,
 	var out []jrow
 	rslot := len(env.rels) - 1
 	// One key buffer serves every left row.
-	key := make([]Value, len(probe.leftExprs))
+	key := s.st.vals.alloc(len(probe.leftExprs))
 	for _, lrow := range left {
 		env.bindRow(lrow)
 		for i, le := range probe.leftExprs {
@@ -602,7 +587,7 @@ func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, matchKey string,
 				if s.joinResidualRejects(ctx, onConjs, probe) {
 					s.trigger(residual)
 				}
-				out = append(out, arena.row(lrow, rrow))
+				out = append(s.st.jrows.grow(out), arena.row(lrow, rrow))
 				if cerr := s.chargeRow(); cerr != nil {
 					return nil, cerr
 				}
@@ -614,7 +599,7 @@ func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, matchKey string,
 				return nil, err
 			}
 			if ok {
-				out = append(out, arena.row(lrow, rrow))
+				out = append(s.st.jrows.grow(out), arena.row(lrow, rrow))
 			}
 			if cerr := s.chargeRow(); cerr != nil {
 				return nil, cerr
@@ -624,10 +609,18 @@ func (s *DB) joinProbeStep(probe *joinProbe, left []jrow, matchKey string,
 	return out, nil
 }
 
-// naturalOn synthesizes the NATURAL JOIN condition: equality on every
-// column name the new relation shares with an earlier relation.
-func naturalOn(rels []matRel, right matRel) sqlast.Expr {
-	var on sqlast.Expr
+// naturalEq is one synthesized NATURAL JOIN conjunct, its nodes in one
+// scratch element.
+type naturalEq struct {
+	eq   sqlast.Binary
+	l, r sqlast.ColumnRef
+}
+
+// naturalOn synthesizes the NATURAL JOIN condition as its conjuncts:
+// equality on every column name the new relation shares with an earlier
+// relation, in the scratch. No shared column means no condition.
+func (s *DB) naturalOn(rels []matRel, right matRel) []sqlast.Expr {
+	var conjs []sqlast.Expr
 	for _, rc := range right.cols {
 		for _, rel := range rels {
 			shared := false
@@ -640,20 +633,15 @@ func naturalOn(rels []matRel, right matRel) sqlast.Expr {
 			if !shared {
 				continue
 			}
-			eq := &sqlast.Binary{
-				Op: sqlast.OpEq,
-				L:  &sqlast.ColumnRef{Table: rel.alias, Column: rc},
-				R:  &sqlast.ColumnRef{Table: right.alias, Column: rc},
-			}
-			if on == nil {
-				on = eq
-			} else {
-				on = &sqlast.Binary{Op: sqlast.OpAnd, L: on, R: eq}
-			}
+			n := &s.st.naturals.alloc(1)[0]
+			n.l = sqlast.ColumnRef{Table: rel.alias, Column: rc}
+			n.r = sqlast.ColumnRef{Table: right.alias, Column: rc}
+			n.eq = sqlast.Binary{Op: sqlast.OpEq, L: &n.l, R: &n.r}
+			conjs = append(s.st.exprs.grow(conjs), &n.eq)
 			break
 		}
 	}
-	return on
+	return conjs
 }
 
 // permDropRejects reports whether any relocated-then-dropped ON
@@ -672,22 +660,22 @@ func (s *DB) permDropRejects(ctx *evalCtx, dropped []sqlast.Expr) bool {
 	return false
 }
 
-// outputColumns computes the result column names. starOrder, when
-// non-nil, restores * expansion to the original relation order under a
-// permuted join plan.
-func (s *DB) outputColumns(sel *sqlast.Select, rels []matRel, starOrder []int) []string {
-	var out []string
+// outputColumns computes the result column names into out (see
+// execSelectEnv). starOrder, when non-nil, restores * expansion to the
+// original relation order under a permuted join plan.
+func (s *DB) outputColumns(sel *sqlast.Select, rels []matRel, starOrder []int, out *stmtScratch) []string {
+	names := out.names(projWidth(sel, rels))[:0]
 	for i := range sel.Items {
 		item := &sel.Items[i]
 		if item.Star {
 			if starOrder != nil {
 				for _, ri := range starOrder {
-					out = append(out, rels[ri].cols...)
+					names = append(names, rels[ri].cols...)
 				}
 				continue
 			}
 			for _, rel := range rels {
-				out = append(out, rel.cols...)
+				names = append(names, rel.cols...)
 			}
 			continue
 		}
@@ -696,12 +684,12 @@ func (s *DB) outputColumns(sel *sqlast.Select, rels []matRel, starOrder []int) [
 			if cr, ok := item.Expr.(*sqlast.ColumnRef); ok {
 				name = cr.Column
 			} else {
-				name = "col" + itoa(len(out)+1)
+				name = autoColName(len(names) + 1)
 			}
 		}
-		out = append(out, name)
+		names = append(names, name)
 	}
-	return out
+	return names
 }
 
 // projWidth computes the output width of a projection (stars expand to
@@ -757,12 +745,13 @@ func (s *DB) projectRow(sel *sqlast.Select, rels []matRel, row jrow, starOrder [
 	return out, keys, nil
 }
 
-// orderKeys evaluates the ORDER BY expressions in ctx.
+// orderKeys evaluates the ORDER BY expressions in ctx, into the
+// scratch.
 func (s *DB) orderKeys(sel *sqlast.Select, ctx *evalCtx) ([]Value, *Error) {
 	if len(sel.OrderBy) == 0 {
 		return nil, nil
 	}
-	keys := make([]Value, len(sel.OrderBy))
+	keys := s.st.vals.alloc(len(sel.OrderBy))
 	for i := range sel.OrderBy {
 		v, err := ctx.eval(sel.OrderBy[i].Expr)
 		if err != nil {
@@ -775,42 +764,35 @@ func (s *DB) orderKeys(sel *sqlast.Select, ctx *evalCtx) ([]Value, *Error) {
 
 // renderRow builds the canonical dedup/compare key of a row.
 func renderRow(row []Value) string {
-	var sb strings.Builder
-	for i, v := range row {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		sb.WriteString(v.Render())
-	}
-	return sb.String()
+	var buf [64]byte
+	return string(appendRow(buf[:0], row))
 }
 
 // sortRows orders output rows by their sort keys (stable; NULLs first).
-func sortRows(rows [][]Value, keys [][]Value, order []sqlast.OrderItem) {
-	idx := make([]int, len(rows))
+func (s *DB) sortRows(rows [][]Value, keys [][]Value, order []sqlast.OrderItem) {
+	idx := s.st.ints.alloc(len(rows))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ka, kb := keys[a], keys[b]
 		for i := range order {
-			va, vb := ka[i], kb[i]
-			c := compareForSort(va, vb)
+			c := compareForSort(ka[i], kb[i])
 			if c == 0 {
 				continue
 			}
-			if order[i].Desc {
-				return c > 0
+			if order[i].Desc == (c > 0) {
+				return -1
 			}
-			return c < 0
+			return 1
 		}
-		return false
+		return 0
 	})
-	outR := make([][]Value, len(rows))
+	sorted := s.st.lists.alloc(len(rows))
 	for i, j := range idx {
-		outR[i] = rows[j]
+		sorted[i] = rows[j]
 	}
-	copy(rows, outR)
+	copy(rows, sorted)
 }
 
 // compareForSort orders values with NULLs first.
@@ -846,70 +828,94 @@ func selHasAggregates(sel *sqlast.Select) bool {
 	return false
 }
 
-// execGrouped executes the GROUP BY / aggregate path.
-func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *rowEnv) ([][]Value, [][]Value, *Error) {
+// execGrouped executes the GROUP BY / aggregate path, building its
+// output rows into out (see execSelectEnv). Every member row gets an
+// environment of its own, since aggregates read the whole group; those
+// environments, the group table and the keys live in the scratch.
+func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *rowEnv, out *stmtScratch) ([][]Value, [][]Value, *Error) {
 	s.cov.Hit("exec.groupby")
-	type group struct {
-		envs []*rowEnv
+	st := &s.st
+	envs := st.envs.alloc(len(rows))
+	slots := st.rowRels.alloc(len(rows) * len(rels))
+	for i, row := range rows {
+		env := &envs[i]
+		env.outer = outer
+		env.rels = slots[i*len(rels) : (i+1)*len(rels) : (i+1)*len(rels)]
+		for j := range rels {
+			env.rels[j] = rowRel{alias: rels[j].alias, cols: rels[j].cols, vals: row[j]}
+		}
 	}
-	var order []string
-	groups := map[string]*group{}
-	kctx := s.newEvalCtx(nil)
-	var keyb strings.Builder
-	for _, row := range rows {
-		env := buildEnv(rels, row, outer)
-		key := ""
-		if len(sel.GroupBy) > 0 {
-			kctx.env = env
-			keyb.Reset()
+
+	// Number the groups in order of first appearance: gid[i] is row i's
+	// group. Without GROUP BY every row is in group 0.
+	gid := st.ints.alloc(len(rows))
+	groups := 0
+	if len(sel.GroupBy) > 0 {
+		table := st.maps.take()
+		kctx := s.scratchCtx(nil)
+		kvals := st.vals.alloc(len(sel.GroupBy))
+		for i := range rows {
+			kctx.env = &envs[i]
 			for gi, g := range sel.GroupBy {
 				v, err := kctx.eval(g)
 				if err != nil {
 					return nil, nil, err
 				}
-				if gi > 0 {
-					keyb.WriteByte('|')
-				}
-				keyb.WriteString(v.Render())
+				kvals[gi] = v
 			}
-			key = keyb.String()
+			st.key = appendRow(st.key[:0], kvals)
+			g, ok := table[string(st.key)]
+			if !ok {
+				g = groups
+				table[string(st.key)] = g
+				groups++
+			}
+			gid[i] = g
 		}
-		gr := groups[key]
-		if gr == nil {
-			gr = &group{}
-			groups[key] = gr
-			order = append(order, key)
-		}
-		gr.envs = append(gr.envs, env)
-	}
-	// A global aggregate over zero rows still produces one group.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
+	} else {
+		// A global aggregate has one group, even over zero rows.
+		groups = 1
 	}
 
-	var outRows [][]Value
+	// Lay the members out group by group, each group's rows in row order.
+	start := st.ints.alloc(groups + 1)
+	for _, g := range gid {
+		start[g+1]++
+	}
+	for g := 1; g <= groups; g++ {
+		start[g] += start[g-1]
+	}
+	members := st.members.alloc(len(rows))
+	fill := st.ints.alloc(groups)
+	copy(fill, start)
+	for i, g := range gid {
+		members[fill[g]] = &envs[i]
+		fill[g]++
+	}
+
+	outRows := out.rowList(groups)[:0]
 	var sortKeys [][]Value
-	ctx := s.newEvalCtx(nil)
-	for _, key := range order {
-		gr := groups[key]
+	if len(sel.OrderBy) > 0 {
+		sortKeys = st.lists.alloc(groups)[:0]
+	}
+	ctx := s.scratchCtx(nil)
+	for g := 0; g < groups; g++ {
+		group := members[start[g]:start[g+1]:start[g+1]]
 		var rep *rowEnv
-		if len(gr.envs) > 0 {
-			rep = gr.envs[0]
+		if len(group) > 0 {
+			rep = group[0]
 		} else {
 			// Only the global aggregate over zero rows has an empty
 			// group; its representative row is all NULL.
-			r := make(jrow, len(rels))
+			rep = &st.envs.alloc(1)[0]
+			rep.outer = outer
+			rep.rels = st.rowRels.alloc(len(rels))
 			for i := range rels {
-				r[i] = nullRow(len(rels[i].cols))
+				rep.rels[i] = rowRel{alias: rels[i].alias, cols: rels[i].cols, vals: st.nullRow(len(rels[i].cols))}
 			}
-			rep = buildEnv(rels, r, outer)
 		}
 		ctx.env = rep
-		ctx.group = gr.envs
-		if ctx.group == nil {
-			ctx.group = []*rowEnv{} // empty group, still an aggregate context
-		}
+		ctx.group = group // never nil: an empty group is still an aggregate context
 		if sel.Having != nil {
 			t, err := ctx.evalTri(sel.Having)
 			if err != nil {
@@ -919,7 +925,7 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 				continue
 			}
 		}
-		var out []Value
+		row := out.values(len(sel.Items))
 		for i := range sel.Items {
 			item := &sel.Items[i]
 			if item.Star {
@@ -929,14 +935,16 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 			if err != nil {
 				return nil, nil, err
 			}
-			out = append(out, v)
+			row[i] = v
 		}
 		keys, err := s.orderKeys(sel, ctx)
 		if err != nil {
 			return nil, nil, err
 		}
-		outRows = append(outRows, out)
-		sortKeys = append(sortKeys, keys)
+		outRows = append(outRows, row)
+		if sortKeys != nil {
+			sortKeys = append(sortKeys, keys)
+		}
 	}
 	return outRows, sortKeys, nil
 }

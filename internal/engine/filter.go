@@ -74,7 +74,7 @@ func (s *DB) buildFilterPlan(conjs []sqlast.Expr, env *rowEnv) filterPlan {
 			continue
 		}
 		if p.cmps == nil {
-			p.cmps = make([]resolvedCmp, len(conjs))
+			p.cmps = s.st.cmps.alloc(len(conjs))
 		}
 		p.cmps[ci] = rc
 	}
@@ -174,10 +174,11 @@ func (s *DB) evalFilterPlan(p *filterPlan, ctx *evalCtx) (bool, *Error) {
 }
 
 // filterRows runs a SELECT's WHERE over its candidate rows and returns
-// the rows kept. Each row is charged after its verdict, so an
-// evaluation error outranks budget exhaustion on the same row.
+// the rows kept, compacted in place: the statement owns the list. Each
+// row is charged after its verdict, so an evaluation error outranks
+// budget exhaustion on the same row.
 func (s *DB) filterRows(p *filterPlan, rows []jrow, env *rowEnv, ctx *evalCtx) ([]jrow, *Error) {
-	kept := rows[:0:0]
+	kept := rows[:0]
 	for _, row := range rows {
 		env.bindRow(row)
 		keep, err := s.filterRow(p, ctx)

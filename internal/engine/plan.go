@@ -835,17 +835,17 @@ func joinEqConj(conj sqlast.Expr, rels []matRel, right matRel) (string, sqlast.E
 }
 
 // planJoinProbe chooses an index-nested-loop path for a join step, or
-// nil for the quadratic candidate loop. The plan spec gates it first:
+// reports false for the quadratic candidate loop. The plan spec gates it first:
 // DisableIndexPaths and the step's ProbeOff forcing suppress the probe,
 // and so does a ForceScan on the right relation's alias (scanning a
 // relation and probing into it are the same access-path choice).
-func (s *DB) planJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conjs []sqlast.Expr, step int) *joinProbe {
+func (s *DB) planJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conjs []sqlast.Expr, step int) (joinProbe, bool) {
 	if s.planSpec.DisableIndexPaths {
-		return nil
+		return joinProbe{}, false
 	}
 	if s.planSpec.joinProbeOff(step) || s.planSpec.relSpec(right.alias).Force == ForceScan {
 		s.cov.Hit("plan.join.probeoff")
-		return nil
+		return joinProbe{}, false
 	}
 	return s.matchJoinProbe(sel, rels, right, conjs)
 }
@@ -863,18 +863,20 @@ func (s *DB) planJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conj
 // statement must be order-safe (the same gate the base-table planner
 // uses); the WHERE and residual-ON evaluation over the candidates is
 // unchanged, so with faults disabled the probe path is observationally
-// identical to the quadratic loop.
-func (s *DB) matchJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conjs []sqlast.Expr) *joinProbe {
+// identical to the quadratic loop. The probe's lists live in the
+// statement scratch.
+func (s *DB) matchJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conjs []sqlast.Expr) (joinProbe, bool) {
 	if right.table == nil || len(right.table.indexes) == 0 || len(conjs) == 0 {
-		return nil
+		return joinProbe{}, false
 	}
 	if !indexOrderSafe(sel) {
-		return nil
+		return joinProbe{}, false
 	}
 	// Extract the eligible equality conjuncts once per join step.
-	var cols []string
-	var exprs []sqlast.Expr
-	var idxs []int
+	st := &s.st
+	cols := st.strs.alloc(len(conjs))[:0]
+	exprs := st.exprs.alloc(len(conjs))[:0]
+	idxs := st.ints.alloc(len(conjs))[:0]
 	for ci, conj := range conjs {
 		if col, le, ok := joinEqConj(conj, rels, right); ok {
 			cols = append(cols, col)
@@ -883,9 +885,13 @@ func (s *DB) matchJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, con
 		}
 	}
 	if len(cols) == 0 {
-		return nil
+		return joinProbe{}, false
 	}
-	var best *joinProbe
+	// Each candidate index matches at most one conjunct per key column;
+	// a candidate that beats the best so far takes over the buffers.
+	var best joinProbe
+	probe := joinProbe{leftExprs: st.exprs.alloc(len(cols))[:0], conjIdx: st.ints.alloc(len(cols))[:0]}
+	spare := joinProbe{leftExprs: st.exprs.alloc(len(cols))[:0], conjIdx: st.ints.alloc(len(cols))[:0]}
 	for _, ix := range right.table.indexes {
 		// A stale store (StaleIndexAfterUpdate) falls back to the
 		// quadratic loop: probing it per left row would need a per-key
@@ -894,7 +900,7 @@ func (s *DB) matchJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, con
 		if ix.Where != nil || ix.stale {
 			continue
 		}
-		probe := &joinProbe{ix: ix}
+		probe.ix, probe.leftExprs, probe.conjIdx = ix, probe.leftExprs[:0], probe.conjIdx[:0]
 		for _, col := range ix.Columns {
 			found := false
 			for i := range cols {
@@ -912,11 +918,15 @@ func (s *DB) matchJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, con
 		if len(probe.leftExprs) == 0 {
 			continue
 		}
-		if best == nil || len(probe.leftExprs) > len(best.leftExprs) {
-			best = probe
+		if best.ix == nil || len(probe.leftExprs) > len(best.leftExprs) {
+			if best.ix == nil {
+				best, probe = probe, spare
+			} else {
+				best, probe = probe, best
+			}
 		}
 	}
-	return best
+	return best, best.ix != nil
 }
 
 // leftOnlyExpr reports whether an expression can be evaluated over the

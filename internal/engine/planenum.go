@@ -101,7 +101,10 @@ func EnumeratePlans(db *DB, sel *sqlast.Select) []PlanSpec {
 		case sqlast.JoinComma, sqlast.JoinCross, sqlast.JoinInner, sqlast.JoinNatural:
 			if item.On != nil && right.table != nil {
 				onConjs := splitAnd(item.On, nil)
-				if db.matchJoinProbe(sel, rels, right, onConjs) != nil {
+				m := db.st.mark()
+				_, ok := db.matchJoinProbe(sel, rels, right, onConjs)
+				db.st.release(m)
+				if ok {
 					specs = append(specs, PlanSpec{
 						Joins: map[int]JoinSpec{step: {ProbeOff: true}}})
 				}

@@ -90,6 +90,9 @@ type DB struct {
 	// sargable-probe lists and the composite-key arena, reset per planned
 	// scan so planning itself allocates nothing on the hot path.
 	scratch planScratch
+	// st is the statement scratch (scratch.go): what validation and
+	// execution build and drop within one statement. RunStmt resets it.
+	st stmtScratch
 	// parse is the statement cache fronting the parser: sqlparse.Shared()
 	// unless WithParseCache supplies the opener's own.
 	parse *sqlparse.Cache
@@ -313,6 +316,9 @@ func (s *DB) run(sql string) (*Result, error) {
 // that hold an AST (tests, the reducer) can bypass re-parsing; the
 // generator always goes through SQL text.
 func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
+	// Reset here rather than in run: the reducer calls RunStmt directly,
+	// and a statement that panicked half-way left its scratch in use.
+	s.st.reset()
 	if s.crashed {
 		return nil, errf(ErrCrash, "server is not running (restart required)")
 	}
@@ -322,7 +328,11 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 	if s.cancel != nil && s.cancel.Load() {
 		return nil, errTimeout
 	}
-	if err := s.validateStmt(stmt); err != nil {
+	err := s.validateStmt(stmt)
+	// Nothing validation built outlives it: execution starts on an
+	// empty scratch.
+	s.st.release(scratchMark{})
+	if err != nil {
 		return nil, err
 	}
 	// Injected crash / internal-error / perf faults fire only for

@@ -21,6 +21,20 @@ type scopeRel struct {
 	cols  []Column
 }
 
+// newScope is a scope over rels in the statement scratch.
+func (s *DB) newScope(outer *scope, rels []scopeRel) *scope {
+	sc := &s.st.scopes.alloc(1)[0]
+	sc.outer, sc.rels = outer, rels
+	return sc
+}
+
+// tableScope is the scope of a statement over one table.
+func (s *DB) tableScope(t *Table) *scope {
+	rels := s.st.srels.alloc(1)
+	rels[0] = scopeRel{alias: t.Name, cols: t.Columns}
+	return s.newScope(nil, rels)
+}
+
 // resolve finds a column's type. Unqualified names must be unambiguous.
 func (sc *scope) resolve(table, col string) (sqlast.Type, *Error) {
 	for s := sc; s != nil; s = s.outer {
@@ -201,8 +215,7 @@ func (s *DB) validateCreateIndex(st *sqlast.CreateIndex) error {
 		seen[lc] = true
 	}
 	if st.Where != nil {
-		sc := &scope{rels: []scopeRel{{alias: t.Name, cols: t.Columns}}}
-		typ, err := s.validateExpr(st.Where, sc, false)
+		typ, err := s.validateExpr(st.Where, s.tableScope(t), false)
 		if err != nil {
 			return err
 		}
@@ -250,12 +263,13 @@ func (s *DB) validateInsert(st *sqlast.Insert) error {
 	if err != nil {
 		return err
 	}
+	empty := s.newScope(nil, nil)
 	for _, row := range st.Rows {
 		if len(row) != len(targets) {
 			return errf(ErrSemantic, "INSERT value count %d does not match column count %d", len(row), len(targets))
 		}
 		for i, e := range row {
-			typ, err := s.validateExpr(e, &scope{}, false)
+			typ, err := s.validateExpr(e, empty, false)
 			if err != nil {
 				return err
 			}
@@ -297,7 +311,7 @@ func (s *DB) validateUpdate(st *sqlast.Update) error {
 	if t == nil {
 		return errf(ErrSemantic, "no such table %q", st.Table)
 	}
-	sc := &scope{rels: []scopeRel{{alias: t.Name, cols: t.Columns}}}
+	sc := s.tableScope(t)
 	for _, a := range st.Sets {
 		idx := t.ColumnIndex(a.Column)
 		if idx < 0 {
@@ -327,7 +341,7 @@ func (s *DB) validateDelete(st *sqlast.Delete) error {
 	if t == nil {
 		return errf(ErrSemantic, "no such table %q", st.Table)
 	}
-	sc := &scope{rels: []scopeRel{{alias: t.Name, cols: t.Columns}}}
+	sc := s.tableScope(t)
 	if st.Where != nil {
 		s.feats.Add(feature.ClauseWhereID) // a DML WHERE has no support check: recorded only
 	}
@@ -351,7 +365,8 @@ func (s *DB) validateBoolClause(e sqlast.Expr, sc *scope) error {
 }
 
 // validateSelect resolves and checks a SELECT, returning its output
-// columns.
+// columns. Its scopes and the columns live in the statement scratch: a
+// caller that keeps the columns copies them.
 func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) {
 	// Nested SELECTs (views, derived tables, subqueries, compound arms)
 	// need no statement-level support check, but the statement uses
@@ -363,8 +378,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 	if sel.Distinct && !s.uses(&s.dialect.Clauses, feature.DistinctID) {
 		return nil, unsupported(feature.Distinct)
 	}
-	sc := &scope{outer: outer}
-	seenAlias := map[string]bool{}
+	sc := s.newScope(outer, s.st.srels.alloc(len(sel.From))[:0])
 	for i, f := range sel.From {
 		if i > 0 {
 			if jf, ok := joinFeatureID(f.Join); ok && !s.uses(&s.dialect.Clauses, jf) {
@@ -390,11 +404,12 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			rel = scopeRel{alias: r.Alias, cols: cols}
 		}
 		la := strings.ToLower(rel.alias)
-		if seenAlias[la] {
-			return nil, errf(ErrSemantic, "duplicate table alias %q", rel.alias)
+		for j := range sc.rels {
+			if strings.ToLower(sc.rels[j].alias) == la {
+				return nil, errf(ErrSemantic, "duplicate table alias %q", rel.alias)
+			}
 		}
-		seenAlias[la] = true
-		sc.rels = append(sc.rels, rel)
+		sc.rels = append(sc.rels, rel) // within the capacity of len(sel.From)
 		if f.On != nil {
 			if err := s.validateBoolClause(f.On, sc); err != nil {
 				return nil, err
@@ -453,7 +468,17 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 		return nil, unsupported(feature.Offset)
 	}
 
-	var out []Column
+	width := 0
+	for i := range sel.Items {
+		if !sel.Items[i].Star {
+			width++
+			continue
+		}
+		for _, rel := range sc.rels {
+			width += len(rel.cols)
+		}
+	}
+	out := s.st.cols.alloc(width)[:0]
 	for i := range sel.Items {
 		item := &sel.Items[i]
 		if item.Star {
@@ -474,7 +499,7 @@ func (s *DB) validateSelect(sel *sqlast.Select, outer *scope) ([]Column, error) 
 			if cr, ok := item.Expr.(*sqlast.ColumnRef); ok {
 				name = cr.Column
 			} else {
-				name = "col" + itoa(len(out)+1)
+				name = autoColName(len(out) + 1)
 			}
 		}
 		out = append(out, Column{Name: name, Type: typ})
@@ -499,13 +524,14 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// relationColumns returns the output columns of a table or view.
+// relationColumns returns the output columns of a table or view (a
+// view's in the statement scratch).
 func (s *DB) relationColumns(name string) ([]Column, *Error) {
 	if t := s.store.table(name); t != nil {
 		return t.Columns, nil
 	}
 	if v := s.store.view(name); v != nil {
-		cols := make([]Column, len(v.Columns))
+		cols := s.st.cols.alloc(len(v.Columns))
 		for i := range v.Columns {
 			cols[i] = Column{Name: v.Columns[i], Type: v.Types[i]}
 		}
