@@ -372,7 +372,7 @@ func (s *DB) execUpdate(st *sqlast.Update) error {
 	ctx := s.newEvalCtx(env)
 	var conjs []sqlast.Expr
 	if st.Where != nil {
-		conjs = splitAnd(st.Where, nil)
+		conjs = s.st.splitAnd(st.Where)
 	}
 	// Index-assisted mutation set: the clean composite span over the WHERE
 	// conjuncts, snapshotted as a row-identity set before any mutation
@@ -454,7 +454,7 @@ func (s *DB) execDelete(st *sqlast.Delete) error {
 	var kept, removed [][]Value
 	env := &rowEnv{rels: []rowRel{tableRowRel(t, nil)}}
 	ctx := s.newEvalCtx(env)
-	conjs := splitAnd(st.Where, nil)
+	conjs := s.st.splitAnd(st.Where)
 	// Index-assisted mutation set, snapshotted before the store mutates
 	// (see execUpdate): rows outside the clean span cannot match the WHERE
 	// and are kept without touching them.

@@ -835,10 +835,11 @@ func joinEqConj(conj sqlast.Expr, rels []matRel, right matRel) (string, sqlast.E
 }
 
 // planJoinProbe chooses an index-nested-loop path for a join step, or
-// reports false for the quadratic candidate loop. The plan spec gates it first:
-// DisableIndexPaths and the step's ProbeOff forcing suppress the probe,
-// and so does a ForceScan on the right relation's alias (scanning a
-// relation and probing into it are the same access-path choice).
+// reports false for the quadratic candidate loop. The plan spec gates
+// it first: DisableIndexPaths and the step's ProbeOff forcing suppress
+// the probe, and so does a ForceScan on the right relation's alias
+// (scanning a relation and probing into it are the same access-path
+// choice).
 func (s *DB) planJoinProbe(sel *sqlast.Select, rels []matRel, right matRel, conjs []sqlast.Expr, step int) (joinProbe, bool) {
 	if s.planSpec.DisableIndexPaths {
 		return joinProbe{}, false

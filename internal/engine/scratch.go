@@ -156,7 +156,10 @@ func (ms *mapStack) reset() {
 
 // stmtScratch is a DB's statement scratch, one stack per type the
 // validate and execute paths build. Its zero value is ready: chunks are
-// allocated on first use, never at Open.
+// allocated on first use, never at Open. mark, release and reset name
+// every stack: a stack added here goes into all three (a loop over an
+// interface slice instead cost about 4% of the oracle loop's CPU), and
+// TestScratchReleaseCoversEveryStack checks that they do.
 type stmtScratch struct {
 	vals     stack[Value]
 	lists    stack[[]Value] // join-row backing, output and sort-key row lists

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -193,5 +194,63 @@ func TestCorrelatedSubqueryAllocsPerOuterRow(t *testing.T) {
 	}
 	if largeChunks != smallChunks {
 		t.Fatalf("subquery results pile up: %d result chunks at 10 outer rows, %d at 40", smallChunks, largeChunks)
+	}
+}
+
+// scratchTops reads every typed stack's top and chunk count.
+func scratchTops(sc *stmtScratch) map[string][3]int64 {
+	out := map[string][3]int64{}
+	v := reflect.ValueOf(sc).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !strings.HasPrefix(f.Type().Name(), "stack[") {
+			continue
+		}
+		out[v.Type().Field(i).Name] = [3]int64{f.FieldByName("cur").Int(), f.FieldByName("off").Int(), int64(f.FieldByName("chunks").Len())}
+	}
+	return out
+}
+
+// TestScratchReleaseCoversEveryStack: release to an empty mark and
+// reset bring every typed stack back to the bottom, for statements
+// that between them use every stack.
+func TestScratchReleaseCoversEveryStack(t *testing.T) {
+	db := scratchFixture(t)
+	mustExec(t, db, "CREATE VIEW v AS SELECT x.a, x.b FROM (SELECT a, b FROM t0) AS x")
+	stmts := append([]string{
+		"SELECT * FROM t0 NATURAL JOIN (SELECT c AS a, d FROM t1) AS n",
+		"SELECT t0.a, t1.d FROM t0 FULL JOIN t1 ON t0.a = t1.c",
+		"SELECT * FROM v WHERE a > 3",
+		"UPDATE t1 SET d = 'u' WHERE c = (SELECT MIN(a) FROM t0)",
+	}, scratchQueries...)
+	for _, q := range stmts {
+		stmt, err := sqlparse.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.st.reset()
+		m := db.st.mark()
+		if err := db.validateStmt(stmt); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := db.execStmt(stmt); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		db.st.release(m)
+		for name, top := range scratchTops(&db.st) {
+			if top[0] != 0 || top[1] != 0 {
+				t.Errorf("%s: release left stack %s at %d/%d", q, name, top[0], top[1])
+			}
+		}
+	}
+	for name, top := range scratchTops(&db.st) {
+		if top[2] == 0 {
+			t.Errorf("no statement used stack %s: add one that does", name)
+		}
+	}
+	db.st.maps.take()
+	db.st.reset()
+	if db.st.maps.depth != 0 {
+		t.Errorf("reset left %d maps lent", db.st.maps.depth)
 	}
 }
