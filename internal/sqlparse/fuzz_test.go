@@ -9,7 +9,9 @@ import (
 
 // FuzzParse asserts the parser's robustness contracts on arbitrary
 // input: it never panics (the campaign's containment boundary should
-// only ever fire on injected panic faults, not on parser defects); the
+// only ever fire on injected panic faults, not on parser defects); Parse
+// and ParseExpr agree with the reference parser of parserref_test.go,
+// tree and error text alike; the
 // statement cache is transparent — a cached parse renders to exactly
 // the same SQL as a fresh parse, and invalid input fails through the
 // cache just as it fails without it; and rendering is idempotent — the
@@ -55,6 +57,7 @@ func FuzzParse(f *testing.F) {
 
 	cache := sqlparse.NewCache(64)
 	f.Fuzz(func(t *testing.T, src string) {
+		checkSameAsReference(t, src)
 		fresh, err := sqlparse.Parse(src)
 		cached, cerr := cache.Parse(src)
 		if (err == nil) != (cerr == nil) {

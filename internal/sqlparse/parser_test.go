@@ -30,101 +30,113 @@ func roundtrip(t *testing.T, sql, want string) {
 	}
 }
 
+// statementFixtures are fixed-point inputs: rendering reproduces the
+// input exactly.
+var statementFixtures = []string{
+	"CREATE TABLE t0 (c0 INTEGER NOT NULL, c1 TEXT UNIQUE, PRIMARY KEY (c0))",
+	"CREATE TABLE IF NOT EXISTS t1 (c0 BOOLEAN)",
+	"CREATE UNIQUE INDEX i0 ON t0 (c0, c1) WHERE (c0 > 1)",
+	"CREATE VIEW v0 (x) AS SELECT c0 FROM t0",
+	"INSERT INTO t0 (c0) VALUES (1), (2)",
+	"INSERT OR IGNORE INTO t0 (c0) VALUES (3)",
+	"UPDATE t0 SET c0 = 1, c1 = 'x' WHERE (c0 = 2)",
+	"DELETE FROM t0 WHERE (c0 IS NULL)",
+	"ALTER TABLE t0 ADD COLUMN c2 BOOLEAN",
+	"ALTER TABLE t0 DROP COLUMN c2",
+	"DROP TABLE t0",
+	"DROP VIEW v0",
+	"ANALYZE",
+	"ANALYZE t0",
+	"REFRESH TABLE t0",
+	"SELECT * FROM t0",
+	"SELECT DISTINCT c0 AS x FROM t0 ORDER BY c0 DESC LIMIT 3 OFFSET 1",
+	"SELECT t0.c0 FROM t0 INNER JOIN t1 ON (t0.c0 = t1.c0)",
+	"SELECT * FROM t0 LEFT JOIN t1 ON TRUE",
+	"SELECT * FROM t0 RIGHT JOIN t1 ON TRUE",
+	"SELECT * FROM t0 FULL JOIN t1 ON TRUE",
+	"SELECT * FROM t0 CROSS JOIN t1",
+	"SELECT * FROM t0 NATURAL JOIN t1",
+	"SELECT * FROM t0, t1",
+	"SELECT * FROM (SELECT c0 FROM t0) AS sub0",
+	"SELECT COUNT(*) FROM t0 GROUP BY c0 HAVING (COUNT(*) > 1)",
+	"SELECT COUNT(DISTINCT c0) FROM t0",
+	"SELECT c0 FROM t0 UNION SELECT c0 FROM t1",
+	"SELECT c0 FROM t0 UNION ALL SELECT c0 FROM t1 ORDER BY c0 LIMIT 2",
+	"SELECT c0 FROM t0 INTERSECT SELECT c0 FROM t1 EXCEPT SELECT c0 FROM t0",
+	"CREATE VIEW v1 AS SELECT c0 FROM t0 UNION SELECT c0 FROM t1",
+}
+
 func TestParseStatements(t *testing.T) {
-	// Fixed-point inputs: rendering reproduces the input exactly.
-	for _, sql := range []string{
-		"CREATE TABLE t0 (c0 INTEGER NOT NULL, c1 TEXT UNIQUE, PRIMARY KEY (c0))",
-		"CREATE TABLE IF NOT EXISTS t1 (c0 BOOLEAN)",
-		"CREATE UNIQUE INDEX i0 ON t0 (c0, c1) WHERE (c0 > 1)",
-		"CREATE VIEW v0 (x) AS SELECT c0 FROM t0",
-		"INSERT INTO t0 (c0) VALUES (1), (2)",
-		"INSERT OR IGNORE INTO t0 (c0) VALUES (3)",
-		"UPDATE t0 SET c0 = 1, c1 = 'x' WHERE (c0 = 2)",
-		"DELETE FROM t0 WHERE (c0 IS NULL)",
-		"ALTER TABLE t0 ADD COLUMN c2 BOOLEAN",
-		"ALTER TABLE t0 DROP COLUMN c2",
-		"DROP TABLE t0",
-		"DROP VIEW v0",
-		"ANALYZE",
-		"ANALYZE t0",
-		"REFRESH TABLE t0",
-		"SELECT * FROM t0",
-		"SELECT DISTINCT c0 AS x FROM t0 ORDER BY c0 DESC LIMIT 3 OFFSET 1",
-		"SELECT t0.c0 FROM t0 INNER JOIN t1 ON (t0.c0 = t1.c0)",
-		"SELECT * FROM t0 LEFT JOIN t1 ON TRUE",
-		"SELECT * FROM t0 RIGHT JOIN t1 ON TRUE",
-		"SELECT * FROM t0 FULL JOIN t1 ON TRUE",
-		"SELECT * FROM t0 CROSS JOIN t1",
-		"SELECT * FROM t0 NATURAL JOIN t1",
-		"SELECT * FROM t0, t1",
-		"SELECT * FROM (SELECT c0 FROM t0) AS sub0",
-		"SELECT COUNT(*) FROM t0 GROUP BY c0 HAVING (COUNT(*) > 1)",
-		"SELECT COUNT(DISTINCT c0) FROM t0",
-		"SELECT c0 FROM t0 UNION SELECT c0 FROM t1",
-		"SELECT c0 FROM t0 UNION ALL SELECT c0 FROM t1 ORDER BY c0 LIMIT 2",
-		"SELECT c0 FROM t0 INTERSECT SELECT c0 FROM t1 EXCEPT SELECT c0 FROM t0",
-		"CREATE VIEW v1 AS SELECT c0 FROM t0 UNION SELECT c0 FROM t1",
-	} {
+	for _, sql := range statementFixtures {
 		roundtrip(t, sql, "")
 	}
 }
 
+// statementVariants are inputs that normalize to a canonical rendering.
+var statementVariants = []struct{ sql, want string }{
+	{"SELECT 1;", "SELECT 1"},
+	{"select c0 from t0 where c0 = 1 -- trailing comment",
+		"SELECT c0 FROM t0 WHERE (c0 = 1)"},
+	{"SELECT * FROM t0 AS x", "SELECT * FROM t0 AS x"},
+	{"SELECT * FROM t0 x", "SELECT * FROM t0 AS x"},
+	{"SELECT c0 x FROM t0", "SELECT c0 AS x FROM t0"},
+	{"SELECT * FROM t0 LEFT OUTER JOIN t1 ON TRUE",
+		"SELECT * FROM t0 LEFT JOIN t1 ON TRUE"},
+	{"CREATE TABLE t (c INT)", "CREATE TABLE t (c INTEGER)"},
+	{"CREATE TABLE t (c VARCHAR)", "CREATE TABLE t (c TEXT)"},
+	{"CREATE TABLE t (c BOOL)", "CREATE TABLE t (c BOOLEAN)"},
+	{"CREATE TABLE t (c INTEGER PRIMARY KEY)",
+		"CREATE TABLE t (c INTEGER, PRIMARY KEY (c))"},
+}
+
 func TestParseStatementVariants(t *testing.T) {
-	// Inputs that normalize to a canonical rendering.
-	roundtrip(t, "SELECT 1;", "SELECT 1")
-	roundtrip(t, "select c0 from t0 where c0 = 1 -- trailing comment",
-		"SELECT c0 FROM t0 WHERE (c0 = 1)")
-	roundtrip(t, "SELECT * FROM t0 AS x", "SELECT * FROM t0 AS x")
-	roundtrip(t, "SELECT * FROM t0 x", "SELECT * FROM t0 AS x")
-	roundtrip(t, "SELECT c0 x FROM t0", "SELECT c0 AS x FROM t0")
-	roundtrip(t, "SELECT * FROM t0 LEFT OUTER JOIN t1 ON TRUE",
-		"SELECT * FROM t0 LEFT JOIN t1 ON TRUE")
-	roundtrip(t, "CREATE TABLE t (c INT)", "CREATE TABLE t (c INTEGER)")
-	roundtrip(t, "CREATE TABLE t (c VARCHAR)", "CREATE TABLE t (c TEXT)")
-	roundtrip(t, "CREATE TABLE t (c BOOL)", "CREATE TABLE t (c BOOLEAN)")
-	roundtrip(t, "CREATE TABLE t (c INTEGER PRIMARY KEY)",
-		"CREATE TABLE t (c INTEGER, PRIMARY KEY (c))")
+	for _, v := range statementVariants {
+		roundtrip(t, v.sql, v.want)
+	}
+}
+
+// exprFixtures maps expressions to their canonical rendering.
+var exprFixtures = map[string]string{
+	"1 + 2 * 3":                     "(1 + (2 * 3))",
+	"(1 + 2) * 3":                   "((1 + 2) * 3)",
+	"1 < 2 AND 3 >= 2":              "((1 < 2) AND (3 >= 2))",
+	"NOT a = b":                     "(NOT (a = b))",
+	"a OR b AND c":                  "(a OR (b AND c))",
+	"a XOR b":                       "(a XOR b)",
+	"x BETWEEN 1 AND 2 + 3":         "(x BETWEEN 1 AND (2 + 3))",
+	"x NOT BETWEEN 1 AND 2":         "(x NOT BETWEEN 1 AND 2)",
+	"x IN (1, 2)":                   "(x IN (1, 2))",
+	"x NOT IN (1)":                  "(x NOT IN (1))",
+	"x IS NULL":                     "(x IS NULL)",
+	"x IS NOT NULL":                 "(x IS NOT NULL)",
+	"x IS TRUE":                     "(x IS TRUE)",
+	"x IS NOT FALSE":                "(x IS NOT FALSE)",
+	"x IS DISTINCT FROM y":          "(x IS DISTINCT FROM y)",
+	"x IS NOT DISTINCT FROM y":      "(x IS NOT DISTINCT FROM y)",
+	"x LIKE 'a%'":                   "(x LIKE 'a%')",
+	"x NOT GLOB '*'":                "(x NOT GLOB '*')",
+	"a <=> b":                       "(a <=> b)",
+	"a == b":                        "(a = b)",
+	"'it''s'":                       "'it''s'",
+	"- - 2000":                      "2000", // folded into one literal
+	"-9223372036854775808":          "-9223372036854775808",
+	"- -9223372036854775807":        "9223372036854775807",
+	"~ 5":                           "(~ 5)",
+	"'a' || 'b' || 'c'":             "(('a' || 'b') || 'c')",
+	"CAST(x AS TEXT)":               "CAST(x AS TEXT)",
+	"CASE WHEN a THEN 1 ELSE 2 END": "(CASE WHEN a THEN 1 ELSE 2 END)",
+	"CASE x WHEN 1 THEN 'a' END":    "(CASE x WHEN 1 THEN 'a' END)",
+	"EXISTS (SELECT 1)":             "(EXISTS (SELECT 1))",
+	"NOT EXISTS (SELECT 1)":         "(NOT EXISTS (SELECT 1))",
+	"(SELECT MAX(c) FROM t)":        "(SELECT MAX(c) FROM t)",
+	"NULLIF(a, b)":                  "NULLIF(a, b)",
+	"t.c":                           "t.c",
+	"1 & 2 | 3 << 4":                "(((1 & 2) | 3) << 4)",
+	"a < b < c":                     "((a < b) < c)", // left-assoc chain
 }
 
 func TestParseExpressions(t *testing.T) {
-	for sql, want := range map[string]string{
-		"1 + 2 * 3":                     "(1 + (2 * 3))",
-		"(1 + 2) * 3":                   "((1 + 2) * 3)",
-		"1 < 2 AND 3 >= 2":              "((1 < 2) AND (3 >= 2))",
-		"NOT a = b":                     "(NOT (a = b))",
-		"a OR b AND c":                  "(a OR (b AND c))",
-		"a XOR b":                       "(a XOR b)",
-		"x BETWEEN 1 AND 2 + 3":         "(x BETWEEN 1 AND (2 + 3))",
-		"x NOT BETWEEN 1 AND 2":         "(x NOT BETWEEN 1 AND 2)",
-		"x IN (1, 2)":                   "(x IN (1, 2))",
-		"x NOT IN (1)":                  "(x NOT IN (1))",
-		"x IS NULL":                     "(x IS NULL)",
-		"x IS NOT NULL":                 "(x IS NOT NULL)",
-		"x IS TRUE":                     "(x IS TRUE)",
-		"x IS NOT FALSE":                "(x IS NOT FALSE)",
-		"x IS DISTINCT FROM y":          "(x IS DISTINCT FROM y)",
-		"x IS NOT DISTINCT FROM y":      "(x IS NOT DISTINCT FROM y)",
-		"x LIKE 'a%'":                   "(x LIKE 'a%')",
-		"x NOT GLOB '*'":                "(x NOT GLOB '*')",
-		"a <=> b":                       "(a <=> b)",
-		"a == b":                        "(a = b)",
-		"'it''s'":                       "'it''s'",
-		"- - 2000":                      "2000", // folded into one literal
-		"-9223372036854775808":          "-9223372036854775808",
-		"- -9223372036854775807":        "9223372036854775807",
-		"~ 5":                           "(~ 5)",
-		"'a' || 'b' || 'c'":             "(('a' || 'b') || 'c')",
-		"CAST(x AS TEXT)":               "CAST(x AS TEXT)",
-		"CASE WHEN a THEN 1 ELSE 2 END": "(CASE WHEN a THEN 1 ELSE 2 END)",
-		"CASE x WHEN 1 THEN 'a' END":    "(CASE x WHEN 1 THEN 'a' END)",
-		"EXISTS (SELECT 1)":             "(EXISTS (SELECT 1))",
-		"NOT EXISTS (SELECT 1)":         "(NOT EXISTS (SELECT 1))",
-		"(SELECT MAX(c) FROM t)":        "(SELECT MAX(c) FROM t)",
-		"NULLIF(a, b)":                  "NULLIF(a, b)",
-		"t.c":                           "t.c",
-		"1 & 2 | 3 << 4":                "(((1 & 2) | 3) << 4)",
-		"a < b < c":                     "((a < b) < c)", // left-assoc chain
-	} {
+	for sql, want := range exprFixtures {
 		e, err := sqlparse.ParseExpr(sql)
 		if err != nil {
 			t.Errorf("parse expr %q: %v", sql, err)
@@ -136,33 +148,54 @@ func TestParseExpressions(t *testing.T) {
 	}
 }
 
+// errorFixtures are inputs the parser rejects, each with its full
+// error: the message and the byte offset it names.
+var errorFixtures = []struct{ sql, err string }{
+	{"", `syntax error at offset 0: unexpected statement start ""`},
+	{"SELEC 1", `syntax error at offset 0: unexpected statement start "SELEC"`},
+	{"SELECT", `syntax error at offset 6: unexpected token "" in expression`},
+	{"SELECT 1 FROM", `syntax error at offset 13: expected identifier, found ""`},
+	{"SELECT * FROM t0 WHERE", `syntax error at offset 22: unexpected token "" in expression`},
+	{"SELECT (1", `syntax error at offset 9: expected ")", found ""`},
+	{"CREATE TABLE t", `syntax error at offset 14: expected "(", found ""`},
+	{"CREATE TABLE t ()", `syntax error at offset 16: expected identifier, found ")"`},
+	{"CREATE TABLE t (PRIMARY KEY (c))", `syntax error at offset 32: CREATE TABLE requires at least one column`},
+	{"CREATE TABLE t (c0 FLOAT)", `syntax error at offset 19: expected type name, found "FLOAT"`},
+	{"INSERT INTO t VALUES", `syntax error at offset 20: expected "(", found ""`},
+	{"UPDATE t SET", `syntax error at offset 12: expected identifier, found ""`},
+	{"SELECT 1 2", `syntax error at offset 9: unexpected trailing input "2"`},
+	{"SELECT 'unterminated", `syntax error at offset 7: unexpected token "unterminated string literal" in expression`},
+	// A derived table needs an alias.
+	{"SELECT * FROM (SELECT 1)", `syntax error at offset 24: derived table requires an alias`},
+	// CASE needs a WHEN; END is read as the missing operand.
+	{"SELECT CASE END", `syntax error at offset 12: unexpected token "END" in expression`},
+	{"DELETE t", `syntax error at offset 7: expected FROM, found "t"`},
+	{"CREATE UNIQUE TABLE t (c INTEGER)", `syntax error at offset 14: UNIQUE is not valid before TABLE`},
+	{"SELECT 1 $ 2", `syntax error at offset 9: unexpected trailing input "unexpected character '$'"`},
+	// int64 overflow, and a magnitude below math.MinInt64.
+	{"SELECT 9223372036854775808", `syntax error at offset 7: invalid integer "9223372036854775808"`},
+	{"SELECT -9223372036854775809", `syntax error at offset 8: invalid integer "9223372036854775809"`},
+	// Only AND, OR and XOR continue after a prefix NOT's operand, so a
+	// comparison cannot follow NOT EXISTS (while it can follow EXISTS).
+	{"SELECT NOT EXISTS (SELECT 1) = 1", `syntax error at offset 29: unexpected trailing input "="`},
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, sql := range []string{
-		"",
-		"SELEC 1",
-		"SELECT",
-		"SELECT 1 FROM",
-		"SELECT * FROM t0 WHERE",
-		"SELECT (1",
-		"CREATE TABLE t",
-		"CREATE TABLE t ()",
-		"CREATE TABLE t (PRIMARY KEY (c))",
-		"CREATE TABLE t (c0 FLOAT)",
-		"INSERT INTO t VALUES",
-		"UPDATE t SET",
-		"SELECT 1 2",
-		"SELECT 'unterminated",
-		"SELECT * FROM (SELECT 1)", // derived table needs an alias
-		"SELECT CASE END",          // CASE needs a WHEN
-		"DELETE t",                 // missing FROM
-		"CREATE UNIQUE TABLE t (c INTEGER)",
-		"SELECT 1 $ 2",
-		"SELECT 9223372036854775808",  // int64 overflow
-		"SELECT -9223372036854775809", // below math.MinInt64
-	} {
-		if _, err := sqlparse.Parse(sql); err == nil {
-			t.Errorf("parse %q: expected error", sql)
+	for _, c := range errorFixtures {
+		st, err := sqlparse.Parse(c.sql)
+		if err == nil {
+			t.Errorf("parse %q: expected error", c.sql)
+			continue
 		}
+		if st != nil {
+			t.Errorf("parse %q: returned a statement with its error", c.sql)
+		}
+		if err.Error() != c.err {
+			t.Errorf("parse %q: error\n  got  %s\n  want %s", c.sql, err, c.err)
+		}
+	}
+	if _, err := sqlparse.Parse("SELECT EXISTS (SELECT 1) = 1"); err != nil {
+		t.Errorf("EXISTS compared with a value: %v", err)
 	}
 }
 
