@@ -30,8 +30,10 @@ const (
 )
 
 // TestReportDigests pins the merged report and the -state bytes of
-// every built-in dialect, faults armed, at one seed, in two modes: the
-// serial runner, and RunShardedOpts at 2 workers with a checkpoint. It
+// every built-in dialect, faults armed, at one seed, in four modes: the
+// serial runner; RunShardedOpts at 2 and at 8 workers with a checkpoint;
+// and RunShardedOpts at 2 workers under "shard-error=1x2" chaos, whose
+// shard 1 fails twice and passes on its last retry. It
 // sees a change that moves every worker count alike, which the
 // equalities between worker counts cannot. A change that moves a line
 // must say why; go test -run TestReportDigests -update rewrites the
@@ -56,17 +58,27 @@ func TestReportDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		sharded, err := RunShardedOpts(cfg, ShardedOptions{
-			Workers:        2,
-			CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
-		})
-		if err != nil {
-			t.Fatalf("%s sharded: %v", name, err)
+		sharded := func(mode string, cfg Config, opts ShardedOptions) *Report {
+			rep, err := RunShardedOpts(cfg, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, mode, err)
+			}
+			return rep
 		}
+		chaosCfg := cfg
+		chaosCfg.Chaos = mustChaos(t, "shard-error=1x2", cfg.Seed)
 		for _, r := range []struct {
 			mode string
 			rep  *Report
-		}{{"serial", serial}, {"workers2-ckpt", sharded}} {
+		}{
+			{"serial", serial},
+			{"workers2-ckpt", sharded("workers2-ckpt", cfg, ShardedOptions{
+				Workers: 2, CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt")})},
+			{"workers8-ckpt", sharded("workers8-ckpt", cfg, ShardedOptions{
+				Workers: 8, CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt")})},
+			{"workers2-chaos", sharded("workers2-chaos", chaosCfg, ShardedOptions{
+				Workers: 2, RetryBackoff: -1})},
+		} {
 			if r.rep.FalsePositives != 0 {
 				t.Errorf("%s %s: %d false positives", name, r.mode, r.rep.FalsePositives)
 			}
