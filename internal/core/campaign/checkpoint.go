@@ -118,6 +118,12 @@ type checkpointEnvelope struct {
 // errInjected is the error chaos-injected infrastructure faults surface.
 var errInjected = errors.New("injected chaos fault")
 
+// shardStartHook, when non-nil, is called as each shard that is not
+// restored from the checkpoint is about to start, before the interrupt
+// check. Shards start in ordinal order, so tests use it to interrupt a
+// run at an exact shard. It is nil outside tests.
+var shardStartHook func(shard int)
+
 // fingerprintExcluded declares, next to the code it governs, the Config
 // fields deliberately NOT rendered by fingerprint(), keyed by field name
 // with the reason each exclusion is sound. The sqlint fingerprint
@@ -275,6 +281,9 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 	err := par.ForEach(nShards, workers, func(i int) error {
 		if cp.Shards[i] != nil {
 			return nil // restored from the checkpoint
+		}
+		if shardStartHook != nil {
+			shardStartHook(i)
 		}
 		select {
 		case <-opts.Interrupt:

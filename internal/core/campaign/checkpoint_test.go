@@ -268,8 +268,8 @@ func TestCheckpointRecordRoundTrip(t *testing.T) {
 // TestCheckpointJournalLinear: a 7-shard campaign at 2 workers writes
 // each shard's record once, in shard order. The completed file is
 // exactly the header plus the 7 records, no ".bak" or temp file ever
-// appears beside it, and an interrupt once k records are in leaves
-// exactly a valid prefix of at least k records.
+// appears beside it, and an interrupt as shard k starts leaves exactly
+// the header and the first k records.
 func TestCheckpointJournalLinear(t *testing.T) {
 	cfg := bugHuntCfg(1400, 5).withDefaults() // 7 shards
 	dir := t.TempDir()
@@ -325,10 +325,24 @@ func TestCheckpointJournalLinear(t *testing.T) {
 		if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		// Shard k waits at its start until shards 0 to k-1 are in the
+		// journal, then interrupts: it never runs, no shard before it is
+		// skipped, and the journal stops at exactly k records whatever
+		// the shards after it do.
+		interrupt := make(chan struct{})
+		shardStartHook = func(shard int) {
+			if shard != k {
+				return
+			}
+			for journalShards(cfg, path) < k {
+				time.Sleep(time.Millisecond)
+			}
+			close(interrupt)
+		}
 		_, err := RunShardedOpts(cfg, ShardedOptions{
-			Workers: 2, CheckpointPath: path, RetryBackoff: -1,
-			Interrupt: interruptWhen(t, func() bool { return journalShards(cfg, path) >= k }),
+			Workers: 2, CheckpointPath: path, RetryBackoff: -1, Interrupt: interrupt,
 		})
+		shardStartHook = nil
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("k=%d: interrupted run returned %v, want ErrInterrupted", k, err)
 		}
@@ -336,9 +350,11 @@ func TestCheckpointJournalLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prefix := emptyCheckpoint(cfg)
+		copy(prefix.Shards[:k], reps)
 		n, ok := verifiedLines(data)
-		if !ok || n <= k || !bytes.HasPrefix(want, data) {
-			t.Fatalf("k=%d: interrupted journal is not a valid prefix of at least %d records (%d verified lines, all verified: %t)",
+		if !ok || n != 1+k || !bytes.Equal(data, journalReference(t, prefix)) {
+			t.Fatalf("k=%d: interrupted journal is not the header and exactly %d records (%d verified lines, all verified: %t)",
 				k, k, n, ok)
 		}
 		entries, err := os.ReadDir(filepath.Dir(path))
