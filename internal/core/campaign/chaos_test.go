@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -336,10 +335,9 @@ func TestCheckpointFaultsEverySiteDegrade(t *testing.T) {
 
 // FuzzLoadCheckpoint: loading arbitrary bytes as a checkpoint must never
 // panic — it returns an error, restores shards, or starts fresh, but a
-// corrupt file can never take the campaign down. Whatever it restores
-// passed its checksum: from a journal, the kept bytes are the header and
-// one verified record per restored shard, which are a prefix of the
-// shards; from a version 2 file, the envelope's checksum holds.
+// corrupt file can never take the campaign down. Shards come only from
+// a verified journal prefix: the kept bytes are the header and one
+// verified record per restored shard, which are a prefix of the shards.
 func FuzzLoadCheckpoint(f *testing.F) {
 	target := func() *checkpointFile {
 		return &checkpointFile{
@@ -364,18 +362,27 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(badSum)
 	f.Add(append(bytes.Clone(journal), extra...)) // more records than TotalShards
 	f.Add(append(bytes.Clone(journal), "garbage\n{}"...))
+	// A journal at another version, one whose first record is shard 1's,
+	// one of another campaign, and a header without its checksum.
+	old := ckptHeader{Version: 2, checkpointFile: *target()}
+	old.Shards = nil
+	oldHeader, err := encodeRecord(old)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(oldHeader, journal[len(header):]...))
+	rec1 := len(header) + bytes.IndexByte(journal[len(header):], '\n') + 1
+	f.Add(append(bytes.Clone(header), journal[rec1:]...))
+	other := target()
+	other.Fingerprint = "other"
+	f.Add(journalReference(f, other))
+	f.Add(header[:bytes.LastIndexByte(header, ' ')])
 
-	cp.Shards[1] = nil
-	valid := v2Reference(f, cp)
-	f.Add(valid)
 	oldKeys, err := os.ReadFile(filepath.Join("testdata", "old-key-order.ckpt"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(oldKeys)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[len(valid)/3:])
-	f.Add([]byte(`{"Version":2,"Checksum":"cbf29ce484222325","Payload":null}`))
 	f.Add([]byte(`{"Version":1}`))
 	f.Add([]byte("{"))
 	f.Add([]byte{})
@@ -398,21 +405,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				restored++
 			}
 		}
-		switch {
-		case kept > 0:
-			if n, ok := verifiedLines(data[:kept]); !ok || n != 1+restored {
-				t.Fatalf("kept %d bytes: %d verified lines (all verified: %t) for %d restored shards",
-					kept, n, ok, restored)
-			}
-			for j, rep := range tgt.Shards {
-				if (rep != nil) != (j < restored) {
-					t.Fatalf("restored shards are not a prefix: shard %d restored %t", j, rep != nil)
-				}
-			}
-		case restored > 0:
-			var env checkpointEnvelope
-			if json.Unmarshal(data, &env) != nil || env.Checksum != fnvHex(env.Payload) {
-				t.Fatal("shards restored from a file that is neither a journal nor a verified version 2 checkpoint")
+		if kept == 0 && restored == 0 {
+			return // a fresh start
+		}
+		if n, ok := verifiedLines(data[:kept]); !ok || n != 1+restored {
+			t.Fatalf("kept %d bytes: %d verified lines (all verified: %t) for %d restored shards",
+				kept, n, ok, restored)
+		}
+		for j, rep := range tgt.Shards {
+			if (rep != nil) != (j < restored) {
+				t.Fatalf("restored shards are not a prefix: shard %d restored %t", j, rep != nil)
 			}
 		}
 	})

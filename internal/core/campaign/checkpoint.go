@@ -70,15 +70,13 @@ type ShardedOptions struct {
 
 // checkpointVersion is bumped whenever the checkpoint layout or the
 // shard partitioning scheme changes incompatibly. Version 3 is the
-// append-only journal; a version 2 file (one checksummed envelope around
-// the whole checkpoint) still loads, read-only.
+// append-only journal.
 const checkpointVersion = 3
 
 // checkpointFile is campaign progress: which shards have completed and
 // their full reports. Reports round-trip losslessly through JSON (every
 // field is exported; FeedbackState is base64), which is what makes a
-// resumed merge byte-identical to an uninterrupted one. It is also the
-// payload of a version 2 checkpoint.
+// resumed merge byte-identical to an uninterrupted one.
 type checkpointFile struct {
 	// Fingerprint pins the resolved configuration (including an FNV-1a
 	// hash of the warm-start feedback state) so a checkpoint cannot be
@@ -105,14 +103,6 @@ type ckptHeader struct {
 type ckptRecord struct {
 	Shard  int
 	Report *Report
-}
-
-// checkpointEnvelope is a version 2 checkpoint: the whole checkpointFile
-// as Payload, with checksum() of the payload bytes.
-type checkpointEnvelope struct {
-	Version  int
-	Checksum string
-	Payload  json.RawMessage
 }
 
 // errInjected is the error chaos-injected infrastructure faults surface.
@@ -200,12 +190,9 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 	if opts.CheckpointPath != "" {
 		// Campaign complete; nothing to resume. A failed removal is a real
 		// error — a stale checkpoint would resurrect this run's shards
-		// into the next campaign that reuses the path. Builds before the
-		// journal kept a ".bak" beside a version 2 checkpoint; it goes too.
-		for _, path := range []string{opts.CheckpointPath, opts.CheckpointPath + ".bak"} {
-			if rerr := os.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
-			}
+		// into the next campaign that reuses the path.
+		if rerr := os.Remove(opts.CheckpointPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			return nil, fmt.Errorf("campaign: removing completed checkpoint: %w", rerr)
 		}
 	}
 	return merged, nil
@@ -264,16 +251,6 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 		var err error
 		if ckpt, err = newCkptWriter(opts.CheckpointPath, cp, kept, cfg.Chaos); err != nil {
 			return nil, 0, err
-		}
-		// Restored shards the journal does not hold yet (all of a version
-		// 2 file's) go out with the next append.
-		for i := ckpt.next; i < nShards; i++ {
-			if rep := cp.Shards[i]; rep != nil {
-				var err error
-				if ckpt.pending[i], err = encodeRecord(ckptRecord{Shard: i, Report: rep}); err != nil {
-					ckptFailures++
-				}
-			}
 		}
 	}
 
@@ -389,35 +366,27 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 // path into cp, after validating that the checkpoint belongs to this
 // exact campaign, and returns the length of the journal prefix a writer
 // keeps and appends to. A journal restores its longest prefix of records
-// that verify; a torn or garbage tail is dropped. A version 2 file
-// restores its shards and returns 0: the writer starts a new journal. A
-// missing file, or one whose header (or envelope) is unreadable, is a
-// fresh start. Version, fingerprint, layout and seed mismatches in an
-// intact header remain hard errors: they mean the checkpoint is someone
-// else's, not that it is damaged.
+// that verify; a torn or garbage tail is dropped. A missing file, or one
+// whose header is unreadable, is a fresh start. Version, fingerprint,
+// layout and seed mismatches in an intact header remain hard errors:
+// they mean the checkpoint is someone else's, not that it is damaged. A
+// file that is one JSON object, as builds before the journal wrote
+// (version 2), is read for its Version alone and so fails as a version
+// mismatch instead of being overwritten by a fresh start.
 func loadCheckpoint(path string, cp *checkpointFile) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil // no usable checkpoint: start fresh
 	}
-	payload, rest, ok := nextRecord(data)
-	if !ok {
-		old, err := loadCheckpointFile(path, data)
-		if old == nil || err != nil {
-			return 0, err
-		}
-		if err := matchCheckpoint(path, old, cp); err != nil {
-			return 0, err
-		}
-		if len(old.Shards) != cp.TotalShards {
-			return 0, fmt.Errorf("campaign: checkpoint %s shard layout does not match", path)
-		}
-		copy(cp.Shards, old.Shards)
-		return 0, nil
+	payload, rest, journal := nextRecord(data)
+	if !journal {
+		// Only a version 2 file, or garbage, is no journal; of its fields
+		// the header shares just Version.
+		payload = data
 	}
 	var hdr ckptHeader
-	if json.Unmarshal(payload, &hdr) != nil {
-		return 0, nil
+	if json.Unmarshal(payload, &hdr) != nil || !journal && hdr.Version == checkpointVersion {
+		return 0, nil // no usable checkpoint: start fresh
 	}
 	if hdr.Version != checkpointVersion {
 		return 0, fmt.Errorf("campaign: checkpoint %s has version %d, want %d",
@@ -452,26 +421,6 @@ func matchCheckpoint(path string, old, cp *checkpointFile) error {
 		}
 	}
 	return nil
-}
-
-// loadCheckpointFile decodes data, read from path, as a version 2
-// checkpoint. It returns nil and no error when data is not a usable one:
-// a broken envelope, a failed checksum, or an undecodable payload. An
-// intact envelope with another version is a hard error.
-func loadCheckpointFile(path string, data []byte) (*checkpointFile, error) {
-	var env checkpointEnvelope
-	if json.Unmarshal(data, &env) != nil {
-		return nil, nil
-	}
-	if env.Version != 2 {
-		return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d",
-			path, env.Version, checkpointVersion)
-	}
-	var cf checkpointFile
-	if env.Checksum != checksum(env.Payload) || json.Unmarshal(env.Payload, &cf) != nil {
-		return nil, nil
-	}
-	return &cf, nil
 }
 
 // checksum is FNV-1a-64 over p, hex-rendered. Not cryptographic — it

@@ -128,21 +128,6 @@ func fnvHex(p []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// v2Reference is a version 2 checkpoint of cp: the payload marshaled
-// whole, then wrapped in the checksummed envelope.
-func v2Reference(t testing.TB, cp *checkpointFile) []byte {
-	t.Helper()
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(checkpointEnvelope{Version: 2, Checksum: fnvHex(payload), Payload: payload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // journalReference is the journal of cp by json.Marshal and hash/fnv
 // alone: the header line, then one line per leading completed shard,
 // each line its JSON, a space, the JSON's checksum and a newline.
@@ -481,38 +466,35 @@ func TestResumeKeepsPrefixWhenAppendsFail(t *testing.T) {
 	}
 }
 
-// TestResumeRemovesLegacyBackup: a version 2 checkpoint and the ".bak"
-// an older build kept beside it both go once the resumed campaign
-// completes, leaving the directory empty.
-func TestResumeRemovesLegacyBackup(t *testing.T) {
-	cfg := bugHuntCfg(600, 4).withDefaults()
-	shards := shardConfigs(cfg)
-	cp := &checkpointFile{Fingerprint: fingerprint(cfg), TotalShards: len(shards),
-		Shards: make([]*Report, len(shards))}
-	for _, sc := range shards {
-		cp.Seeds = append(cp.Seeds, sc.Seed)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	v2 := v2Reference(t, cp)
-	for _, p := range []string{path, path + ".bak"} {
-		if err := os.WriteFile(p, v2, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, Resume: true})
+// TestResumeRejectsVersion2Checkpoint: a version 2 checkpoint, one
+// checksummed JSON envelope as builds before the journal wrote, fails
+// the resume with the version mismatch and is left as it was, not
+// overwritten by a fresh start.
+func TestResumeRejectsVersion2Checkpoint(t *testing.T) {
+	cfg := bugHuntCfg(600, 4)
+	cp := emptyCheckpoint(cfg)
+	payload, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TestCases != cfg.TestCases {
-		t.Fatalf("resumed campaign ran %d cases, want %d", rep.TestCases, cfg.TestCases)
-	}
-	entries, err := os.ReadDir(dir)
+	v2, err := json.Marshal(struct {
+		Version  int
+		Checksum string
+		Payload  json.RawMessage
+	}{2, fnvHex(payload), payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		t.Errorf("left behind after a completed resume: %s", e.Name())
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunShardedOpts(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, Resume: true})
+	if want := fmt.Sprintf("has version 2, want %d", checkpointVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from a version 2 checkpoint: error %v, want one containing %q", err, want)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, v2) {
+		t.Fatalf("the version 2 checkpoint did not survive the failed resume (read error %v)", err)
 	}
 }
 
@@ -520,8 +502,7 @@ func TestResumeRemovesLegacyBackup(t *testing.T) {
 // or feedback state names a feature outside the table fails the resumed
 // merge with an error that names it.
 func TestResumeRejectsUnknownFeature(t *testing.T) {
-	cfg := bugHuntCfg(600, 4).withDefaults()
-	shards := shardConfigs(cfg)
+	cfg := bugHuntCfg(600, 4)
 	for _, tc := range []struct {
 		name string
 		rep  *Report
@@ -531,14 +512,10 @@ func TestResumeRejectsUnknownFeature(t *testing.T) {
 		{"feedback state", &Report{Dialect: "cratedb",
 			FeedbackState: []byte(`{"stats":{"NO SUCH FEATURE":{"n":1,"y":0,"consecFail":1,"ddl":false}},"unsupported":null}`)}},
 	} {
-		cp := &checkpointFile{Fingerprint: fingerprint(cfg), TotalShards: len(shards),
-			Shards: make([]*Report, len(shards))}
-		for _, sc := range shards {
-			cp.Seeds = append(cp.Seeds, sc.Seed)
-		}
+		cp := emptyCheckpoint(cfg)
 		cp.Shards[0] = tc.rep
 		path := filepath.Join(t.TempDir(), "run.ckpt")
-		if err := os.WriteFile(path, v2Reference(t, cp), 0o644); err != nil {
+		if err := os.WriteFile(path, journalReference(t, cp), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, Resume: true})

@@ -74,9 +74,10 @@ func TestMergeSumsEveryCounter(t *testing.T) {
 
 // oldKeyOrderCfg is the campaign testdata/old-key-order.ckpt belongs to:
 // two shards, of which the file holds shard 0, completed after one
-// injected retry (ShardRetries 1). An encoder that predates Counters
-// wrote it, so its shard report keys are in the old order (the summed
-// counters interleaved with the recomputed fields).
+// injected retry (ShardRetries 1). It is a journal whose shard record
+// carries the report bytes an encoder that predates Counters wrote, so
+// its report keys are in the old order (the summed counters interleaved
+// with the recomputed fields).
 func oldKeyOrderCfg() Config {
 	return Config{
 		Dialect:    dialect.MustGet("cratedb"),
