@@ -19,27 +19,26 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
-// Parser is a recursive-descent parser over a token stream.
+// Parser is a recursive-descent parser over a token stream. It keeps the
+// first syntax error and then ends the stream (see errf), so parse
+// functions return their node alone: after an error every accept fails,
+// every list loop exits, and the partial tree is dropped.
 type Parser struct {
 	lex     *Lexer
 	tok     Token // current token
 	peek    Token // lookahead, valid while hasPeek
 	hasPeek bool
+	err     *SyntaxError // the first error
 }
 
 // Parse parses a single SQL statement (an optional trailing ';' is allowed).
 func Parse(src string) (sqlast.Stmt, error) {
 	p := &Parser{lex: NewLexer(src)}
 	p.advance()
-	st, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.Kind == TokOp && p.tok.Text == ";" {
-		p.advance()
-	}
-	if p.tok.Kind != TokEOF {
-		return nil, p.errf("unexpected trailing input %q", p.tok.Text)
+	st := p.parseStmt()
+	p.acceptOp(";")
+	if p.end(); p.err != nil {
+		return nil, p.err
 	}
 	return st, nil
 }
@@ -48,14 +47,18 @@ func Parse(src string) (sqlast.Stmt, error) {
 func ParseExpr(src string) (sqlast.Expr, error) {
 	p := &Parser{lex: NewLexer(src)}
 	p.advance()
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.Kind != TokEOF {
-		return nil, p.errf("unexpected trailing input %q", p.tok.Text)
+	e := p.parseExpr()
+	if p.end(); p.err != nil {
+		return nil, p.err
 	}
 	return e, nil
+}
+
+// end requires the input to be consumed.
+func (p *Parser) end() {
+	if p.tok.Kind != TokEOF {
+		p.errf("unexpected trailing input %q", p.tok.Text)
+	}
 }
 
 func (p *Parser) advance() {
@@ -75,8 +78,22 @@ func (p *Parser) peekTok() Token {
 	return p.peek
 }
 
-func (p *Parser) errf(format string, args ...any) error {
-	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Pos: p.tok.Pos}
+// peekKw reports whether the token after the current one is keyword kw.
+func (p *Parser) peekKw(kw string) bool {
+	pk := p.peekTok()
+	return pk.Kind == TokKeyword && pk.Text == kw
+}
+
+// errf records a syntax error at the current token, unless one is
+// recorded already, and ends the token stream: the lexer moves to the
+// end, the lookahead is dropped and the current token becomes EOF.
+func (p *Parser) errf(format string, args ...any) {
+	if p.err == nil {
+		p.err = &SyntaxError{Msg: fmt.Sprintf(format, args...), Pos: p.tok.Pos}
+	}
+	p.lex.pos = len(p.lex.src)
+	p.hasPeek = false
+	p.tok = Token{Kind: TokEOF, Pos: p.lex.pos}
 }
 
 func (p *Parser) isKw(kw string) bool {
@@ -91,11 +108,10 @@ func (p *Parser) acceptKw(kw string) bool {
 	return false
 }
 
-func (p *Parser) expectKw(kw string) error {
+func (p *Parser) expectKw(kw string) {
 	if !p.acceptKw(kw) {
-		return p.errf("expected %s, found %q", kw, p.tok.Text)
+		p.errf("expected %s, found %q", kw, p.tok.Text)
 	}
-	return nil
 }
 
 func (p *Parser) isOp(op string) bool {
@@ -110,93 +126,157 @@ func (p *Parser) acceptOp(op string) bool {
 	return false
 }
 
-func (p *Parser) expectOp(op string) error {
+func (p *Parser) expectOp(op string) {
 	if !p.acceptOp(op) {
-		return p.errf("expected %q, found %q", op, p.tok.Text)
+		p.errf("expected %q, found %q", op, p.tok.Text)
+	}
+}
+
+func (p *Parser) expectIdent() string {
+	if p.tok.Kind != TokIdent {
+		p.errf("expected identifier, found %q", p.tok.Text)
+		return ""
+	}
+	name := p.tok.Text
+	p.advance()
+	return name
+}
+
+// optIdent consumes and returns the current token if it is an
+// identifier, and returns "" otherwise.
+func (p *Parser) optIdent() string {
+	if p.tok.Kind != TokIdent {
+		return ""
+	}
+	return p.expectIdent()
+}
+
+// alias parses an optional alias: AS and an identifier, or a bare
+// identifier.
+func (p *Parser) alias() string {
+	if p.acceptKw("AS") {
+		return p.expectIdent()
+	}
+	return p.optIdent()
+}
+
+// identList parses one or more comma-separated identifiers.
+func (p *Parser) identList() []string {
+	var names []string
+	for {
+		names = append(names, p.expectIdent())
+		if !p.acceptOp(",") {
+			return names
+		}
+	}
+}
+
+// exprList parses one or more comma-separated expressions.
+func (p *Parser) exprList() []sqlast.Expr {
+	var list []sqlast.Expr
+	for {
+		list = append(list, p.parseExpr())
+		if !p.acceptOp(",") {
+			return list
+		}
+	}
+}
+
+func (p *Parser) expectInt() int64 {
+	if p.tok.Kind != TokInt {
+		p.errf("expected integer, found %q", p.tok.Text)
+		return 0
+	}
+	n, err := strconv.ParseInt(p.tok.Text, 10, 64)
+	if err != nil {
+		p.errf("invalid integer %q", p.tok.Text)
+	}
+	p.advance()
+	return n
+}
+
+func (p *Parser) parseStmt() sqlast.Stmt {
+	switch {
+	case p.isKw("SELECT"):
+		return p.parseSelect()
+	case p.acceptKw("CREATE"):
+		return p.parseCreate()
+	case p.acceptKw("INSERT"):
+		return p.parseInsert()
+	case p.acceptKw("UPDATE"):
+		return p.parseUpdate()
+	case p.acceptKw("DELETE"):
+		p.expectKw("FROM")
+		del := &sqlast.Delete{Table: p.expectIdent()}
+		if p.acceptKw("WHERE") {
+			del.Where = p.parseExpr()
+		}
+		return del
+	case p.acceptKw("ALTER"):
+		return p.parseAlter()
+	case p.acceptKw("DROP"):
+		switch {
+		case p.acceptKw("TABLE"):
+			return &sqlast.DropTable{Name: p.expectIdent()}
+		case p.acceptKw("VIEW"):
+			return &sqlast.DropView{Name: p.expectIdent()}
+		case p.acceptKw("INDEX"):
+			return &sqlast.DropIndex{Name: p.expectIdent()}
+		}
+		p.errf("expected TABLE, VIEW, or INDEX after DROP")
+	case p.acceptKw("ANALYZE"):
+		return &sqlast.Analyze{Table: p.optIdent()}
+	case p.acceptKw("REFRESH"):
+		p.expectKw("TABLE")
+		return &sqlast.Refresh{Table: p.expectIdent()}
+	case p.acceptKw("REINDEX"):
+		return &sqlast.Reindex{Name: p.optIdent()}
+	default:
+		p.errf("unexpected statement start %q", p.tok.Text)
 	}
 	return nil
 }
 
-func (p *Parser) expectIdent() (string, error) {
-	if p.tok.Kind != TokIdent {
-		return "", p.errf("expected identifier, found %q", p.tok.Text)
-	}
-	name := p.tok.Text
-	p.advance()
-	return name, nil
-}
-
-func (p *Parser) parseStmt() (sqlast.Stmt, error) {
-	switch {
-	case p.isKw("SELECT"):
-		return p.parseSelect()
-	case p.isKw("CREATE"):
-		return p.parseCreate()
-	case p.isKw("INSERT"):
-		return p.parseInsert()
-	case p.isKw("UPDATE"):
-		return p.parseUpdate()
-	case p.isKw("DELETE"):
-		return p.parseDelete()
-	case p.isKw("ALTER"):
-		return p.parseAlter()
-	case p.isKw("DROP"):
-		return p.parseDrop()
-	case p.isKw("ANALYZE"):
-		p.advance()
-		a := &sqlast.Analyze{}
-		if p.tok.Kind == TokIdent {
-			a.Table = p.tok.Text
-			p.advance()
-		}
-		return a, nil
-	case p.isKw("REFRESH"):
-		p.advance()
-		if err := p.expectKw("TABLE"); err != nil {
-			return nil, err
-		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.Refresh{Table: name}, nil
-	case p.isKw("REINDEX"):
-		p.advance()
-		r := &sqlast.Reindex{}
-		if p.tok.Kind == TokIdent {
-			r.Name = p.tok.Text
-			p.advance()
-		}
-		return r, nil
-	default:
-		return nil, p.errf("unexpected statement start %q", p.tok.Text)
-	}
-}
-
-func (p *Parser) parseCreate() (sqlast.Stmt, error) {
-	p.advance() // CREATE
+func (p *Parser) parseCreate() sqlast.Stmt {
 	unique := p.acceptKw("UNIQUE")
 	switch {
 	case p.isKw("TABLE"):
 		if unique {
-			return nil, p.errf("UNIQUE is not valid before TABLE")
+			p.errf("UNIQUE is not valid before TABLE")
 		}
 		return p.parseCreateTable()
-	case p.isKw("INDEX"):
-		return p.parseCreateIndex(unique)
+	case p.acceptKw("INDEX"):
+		ci := &sqlast.CreateIndex{Unique: unique, Name: p.expectIdent()}
+		p.expectKw("ON")
+		ci.Table = p.expectIdent()
+		p.expectOp("(")
+		ci.Columns = p.identList()
+		p.expectOp(")")
+		if p.acceptKw("WHERE") {
+			ci.Where = p.parseExpr()
+		}
+		return ci
 	case p.isKw("VIEW"):
 		if unique {
-			return nil, p.errf("UNIQUE is not valid before VIEW")
+			p.errf("UNIQUE is not valid before VIEW")
 		}
-		return p.parseCreateView()
-	default:
-		return nil, p.errf("expected TABLE, INDEX, or VIEW after CREATE")
+		p.advance() // VIEW
+		cv := &sqlast.CreateView{Name: p.expectIdent()}
+		if p.acceptOp("(") {
+			cv.Columns = p.identList()
+			p.expectOp(")")
+		}
+		p.expectKw("AS")
+		cv.Select = p.parseSelect()
+		return cv
 	}
+	p.errf("expected TABLE, INDEX, or VIEW after CREATE")
+	return nil
 }
 
-func (p *Parser) parseType() (sqlast.Type, error) {
+func (p *Parser) parseType() sqlast.Type {
 	if p.tok.Kind != TokKeyword {
-		return sqlast.TypeUnknown, p.errf("expected type name, found %q", p.tok.Text)
+		p.errf("expected type name, found %q", p.tok.Text)
 	}
 	var t sqlast.Type
 	switch p.tok.Text {
@@ -207,375 +287,143 @@ func (p *Parser) parseType() (sqlast.Type, error) {
 	case "BOOLEAN", "BOOL":
 		t = sqlast.TypeBool
 	default:
-		return sqlast.TypeUnknown, p.errf("unknown type %q", p.tok.Text)
+		p.errf("unknown type %q", p.tok.Text)
 	}
 	p.advance()
-	return t, nil
+	return t
 }
 
-func (p *Parser) parseCreateTable() (sqlast.Stmt, error) {
+// parseColumnDef parses a column's name, type and constraints: NOT
+// NULL, UNIQUE, and PRIMARY KEY where primaryKey allows it.
+func (p *Parser) parseColumnDef(primaryKey bool) sqlast.ColumnDef {
+	col := sqlast.ColumnDef{Name: p.expectIdent(), Type: p.parseType()}
+	for {
+		switch {
+		case p.acceptKw("NOT"):
+			if !p.acceptKw("NULL") {
+				p.errf("expected NULL after NOT")
+			}
+			col.NotNull = true
+		case p.acceptKw("UNIQUE"):
+			col.Unique = true
+		case primaryKey && p.acceptKw("PRIMARY"):
+			p.expectKw("KEY")
+			col.PrimaryKey = true
+		default:
+			return col
+		}
+	}
+}
+
+func (p *Parser) parseCreateTable() sqlast.Stmt {
 	p.advance() // TABLE
 	ct := &sqlast.CreateTable{}
 	if p.acceptKw("IF") {
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
+		p.expectKw("NOT")
 		if !p.acceptKw("EXISTS") {
-			return nil, p.errf("expected EXISTS")
+			p.errf("expected EXISTS")
 		}
 		ct.IfNotExists = true
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ct.Name = name
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
+	ct.Name = p.expectIdent()
+	p.expectOp("(")
 	pkCols := map[string]bool{}
 	for {
-		if p.isKw("PRIMARY") {
-			p.advance()
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
+		if p.acceptKw("PRIMARY") {
+			p.expectKw("KEY")
+			p.expectOp("(")
 			for {
-				col, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				pkCols[strings.ToLower(col)] = true
+				pkCols[strings.ToLower(p.expectIdent())] = true
 				if !p.acceptOp(",") {
 					break
 				}
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
+			p.expectOp(")")
 		} else {
-			col := sqlast.ColumnDef{}
-			col.Name, err = p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			col.Type, err = p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			for {
-				if p.acceptKw("NOT") {
-					if !p.acceptKw("NULL") {
-						return nil, p.errf("expected NULL after NOT")
-					}
-					col.NotNull = true
-				} else if p.acceptKw("UNIQUE") {
-					col.Unique = true
-				} else if p.acceptKw("PRIMARY") {
-					if err := p.expectKw("KEY"); err != nil {
-						return nil, err
-					}
-					col.PrimaryKey = true
-				} else {
-					break
-				}
-			}
-			ct.Columns = append(ct.Columns, col)
+			ct.Columns = append(ct.Columns, p.parseColumnDef(true))
 		}
 		if !p.acceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
+	p.expectOp(")")
 	if len(ct.Columns) == 0 {
 		// "CREATE TABLE t (PRIMARY KEY (c))" would render as the
 		// unparsable "CREATE TABLE t ()".
-		return nil, p.errf("CREATE TABLE requires at least one column")
+		p.errf("CREATE TABLE requires at least one column")
 	}
 	for i := range ct.Columns {
 		if pkCols[strings.ToLower(ct.Columns[i].Name)] {
 			ct.Columns[i].PrimaryKey = true
 		}
 	}
-	return ct, nil
+	return ct
 }
 
-func (p *Parser) parseCreateIndex(unique bool) (sqlast.Stmt, error) {
-	p.advance() // INDEX
-	ci := &sqlast.CreateIndex{Unique: unique}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ci.Name = name
-	if err := p.expectKw("ON"); err != nil {
-		return nil, err
-	}
-	ci.Table, err = p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		ci.Columns = append(ci.Columns, col)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	if p.acceptKw("WHERE") {
-		ci.Where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ci, nil
-}
-
-func (p *Parser) parseCreateView() (sqlast.Stmt, error) {
-	p.advance() // VIEW
-	cv := &sqlast.CreateView{}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	cv.Name = name
-	if p.acceptOp("(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			cv.Columns = append(cv.Columns, col)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.expectKw("AS"); err != nil {
-		return nil, err
-	}
-	cv.Select, err = p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	return cv, nil
-}
-
-func (p *Parser) parseInsert() (sqlast.Stmt, error) {
-	p.advance() // INSERT
+func (p *Parser) parseInsert() sqlast.Stmt {
 	ins := &sqlast.Insert{}
 	if p.acceptKw("OR") {
 		if !p.acceptKw("IGNORE") {
-			return nil, p.errf("expected IGNORE after OR")
+			p.errf("expected IGNORE after OR")
 		}
 		ins.OrIgnore = true
 	}
-	if err := p.expectKw("INTO"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ins.Table = name
+	p.expectKw("INTO")
+	ins.Table = p.expectIdent()
 	if p.acceptOp("(") {
-		for {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, col)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
+		ins.Columns = p.identList()
+		p.expectOp(")")
 	}
-	if err := p.expectKw("VALUES"); err != nil {
-		return nil, err
-	}
+	p.expectKw("VALUES")
 	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var row []sqlast.Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		ins.Rows = append(ins.Rows, row)
+		p.expectOp("(")
+		ins.Rows = append(ins.Rows, p.exprList())
+		p.expectOp(")")
 		if !p.acceptOp(",") {
-			break
+			return ins
 		}
 	}
-	return ins, nil
 }
 
-func (p *Parser) parseUpdate() (sqlast.Stmt, error) {
-	p.advance() // UPDATE
-	up := &sqlast.Update{}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	up.Table = name
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
+func (p *Parser) parseUpdate() sqlast.Stmt {
+	up := &sqlast.Update{Table: p.expectIdent()}
+	p.expectKw("SET")
 	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		up.Sets = append(up.Sets, sqlast.Assignment{Column: col, Value: val})
+		col := p.expectIdent()
+		p.expectOp("=")
+		up.Sets = append(up.Sets, sqlast.Assignment{Column: col, Value: p.parseExpr()})
 		if !p.acceptOp(",") {
 			break
 		}
 	}
 	if p.acceptKw("WHERE") {
-		up.Where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
+		up.Where = p.parseExpr()
 	}
-	return up, nil
+	return up
 }
 
-func (p *Parser) parseDelete() (sqlast.Stmt, error) {
-	p.advance() // DELETE
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	del := &sqlast.Delete{Table: name}
-	if p.acceptKw("WHERE") {
-		del.Where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return del, nil
-}
-
-func (p *Parser) parseAlter() (sqlast.Stmt, error) {
-	p.advance() // ALTER
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	at := &sqlast.AlterTable{Table: name}
+func (p *Parser) parseAlter() sqlast.Stmt {
+	p.expectKw("TABLE")
+	at := &sqlast.AlterTable{Table: p.expectIdent()}
 	switch {
 	case p.acceptKw("ADD"):
 		p.acceptKw("COLUMN") // optional
-		col := sqlast.ColumnDef{}
-		col.Name, err = p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		col.Type, err = p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		for {
-			if p.acceptKw("NOT") {
-				if !p.acceptKw("NULL") {
-					return nil, p.errf("expected NULL after NOT")
-				}
-				col.NotNull = true
-			} else if p.acceptKw("UNIQUE") {
-				col.Unique = true
-			} else {
-				break
-			}
-		}
+		col := p.parseColumnDef(false)
 		at.AddColumn = &col
 	case p.acceptKw("DROP"):
 		p.acceptKw("COLUMN") // optional
-		at.DropColumn, err = p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
+		at.DropColumn = p.expectIdent()
 	default:
-		return nil, p.errf("expected ADD or DROP after ALTER TABLE name")
+		p.errf("expected ADD or DROP after ALTER TABLE name")
 	}
-	return at, nil
-}
-
-func (p *Parser) parseDrop() (sqlast.Stmt, error) {
-	p.advance() // DROP
-	switch {
-	case p.acceptKw("TABLE"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.DropTable{Name: name}, nil
-	case p.acceptKw("VIEW"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.DropView{Name: name}, nil
-	case p.acceptKw("INDEX"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.DropIndex{Name: name}, nil
-	default:
-		return nil, p.errf("expected TABLE, VIEW, or INDEX after DROP")
-	}
+	return at
 }
 
 // parseSelect parses a (possibly compound) query: one or more SELECT
 // cores joined by set operators, followed by ORDER BY / LIMIT / OFFSET
-// applying to the whole.
-func (p *Parser) parseSelect() (*sqlast.Select, error) {
-	sel, err := p.parseSelectCore()
-	if err != nil {
-		return nil, err
-	}
+// applying to the whole. The result is never nil.
+func (p *Parser) parseSelect() *sqlast.Select {
+	sel := p.parseSelectCore()
 	for {
 		var op sqlast.SetOp
 		switch {
@@ -588,86 +436,17 @@ func (p *Parser) parseSelect() (*sqlast.Select, error) {
 			op = sqlast.SetIntersect
 		case p.acceptKw("EXCEPT"):
 			op = sqlast.SetExcept
-		default:
-			return p.parseSelectTail(sel)
 		}
-		arm, err := p.parseSelectCore()
-		if err != nil {
-			return nil, err
-		}
-		sel.Compound = append(sel.Compound, sqlast.CompoundPart{Op: op, Select: arm})
-	}
-}
-
-// parseSelectCore parses one SELECT ... [HAVING ...] block.
-func (p *Parser) parseSelectCore() (*sqlast.Select, error) {
-	if err := p.expectKw("SELECT"); err != nil {
-		return nil, err
-	}
-	sel := &sqlast.Select{}
-	sel.Distinct = p.acceptKw("DISTINCT")
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		sel.Items = append(sel.Items, item)
-		if !p.acceptOp(",") {
+		if op == sqlast.SetNone {
 			break
 		}
+		sel.Compound = append(sel.Compound, sqlast.CompoundPart{Op: op, Select: p.parseSelectCore()})
 	}
-	if p.acceptKw("FROM") {
-		if err := p.parseFrom(sel); err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	if p.acceptKw("WHERE") {
-		sel.Where, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKw("GROUP") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKw("HAVING") {
-		sel.Having, err = p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sel, nil
-}
-
-// parseSelectTail parses the trailing ORDER BY / LIMIT / OFFSET of a
-// (possibly compound) query.
-func (p *Parser) parseSelectTail(sel *sqlast.Select) (*sqlast.Select, error) {
 	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
+		p.expectKw("BY")
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := sqlast.OrderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				item.Desc = true
-			} else {
+			item := sqlast.OrderItem{Expr: p.parseExpr(), Desc: p.acceptKw("DESC")}
+			if !item.Desc {
 				p.acceptKw("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, item)
@@ -677,158 +456,96 @@ func (p *Parser) parseSelectTail(sel *sqlast.Select) (*sqlast.Select, error) {
 		}
 	}
 	if p.acceptKw("LIMIT") {
-		n, err := p.expectInt()
-		if err != nil {
-			return nil, err
-		}
+		n := p.expectInt()
 		sel.Limit = &n
 	}
 	if p.acceptKw("OFFSET") {
-		n, err := p.expectInt()
-		if err != nil {
-			return nil, err
-		}
+		n := p.expectInt()
 		sel.Offset = &n
 	}
-	return sel, nil
+	return sel
 }
 
-func (p *Parser) expectInt() (int64, error) {
-	if p.tok.Kind != TokInt {
-		return 0, p.errf("expected integer, found %q", p.tok.Text)
-	}
-	n, err := strconv.ParseInt(p.tok.Text, 10, 64)
-	if err != nil {
-		return 0, p.errf("invalid integer %q", p.tok.Text)
-	}
-	p.advance()
-	return n, nil
-}
-
-func (p *Parser) parseSelectItem() (sqlast.SelectItem, error) {
-	if p.acceptOp("*") {
-		return sqlast.SelectItem{Star: true}, nil
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return sqlast.SelectItem{}, err
-	}
-	item := sqlast.SelectItem{Expr: e}
-	if p.acceptKw("AS") {
-		item.Alias, err = p.expectIdent()
-		if err != nil {
-			return sqlast.SelectItem{}, err
-		}
-	} else if p.tok.Kind == TokIdent {
-		item.Alias = p.tok.Text
-		p.advance()
-	}
-	return item, nil
-}
-
-func (p *Parser) parseFrom(sel *sqlast.Select) error {
-	first, err := p.parseTableRef()
-	if err != nil {
-		return err
-	}
-	sel.From = append(sel.From, sqlast.FromItem{Ref: first, Join: sqlast.JoinNone})
+// parseSelectCore parses one SELECT ... [HAVING ...] block.
+func (p *Parser) parseSelectCore() *sqlast.Select {
+	p.expectKw("SELECT")
+	sel := &sqlast.Select{Distinct: p.acceptKw("DISTINCT")}
 	for {
-		var jt sqlast.JoinType
+		sel.Items = append(sel.Items, p.parseSelectItem())
+		if !p.acceptOp(",") {
+			break
+		}
+	}
+	if p.acceptKw("FROM") {
+		p.parseFrom(sel)
+	}
+	if p.acceptKw("WHERE") {
+		sel.Where = p.parseExpr()
+	}
+	if p.acceptKw("GROUP") {
+		p.expectKw("BY")
+		sel.GroupBy = p.exprList()
+	}
+	if p.acceptKw("HAVING") {
+		sel.Having = p.parseExpr()
+	}
+	return sel
+}
+
+func (p *Parser) parseSelectItem() sqlast.SelectItem {
+	if p.acceptOp("*") {
+		return sqlast.SelectItem{Star: true}
+	}
+	e := p.parseExpr()
+	return sqlast.SelectItem{Expr: e, Alias: p.alias()}
+}
+
+// parseFrom parses the FROM list: a table reference, then any number
+// of joined ones, each with an optional ON condition.
+func (p *Parser) parseFrom(sel *sqlast.Select) {
+	jt := sqlast.JoinNone
+	for {
+		item := sqlast.FromItem{Ref: p.parseTableRef(), Join: jt}
+		if jt != sqlast.JoinNone && p.acceptKw("ON") {
+			item.On = p.parseExpr()
+		}
+		sel.From = append(sel.From, item)
 		switch {
 		case p.acceptOp(","):
 			jt = sqlast.JoinComma
-		case p.isKw("INNER"), p.isKw("JOIN"):
-			p.acceptKw("INNER")
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+		case p.acceptKw("INNER"), p.isKw("JOIN"):
 			jt = sqlast.JoinInner
-		case p.isKw("LEFT"):
-			p.advance()
-			p.acceptKw("OUTER")
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+		case p.acceptKw("LEFT"):
 			jt = sqlast.JoinLeft
-		case p.isKw("RIGHT"):
-			p.advance()
 			p.acceptKw("OUTER")
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+		case p.acceptKw("RIGHT"):
 			jt = sqlast.JoinRight
-		case p.isKw("FULL"):
-			p.advance()
 			p.acceptKw("OUTER")
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+		case p.acceptKw("FULL"):
 			jt = sqlast.JoinFull
-		case p.isKw("CROSS"):
-			p.advance()
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+			p.acceptKw("OUTER")
+		case p.acceptKw("CROSS"):
 			jt = sqlast.JoinCross
-		case p.isKw("NATURAL"):
-			p.advance()
-			if err := p.expectKw("JOIN"); err != nil {
-				return err
-			}
+		case p.acceptKw("NATURAL"):
 			jt = sqlast.JoinNatural
 		default:
-			return nil
+			return
 		}
-		ref, err := p.parseTableRef()
-		if err != nil {
-			return err
+		if jt != sqlast.JoinComma {
+			p.expectKw("JOIN")
 		}
-		item := sqlast.FromItem{Ref: ref, Join: jt}
-		if p.acceptKw("ON") {
-			item.On, err = p.parseExpr()
-			if err != nil {
-				return err
-			}
-		}
-		sel.From = append(sel.From, item)
 	}
 }
 
-func (p *Parser) parseTableRef() (sqlast.TableRef, error) {
-	if p.isOp("(") {
-		p.advance()
-		sub, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		if !p.acceptKw("AS") {
-			// alias is mandatory for derived tables but AS is optional
-			if p.tok.Kind != TokIdent {
-				return nil, p.errf("derived table requires an alias")
-			}
-		}
-		alias, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.DerivedTable{Select: sub, Alias: alias}, nil
+func (p *Parser) parseTableRef() sqlast.TableRef {
+	if !p.acceptOp("(") {
+		return &sqlast.TableName{Name: p.expectIdent(), Alias: p.alias()}
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
+	sub := p.parseSelect()
+	p.expectOp(")")
+	// The alias is mandatory for derived tables, but AS is optional.
+	if !p.acceptKw("AS") && p.tok.Kind != TokIdent {
+		p.errf("derived table requires an alias")
 	}
-	ref := &sqlast.TableName{Name: name}
-	if p.acceptKw("AS") {
-		ref.Alias, err = p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-	} else if p.tok.Kind == TokIdent {
-		ref.Alias = p.tok.Text
-		p.advance()
-	}
-	return ref, nil
+	return &sqlast.DerivedTable{Select: sub, Alias: p.expectIdent()}
 }

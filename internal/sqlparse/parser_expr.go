@@ -7,416 +7,246 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
-// Expression grammar, loosest to tightest binding:
-//
-//	OR, XOR  <  AND  <  NOT  <  comparison/IS/IN/BETWEEN/LIKE
-//	<  | & ^ << >>  <  + -  <  * / %  <  ||  <  unary - + ~  <  primary
-func (p *Parser) parseExpr() (sqlast.Expr, error) { return p.parseOr() }
+// Binding powers of the expression grammar, loosest first. Binary
+// operators are left-associative. The IS, IN, BETWEEN, LIKE and GLOB
+// tails (and NOT IN, NOT BETWEEN, NOT LIKE, NOT GLOB) are postfix
+// operators at comparison strength whose operands bind at bitwise
+// strength; unary - + ~ bind tighter than any binary operator.
+const (
+	precOr      = 1 + iota // OR XOR
+	precAnd                // AND
+	precNot                // prefix NOT
+	precCmp                // = == != <> < <= > >= <=> and the tails
+	precBitwise            // | & ^ << >>
+	precAdd                // + -
+	precMul                // * / %
+	precConcat             // ||
+)
 
-func (p *Parser) parseOr() (sqlast.Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op sqlast.BinaryOp
-		switch {
-		case p.acceptKw("OR"):
-			op = sqlast.OpOr
-		case p.acceptKw("XOR"):
-			op = sqlast.OpXor
-		default:
-			return left, nil
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: op, L: left, R: right}
-	}
-}
+func (p *Parser) parseExpr() sqlast.Expr { return p.parseBinary(precOr) }
 
-func (p *Parser) parseAnd() (sqlast.Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKw("AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: sqlast.OpAnd, L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseNot() (sqlast.Expr, error) {
-	if p.isKw("NOT") && !(p.peekTok().Kind == TokKeyword && p.peekTok().Text == "EXISTS") {
-		p.advance()
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &sqlast.Unary{Op: sqlast.UNot, X: x}, nil
-	}
-	if p.isKw("NOT") {
-		p.advance() // NOT EXISTS
-		ex, err := p.parseExists()
-		if err != nil {
-			return nil, err
-		}
-		ex.(*sqlast.Exists).Not = true
-		return ex, nil
-	}
-	return p.parseComparison()
-}
-
-var cmpOps = map[string]sqlast.BinaryOp{
-	"=": sqlast.OpEq, "==": sqlast.OpEq, "!=": sqlast.OpNeq,
-	"<>": sqlast.OpNeq2, "<": sqlast.OpLt, "<=": sqlast.OpLe,
-	">": sqlast.OpGt, ">=": sqlast.OpGe, "<=>": sqlast.OpNullSafeEq,
-}
-
-func (p *Parser) parseComparison() (sqlast.Expr, error) {
-	left, err := p.parseBitwise()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if p.tok.Kind == TokOp {
-			if op, ok := cmpOps[p.tok.Text]; ok {
-				p.advance()
-				right, err := p.parseBitwise()
-				if err != nil {
-					return nil, err
-				}
-				left = &sqlast.Binary{Op: op, L: left, R: right}
-				continue
-			}
-			return left, nil
-		}
-		switch {
-		case p.isKw("IS"):
-			p.advance()
-			left, err = p.parseIsTail(left)
-			if err != nil {
-				return nil, err
-			}
-		case p.isKw("IN"):
-			p.advance()
-			left, err = p.parseInTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-		case p.isKw("BETWEEN"):
-			p.advance()
-			left, err = p.parseBetweenTail(left, false)
-			if err != nil {
-				return nil, err
-			}
-		case p.isKw("LIKE"):
-			p.advance()
-			left, err = p.parseLikeTail(left, sqlast.LikeLike, false)
-			if err != nil {
-				return nil, err
-			}
-		case p.isKw("GLOB"):
-			p.advance()
-			left, err = p.parseLikeTail(left, sqlast.LikeGlob, false)
-			if err != nil {
-				return nil, err
-			}
-		case p.isKw("NOT"):
-			// x NOT IN / NOT BETWEEN / NOT LIKE / NOT GLOB
-			pk := p.peekTok()
-			if pk.Kind != TokKeyword {
-				return left, nil
-			}
-			switch pk.Text {
-			case "IN":
-				p.advance()
-				p.advance()
-				left, err = p.parseInTail(left, true)
-			case "BETWEEN":
-				p.advance()
-				p.advance()
-				left, err = p.parseBetweenTail(left, true)
-			case "LIKE":
-				p.advance()
-				p.advance()
-				left, err = p.parseLikeTail(left, sqlast.LikeLike, true)
-			case "GLOB":
-				p.advance()
-				p.advance()
-				left, err = p.parseLikeTail(left, sqlast.LikeGlob, true)
-			default:
-				return left, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-		default:
-			return left, nil
-		}
-	}
-}
-
-func (p *Parser) parseIsTail(left sqlast.Expr) (sqlast.Expr, error) {
-	not := p.acceptKw("NOT")
-	switch {
-	case p.acceptKw("NULL"):
-		return &sqlast.IsNull{X: left, Not: not}, nil
-	case p.acceptKw("TRUE"):
-		return &sqlast.IsBool{X: left, Val: true, Not: not}, nil
-	case p.acceptKw("FALSE"):
-		return &sqlast.IsBool{X: left, Val: false, Not: not}, nil
-	case p.isKw("DISTINCT"):
-		p.advance()
-		if err := p.expectKw("FROM"); err != nil {
-			return nil, err
-		}
-		right, err := p.parseBitwise()
-		if err != nil {
-			return nil, err
-		}
-		op := sqlast.OpIsDistinct
-		if not {
-			op = sqlast.OpIsNotDistinct
-		}
-		return &sqlast.Binary{Op: op, L: left, R: right}, nil
-	default:
-		return nil, p.errf("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
-	}
-}
-
-func (p *Parser) parseInTail(left sqlast.Expr, not bool) (sqlast.Expr, error) {
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	in := &sqlast.InList{X: left, Not: not}
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		in.List = append(in.List, e)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-func (p *Parser) parseBetweenTail(left sqlast.Expr, not bool) (sqlast.Expr, error) {
-	lo, err := p.parseBitwise()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("AND"); err != nil {
-		return nil, err
-	}
-	hi, err := p.parseBitwise()
-	if err != nil {
-		return nil, err
-	}
-	return &sqlast.Between{X: left, Lo: lo, Hi: hi, Not: not}, nil
-}
-
-func (p *Parser) parseLikeTail(left sqlast.Expr, kind sqlast.LikeKind, not bool) (sqlast.Expr, error) {
-	pat, err := p.parseBitwise()
-	if err != nil {
-		return nil, err
-	}
-	return &sqlast.Like{X: left, Pattern: pat, Kind: kind, Not: not}, nil
-}
-
-var bitwiseOps = map[string]sqlast.BinaryOp{
-	"|": sqlast.OpBitOr, "&": sqlast.OpBitAnd, "^": sqlast.OpBitXor,
-	"<<": sqlast.OpShl, ">>": sqlast.OpShr,
-}
-
-func (p *Parser) parseBitwise() (sqlast.Expr, error) {
-	left, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokOp {
-		op, ok := bitwiseOps[p.tok.Text]
-		if !ok {
-			break
-		}
-		p.advance()
-		right, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: op, L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseAdd() (sqlast.Expr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokOp && (p.tok.Text == "+" || p.tok.Text == "-") {
-		op := sqlast.OpAdd
-		if p.tok.Text == "-" {
-			op = sqlast.OpSub
-		}
-		p.advance()
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: op, L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseMul() (sqlast.Expr, error) {
-	left, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokOp && (p.tok.Text == "*" || p.tok.Text == "/" || p.tok.Text == "%") {
-		var op sqlast.BinaryOp
+// infix returns the binary operator at the current token and its
+// binding power; a tail has power precCmp, and a token that continues
+// no expression has power 0.
+func (p *Parser) infix() (sqlast.BinaryOp, int) {
+	switch p.tok.Kind {
+	case TokKeyword:
 		switch p.tok.Text {
-		case "*":
-			op = sqlast.OpMul
-		case "/":
-			op = sqlast.OpDiv
-		default:
-			op = sqlast.OpMod
+		case "OR":
+			return sqlast.OpOr, precOr
+		case "XOR":
+			return sqlast.OpXor, precOr
+		case "AND":
+			return sqlast.OpAnd, precAnd
+		case "IS", "IN", "BETWEEN", "LIKE", "GLOB":
+			return 0, precCmp
+		case "NOT":
+			if p.peekKw("IN") || p.peekKw("BETWEEN") || p.peekKw("LIKE") || p.peekKw("GLOB") {
+				return 0, precCmp
+			}
 		}
-		p.advance()
-		right, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: op, L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseConcat() (sqlast.Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isOp("||") {
-		p.advance()
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &sqlast.Binary{Op: sqlast.OpConcat, L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseUnary() (sqlast.Expr, error) {
-	if p.tok.Kind == TokOp {
+	case TokOp:
 		switch p.tok.Text {
-		case "-":
-			p.advance()
-			if p.tok.Kind == TokInt {
-				return p.parseNegativeInt()
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			// Fold unary minus into integer literals so "-1" and the
-			// renderer's negative literals are one canonical form.
-			if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt {
-				return sqlast.IntLit(-lit.Int), nil
-			}
-			return &sqlast.Unary{Op: sqlast.UMinus, X: x}, nil
+		case "=", "==":
+			return sqlast.OpEq, precCmp
+		case "!=":
+			return sqlast.OpNeq, precCmp
+		case "<>":
+			return sqlast.OpNeq2, precCmp
+		case "<":
+			return sqlast.OpLt, precCmp
+		case "<=":
+			return sqlast.OpLe, precCmp
+		case ">":
+			return sqlast.OpGt, precCmp
+		case ">=":
+			return sqlast.OpGe, precCmp
+		case "<=>":
+			return sqlast.OpNullSafeEq, precCmp
+		case "|":
+			return sqlast.OpBitOr, precBitwise
+		case "&":
+			return sqlast.OpBitAnd, precBitwise
+		case "^":
+			return sqlast.OpBitXor, precBitwise
+		case "<<":
+			return sqlast.OpShl, precBitwise
+		case ">>":
+			return sqlast.OpShr, precBitwise
 		case "+":
-			p.advance()
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &sqlast.Unary{Op: sqlast.UPlus, X: x}, nil
-		case "~":
-			p.advance()
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &sqlast.Unary{Op: sqlast.UBitNot, X: x}, nil
+			return sqlast.OpAdd, precAdd
+		case "-":
+			return sqlast.OpSub, precAdd
+		case "*":
+			return sqlast.OpMul, precMul
+		case "/":
+			return sqlast.OpDiv, precMul
+		case "%":
+			return sqlast.OpMod, precMul
+		case "||":
+			return sqlast.OpConcat, precConcat
 		}
 	}
-	return p.parsePrimary()
+	return 0, 0
+}
+
+// parseBinary parses an expression whose operators bind at least as
+// tightly as minPrec, by precedence climbing. As in a descent through
+// one function per level, an operator continues the expression only if
+// it binds no tighter than the one applied last, and after a prefix
+// NOT's operand only AND, OR and XOR continue: "NOT EXISTS (SELECT 1)
+// = 1" leaves "= 1" unparsed, while "EXISTS (SELECT 1) = 1" parses.
+func (p *Parser) parseBinary(minPrec int) sqlast.Expr {
+	var left sqlast.Expr
+	maxPrec := precConcat
+	if minPrec <= precNot && p.isKw("NOT") {
+		left, maxPrec = p.parseNot(), precAnd
+	} else {
+		left = p.parseUnary()
+	}
+	for {
+		op, prec := p.infix()
+		if prec < minPrec || prec > maxPrec {
+			return left
+		}
+		maxPrec = prec
+		if p.tok.Kind == TokKeyword && prec == precCmp {
+			left = p.parseTail(left)
+			continue
+		}
+		p.advance()
+		left = &sqlast.Binary{Op: op, L: left, R: p.parseBinary(prec + 1)}
+	}
+}
+
+// parseNot parses a prefix NOT and its operand; NOT EXISTS is one node.
+func (p *Parser) parseNot() sqlast.Expr {
+	if p.peekKw("EXISTS") {
+		p.advance() // NOT
+		ex := p.parseExists()
+		ex.Not = true
+		return ex
+	}
+	p.advance() // NOT
+	return &sqlast.Unary{Op: sqlast.UNot, X: p.parseBinary(precNot)}
+}
+
+// parseTail parses the postfix tail at the current token applied to x.
+func (p *Parser) parseTail(x sqlast.Expr) sqlast.Expr {
+	if p.acceptKw("IS") {
+		not := p.acceptKw("NOT")
+		switch {
+		case p.acceptKw("NULL"):
+			return &sqlast.IsNull{X: x, Not: not}
+		case p.acceptKw("TRUE"):
+			return &sqlast.IsBool{X: x, Val: true, Not: not}
+		case p.acceptKw("FALSE"):
+			return &sqlast.IsBool{X: x, Val: false, Not: not}
+		case p.acceptKw("DISTINCT"):
+			p.expectKw("FROM")
+			op := sqlast.OpIsDistinct
+			if not {
+				op = sqlast.OpIsNotDistinct
+			}
+			return &sqlast.Binary{Op: op, L: x, R: p.parseBinary(precBitwise)}
+		}
+		p.errf("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
+		return x
+	}
+	not := p.acceptKw("NOT")
+	kw := p.tok.Text
+	p.advance()
+	switch kw {
+	case "IN":
+		p.expectOp("(")
+		in := &sqlast.InList{X: x, Not: not, List: p.exprList()}
+		p.expectOp(")")
+		return in
+	case "BETWEEN":
+		lo := p.parseBinary(precBitwise)
+		p.expectKw("AND")
+		return &sqlast.Between{X: x, Lo: lo, Hi: p.parseBinary(precBitwise), Not: not}
+	}
+	kind := sqlast.LikeLike
+	if kw == "GLOB" {
+		kind = sqlast.LikeGlob
+	}
+	return &sqlast.Like{X: x, Pattern: p.parseBinary(precBitwise), Kind: kind, Not: not}
+}
+
+func (p *Parser) parseUnary() sqlast.Expr {
+	var op sqlast.UnaryOp
+	switch {
+	case p.acceptOp("-"):
+		if p.tok.Kind == TokInt {
+			return p.parseNegativeInt()
+		}
+		x := p.parseUnary()
+		// Fold unary minus into integer literals so "-1" and the
+		// renderer's negative literals are one canonical form.
+		if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt {
+			return sqlast.IntLit(-lit.Int)
+		}
+		return &sqlast.Unary{Op: sqlast.UMinus, X: x}
+	case p.acceptOp("+"):
+		op = sqlast.UPlus
+	case p.acceptOp("~"):
+		op = sqlast.UBitNot
+	default:
+		return p.parsePrimary()
+	}
+	return &sqlast.Unary{Op: op, X: p.parseUnary()}
 }
 
 // parseNegativeInt parses the integer token after a unary minus as one
 // signed literal, so the rendering of math.MinInt64, whose magnitude has
 // no positive int64, parses back. Any other magnitude gives the same
 // literal as folding the minus into the parsed integer.
-func (p *Parser) parseNegativeInt() (sqlast.Expr, error) {
+func (p *Parser) parseNegativeInt() sqlast.Expr {
 	u, err := strconv.ParseUint(p.tok.Text, 10, 64)
 	if err != nil || u > 1<<63 {
-		return nil, p.errf("invalid integer %q", p.tok.Text)
+		p.errf("invalid integer %q", p.tok.Text)
 	}
 	p.advance()
-	return sqlast.IntLit(-int64(u)), nil
+	return sqlast.IntLit(-int64(u))
 }
 
-func (p *Parser) parsePrimary() (sqlast.Expr, error) {
+func (p *Parser) parsePrimary() sqlast.Expr {
 	switch {
 	case p.tok.Kind == TokInt:
-		n, err := strconv.ParseInt(p.tok.Text, 10, 64)
-		if err != nil {
-			return nil, p.errf("invalid integer %q", p.tok.Text)
-		}
-		p.advance()
-		return sqlast.IntLit(n), nil
+		return sqlast.IntLit(p.expectInt())
 	case p.tok.Kind == TokString:
 		s := p.tok.Text
 		p.advance()
-		return sqlast.TextLit(s), nil
+		return sqlast.TextLit(s)
 	case p.acceptKw("NULL"):
-		return sqlast.Null(), nil
+		return sqlast.Null()
 	case p.acceptKw("TRUE"):
-		return sqlast.BoolLit(true), nil
+		return sqlast.BoolLit(true)
 	case p.acceptKw("FALSE"):
-		return sqlast.BoolLit(false), nil
+		return sqlast.BoolLit(false)
 	case p.isKw("CASE"):
 		return p.parseCase()
-	case p.isKw("CAST"):
-		return p.parseCast()
+	case p.acceptKw("CAST"):
+		p.expectOp("(")
+		c := &sqlast.Cast{X: p.parseExpr()}
+		p.expectKw("AS")
+		c.To = p.parseType()
+		p.expectOp(")")
+		return c
 	case p.isKw("EXISTS"):
 		return p.parseExists()
 	case p.isOp("("):
-		pk := p.peekTok()
-		if pk.Kind == TokKeyword && pk.Text == "SELECT" {
-			p.advance()
-			sub, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &sqlast.Subquery{Select: sub}, nil
-		}
+		sub := p.peekKw("SELECT")
 		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		var e sqlast.Expr
+		if sub {
+			e = &sqlast.Subquery{Select: p.parseSelect()}
+		} else {
+			e = p.parseExpr()
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		p.expectOp(")")
+		return e
 	case p.tok.Kind == TokIdent:
 		name := p.tok.Text
 		p.advance()
@@ -424,125 +254,55 @@ func (p *Parser) parsePrimary() (sqlast.Expr, error) {
 			return p.parseFuncCall(name)
 		}
 		if p.acceptOp(".") {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &sqlast.ColumnRef{Table: name, Column: col}, nil
+			return &sqlast.ColumnRef{Table: name, Column: p.expectIdent()}
 		}
-		return &sqlast.ColumnRef{Column: name}, nil
-	default:
-		return nil, p.errf("unexpected token %q in expression", p.tok.Text)
+		return &sqlast.ColumnRef{Column: name}
 	}
+	p.errf("unexpected token %q in expression", p.tok.Text)
+	return nil
 }
 
-func (p *Parser) parseFuncCall(name string) (sqlast.Expr, error) {
+func (p *Parser) parseFuncCall(name string) sqlast.Expr {
 	p.advance() // (
 	f := &sqlast.Func{Name: strings.ToUpper(name)}
 	if p.acceptOp("*") {
 		f.Star = true
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	if p.acceptKw("DISTINCT") {
-		f.Distinct = true
-	}
-	if p.acceptOp(")") {
-		return f, nil
-	}
-	for {
-		a, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		f.Args = append(f.Args, a)
-		if !p.acceptOp(",") {
-			break
+	} else {
+		f.Distinct = p.acceptKw("DISTINCT")
+		if !p.isOp(")") {
+			f.Args = p.exprList()
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return f, nil
+	p.expectOp(")")
+	return f
 }
 
-func (p *Parser) parseCase() (sqlast.Expr, error) {
+func (p *Parser) parseCase() sqlast.Expr {
 	p.advance() // CASE
 	c := &sqlast.Case{}
 	if !p.isKw("WHEN") {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Operand = op
+		c.Operand = p.parseExpr()
 	}
 	for p.acceptKw("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("THEN"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, sqlast.When{Cond: cond, Then: then})
+		cond := p.parseExpr()
+		p.expectKw("THEN")
+		c.Whens = append(c.Whens, sqlast.When{Cond: cond, Then: p.parseExpr()})
 	}
 	if len(c.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN arm")
+		p.errf("CASE requires at least one WHEN arm")
 	}
 	if p.acceptKw("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
+		c.Else = p.parseExpr()
 	}
-	if err := p.expectKw("END"); err != nil {
-		return nil, err
-	}
-	return c, nil
+	p.expectKw("END")
+	return c
 }
 
-func (p *Parser) parseCast() (sqlast.Expr, error) {
-	p.advance() // CAST
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	x, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("AS"); err != nil {
-		return nil, err
-	}
-	t, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &sqlast.Cast{X: x, To: t}, nil
-}
-
-func (p *Parser) parseExists() (sqlast.Expr, error) {
-	if err := p.expectKw("EXISTS"); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	sub, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &sqlast.Exists{Select: sub}, nil
+// parseExists parses EXISTS (subquery); the result is never nil.
+func (p *Parser) parseExists() *sqlast.Exists {
+	p.advance() // EXISTS
+	p.expectOp("(")
+	ex := &sqlast.Exists{Select: p.parseSelect()}
+	p.expectOp(")")
+	return ex
 }
