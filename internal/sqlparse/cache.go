@@ -1,7 +1,7 @@
 package sqlparse
 
 import (
-	"container/list"
+	"math"
 	"sync"
 
 	"sqlancerpp/internal/sqlast"
@@ -19,19 +19,26 @@ import (
 // Parse returns the cached AST *shared*: callers must treat it as
 // immutable. The engine executes the shared copy and clones only the
 // statements whose sub-ASTs outlive execution in catalog state (DB.run).
+//
+// The LRU allocates nothing per entry: entries live in one slice that
+// grows to the capacity and is then recycled from its least recently
+// used end, linked by index, and byID maps a statement's text to its
+// slot.
 type Cache struct {
-	mu   sync.Mutex
-	cap  int
-	lru  list.List
-	byID map[string]*list.Element
+	mu         sync.Mutex
+	cap        int
+	entries    []cacheEntry
+	byID       map[string]int32
+	head, tail int32 // most and least recently used slots; -1 when empty
 
 	hits, misses uint64
 }
 
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
-	sql  string
-	stmt sqlast.Stmt
+	sql        string
+	stmt       sqlast.Stmt
+	prev, next int32 // the neighbouring slots toward head and tail; -1 at the ends
 }
 
 // DefaultCacheSize bounds the process-wide cache. An entry (SQL text, AST
@@ -54,11 +61,8 @@ func Shared() *Cache { return shared }
 
 // NewCache returns an empty cache holding at most capacity statements.
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &Cache{cap: capacity, byID: make(map[string]*list.Element)}
-	return c
+	capacity = min(max(capacity, 1), math.MaxInt32)
+	return &Cache{cap: capacity, byID: make(map[string]int32), head: -1, tail: -1}
 }
 
 // Parse returns the shared, immutable AST for src, parsing on a miss.
@@ -69,10 +73,10 @@ func (c *Cache) Parse(src string) (sqlast.Stmt, error) {
 		return Parse(src)
 	}
 	c.mu.Lock()
-	if el, ok := c.byID[src]; ok {
-		c.lru.MoveToFront(el)
+	if i, ok := c.byID[src]; ok {
+		c.moveToFront(i)
 		c.hits++
-		st := el.Value.(*cacheEntry).stmt
+		st := c.entries[i].stmt
 		c.mu.Unlock()
 		return st, nil
 	}
@@ -86,22 +90,66 @@ func (c *Cache) Parse(src string) (sqlast.Stmt, error) {
 
 	c.mu.Lock()
 	if _, ok := c.byID[src]; !ok { // a concurrent miss may have won
-		c.byID[src] = c.lru.PushFront(&cacheEntry{sql: src, stmt: st})
-		if c.lru.Len() > c.cap {
-			last := c.lru.Back()
-			c.lru.Remove(last)
-			delete(c.byID, last.Value.(*cacheEntry).sql)
-		}
+		c.insert(src, st)
 	}
 	c.mu.Unlock()
 	return st, nil
+}
+
+// insert stores st as the most recently used entry, in a new slot while
+// the cache is below capacity and in the least recently used one after.
+func (c *Cache) insert(src string, st sqlast.Stmt) {
+	var i int32
+	if len(c.entries) < c.cap {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, cacheEntry{})
+	} else {
+		i = c.tail
+		c.unlink(i)
+		delete(c.byID, c.entries[i].sql)
+	}
+	c.entries[i] = cacheEntry{sql: src, stmt: st}
+	c.byID[src] = i
+	c.pushFront(i)
+}
+
+func (c *Cache) moveToFront(i int32) {
+	if i != c.head {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+func (c *Cache) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *Cache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // Len returns the number of cached statements.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.byID)
 }
 
 // Stats returns the hit and miss counts.

@@ -95,3 +95,22 @@ func TestNilCacheFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCacheHitRefreshesRecency(t *testing.T) {
+	c := NewCache(2)
+	for _, q := range []string{"SELECT 0", "SELECT 1", "SELECT 0", "SELECT 2", "SELECT 0"} {
+		if _, err := c.Parse(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// SELECT 0 was hit before SELECT 2 arrived, so SELECT 1 was evicted.
+	if hits, misses := c.Stats(); hits != 2 || misses != 3 {
+		t.Fatalf("stats = (%d hits, %d misses), want (2, 3)", hits, misses)
+	}
+	if _, err := c.Parse("SELECT 1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := c.Stats(); misses != 4 {
+		t.Fatalf("misses = %d, want 4: SELECT 1 should have been evicted", misses)
+	}
+}

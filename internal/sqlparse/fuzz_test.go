@@ -1,6 +1,7 @@
 package sqlparse_test
 
 import (
+	"reflect"
 	"testing"
 
 	"sqlancerpp/internal/core/gen"
@@ -56,8 +57,22 @@ func FuzzParse(f *testing.F) {
 	}
 
 	cache := sqlparse.NewCache(64)
+	const earlierSQL = "SELECT t0.c0, COUNT(*) AS n FROM t0 JOIN t1 ON t0.c0 = t1.c0 " +
+		"WHERE c1 IN (1, 2) AND NOT (c2 LIKE 'a%') OR CASE c0 WHEN 1 THEN TRUE ELSE NULL END " +
+		"GROUP BY t0.c0 UNION ALL SELECT -1, 2 ORDER BY 1 LIMIT 3"
+	earlier, err := sqlparse.Parse(earlierSQL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	earlierText := earlier.SQL()
 	f.Fuzz(func(t *testing.T, src string) {
 		checkSameAsReference(t, src)
+		if got := earlier.SQL(); got != earlierText {
+			t.Fatalf("parsing %q changed an earlier tree: it renders %q, not %q", src, got, earlierText)
+		}
+		if fresh, _ := sqlparse.Parse(earlierSQL); !reflect.DeepEqual(earlier, fresh) {
+			t.Fatalf("parsing %q changed an earlier tree", src)
+		}
 		fresh, err := sqlparse.Parse(src)
 		cached, cerr := cache.Parse(src)
 		if (err == nil) != (cerr == nil) {

@@ -3,13 +3,18 @@
 // real DBMS would — so every statement produced by the generator makes a
 // full round trip through rendering and parsing.
 //
-// The round trip costs allocations in proportion to the AST, not to the
-// tokens: the lexer allocates nothing for a statement whose string
-// literals contain no doubled-quote escape. Identifier, integer and
-// escape-free string tokens are substrings of the source; keywords are
-// recognised by upper-casing into a stack buffer and come from a table
-// of interned spellings; operators are static strings; and the parser
-// holds its one-token lookahead by value.
+// A parse costs a handful of allocations, whatever the statement's
+// size. The lexer allocates nothing for a statement whose string
+// literals contain no doubled-quote escape: identifier, integer and
+// escape-free string tokens are substrings of the source, and every
+// keyword and operator token carries a small integer code (tokCode)
+// whose spelling is static. Parse lexes the whole statement once into a
+// pooled parser's token buffer and then parses by index, comparing
+// codes, not strings. The tree's nodes come from per-statement typed
+// slabs sized from the statement's token counts, and its lists are
+// carved, exact, from one array per element type when the parse ends
+// (slab.go), so a statement owns its memory and shares none of it with
+// any other statement.
 package sqlparse
 
 import (
@@ -38,54 +43,219 @@ type Token struct {
 	Kind TokKind
 	Text string
 	Pos  int // byte offset in the input
+
+	code tokCode // keyword or operator code; codeNone for other kinds
 }
 
-// keywords maps each keyword recognized by the lexer to its interned
-// upper-case spelling, which becomes the token's Text.
-var keywords = func() map[string]string {
-	m := map[string]string{}
-	for _, kw := range []string{
-		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
-		"LIMIT", "OFFSET", "DISTINCT", "AS", "ON", "AND", "OR", "NOT",
-		"XOR", "NULL", "TRUE", "FALSE", "IS", "IN", "BETWEEN", "LIKE",
-		"GLOB", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "EXISTS",
-		"CREATE", "TABLE", "INDEX", "VIEW", "UNIQUE", "PRIMARY", "KEY",
-		"INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "ALTER",
-		"ADD", "DROP", "COLUMN", "ANALYZE", "REFRESH", "REINDEX", "JOIN",
-		"INNER", "LEFT", "RIGHT", "FULL", "CROSS", "NATURAL", "OUTER",
-		"DESC", "ASC", "INTEGER", "INT", "TEXT", "VARCHAR", "BOOLEAN",
-		"BOOL", "IF", "EXIST", "DISTINCTFROM", "IGNORE", "UNION",
-		"INTERSECT", "EXCEPT", "ALL", "DEFAULT",
-	} {
-		if len(kw) > maxKeywordLen {
-			panic("sqlparse: keyword longer than maxKeywordLen: " + kw)
-		}
-		m[kw] = kw
-	}
-	return m
-}()
+// tokCode identifies a keyword or an operator: the parser compares
+// codes, not spellings.
+type tokCode uint8
+
+// Token codes: keywords, then operators and punctuation.
+const (
+	codeNone tokCode = iota
+
+	kwSelect
+	kwFrom
+	kwWhere
+	kwGroup
+	kwBy
+	kwHaving
+	kwOrder
+	kwLimit
+	kwOffset
+	kwDistinct
+	kwAs
+	kwOn
+	kwAnd
+	kwOr
+	kwNot
+	kwXor
+	kwNull
+	kwTrue
+	kwFalse
+	kwIs
+	kwIn
+	kwBetween
+	kwLike
+	kwGlob
+	kwCase
+	kwWhen
+	kwThen
+	kwElse
+	kwEnd
+	kwCast
+	kwExists
+	kwCreate
+	kwTable
+	kwIndex
+	kwView
+	kwUnique
+	kwPrimary
+	kwKey
+	kwInsert
+	kwInto
+	kwValues
+	kwUpdate
+	kwSet
+	kwDelete
+	kwAlter
+	kwAdd
+	kwDrop
+	kwColumn
+	kwAnalyze
+	kwRefresh
+	kwReindex
+	kwJoin
+	kwInner
+	kwLeft
+	kwRight
+	kwFull
+	kwCross
+	kwNatural
+	kwOuter
+	kwDesc
+	kwAsc
+	kwInteger
+	kwInt
+	kwText
+	kwVarchar
+	kwBoolean
+	kwBool
+	kwIf
+	kwExist
+	kwDistinctFrom
+	kwIgnore
+	kwUnion
+	kwIntersect
+	kwExcept
+	kwAll
+	kwDefault
+
+	opPlus
+	opMinus
+	opStar
+	opSlash
+	opPercent
+	opAmp
+	opPipe
+	opCaret
+	opTilde
+	opEq
+	opLt
+	opGt
+	opLParen
+	opRParen
+	opComma
+	opDot
+	opSemi
+	opNullSafeEq // <=>
+	opShl        // <<
+	opShr        // >>
+	opLe         // <=
+	opGe         // >=
+	opNeq        // !=
+	opNeq2       // <>
+	opConcat     // ||
+	opEqEq       // ==
+
+	numCodes
+
+	firstKeyword = kwSelect
+	firstOp      = opPlus
+)
+
+// codeText is the spelling of each code: a keyword's upper-case form,
+// which becomes its token's Text, or an operator.
+var codeText = [numCodes]string{
+	kwSelect: "SELECT", kwFrom: "FROM", kwWhere: "WHERE", kwGroup: "GROUP",
+	kwBy: "BY", kwHaving: "HAVING", kwOrder: "ORDER", kwLimit: "LIMIT",
+	kwOffset: "OFFSET", kwDistinct: "DISTINCT", kwAs: "AS", kwOn: "ON",
+	kwAnd: "AND", kwOr: "OR", kwNot: "NOT", kwXor: "XOR", kwNull: "NULL",
+	kwTrue: "TRUE", kwFalse: "FALSE", kwIs: "IS", kwIn: "IN",
+	kwBetween: "BETWEEN", kwLike: "LIKE", kwGlob: "GLOB", kwCase: "CASE",
+	kwWhen: "WHEN", kwThen: "THEN", kwElse: "ELSE", kwEnd: "END",
+	kwCast: "CAST", kwExists: "EXISTS", kwCreate: "CREATE", kwTable: "TABLE",
+	kwIndex: "INDEX", kwView: "VIEW", kwUnique: "UNIQUE",
+	kwPrimary: "PRIMARY", kwKey: "KEY", kwInsert: "INSERT", kwInto: "INTO",
+	kwValues: "VALUES", kwUpdate: "UPDATE", kwSet: "SET", kwDelete: "DELETE",
+	kwAlter: "ALTER", kwAdd: "ADD", kwDrop: "DROP", kwColumn: "COLUMN",
+	kwAnalyze: "ANALYZE", kwRefresh: "REFRESH", kwReindex: "REINDEX",
+	kwJoin: "JOIN", kwInner: "INNER", kwLeft: "LEFT", kwRight: "RIGHT",
+	kwFull: "FULL", kwCross: "CROSS", kwNatural: "NATURAL", kwOuter: "OUTER",
+	kwDesc: "DESC", kwAsc: "ASC", kwInteger: "INTEGER", kwInt: "INT",
+	kwText: "TEXT", kwVarchar: "VARCHAR", kwBoolean: "BOOLEAN",
+	kwBool: "BOOL", kwIf: "IF", kwExist: "EXIST",
+	kwDistinctFrom: "DISTINCTFROM", kwIgnore: "IGNORE", kwUnion: "UNION",
+	kwIntersect: "INTERSECT", kwExcept: "EXCEPT", kwAll: "ALL",
+	kwDefault: "DEFAULT",
+
+	opPlus: "+", opMinus: "-", opStar: "*", opSlash: "/", opPercent: "%",
+	opAmp: "&", opPipe: "|", opCaret: "^", opTilde: "~", opEq: "=",
+	opLt: "<", opGt: ">", opLParen: "(", opRParen: ")", opComma: ",",
+	opDot: ".", opSemi: ";", opNullSafeEq: "<=>", opShl: "<<", opShr: ">>",
+	opLe: "<=", opGe: ">=", opNeq: "!=", opNeq2: "<>", opConcat: "||",
+	opEqEq: "==",
+}
 
 // maxKeywordLen bounds the stack buffer keyword lookup upper-cases into;
 // a longer word is an identifier without a lookup.
 const maxKeywordLen = 12
 
-// keyword returns the interned spelling of word if it is a keyword in
-// any letter case.
-func keyword(word string) (string, bool) {
-	if len(word) > maxKeywordLen {
-		return "", false
-	}
-	var buf [maxKeywordLen]byte
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
+// kwSlots is an open-addressing table from a keyword's hash (kwHash) to
+// its code, built from codeText at start-up without allocating.
+var kwSlots = func() (t [256]tokCode) {
+	for c := firstKeyword; c < firstOp; c++ {
+		kw := codeText[c]
+		if len(kw) > maxKeywordLen {
+			panic("sqlparse: keyword longer than maxKeywordLen: " + kw)
 		}
-		buf[i] = c
+		h := uint8(0)
+		for i := 0; i < len(kw); i++ {
+			h = kwHash(h, kw[i])
+		}
+		for t[h] != codeNone {
+			h++
+		}
+		t[h] = c
 	}
-	kw, ok := keywords[string(buf[:len(word)])]
-	return kw, ok
+	return t
+}()
+
+// kwHash adds an upper-case byte to a keyword hash.
+func kwHash(h, c byte) byte { return h*31 + c }
+
+// keyword returns the code of the keyword whose upper-case spelling is
+// upper and whose hash is h, and codeNone if there is none.
+func keyword(upper []byte, h byte) tokCode {
+	for ; kwSlots[h] != codeNone; h++ {
+		if codeText[kwSlots[h]] == string(upper) {
+			return kwSlots[h]
+		}
+	}
+	return codeNone
 }
+
+// Byte classes for the lexer.
+const (
+	classIdentStart = 1 << iota // _ A-Z a-z
+	classDigit                  // 0-9
+	classSpace                  // space, tab, newline, carriage return
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		switch {
+		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+			t[c] = classIdentStart
+		case c >= '0' && c <= '9':
+			t[c] = classDigit
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			t[c] = classSpace
+		}
+	}
+	return t
+}()
 
 // Lexer tokenizes SQL text.
 type Lexer struct {
@@ -98,32 +268,73 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
 // Next returns the next token.
 func (l *Lexer) Next() Token {
-	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: l.pos}
+	var t Token
+	l.next(&t)
+	return t
+}
+
+// next scans the next token into *t.
+func (l *Lexer) next(t *Token) {
+	src, pos := l.src, l.pos
+	for pos < len(src) { // skip spaces and -- line comments
+		c := src[pos]
+		if byteClass[c] == classSpace {
+			pos++
+			continue
+		}
+		if c != '-' || pos+1 == len(src) || src[pos+1] != '-' {
+			break
+		}
+		if nl := strings.IndexByte(src[pos:], '\n'); nl >= 0 {
+			pos += nl
+		} else {
+			pos = len(src)
+		}
 	}
-	start := l.pos
-	c := l.src[l.pos]
-	switch {
-	case isDigit(c):
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
+	l.pos = pos
+	if pos == len(src) {
+		*t = Token{Kind: TokEOF, Pos: pos}
+		return
+	}
+	start := pos
+	c := src[pos]
+	switch byteClass[c] {
+	case classDigit:
+		for pos < len(src) && byteClass[src[pos]] == classDigit {
+			pos++
 		}
-		return Token{Kind: TokInt, Text: l.src[start:l.pos], Pos: start}
-	case c == '\'':
-		return l.lexString(start)
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-			l.pos++
+		*t = Token{Kind: TokInt, Text: src[start:pos], Pos: start}
+	case classIdentStart:
+		// Upper-case and hash the first maxKeywordLen+1 bytes while
+		// scanning: a longer word is no keyword.
+		var buf [maxKeywordLen + 1]byte
+		h := byte(0)
+		for ; pos < len(src) && byteClass[src[pos]]&(classIdentStart|classDigit) != 0; pos++ {
+			if n := pos - start; n < len(buf) {
+				c := src[pos]
+				if c >= 'a' && c <= 'z' {
+					c -= 'a' - 'A'
+				}
+				buf[n] = c
+				h = kwHash(h, c)
+			}
 		}
-		word := l.src[start:l.pos]
-		if kw, ok := keyword(word); ok {
-			return Token{Kind: TokKeyword, Text: kw, Pos: start}
+		if n := pos - start; n <= maxKeywordLen {
+			if kw := keyword(buf[:n], h); kw != codeNone {
+				*t = Token{Kind: TokKeyword, Text: codeText[kw], Pos: start, code: kw}
+				break
+			}
 		}
-		return Token{Kind: TokIdent, Text: word, Pos: start}
+		*t = Token{Kind: TokIdent, Text: src[start:pos], Pos: start}
 	default:
-		return l.lexOp(start)
+		if c == '\'' {
+			*t = l.lexString(start)
+		} else {
+			l.lexOp(t, start)
+		}
+		return
 	}
+	l.pos = pos
 }
 
 // lexString scans a single-quoted literal. Without a doubled-quote
@@ -155,74 +366,50 @@ func (l *Lexer) lexString(start int) Token {
 	return Token{Kind: TokError, Text: "unterminated string literal", Pos: start}
 }
 
-// singleOps holds the static spelling of every one-byte operator and
-// punctuation token; the empty string marks a byte that starts none.
-var singleOps = func() (t [256]string) {
-	for _, op := range []string{"+", "-", "*", "/", "%", "&", "|", "^",
-		"~", "=", "<", ">", "(", ")", ",", ".", ";"} {
-		t[op[0]] = op
-	}
-	return t
-}()
-
-// lexOp scans an operator, longest match first: <=>, then the
-// two-byte operators << >> <= >= != <> || ==, then one byte.
-func (l *Lexer) lexOp(start int) Token {
-	c := l.src[l.pos]
-	var next, third byte
-	if l.pos+1 < len(l.src) {
-		next = l.src[l.pos+1]
-	}
-	if l.pos+2 < len(l.src) {
-		third = l.src[l.pos+2]
-	}
-	op := singleOps[c]
-	switch {
-	case c == '<' && next == '=' && third == '>':
-		op = "<=>"
-	case c == '<' && next == '<':
-		op = "<<"
-	case c == '>' && next == '>':
-		op = ">>"
-	case c == '<' && next == '=':
-		op = "<="
-	case c == '>' && next == '=':
-		op = ">="
-	case c == '!' && next == '=':
-		op = "!="
-	case c == '<' && next == '>':
-		op = "<>"
-	case c == '|' && next == '|':
-		op = "||"
-	case c == '=' && next == '=':
-		op = "=="
-	}
-	if op == "" {
-		l.pos++
-		return Token{Kind: TokError, Text: fmt.Sprintf("unexpected character %q", c), Pos: start}
-	}
-	l.pos += len(op)
-	return Token{Kind: TokOp, Text: op, Pos: start}
+// singleOps holds the code of every one-byte operator and punctuation
+// token; codeNone marks a byte that starts none.
+var singleOps = [256]tokCode{
+	'+': opPlus, '-': opMinus, '*': opStar, '/': opSlash, '%': opPercent,
+	'&': opAmp, '|': opPipe, '^': opCaret, '~': opTilde, '=': opEq,
+	'<': opLt, '>': opGt, '(': opLParen, ')': opRParen, ',': opComma,
+	'.': opDot, ';': opSemi,
 }
 
-func (l *Lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
-			continue
-		}
-		// -- line comments
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+// lexOp scans an operator into *t, longest match first: <=>, then the
+// two-byte operators << >> <= >= != <> || ==, then one byte.
+func (l *Lexer) lexOp(t *Token, start int) {
+	src := l.src
+	c := src[start]
+	op := singleOps[c]
+	if start+1 < len(src) {
+		switch next := src[start+1]; {
+		case c == '<' && next == '=':
+			op = opLe
+			if start+2 < len(src) && src[start+2] == '>' {
+				op = opNullSafeEq
 			}
-			continue
+		case c == '<' && next == '<':
+			op = opShl
+		case c == '<' && next == '>':
+			op = opNeq2
+		case c == '>' && next == '>':
+			op = opShr
+		case c == '>' && next == '=':
+			op = opGe
+		case c == '!' && next == '=':
+			op = opNeq
+		case c == '|' && next == '|':
+			op = opConcat
+		case c == '=' && next == '=':
+			op = opEqEq
 		}
+	}
+	if op == codeNone {
+		l.pos = start + 1
+		*t = Token{Kind: TokError, Text: fmt.Sprintf("unexpected character %q", c), Pos: start}
 		return
 	}
+	text := codeText[op]
+	l.pos = start + len(text)
+	*t = Token{Kind: TokOp, Text: text, Pos: start, code: op}
 }
-
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }

@@ -2,8 +2,10 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sqlancerpp/internal/sqlast"
 )
@@ -19,88 +21,120 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
-// Parser is a recursive-descent parser over a token stream. It keeps the
-// first syntax error and then ends the stream (see errf), so parse
-// functions return their node alone: after an error every accept fails,
-// every list loop exits, and the partial tree is dropped.
-type Parser struct {
-	lex     *Lexer
-	tok     Token // current token
-	peek    Token // lookahead, valid while hasPeek
-	hasPeek bool
-	err     *SyntaxError // the first error
+// parser is a recursive-descent parser over one statement's tokens,
+// lexed up front into toks (EOF last). It keeps the first syntax error
+// and then ends the stream (see errf), so parse functions return their
+// node alone: after an error every accept fails, every list loop exits,
+// and the partial tree is dropped.
+//
+// Parsers are pooled. A parser keeps its token and list buffers from
+// one statement to the next, but nothing that points into a tree:
+// finish clears the list buffers (tokens refer to the source text
+// only), and each statement's nodes come from slabs of its own (nodes).
+type parser struct {
+	lex  Lexer
+	toks []Token
+	i    int    // index of the current token
+	tok  *Token // &toks[i]
+	err  *SyntaxError
+	n    nodes
+
+	rowFixes []int // INSERT: the exprs fix-up of each VALUES row
+}
+
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// newParser takes a pooled parser, lexes src into its token buffer and
+// sizes the statement's slabs.
+func newParser(src string) *parser {
+	p := parsers.Get().(*parser)
+	p.lex = Lexer{src: src}
+	for {
+		p.toks = append(p.toks, Token{})
+		t := &p.toks[len(p.toks)-1]
+		if p.lex.next(t); t.Kind == TokEOF {
+			break
+		}
+	}
+	p.n.size(p.toks)
+	p.tok = &p.toks[0]
+	return p
+}
+
+// finish requires the input to be consumed, stores the lists of a
+// parse without error in their nodes, and returns the parser to the
+// pool.
+func (p *parser) finish() error {
+	if p.tok.Kind != TokEOF {
+		p.errf("unexpected trailing input %q", p.tok.Text)
+	}
+	err := p.err
+	if err == nil {
+		p.n.carve()
+	}
+	p.n.reset() // the token buffer refers to the source only, not to the tree
+	p.toks, p.rowFixes = p.toks[:0], p.rowFixes[:0]
+	p.lex, p.i, p.tok, p.err = Lexer{}, 0, nil, nil
+	parsers.Put(p)
+	if err != nil {
+		return err
+	}
+	return nil
 }
 
 // Parse parses a single SQL statement (an optional trailing ';' is allowed).
 func Parse(src string) (sqlast.Stmt, error) {
-	p := &Parser{lex: NewLexer(src)}
-	p.advance()
+	p := newParser(src)
 	st := p.parseStmt()
-	p.acceptOp(";")
-	if p.end(); p.err != nil {
-		return nil, p.err
+	p.acceptOp(opSemi)
+	if err := p.finish(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
 // ParseExpr parses a standalone expression (used by tests and the reducer).
 func ParseExpr(src string) (sqlast.Expr, error) {
-	p := &Parser{lex: NewLexer(src)}
-	p.advance()
+	p := newParser(src)
 	e := p.parseExpr()
-	if p.end(); p.err != nil {
-		return nil, p.err
+	if err := p.finish(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// end requires the input to be consumed.
-func (p *Parser) end() {
-	if p.tok.Kind != TokEOF {
-		p.errf("unexpected trailing input %q", p.tok.Text)
+func (p *parser) advance() {
+	if p.i < len(p.toks)-1 {
+		p.i++
+		p.tok = &p.toks[p.i]
 	}
 }
 
-func (p *Parser) advance() {
-	if p.hasPeek {
-		p.tok = p.peek
-		p.hasPeek = false
-		return
-	}
-	p.tok = p.lex.Next()
-}
-
-func (p *Parser) peekTok() Token {
-	if !p.hasPeek {
-		p.peek = p.lex.Next()
-		p.hasPeek = true
-	}
-	return p.peek
-}
+// peek returns the token after the current one (EOF at the end).
+func (p *parser) peek() *Token { return &p.toks[min(p.i+1, len(p.toks)-1)] }
 
 // peekKw reports whether the token after the current one is keyword kw.
-func (p *Parser) peekKw(kw string) bool {
-	pk := p.peekTok()
-	return pk.Kind == TokKeyword && pk.Text == kw
-}
+func (p *parser) peekKw(kw tokCode) bool { return p.peek().code == kw }
 
 // errf records a syntax error at the current token, unless one is
-// recorded already, and ends the token stream: the lexer moves to the
-// end, the lookahead is dropped and the current token becomes EOF.
-func (p *Parser) errf(format string, args ...any) {
+// recorded already, and ends the token stream: the current token
+// becomes the EOF token. An error at a lexer-error token reports the
+// lexer's message.
+func (p *parser) errf(format string, args ...any) {
 	if p.err == nil {
-		p.err = &SyntaxError{Msg: fmt.Sprintf(format, args...), Pos: p.tok.Pos}
+		msg := p.tok.Text
+		if p.tok.Kind != TokError {
+			msg = fmt.Sprintf(format, args...)
+		}
+		p.err = &SyntaxError{Msg: msg, Pos: p.tok.Pos}
 	}
-	p.lex.pos = len(p.lex.src)
-	p.hasPeek = false
-	p.tok = Token{Kind: TokEOF, Pos: p.lex.pos}
+	p.i = len(p.toks) - 1
+	p.tok = &p.toks[p.i]
 }
 
-func (p *Parser) isKw(kw string) bool {
-	return p.tok.Kind == TokKeyword && p.tok.Text == kw
-}
+func (p *parser) isKw(kw tokCode) bool { return p.tok.code == kw }
 
-func (p *Parser) acceptKw(kw string) bool {
+func (p *parser) acceptKw(kw tokCode) bool {
 	if p.isKw(kw) {
 		p.advance()
 		return true
@@ -108,17 +142,15 @@ func (p *Parser) acceptKw(kw string) bool {
 	return false
 }
 
-func (p *Parser) expectKw(kw string) {
+func (p *parser) expectKw(kw tokCode) {
 	if !p.acceptKw(kw) {
-		p.errf("expected %s, found %q", kw, p.tok.Text)
+		p.errf("expected %s, found %q", codeText[kw], p.tok.Text)
 	}
 }
 
-func (p *Parser) isOp(op string) bool {
-	return p.tok.Kind == TokOp && p.tok.Text == op
-}
+func (p *parser) isOp(op tokCode) bool { return p.tok.code == op }
 
-func (p *Parser) acceptOp(op string) bool {
+func (p *parser) acceptOp(op tokCode) bool {
 	if p.isOp(op) {
 		p.advance()
 		return true
@@ -126,13 +158,13 @@ func (p *Parser) acceptOp(op string) bool {
 	return false
 }
 
-func (p *Parser) expectOp(op string) {
+func (p *parser) expectOp(op tokCode) {
 	if !p.acceptOp(op) {
-		p.errf("expected %q, found %q", op, p.tok.Text)
+		p.errf("expected %q, found %q", codeText[op], p.tok.Text)
 	}
 }
 
-func (p *Parser) expectIdent() string {
+func (p *parser) expectIdent() string {
 	if p.tok.Kind != TokIdent {
 		p.errf("expected identifier, found %q", p.tok.Text)
 		return ""
@@ -144,7 +176,7 @@ func (p *Parser) expectIdent() string {
 
 // optIdent consumes and returns the current token if it is an
 // identifier, and returns "" otherwise.
-func (p *Parser) optIdent() string {
+func (p *parser) optIdent() string {
 	if p.tok.Kind != TokIdent {
 		return ""
 	}
@@ -153,36 +185,38 @@ func (p *Parser) optIdent() string {
 
 // alias parses an optional alias: AS and an identifier, or a bare
 // identifier.
-func (p *Parser) alias() string {
-	if p.acceptKw("AS") {
+func (p *parser) alias() string {
+	if p.acceptKw(kwAs) {
 		return p.expectIdent()
 	}
 	return p.optIdent()
 }
 
 // identList parses one or more comma-separated identifiers.
-func (p *Parser) identList() []string {
+func (p *parser) identList() []string {
 	var names []string
 	for {
 		names = append(names, p.expectIdent())
-		if !p.acceptOp(",") {
-			return names
+		if !p.acceptOp(opComma) {
+			return slices.Clip(names)
 		}
 	}
 }
 
-// exprList parses one or more comma-separated expressions.
-func (p *Parser) exprList() []sqlast.Expr {
-	var list []sqlast.Expr
+// exprList parses one or more comma-separated expressions into *dst
+// (see lists) and returns the list's fix-up.
+func (p *parser) exprList(dst *[]sqlast.Expr) int {
+	l := &p.n.exprs
+	m := l.mark()
 	for {
-		list = append(list, p.parseExpr())
-		if !p.acceptOp(",") {
-			return list
+		l.push(p.parseExpr())
+		if !p.acceptOp(opComma) {
+			return l.end(m, dst)
 		}
 	}
 }
 
-func (p *Parser) expectInt() int64 {
+func (p *parser) expectInt() int64 {
 	if p.tok.Kind != TokInt {
 		p.errf("expected integer, found %q", p.tok.Text)
 		return 0
@@ -195,41 +229,41 @@ func (p *Parser) expectInt() int64 {
 	return n
 }
 
-func (p *Parser) parseStmt() sqlast.Stmt {
+func (p *parser) parseStmt() sqlast.Stmt {
 	switch {
-	case p.isKw("SELECT"):
+	case p.isKw(kwSelect):
 		return p.parseSelect()
-	case p.acceptKw("CREATE"):
+	case p.acceptKw(kwCreate):
 		return p.parseCreate()
-	case p.acceptKw("INSERT"):
+	case p.acceptKw(kwInsert):
 		return p.parseInsert()
-	case p.acceptKw("UPDATE"):
+	case p.acceptKw(kwUpdate):
 		return p.parseUpdate()
-	case p.acceptKw("DELETE"):
-		p.expectKw("FROM")
+	case p.acceptKw(kwDelete):
+		p.expectKw(kwFrom)
 		del := &sqlast.Delete{Table: p.expectIdent()}
-		if p.acceptKw("WHERE") {
+		if p.acceptKw(kwWhere) {
 			del.Where = p.parseExpr()
 		}
 		return del
-	case p.acceptKw("ALTER"):
+	case p.acceptKw(kwAlter):
 		return p.parseAlter()
-	case p.acceptKw("DROP"):
+	case p.acceptKw(kwDrop):
 		switch {
-		case p.acceptKw("TABLE"):
+		case p.acceptKw(kwTable):
 			return &sqlast.DropTable{Name: p.expectIdent()}
-		case p.acceptKw("VIEW"):
+		case p.acceptKw(kwView):
 			return &sqlast.DropView{Name: p.expectIdent()}
-		case p.acceptKw("INDEX"):
+		case p.acceptKw(kwIndex):
 			return &sqlast.DropIndex{Name: p.expectIdent()}
 		}
 		p.errf("expected TABLE, VIEW, or INDEX after DROP")
-	case p.acceptKw("ANALYZE"):
+	case p.acceptKw(kwAnalyze):
 		return &sqlast.Analyze{Table: p.optIdent()}
-	case p.acceptKw("REFRESH"):
-		p.expectKw("TABLE")
+	case p.acceptKw(kwRefresh):
+		p.expectKw(kwTable)
 		return &sqlast.Refresh{Table: p.expectIdent()}
-	case p.acceptKw("REINDEX"):
+	case p.acceptKw(kwReindex):
 		return &sqlast.Reindex{Name: p.optIdent()}
 	default:
 		p.errf("unexpected statement start %q", p.tok.Text)
@@ -237,36 +271,36 @@ func (p *Parser) parseStmt() sqlast.Stmt {
 	return nil
 }
 
-func (p *Parser) parseCreate() sqlast.Stmt {
-	unique := p.acceptKw("UNIQUE")
+func (p *parser) parseCreate() sqlast.Stmt {
+	unique := p.acceptKw(kwUnique)
 	switch {
-	case p.isKw("TABLE"):
+	case p.isKw(kwTable):
 		if unique {
 			p.errf("UNIQUE is not valid before TABLE")
 		}
 		return p.parseCreateTable()
-	case p.acceptKw("INDEX"):
+	case p.acceptKw(kwIndex):
 		ci := &sqlast.CreateIndex{Unique: unique, Name: p.expectIdent()}
-		p.expectKw("ON")
+		p.expectKw(kwOn)
 		ci.Table = p.expectIdent()
-		p.expectOp("(")
+		p.expectOp(opLParen)
 		ci.Columns = p.identList()
-		p.expectOp(")")
-		if p.acceptKw("WHERE") {
+		p.expectOp(opRParen)
+		if p.acceptKw(kwWhere) {
 			ci.Where = p.parseExpr()
 		}
 		return ci
-	case p.isKw("VIEW"):
+	case p.isKw(kwView):
 		if unique {
 			p.errf("UNIQUE is not valid before VIEW")
 		}
 		p.advance() // VIEW
 		cv := &sqlast.CreateView{Name: p.expectIdent()}
-		if p.acceptOp("(") {
+		if p.acceptOp(opLParen) {
 			cv.Columns = p.identList()
-			p.expectOp(")")
+			p.expectOp(opRParen)
 		}
-		p.expectKw("AS")
+		p.expectKw(kwAs)
 		cv.Select = p.parseSelect()
 		return cv
 	}
@@ -274,17 +308,17 @@ func (p *Parser) parseCreate() sqlast.Stmt {
 	return nil
 }
 
-func (p *Parser) parseType() sqlast.Type {
+func (p *parser) parseType() sqlast.Type {
 	if p.tok.Kind != TokKeyword {
 		p.errf("expected type name, found %q", p.tok.Text)
 	}
 	var t sqlast.Type
-	switch p.tok.Text {
-	case "INTEGER", "INT":
+	switch p.tok.code {
+	case kwInteger, kwInt:
 		t = sqlast.TypeInt
-	case "TEXT", "VARCHAR":
+	case kwText, kwVarchar:
 		t = sqlast.TypeText
-	case "BOOLEAN", "BOOL":
+	case kwBoolean, kwBool:
 		t = sqlast.TypeBool
 	default:
 		p.errf("unknown type %q", p.tok.Text)
@@ -295,19 +329,19 @@ func (p *Parser) parseType() sqlast.Type {
 
 // parseColumnDef parses a column's name, type and constraints: NOT
 // NULL, UNIQUE, and PRIMARY KEY where primaryKey allows it.
-func (p *Parser) parseColumnDef(primaryKey bool) sqlast.ColumnDef {
+func (p *parser) parseColumnDef(primaryKey bool) sqlast.ColumnDef {
 	col := sqlast.ColumnDef{Name: p.expectIdent(), Type: p.parseType()}
 	for {
 		switch {
-		case p.acceptKw("NOT"):
-			if !p.acceptKw("NULL") {
+		case p.acceptKw(kwNot):
+			if !p.acceptKw(kwNull) {
 				p.errf("expected NULL after NOT")
 			}
 			col.NotNull = true
-		case p.acceptKw("UNIQUE"):
+		case p.acceptKw(kwUnique):
 			col.Unique = true
-		case primaryKey && p.acceptKw("PRIMARY"):
-			p.expectKw("KEY")
+		case primaryKey && p.acceptKw(kwPrimary):
+			p.expectKw(kwKey)
 			col.PrimaryKey = true
 		default:
 			return col
@@ -315,38 +349,39 @@ func (p *Parser) parseColumnDef(primaryKey bool) sqlast.ColumnDef {
 	}
 }
 
-func (p *Parser) parseCreateTable() sqlast.Stmt {
+func (p *parser) parseCreateTable() sqlast.Stmt {
 	p.advance() // TABLE
 	ct := &sqlast.CreateTable{}
-	if p.acceptKw("IF") {
-		p.expectKw("NOT")
-		if !p.acceptKw("EXISTS") {
+	if p.acceptKw(kwIf) {
+		p.expectKw(kwNot)
+		if !p.acceptKw(kwExists) {
 			p.errf("expected EXISTS")
 		}
 		ct.IfNotExists = true
 	}
 	ct.Name = p.expectIdent()
-	p.expectOp("(")
+	p.expectOp(opLParen)
 	pkCols := map[string]bool{}
 	for {
-		if p.acceptKw("PRIMARY") {
-			p.expectKw("KEY")
-			p.expectOp("(")
+		if p.acceptKw(kwPrimary) {
+			p.expectKw(kwKey)
+			p.expectOp(opLParen)
 			for {
 				pkCols[strings.ToLower(p.expectIdent())] = true
-				if !p.acceptOp(",") {
+				if !p.acceptOp(opComma) {
 					break
 				}
 			}
-			p.expectOp(")")
+			p.expectOp(opRParen)
 		} else {
 			ct.Columns = append(ct.Columns, p.parseColumnDef(true))
 		}
-		if !p.acceptOp(",") {
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	p.expectOp(")")
+	p.expectOp(opRParen)
+	ct.Columns = slices.Clip(ct.Columns)
 	if len(ct.Columns) == 0 {
 		// "CREATE TABLE t (PRIMARY KEY (c))" would render as the
 		// unparsable "CREATE TABLE t ()".
@@ -360,58 +395,66 @@ func (p *Parser) parseCreateTable() sqlast.Stmt {
 	return ct
 }
 
-func (p *Parser) parseInsert() sqlast.Stmt {
+func (p *parser) parseInsert() sqlast.Stmt {
 	ins := &sqlast.Insert{}
-	if p.acceptKw("OR") {
-		if !p.acceptKw("IGNORE") {
+	if p.acceptKw(kwOr) {
+		if !p.acceptKw(kwIgnore) {
 			p.errf("expected IGNORE after OR")
 		}
 		ins.OrIgnore = true
 	}
-	p.expectKw("INTO")
+	p.expectKw(kwInto)
 	ins.Table = p.expectIdent()
-	if p.acceptOp("(") {
+	if p.acceptOp(opLParen) {
 		ins.Columns = p.identList()
-		p.expectOp(")")
+		p.expectOp(opRParen)
 	}
-	p.expectKw("VALUES")
+	p.expectKw(kwValues)
+	// Each row's list is bound to its slot in Rows once the number of
+	// rows is known.
 	for {
-		p.expectOp("(")
-		ins.Rows = append(ins.Rows, p.exprList())
-		p.expectOp(")")
-		if !p.acceptOp(",") {
-			return ins
-		}
-	}
-}
-
-func (p *Parser) parseUpdate() sqlast.Stmt {
-	up := &sqlast.Update{Table: p.expectIdent()}
-	p.expectKw("SET")
-	for {
-		col := p.expectIdent()
-		p.expectOp("=")
-		up.Sets = append(up.Sets, sqlast.Assignment{Column: col, Value: p.parseExpr()})
-		if !p.acceptOp(",") {
+		p.expectOp(opLParen)
+		p.rowFixes = append(p.rowFixes, p.exprList(nil))
+		p.expectOp(opRParen)
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	if p.acceptKw("WHERE") {
+	ins.Rows = make([][]sqlast.Expr, len(p.rowFixes))
+	for i, f := range p.rowFixes {
+		p.n.exprs.bind(f, &ins.Rows[i])
+	}
+	return ins
+}
+
+func (p *parser) parseUpdate() sqlast.Stmt {
+	up := &sqlast.Update{Table: p.expectIdent()}
+	p.expectKw(kwSet)
+	for {
+		col := p.expectIdent()
+		p.expectOp(opEq)
+		up.Sets = append(up.Sets, sqlast.Assignment{Column: col, Value: p.parseExpr()})
+		if !p.acceptOp(opComma) {
+			break
+		}
+	}
+	up.Sets = slices.Clip(up.Sets)
+	if p.acceptKw(kwWhere) {
 		up.Where = p.parseExpr()
 	}
 	return up
 }
 
-func (p *Parser) parseAlter() sqlast.Stmt {
-	p.expectKw("TABLE")
+func (p *parser) parseAlter() sqlast.Stmt {
+	p.expectKw(kwTable)
 	at := &sqlast.AlterTable{Table: p.expectIdent()}
 	switch {
-	case p.acceptKw("ADD"):
-		p.acceptKw("COLUMN") // optional
+	case p.acceptKw(kwAdd):
+		p.acceptKw(kwColumn) // optional
 		col := p.parseColumnDef(false)
 		at.AddColumn = &col
-	case p.acceptKw("DROP"):
-		p.acceptKw("COLUMN") // optional
+	case p.acceptKw(kwDrop):
+		p.acceptKw(kwColumn) // optional
 		at.DropColumn = p.expectIdent()
 	default:
 		p.errf("expected ADD or DROP after ALTER TABLE name")
@@ -422,78 +465,93 @@ func (p *Parser) parseAlter() sqlast.Stmt {
 // parseSelect parses a (possibly compound) query: one or more SELECT
 // cores joined by set operators, followed by ORDER BY / LIMIT / OFFSET
 // applying to the whole. The result is never nil.
-func (p *Parser) parseSelect() *sqlast.Select {
+func (p *parser) parseSelect() *sqlast.Select {
 	sel := p.parseSelectCore()
+	parts := &p.n.compounds
+	m := parts.mark()
 	for {
 		var op sqlast.SetOp
 		switch {
-		case p.acceptKw("UNION"):
+		case p.acceptKw(kwUnion):
 			op = sqlast.SetUnion
-			if p.acceptKw("ALL") {
+			if p.acceptKw(kwAll) {
 				op = sqlast.SetUnionAll
 			}
-		case p.acceptKw("INTERSECT"):
+		case p.acceptKw(kwIntersect):
 			op = sqlast.SetIntersect
-		case p.acceptKw("EXCEPT"):
+		case p.acceptKw(kwExcept):
 			op = sqlast.SetExcept
 		}
 		if op == sqlast.SetNone {
 			break
 		}
-		sel.Compound = append(sel.Compound, sqlast.CompoundPart{Op: op, Select: p.parseSelectCore()})
+		parts.push(sqlast.CompoundPart{Op: op, Select: p.parseSelectCore()})
 	}
-	if p.acceptKw("ORDER") {
-		p.expectKw("BY")
+	parts.end(m, &sel.Compound)
+	if p.acceptKw(kwOrder) {
+		p.expectKw(kwBy)
+		order := &p.n.orderBy
+		m := order.mark()
 		for {
-			item := sqlast.OrderItem{Expr: p.parseExpr(), Desc: p.acceptKw("DESC")}
+			item := sqlast.OrderItem{Expr: p.parseExpr(), Desc: p.acceptKw(kwDesc)}
 			if !item.Desc {
-				p.acceptKw("ASC")
+				p.acceptKw(kwAsc)
 			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if !p.acceptOp(",") {
+			order.push(item)
+			if !p.acceptOp(opComma) {
 				break
 			}
 		}
+		order.end(m, &sel.OrderBy)
 	}
-	if p.acceptKw("LIMIT") {
-		n := p.expectInt()
-		sel.Limit = &n
+	if p.acceptKw(kwLimit) {
+		sel.Limit = p.limit()
 	}
-	if p.acceptKw("OFFSET") {
-		n := p.expectInt()
-		sel.Offset = &n
+	if p.acceptKw(kwOffset) {
+		sel.Offset = p.limit()
 	}
 	return sel
 }
 
+// limit parses the count of a LIMIT or OFFSET.
+func (p *parser) limit() *int64 {
+	n := p.n.limits.new()
+	*n = p.expectInt()
+	return n
+}
+
 // parseSelectCore parses one SELECT ... [HAVING ...] block.
-func (p *Parser) parseSelectCore() *sqlast.Select {
-	p.expectKw("SELECT")
-	sel := &sqlast.Select{Distinct: p.acceptKw("DISTINCT")}
+func (p *parser) parseSelectCore() *sqlast.Select {
+	p.expectKw(kwSelect)
+	sel, room := p.n.newSelect()
+	sel.Distinct = p.acceptKw(kwDistinct)
+	items := &p.n.items
+	m := items.mark()
 	for {
-		sel.Items = append(sel.Items, p.parseSelectItem())
-		if !p.acceptOp(",") {
+		items.push(p.parseSelectItem())
+		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	if p.acceptKw("FROM") {
-		p.parseFrom(sel)
+	items.endShort(m, &sel.Items, room.items)
+	if p.acceptKw(kwFrom) {
+		p.parseFrom(sel, room)
 	}
-	if p.acceptKw("WHERE") {
+	if p.acceptKw(kwWhere) {
 		sel.Where = p.parseExpr()
 	}
-	if p.acceptKw("GROUP") {
-		p.expectKw("BY")
-		sel.GroupBy = p.exprList()
+	if p.acceptKw(kwGroup) {
+		p.expectKw(kwBy)
+		p.exprList(&sel.GroupBy)
 	}
-	if p.acceptKw("HAVING") {
+	if p.acceptKw(kwHaving) {
 		sel.Having = p.parseExpr()
 	}
 	return sel
 }
 
-func (p *Parser) parseSelectItem() sqlast.SelectItem {
-	if p.acceptOp("*") {
+func (p *parser) parseSelectItem() sqlast.SelectItem {
+	if p.acceptOp(opStar) {
 		return sqlast.SelectItem{Star: true}
 	}
 	e := p.parseExpr()
@@ -502,50 +560,66 @@ func (p *Parser) parseSelectItem() sqlast.SelectItem {
 
 // parseFrom parses the FROM list: a table reference, then any number
 // of joined ones, each with an optional ON condition.
-func (p *Parser) parseFrom(sel *sqlast.Select) {
+func (p *parser) parseFrom(sel *sqlast.Select, room selectRoom) {
+	from := &p.n.from
+	m := from.mark()
 	jt := sqlast.JoinNone
-	for {
-		item := sqlast.FromItem{Ref: p.parseTableRef(), Join: jt}
-		if jt != sqlast.JoinNone && p.acceptKw("ON") {
+	for i := 0; ; i++ {
+		var t *sqlast.TableName // the cell's table for this item, if any
+		if i < len(room.tables) {
+			t = &room.tables[i]
+		}
+		item := sqlast.FromItem{Ref: p.parseTableRef(t), Join: jt}
+		if jt != sqlast.JoinNone && p.acceptKw(kwOn) {
 			item.On = p.parseExpr()
 		}
-		sel.From = append(sel.From, item)
+		from.push(item)
 		switch {
-		case p.acceptOp(","):
+		case p.acceptOp(opComma):
 			jt = sqlast.JoinComma
-		case p.acceptKw("INNER"), p.isKw("JOIN"):
+		case p.acceptKw(kwInner), p.isKw(kwJoin):
 			jt = sqlast.JoinInner
-		case p.acceptKw("LEFT"):
+		case p.acceptKw(kwLeft):
 			jt = sqlast.JoinLeft
-			p.acceptKw("OUTER")
-		case p.acceptKw("RIGHT"):
+			p.acceptKw(kwOuter)
+		case p.acceptKw(kwRight):
 			jt = sqlast.JoinRight
-			p.acceptKw("OUTER")
-		case p.acceptKw("FULL"):
+			p.acceptKw(kwOuter)
+		case p.acceptKw(kwFull):
 			jt = sqlast.JoinFull
-			p.acceptKw("OUTER")
-		case p.acceptKw("CROSS"):
+			p.acceptKw(kwOuter)
+		case p.acceptKw(kwCross):
 			jt = sqlast.JoinCross
-		case p.acceptKw("NATURAL"):
+		case p.acceptKw(kwNatural):
 			jt = sqlast.JoinNatural
 		default:
+			from.endShort(m, &sel.From, room.from)
 			return
 		}
 		if jt != sqlast.JoinComma {
-			p.expectKw("JOIN")
+			p.expectKw(kwJoin)
 		}
 	}
 }
 
-func (p *Parser) parseTableRef() sqlast.TableRef {
-	if !p.acceptOp("(") {
-		return &sqlast.TableName{Name: p.expectIdent(), Alias: p.alias()}
+// parseTableRef parses a table name or a derived table. A table name
+// is stored in t unless t is nil.
+func (p *parser) parseTableRef(t *sqlast.TableName) sqlast.TableRef {
+	if !p.acceptOp(opLParen) {
+		if t == nil {
+			t = p.n.tables.new()
+		}
+		t.Name = p.expectIdent()
+		t.Alias = p.alias()
+		return t
 	}
-	sub := p.parseSelect()
-	p.expectOp(")")
+	d := p.n.derived.new()
+	d.Select = p.parseSelect()
+	p.expectOp(opRParen)
 	// The alias is mandatory for derived tables, but AS is optional.
-	if !p.acceptKw("AS") && p.tok.Kind != TokIdent {
+	if !p.acceptKw(kwAs) && p.tok.Kind != TokIdent {
 		p.errf("derived table requires an alias")
 	}
-	return &sqlast.DerivedTable{Select: sub, Alias: p.expectIdent()}
+	d.Alias = p.expectIdent()
+	return d
 }

@@ -23,69 +23,64 @@ const (
 	precConcat             // ||
 )
 
-func (p *Parser) parseExpr() sqlast.Expr { return p.parseBinary(precOr) }
+func (p *parser) parseExpr() sqlast.Expr { return p.parseBinary(precOr) }
 
 // infix returns the binary operator at the current token and its
 // binding power; a tail has power precCmp, and a token that continues
 // no expression has power 0.
-func (p *Parser) infix() (sqlast.BinaryOp, int) {
-	switch p.tok.Kind {
-	case TokKeyword:
-		switch p.tok.Text {
-		case "OR":
-			return sqlast.OpOr, precOr
-		case "XOR":
-			return sqlast.OpXor, precOr
-		case "AND":
-			return sqlast.OpAnd, precAnd
-		case "IS", "IN", "BETWEEN", "LIKE", "GLOB":
+func (p *parser) infix() (sqlast.BinaryOp, int) {
+	switch p.tok.code {
+	case kwOr:
+		return sqlast.OpOr, precOr
+	case kwXor:
+		return sqlast.OpXor, precOr
+	case kwAnd:
+		return sqlast.OpAnd, precAnd
+	case kwIs, kwIn, kwBetween, kwLike, kwGlob:
+		return 0, precCmp
+	case kwNot:
+		switch p.peek().code {
+		case kwIn, kwBetween, kwLike, kwGlob:
 			return 0, precCmp
-		case "NOT":
-			if p.peekKw("IN") || p.peekKw("BETWEEN") || p.peekKw("LIKE") || p.peekKw("GLOB") {
-				return 0, precCmp
-			}
 		}
-	case TokOp:
-		switch p.tok.Text {
-		case "=", "==":
-			return sqlast.OpEq, precCmp
-		case "!=":
-			return sqlast.OpNeq, precCmp
-		case "<>":
-			return sqlast.OpNeq2, precCmp
-		case "<":
-			return sqlast.OpLt, precCmp
-		case "<=":
-			return sqlast.OpLe, precCmp
-		case ">":
-			return sqlast.OpGt, precCmp
-		case ">=":
-			return sqlast.OpGe, precCmp
-		case "<=>":
-			return sqlast.OpNullSafeEq, precCmp
-		case "|":
-			return sqlast.OpBitOr, precBitwise
-		case "&":
-			return sqlast.OpBitAnd, precBitwise
-		case "^":
-			return sqlast.OpBitXor, precBitwise
-		case "<<":
-			return sqlast.OpShl, precBitwise
-		case ">>":
-			return sqlast.OpShr, precBitwise
-		case "+":
-			return sqlast.OpAdd, precAdd
-		case "-":
-			return sqlast.OpSub, precAdd
-		case "*":
-			return sqlast.OpMul, precMul
-		case "/":
-			return sqlast.OpDiv, precMul
-		case "%":
-			return sqlast.OpMod, precMul
-		case "||":
-			return sqlast.OpConcat, precConcat
-		}
+	case opEq, opEqEq:
+		return sqlast.OpEq, precCmp
+	case opNeq:
+		return sqlast.OpNeq, precCmp
+	case opNeq2:
+		return sqlast.OpNeq2, precCmp
+	case opLt:
+		return sqlast.OpLt, precCmp
+	case opLe:
+		return sqlast.OpLe, precCmp
+	case opGt:
+		return sqlast.OpGt, precCmp
+	case opGe:
+		return sqlast.OpGe, precCmp
+	case opNullSafeEq:
+		return sqlast.OpNullSafeEq, precCmp
+	case opPipe:
+		return sqlast.OpBitOr, precBitwise
+	case opAmp:
+		return sqlast.OpBitAnd, precBitwise
+	case opCaret:
+		return sqlast.OpBitXor, precBitwise
+	case opShl:
+		return sqlast.OpShl, precBitwise
+	case opShr:
+		return sqlast.OpShr, precBitwise
+	case opPlus:
+		return sqlast.OpAdd, precAdd
+	case opMinus:
+		return sqlast.OpSub, precAdd
+	case opStar:
+		return sqlast.OpMul, precMul
+	case opSlash:
+		return sqlast.OpDiv, precMul
+	case opPercent:
+		return sqlast.OpMod, precMul
+	case opConcat:
+		return sqlast.OpConcat, precConcat
 	}
 	return 0, 0
 }
@@ -96,10 +91,10 @@ func (p *Parser) infix() (sqlast.BinaryOp, int) {
 // it binds no tighter than the one applied last, and after a prefix
 // NOT's operand only AND, OR and XOR continue: "NOT EXISTS (SELECT 1)
 // = 1" leaves "= 1" unparsed, while "EXISTS (SELECT 1) = 1" parses.
-func (p *Parser) parseBinary(minPrec int) sqlast.Expr {
+func (p *parser) parseBinary(minPrec int) sqlast.Expr {
 	var left sqlast.Expr
 	maxPrec := precConcat
-	if minPrec <= precNot && p.isKw("NOT") {
+	if minPrec <= precNot && p.isKw(kwNot) {
 		left, maxPrec = p.parseNot(), precAnd
 	} else {
 		left = p.parseUnary()
@@ -115,194 +110,244 @@ func (p *Parser) parseBinary(minPrec int) sqlast.Expr {
 			continue
 		}
 		p.advance()
-		left = &sqlast.Binary{Op: op, L: left, R: p.parseBinary(prec + 1)}
+		b := p.n.binaries.new()
+		b.Op, b.L, b.R = op, left, p.parseBinary(prec+1)
+		left = b
 	}
 }
 
 // parseNot parses a prefix NOT and its operand; NOT EXISTS is one node.
-func (p *Parser) parseNot() sqlast.Expr {
-	if p.peekKw("EXISTS") {
+func (p *parser) parseNot() sqlast.Expr {
+	if p.peekKw(kwExists) {
 		p.advance() // NOT
 		ex := p.parseExists()
 		ex.Not = true
 		return ex
 	}
 	p.advance() // NOT
-	return &sqlast.Unary{Op: sqlast.UNot, X: p.parseBinary(precNot)}
+	u := p.n.unaries.new()
+	u.Op, u.X = sqlast.UNot, p.parseBinary(precNot)
+	return u
 }
 
 // parseTail parses the postfix tail at the current token applied to x.
-func (p *Parser) parseTail(x sqlast.Expr) sqlast.Expr {
-	if p.acceptKw("IS") {
-		not := p.acceptKw("NOT")
+func (p *parser) parseTail(x sqlast.Expr) sqlast.Expr {
+	if p.acceptKw(kwIs) {
+		not := p.acceptKw(kwNot)
 		switch {
-		case p.acceptKw("NULL"):
-			return &sqlast.IsNull{X: x, Not: not}
-		case p.acceptKw("TRUE"):
-			return &sqlast.IsBool{X: x, Val: true, Not: not}
-		case p.acceptKw("FALSE"):
-			return &sqlast.IsBool{X: x, Val: false, Not: not}
-		case p.acceptKw("DISTINCT"):
-			p.expectKw("FROM")
-			op := sqlast.OpIsDistinct
+		case p.acceptKw(kwNull):
+			n := p.n.isNulls.new()
+			n.X, n.Not = x, not
+			return n
+		case p.isKw(kwTrue), p.isKw(kwFalse):
+			b := p.n.isBools.new()
+			b.X, b.Val, b.Not = x, p.isKw(kwTrue), not
+			p.advance()
+			return b
+		case p.acceptKw(kwDistinct):
+			p.expectKw(kwFrom)
+			b := p.n.binaries.new()
+			b.Op, b.L = sqlast.OpIsDistinct, x
 			if not {
-				op = sqlast.OpIsNotDistinct
+				b.Op = sqlast.OpIsNotDistinct
 			}
-			return &sqlast.Binary{Op: op, L: x, R: p.parseBinary(precBitwise)}
+			b.R = p.parseBinary(precBitwise)
+			return b
 		}
 		p.errf("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
 		return x
 	}
-	not := p.acceptKw("NOT")
-	kw := p.tok.Text
+	not := p.acceptKw(kwNot)
+	kw := p.tok.code
 	p.advance()
 	switch kw {
-	case "IN":
-		p.expectOp("(")
-		in := &sqlast.InList{X: x, Not: not, List: p.exprList()}
-		p.expectOp(")")
+	case kwIn:
+		p.expectOp(opLParen)
+		in := p.n.inLists.new()
+		in.X, in.Not = x, not
+		p.exprList(&in.List)
+		p.expectOp(opRParen)
 		return in
-	case "BETWEEN":
-		lo := p.parseBinary(precBitwise)
-		p.expectKw("AND")
-		return &sqlast.Between{X: x, Lo: lo, Hi: p.parseBinary(precBitwise), Not: not}
+	case kwBetween:
+		b := p.n.betweens.new()
+		b.X, b.Not = x, not
+		b.Lo = p.parseBinary(precBitwise)
+		p.expectKw(kwAnd)
+		b.Hi = p.parseBinary(precBitwise)
+		return b
 	}
-	kind := sqlast.LikeLike
-	if kw == "GLOB" {
-		kind = sqlast.LikeGlob
+	l := p.n.likes.new()
+	l.X, l.Not, l.Kind = x, not, sqlast.LikeLike
+	if kw == kwGlob {
+		l.Kind = sqlast.LikeGlob
 	}
-	return &sqlast.Like{X: x, Pattern: p.parseBinary(precBitwise), Kind: kind, Not: not}
+	l.Pattern = p.parseBinary(precBitwise)
+	return l
 }
 
-func (p *Parser) parseUnary() sqlast.Expr {
+func (p *parser) parseUnary() sqlast.Expr {
 	var op sqlast.UnaryOp
-	switch {
-	case p.acceptOp("-"):
+	switch p.tok.code {
+	case opMinus:
+		p.advance()
 		if p.tok.Kind == TokInt {
 			return p.parseNegativeInt()
 		}
 		x := p.parseUnary()
 		// Fold unary minus into integer literals so "-1" and the
-		// renderer's negative literals are one canonical form.
+		// renderer's negative literals are one canonical form. The
+		// literal is this statement's own, so it is negated in place.
 		if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt {
-			return sqlast.IntLit(-lit.Int)
+			lit.Int = -lit.Int
+			return lit
 		}
-		return &sqlast.Unary{Op: sqlast.UMinus, X: x}
-	case p.acceptOp("+"):
+		u := p.n.unaries.new()
+		u.Op, u.X = sqlast.UMinus, x
+		return u
+	case opPlus:
 		op = sqlast.UPlus
-	case p.acceptOp("~"):
+	case opTilde:
 		op = sqlast.UBitNot
 	default:
 		return p.parsePrimary()
 	}
-	return &sqlast.Unary{Op: op, X: p.parseUnary()}
+	p.advance()
+	u := p.n.unaries.new()
+	u.Op, u.X = op, p.parseUnary()
+	return u
 }
 
 // parseNegativeInt parses the integer token after a unary minus as one
 // signed literal, so the rendering of math.MinInt64, whose magnitude has
 // no positive int64, parses back. Any other magnitude gives the same
 // literal as folding the minus into the parsed integer.
-func (p *Parser) parseNegativeInt() sqlast.Expr {
+func (p *parser) parseNegativeInt() sqlast.Expr {
 	u, err := strconv.ParseUint(p.tok.Text, 10, 64)
 	if err != nil || u > 1<<63 {
 		p.errf("invalid integer %q", p.tok.Text)
 	}
 	p.advance()
-	return sqlast.IntLit(-int64(u))
+	return p.intLit(-int64(u))
 }
 
-func (p *Parser) parsePrimary() sqlast.Expr {
-	switch {
-	case p.tok.Kind == TokInt:
-		return sqlast.IntLit(p.expectInt())
-	case p.tok.Kind == TokString:
-		s := p.tok.Text
+// intLit returns a new integer literal. Like every literal, it comes
+// from the statement's slab with an address of its own: no two nodes
+// share one, not even two NULLs.
+func (p *parser) intLit(v int64) *sqlast.Literal {
+	l := p.n.leaves.literal()
+	l.Kind, l.Int = sqlast.LitInt, v
+	return l
+}
+
+func (p *parser) parsePrimary() sqlast.Expr {
+	switch p.tok.Kind {
+	case TokInt:
+		return p.intLit(p.expectInt())
+	case TokString:
+		l := p.n.leaves.literal()
+		l.Kind, l.Text = sqlast.LitText, p.tok.Text
 		p.advance()
-		return sqlast.TextLit(s)
-	case p.acceptKw("NULL"):
-		return sqlast.Null()
-	case p.acceptKw("TRUE"):
-		return sqlast.BoolLit(true)
-	case p.acceptKw("FALSE"):
-		return sqlast.BoolLit(false)
-	case p.isKw("CASE"):
-		return p.parseCase()
-	case p.acceptKw("CAST"):
-		p.expectOp("(")
-		c := &sqlast.Cast{X: p.parseExpr()}
-		p.expectKw("AS")
-		c.To = p.parseType()
-		p.expectOp(")")
+		return l
+	case TokIdent:
+		name := p.tok.Text
+		p.advance()
+		if p.isOp(opLParen) {
+			return p.parseFuncCall(name)
+		}
+		c := p.n.leaves.column()
+		if p.acceptOp(opDot) {
+			c.Table, c.Column = name, p.expectIdent()
+		} else {
+			c.Column = name
+		}
 		return c
-	case p.isKw("EXISTS"):
+	}
+	switch p.tok.code {
+	case kwNull:
+		p.advance()
+		return p.n.leaves.literal() // the zero Literal is NULL
+	case kwTrue, kwFalse:
+		l := p.n.leaves.literal()
+		l.Kind, l.Bool = sqlast.LitBool, p.isKw(kwTrue)
+		p.advance()
+		return l
+	case kwCase:
+		return p.parseCase()
+	case kwCast:
+		p.advance()
+		p.expectOp(opLParen)
+		c := p.n.casts.new()
+		c.X = p.parseExpr()
+		p.expectKw(kwAs)
+		c.To = p.parseType()
+		p.expectOp(opRParen)
+		return c
+	case kwExists:
 		return p.parseExists()
-	case p.isOp("("):
-		sub := p.peekKw("SELECT")
+	case opLParen:
+		sub := p.peekKw(kwSelect)
 		p.advance()
 		var e sqlast.Expr
 		if sub {
-			e = &sqlast.Subquery{Select: p.parseSelect()}
+			s := p.n.subquery.new()
+			s.Select = p.parseSelect()
+			e = s
 		} else {
 			e = p.parseExpr()
 		}
-		p.expectOp(")")
+		p.expectOp(opRParen)
 		return e
-	case p.tok.Kind == TokIdent:
-		name := p.tok.Text
-		p.advance()
-		if p.isOp("(") {
-			return p.parseFuncCall(name)
-		}
-		if p.acceptOp(".") {
-			return &sqlast.ColumnRef{Table: name, Column: p.expectIdent()}
-		}
-		return &sqlast.ColumnRef{Column: name}
 	}
 	p.errf("unexpected token %q in expression", p.tok.Text)
 	return nil
 }
 
-func (p *Parser) parseFuncCall(name string) sqlast.Expr {
+func (p *parser) parseFuncCall(name string) sqlast.Expr {
 	p.advance() // (
-	f := &sqlast.Func{Name: strings.ToUpper(name)}
-	if p.acceptOp("*") {
+	f := p.n.funcs.new()
+	f.Name = strings.ToUpper(name)
+	if p.acceptOp(opStar) {
 		f.Star = true
 	} else {
-		f.Distinct = p.acceptKw("DISTINCT")
-		if !p.isOp(")") {
-			f.Args = p.exprList()
+		f.Distinct = p.acceptKw(kwDistinct)
+		if !p.isOp(opRParen) {
+			p.exprList(&f.Args)
 		}
 	}
-	p.expectOp(")")
+	p.expectOp(opRParen)
 	return f
 }
 
-func (p *Parser) parseCase() sqlast.Expr {
+func (p *parser) parseCase() sqlast.Expr {
 	p.advance() // CASE
-	c := &sqlast.Case{}
-	if !p.isKw("WHEN") {
+	c := p.n.cases.new()
+	if !p.isKw(kwWhen) {
 		c.Operand = p.parseExpr()
 	}
-	for p.acceptKw("WHEN") {
+	whens := &p.n.whens
+	m := whens.mark()
+	for p.acceptKw(kwWhen) {
 		cond := p.parseExpr()
-		p.expectKw("THEN")
-		c.Whens = append(c.Whens, sqlast.When{Cond: cond, Then: p.parseExpr()})
+		p.expectKw(kwThen)
+		whens.push(sqlast.When{Cond: cond, Then: p.parseExpr()})
 	}
-	if len(c.Whens) == 0 {
+	if whens.len(m) == 0 {
 		p.errf("CASE requires at least one WHEN arm")
 	}
-	if p.acceptKw("ELSE") {
+	whens.end(m, &c.Whens)
+	if p.acceptKw(kwElse) {
 		c.Else = p.parseExpr()
 	}
-	p.expectKw("END")
+	p.expectKw(kwEnd)
 	return c
 }
 
 // parseExists parses EXISTS (subquery); the result is never nil.
-func (p *Parser) parseExists() *sqlast.Exists {
+func (p *parser) parseExists() *sqlast.Exists {
 	p.advance() // EXISTS
-	p.expectOp("(")
-	ex := &sqlast.Exists{Select: p.parseSelect()}
-	p.expectOp(")")
+	p.expectOp(opLParen)
+	ex := p.n.exists.new()
+	ex.Select = p.parseSelect()
+	p.expectOp(opRParen)
 	return ex
 }

@@ -164,14 +164,15 @@ var errorFixtures = []struct{ sql, err string }{
 	{"INSERT INTO t VALUES", `syntax error at offset 20: expected "(", found ""`},
 	{"UPDATE t SET", `syntax error at offset 12: expected identifier, found ""`},
 	{"SELECT 1 2", `syntax error at offset 9: unexpected trailing input "2"`},
-	{"SELECT 'unterminated", `syntax error at offset 7: unexpected token "unterminated string literal" in expression`},
+	// An error at a lexer-error token reports the lexer's message.
+	{"SELECT 'unterminated", `syntax error at offset 7: unterminated string literal`},
 	// A derived table needs an alias.
 	{"SELECT * FROM (SELECT 1)", `syntax error at offset 24: derived table requires an alias`},
 	// CASE needs a WHEN; END is read as the missing operand.
 	{"SELECT CASE END", `syntax error at offset 12: unexpected token "END" in expression`},
 	{"DELETE t", `syntax error at offset 7: expected FROM, found "t"`},
 	{"CREATE UNIQUE TABLE t (c INTEGER)", `syntax error at offset 14: UNIQUE is not valid before TABLE`},
-	{"SELECT 1 $ 2", `syntax error at offset 9: unexpected trailing input "unexpected character '$'"`},
+	{"SELECT 1 $ 2", `syntax error at offset 9: unexpected character '$'`},
 	// int64 overflow, and a magnitude below math.MinInt64.
 	{"SELECT 9223372036854775808", `syntax error at offset 7: invalid integer "9223372036854775808"`},
 	{"SELECT -9223372036854775809", `syntax error at offset 8: invalid integer "9223372036854775809"`},

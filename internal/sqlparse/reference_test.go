@@ -1,6 +1,8 @@
 package sqlparse_test
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -13,7 +15,10 @@ import (
 
 // checkSameAsReference requires Parse and ParseExpr to agree with the
 // reference parser (parserref_test.go) on src: the same tree, with nil
-// and empty slices equal, or the same error text, offset included.
+// and empty slices equal, or the same error at the same offset. The
+// error text is the reference's too, except at a lexer-error token: the
+// parser reports the lexer's own message there, where the reference
+// quotes it in one of its own (lexerErrorText).
 func checkSameAsReference(t *testing.T, src string) {
 	t.Helper()
 	st, err := sqlparse.Parse(src)
@@ -26,11 +31,30 @@ func checkSameAsReference(t *testing.T, src string) {
 
 func sameResult(t *testing.T, fn, src string, got any, err error, want any, werr error) {
 	t.Helper()
-	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-		t.Fatalf("%s(%q) error\n  got  %v\n  want %v (reference)", fn, src, err, werr)
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != lexerErrorText(src, werr) {
+		t.Fatalf("%s(%q) error\n  got  %v\n  want %v (reference: %v)", fn, src, err, lexerErrorText(src, werr), werr)
 	}
 	if !sameTree(reflect.ValueOf(got), reflect.ValueOf(want)) {
 		t.Fatalf("%s(%q) builds a different tree than the reference parser", fn, src)
+	}
+}
+
+// lexerErrorText returns the text of the reference's error werr on src,
+// with the lexer's message in place of the reference's when the token at
+// the error's offset is a lexer error.
+func lexerErrorText(src string, werr error) string {
+	var se *sqlparse.SyntaxError
+	if !errors.As(werr, &se) {
+		return fmt.Sprint(werr)
+	}
+	for lex := sqlparse.NewLexer(src); ; {
+		tok := lex.Next()
+		if tok.Pos == se.Pos && tok.Kind == sqlparse.TokError {
+			return (&sqlparse.SyntaxError{Msg: tok.Text, Pos: se.Pos}).Error()
+		}
+		if tok.Pos >= se.Pos || tok.Kind == sqlparse.TokEOF {
+			return werr.Error()
+		}
 	}
 }
 
