@@ -82,35 +82,65 @@ type Result struct {
 	PairsRepeated int
 }
 
-// multiset builds a count map over rendered rows.
-func multiset(res *engine.Result) map[string]int {
-	m := map[string]int{}
-	for _, r := range res.RenderRows() {
-		m[r]++
-	}
+// rowCounts is a multiset of rendered rows: index maps a row's text to
+// its slot in counts.
+type rowCounts struct {
+	index  map[string]int
+	counts []int
+}
+
+// newRowCounts returns an empty multiset with room for rows distinct
+// rows.
+func newRowCounts(rows int) *rowCounts {
+	return &rowCounts{index: map[string]int{}, counts: make([]int, 0, rows)}
+}
+
+// multiset builds the multiset of res's rows.
+func multiset(res *engine.Result) *rowCounts {
+	m := newRowCounts(len(res.Rows))
+	m.add(res)
 	return m
 }
 
-// diffMultisets describes the difference between two row multisets.
-func diffMultisets(a, b map[string]int) string {
-	var keys []string
-	seen := map[string]bool{}
-	for k := range a {
-		if !seen[k] {
-			keys = append(keys, k)
-			seen[k] = true
+// add adds res's rows to m. Each row renders into one reused buffer, so
+// only a row not seen before allocates, for its key.
+func (m *rowCounts) add(res *engine.Result) {
+	var buf [128]byte
+	row := buf[:0]
+	for i := range res.Rows {
+		row = res.AppendRow(row[:0], i)
+		if j, ok := m.index[string(row)]; ok {
+			m.counts[j]++
+			continue
 		}
+		m.index[string(row)] = len(m.counts)
+		m.counts = append(m.counts, 1)
 	}
-	for k := range b {
-		if !seen[k] {
+}
+
+// count returns the number of copies of row in m.
+func (m *rowCounts) count(row string) int {
+	if j, ok := m.index[row]; ok {
+		return m.counts[j]
+	}
+	return 0
+}
+
+// diffMultisets describes the difference between two row multisets.
+func diffMultisets(a, b *rowCounts) string {
+	keys := make([]string, 0, len(a.index)+len(b.index))
+	for k := range a.index {
+		keys = append(keys, k)
+	}
+	for k := range b.index {
+		if _, ok := a.index[k]; !ok {
 			keys = append(keys, k)
-			seen[k] = true
 		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if a[k] != b[k] {
-			return fmt.Sprintf("row %q: %d vs %d", k, a[k], b[k])
+		if na, nb := a.count(k), b.count(k); na != nb {
+			return fmt.Sprintf("row %q: %d vs %d", k, na, nb)
 		}
 	}
 	return ""
@@ -198,7 +228,7 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 		return r.result(TLPName, Invalid, err, "")
 	}
 
-	union := map[string]int{}
+	union := newRowCounts(len(baseRes.Rows))
 	for _, p := range tlpPartitions(pred) {
 		part := derive(base)
 		part.Where = p
@@ -206,9 +236,7 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 		if err != nil {
 			return r.result(TLPName, Invalid, err, "")
 		}
-		for row, n := range multiset(res) {
-			union[row] += n
-		}
+		union.add(res)
 	}
 	if d := diffMultisets(multiset(baseRes), union); d != "" {
 		return r.result(TLPName, Bug, nil,

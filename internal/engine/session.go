@@ -19,6 +19,12 @@ type Result struct {
 	Rows    [][]Value
 }
 
+// AppendRow appends the canonical textual form of row i (as RenderRows
+// renders it) to buf, so a caller can render rows into one buffer.
+func (r *Result) AppendRow(buf []byte, i int) []byte {
+	return appendRow(buf, r.Rows[i])
+}
+
 // RenderRows returns the canonical textual form of each row, used by the
 // oracles' multiset comparison. Each row renders through a strings.Builder
 // (linear in the row's width, unlike naive += concatenation).
