@@ -44,6 +44,11 @@ type parser struct {
 
 var parsers = sync.Pool{New: func() any { return new(parser) }}
 
+// maxPooledTokens bounds the statements whose parser goes back to the
+// pool: the parser of a longer one is dropped, so that one huge input
+// does not pin its buffers.
+const maxPooledTokens = 1 << 12
+
 // newParser takes a pooled parser, lexes src into its token buffer and
 // sizes the statement's slabs.
 func newParser(src string) *parser {
@@ -75,7 +80,9 @@ func (p *parser) finish() error {
 	p.n.reset() // the token buffer refers to the source only, not to the tree
 	p.toks, p.rowFixes = p.toks[:0], p.rowFixes[:0]
 	p.lex, p.i, p.tok, p.err = Lexer{}, 0, nil, nil
-	parsers.Put(p)
+	if cap(p.toks) <= maxPooledTokens {
+		parsers.Put(p)
+	}
 	if err != nil {
 		return err
 	}

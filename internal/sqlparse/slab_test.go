@@ -1,7 +1,9 @@
 package sqlparse_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,10 +14,15 @@ import (
 
 // slabCorpus is the rendered select corpus followed by generated setup
 // statements (CREATE, INSERT with several rows, ALTER, ...), so every
-// list kind the parser carves appears.
+// list kind the parser carves appears, and by one statement too long
+// for its parser to go back to the pool.
 func slabCorpus(tb testing.TB) []string {
 	tb.Helper()
-	var texts []string
+	long := []string{"SELECT c0 FROM t0 WHERE c0 IN (0"}
+	for i := 1; i < 3000; i++ {
+		long = append(long, fmt.Sprint(i))
+	}
+	texts := []string{strings.Join(long, ", ") + ")"}
 	for _, sel := range selectCorpus(tb) {
 		texts = append(texts, sel.SQL())
 	}
