@@ -335,6 +335,11 @@ type Report struct {
 	// merges by union, so resumed and sharded campaigns schedule — and
 	// count — identically to uninterrupted serial ones.
 	PlanPairState []byte
+	// tracker and pairs are the trackers behind FeedbackState and
+	// PlanPairState; their JSON is written where the state leaves the
+	// process (saveState), and a shard hands them to the merge as they are.
+	tracker *feedback.Tracker
+	pairs   *feedback.PairTracker
 	// Unsupported lists the features learned to be unsupported.
 	Unsupported []string
 	// GroundTruthFaults lists the distinct injected fault IDs among all
@@ -543,14 +548,15 @@ func New(cfg Config) (*Runner, error) {
 	}, nil
 }
 
-// Tracker exposes the feedback tracker (tests and experiments).
-func (r *Runner) Tracker() *feedback.Tracker { return r.tracker }
-
 // Run executes the campaign, reduces its prioritized bugs, and returns
-// its report. A reduction that cannot parse its bug's statements, or
-// that panics outside the reducer's own recovery boundaries, fails Run.
+// its report with its trackers' state. A state that fails to serialize,
+// or a reduction that cannot parse its bug's statements or that panics
+// outside the reducer's own recovery boundaries, fails Run.
 func (r *Runner) Run() (*Report, error) {
 	rep := r.run()
+	if err := rep.saveState(); err != nil {
+		return nil, err
+	}
 	if err := reduceBugs(r.cfg, rep.Bugs, 1, sqlparse.NewCache(parseCacheSize)); err != nil {
 		return nil, err
 	}
@@ -1175,17 +1181,10 @@ func sanitizeStack(stack []byte) string {
 	return strings.Join(out, "\n")
 }
 
-// finishReport computes the ground-truth uniqueness statistics.
+// finishReport hands the report the runner's trackers and computes the
+// ground-truth uniqueness statistics.
 func (r *Runner) finishReport() {
-	state, err := r.tracker.Save()
-	if err == nil {
-		r.report.FeedbackState = state
-	}
-	if r.pairs != nil {
-		if ps, err := r.pairs.SaveState(); err == nil {
-			r.report.PlanPairState = ps
-		}
-	}
+	r.report.tracker, r.report.pairs = r.tracker, r.pairs
 	r.report.Unsupported = r.tracker.Unsupported()
 
 	// UniquePrioritized counts distinct injected faults among the
@@ -1200,6 +1199,32 @@ func (r *Runner) finishReport() {
 	r.report.UniquePrioritized = len(pri)
 	r.report.UniqueGroundTruth = len(r.allFaults)
 	r.report.GroundTruthFaults = sortedKeys(r.allFaults)
+}
+
+// saveState writes the report's trackers as FeedbackState and
+// PlanPairState, for where the state leaves the process.
+func (rep *Report) saveState() (err error) {
+	if rep.tracker != nil {
+		rep.FeedbackState, err = rep.tracker.Save()
+	}
+	if rep.pairs != nil && err == nil {
+		rep.PlanPairState, err = rep.pairs.SaveState()
+	}
+	return err
+}
+
+// loadState decodes a restored report's FeedbackState and PlanPairState
+// into its trackers.
+func (rep *Report) loadState() (err error) {
+	if rep.FeedbackState != nil {
+		rep.tracker = feedback.New()
+		err = rep.tracker.Load(rep.FeedbackState)
+	}
+	if rep.PlanPairState != nil && err == nil {
+		rep.pairs = feedback.NewPairTracker()
+		err = rep.pairs.LoadState(rep.PlanPairState)
+	}
+	return err
 }
 
 // pairsOrNil converts the runner's tracker pointer to the oracle-facing

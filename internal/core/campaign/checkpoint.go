@@ -75,7 +75,8 @@ const checkpointVersion = 3
 
 // checkpointFile is campaign progress: which shards have completed and
 // their full reports. Reports round-trip losslessly through JSON (every
-// field is exported; FeedbackState is base64), which is what makes a
+// field but the trackers is exported, and the trackers travel as
+// FeedbackState and PlanPairState, in base64), which is what makes a
 // resumed merge byte-identical to an uninterrupted one.
 type checkpointFile struct {
 	// Fingerprint pins the resolved configuration (including an FNV-1a
@@ -256,8 +257,12 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 
 	var mu sync.Mutex
 	err := par.ForEach(nShards, workers, func(i int) error {
-		if cp.Shards[i] != nil {
-			return nil // restored from the checkpoint
+		if rep := cp.Shards[i]; rep != nil {
+			// Restored from the checkpoint: its state is decoded once, here.
+			if err := rep.loadState(); err != nil {
+				return fmt.Errorf("campaign: restoring shard %d: %w", i, err)
+			}
+			return nil
 		}
 		if shardStartHook != nil {
 			shardStartHook(i)
@@ -271,12 +276,14 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 		if err != nil {
 			return err
 		}
-		// Encode outside the lock: each shard is encoded exactly once,
-		// and a save only appends finished records.
+		// Encode outside the lock: each shard, with its trackers' JSON, is
+		// encoded exactly once, and a save only appends finished records.
 		var rec []byte
 		var encErr error
 		if ckpt != nil {
-			rec, encErr = encodeRecord(ckptRecord{Shard: i, Report: rep})
+			if encErr = rep.saveState(); encErr == nil {
+				rec, encErr = encodeRecord(ckptRecord{Shard: i, Report: rep})
+			}
 		}
 		mu.Lock()
 		defer mu.Unlock()

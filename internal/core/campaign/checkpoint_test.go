@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,28 +82,26 @@ func restoredShards(t *testing.T, cfg Config, path string) int {
 	return journalShards(cfg, path)
 }
 
-// interruptWhen returns a channel that closes once cond holds. The
-// polling goroutine exits by the end of the test either way.
-func interruptWhen(t *testing.T, cond func() bool) <-chan struct{} {
-	ch, stop := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !cond() {
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond):
-			}
+// runInterruptedAt runs cfg with opts and a checkpoint, interrupting it
+// as shard k starts: shard k waits there until shards 0 to k-1 are in the
+// journal, so it never runs, no shard before it is skipped, and the
+// journal stops at exactly k records. With k at or past the shard count
+// the run completes. The hook is reset before it returns.
+func runInterruptedAt(cfg Config, opts ShardedOptions, k int) error {
+	interrupt := make(chan struct{})
+	shardStartHook = func(shard int) {
+		if shard != k {
+			return
 		}
-		close(ch)
-	}()
-	t.Cleanup(func() {
-		close(stop)
-		wg.Wait()
-	})
-	return ch
+		for journalShards(cfg, opts.CheckpointPath) < k {
+			time.Sleep(time.Millisecond)
+		}
+		close(interrupt)
+	}
+	defer func() { shardStartHook = nil }()
+	opts.Interrupt = interrupt
+	_, err := RunShardedOpts(cfg, opts)
+	return err
 }
 
 // bugHuntCfg is a cratedb campaign with every default oracle and bug

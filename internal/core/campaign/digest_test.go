@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,11 +30,19 @@ const (
 	digestPerfLimit = 500_000
 )
 
+// digestResumeShard is where the workers2-resume runs are interrupted:
+// the resume restores shards 0 and 1 from the journal, decoding their
+// state, and runs the rest.
+const digestResumeShard = 2
+
 // TestReportDigests pins the merged report and the -state bytes of
 // every built-in dialect, faults armed, at one seed, in four modes: the
 // serial runner; RunShardedOpts at 2 and at 8 workers with a checkpoint;
 // and RunShardedOpts at 2 workers under "shard-error=1x2" chaos, whose
-// shard 1 fails twice and passes on its last retry. It
+// shard 1 fails twice and passes on its last retry. The file ends with a
+// fifth mode per dialect, workers2-resume: a 2-worker checkpointed run
+// interrupted as shard digestResumeShard starts, then resumed, whose
+// line must hash like workers2-ckpt. It
 // sees a change that moves every worker count alike, which the
 // equalities between worker counts cannot. A change that moves a line
 // must say why; go test -run TestReportDigests -update rewrites the
@@ -42,6 +51,15 @@ func TestReportDigests(t *testing.T) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# dialect mode sha256(report json) sha256(state): seed %d, %d cases, faults armed, perf limit %d\n",
 		digestSeed, digestCases, digestPerfLimit)
+	var resumes strings.Builder
+	digests := map[string]string{}
+	line := func(w *strings.Builder, name, mode string, rep *Report) {
+		if rep.FalsePositives != 0 {
+			t.Errorf("%s %s: %d false positives", name, mode, rep.FalsePositives)
+		}
+		digests[mode] = fmt.Sprintf("%x %x", sha256.Sum256(marshalReport(t, rep)), sha256.Sum256(rep.FeedbackState))
+		fmt.Fprintf(w, "%s %s %s\n", name, mode, digests[mode])
+	}
 	for _, name := range dialect.Names() {
 		cfg := Config{
 			Dialect:       dialect.MustGet(name),
@@ -79,14 +97,19 @@ func TestReportDigests(t *testing.T) {
 			{"workers2-chaos", sharded("workers2-chaos", chaosCfg, ShardedOptions{
 				Workers: 2, RetryBackoff: -1})},
 		} {
-			if r.rep.FalsePositives != 0 {
-				t.Errorf("%s %s: %d false positives", name, r.mode, r.rep.FalsePositives)
-			}
-			fmt.Fprintf(&b, "%s %s %x %x\n", name, r.mode,
-				sha256.Sum256(marshalReport(t, r.rep)), sha256.Sum256(r.rep.FeedbackState))
+			line(&b, name, r.mode, r.rep)
+		}
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := runInterruptedAt(cfg, ShardedOptions{Workers: 2, CheckpointPath: path}, digestResumeShard); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%s workers2-resume: interrupted run returned %v, want ErrInterrupted", name, err)
+		}
+		line(&resumes, name, "workers2-resume", sharded("workers2-resume", cfg, ShardedOptions{
+			Workers: 2, CheckpointPath: path, Resume: true}))
+		if digests["workers2-resume"] != digests["workers2-ckpt"] {
+			t.Errorf("%s: the resumed run differs from the uninterrupted workers2-ckpt run", name)
 		}
 	}
-	got := b.String()
+	got := b.String() + resumes.String()
 	if *updateDigests {
 		if err := os.WriteFile(digestPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

@@ -221,8 +221,8 @@ func fuzzConfig(data []byte) (Config, int, int) {
 // and worker counts, a campaign on a fault-free engine never panics or
 // fails, reports no false positive, and its merged report is
 // byte-identical at 1 worker, 3 workers and the drawn worker count, and
-// after an interrupt once the checkpoint holds the drawn number of
-// shards followed by a resume. The serial runner must run the same
+// after an interrupt as the drawn shard starts, which leaves exactly the
+// shards before it checkpointed, followed by a resume. The serial runner must run the same
 // campaign cleanly too.
 func FuzzCampaign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -255,19 +255,20 @@ func FuzzCampaign(f *testing.F) {
 			}
 		}
 
-		// The interrupt lands at a shard boundary once k shards are
-		// checkpointed, or the campaign finishes first; either way the
-		// resume must end at the same bytes.
+		// The interrupt leaves exactly k shards in the journal; with k the
+		// shard count the campaign finishes instead. Either way the resume
+		// must end at the same bytes.
 		path := filepath.Join(t.TempDir(), "run.ckpt")
-		_, err = RunShardedOpts(cfg, ShardedOptions{
-			Workers: workers, CheckpointPath: path,
-			Interrupt: interruptWhen(t, func() bool { return journalShards(cfg, path) >= k }),
-		})
-		if err != nil && !errors.Is(err, ErrInterrupted) {
+		err = runInterruptedAt(cfg, ShardedOptions{Workers: workers, CheckpointPath: path}, k)
+		if k < ShardCount(cfg) {
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("run interrupted at shard %d returned %v, want ErrInterrupted", k, err)
+			}
+			if n := journalShards(cfg, path); n != k {
+				t.Fatalf("interrupted with %d shards checkpointed, want exactly %d", n, k)
+			}
+		} else if err != nil {
 			t.Fatal(err)
-		}
-		if err != nil && journalShards(cfg, path) < k {
-			t.Fatalf("interrupted with %d shards checkpointed, want at least %d", journalShards(cfg, path), k)
 		}
 		resumed, err := RunShardedOpts(cfg, ShardedOptions{Workers: workers, CheckpointPath: path, Resume: true})
 		if err != nil {

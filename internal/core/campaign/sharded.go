@@ -83,11 +83,12 @@ func shardConfigs(cfg Config) []Config {
 // counts (preserving "ID = position among detected cases"); bugs
 // prioritized within their shard replay through a fresh global
 // prioritizer so feature-subsumed duplicates across shards are dropped
-// exactly as a serial prioritizer would drop them; feedback states merge
-// via Tracker.MergeState followed by one posterior update over the
-// pooled evidence. Ground-truth fault sets union. Every step is a
-// deterministic function of the shard reports, which are themselves
-// deterministic per shard seed.
+// exactly as a serial prioritizer would drop them; the shards' trackers
+// fold into one (Tracker.Merge, PairTracker.Merge) followed by one
+// posterior update over the pooled evidence, whose JSON is the merged
+// FeedbackState and PlanPairState. Ground-truth fault sets union. Every
+// step is a deterministic function of the shard reports, which are
+// themselves deterministic per shard seed.
 //
 // A quarantined shard's placeholder contributes only its retry count and
 // a QuarantinedShards entry (shard ordinal, derived seed, case count —
@@ -102,7 +103,7 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 		PrioritizedByClass: map[BugClass]int{},
 	}
 	// The merged tracker starts empty: each shard already loaded
-	// Config.FeedbackState, so its saved state carries those priors
+	// Config.FeedbackState, so its tracker carries those priors
 	// (deduplicated below before the posterior update).
 	tracker := newTracker(cfg)
 	// Plan-pair union: shards record their own pairs (and, on resume,
@@ -113,7 +114,7 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 	faults := map[string]bool{}
 	priFaults := map[string]bool{}
 	shards := shardConfigs(cfg)
-	// nLive counts the shards whose feedback state made it into the pool
+	// nLive counts the shards whose tracker made it into the pool
 	// — the divisor for the warm-start discount below. Quarantined shards
 	// contributed nothing, so counting len(reps) would over-discount.
 	nLive := 0
@@ -161,16 +162,12 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 			nc.ID += idOffset
 			merged.AllCases = append(merged.AllCases, &nc)
 		}
-		if rep.FeedbackState != nil {
-			if err := tracker.MergeState(rep.FeedbackState); err != nil {
-				return nil, fmt.Errorf("campaign: merging shard feedback: %w", err)
-			}
+		if rep.tracker != nil {
+			tracker.Merge(rep.tracker)
 			nLive++
 		}
-		if rep.PlanPairState != nil {
-			if err := pairs.MergeState(rep.PlanPairState); err != nil {
-				return nil, fmt.Errorf("campaign: merging shard plan pairs: %w", err)
-			}
+		if rep.pairs != nil {
+			pairs.Merge(rep.pairs)
 		}
 	}
 
@@ -178,38 +175,29 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 	merged.GroundTruthFaults = sortedKeys(faults)
 	merged.UniquePrioritized = len(priFaults)
 
-	// Every live shard's saved state re-includes the warm-start prior it
+	// Every live shard's tracker re-includes the warm-start prior it
 	// was seeded with; keep exactly one copy of that prior in the pooled
 	// evidence. The divisor is the live shard count, not len(reps):
 	// quarantined shards never contributed their copy. With no live
 	// shards at all, merge the prior in directly so a fully-degraded run
 	// still hands the warm start forward.
 	if cfg.FeedbackState != nil {
-		if nLive > 1 {
-			if err := tracker.DiscountState(cfg.FeedbackState, nLive-1); err != nil {
-				return nil, fmt.Errorf("campaign: discounting warm-start prior: %w", err)
-			}
-		} else if nLive == 0 {
-			if err := tracker.MergeState(cfg.FeedbackState); err != nil {
-				return nil, fmt.Errorf("campaign: preserving warm-start prior: %w", err)
-			}
+		prior := feedback.New()
+		if err := prior.Load(cfg.FeedbackState); err != nil {
+			return nil, fmt.Errorf("campaign: loading warm-start prior: %w", err)
+		}
+		if nLive == 0 {
+			tracker.Merge(prior)
+		} else {
+			tracker.Discount(prior, nLive-1)
 		}
 	}
 	tracker.Update()
+	merged.tracker, merged.Unsupported = tracker, tracker.Unsupported()
+	if !cfg.NoPlanPairSched {
+		merged.pairs = pairs
+	}
 	// A state that fails to serialize is lost feedback, not a cosmetic
 	// miss: fail the merge loudly instead of silently dropping it.
-	state, err := tracker.Save()
-	if err != nil {
-		return nil, fmt.Errorf("campaign: saving merged feedback state: %w", err)
-	}
-	merged.FeedbackState = state
-	if !cfg.NoPlanPairSched {
-		state, err := pairs.SaveState()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: saving merged plan-pair state: %w", err)
-		}
-		merged.PlanPairState = state
-	}
-	merged.Unsupported = tracker.Unsupported()
-	return merged, nil
+	return merged, merged.saveState()
 }

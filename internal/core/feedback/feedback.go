@@ -40,7 +40,7 @@ type featureStats struct {
 // ID; feature names appear only in its saved state.
 //
 // A Tracker is not safe for concurrent use: each campaign runner owns
-// its own, and shard trackers meet only through saved state.
+// its own, and the shard merge folds finished shard trackers.
 type Tracker struct {
 	threshold   float64
 	confidence  float64
@@ -51,9 +51,11 @@ type Tracker struct {
 	// feedback is recorded but never suppresses anything.
 	enabled bool
 
-	// stats[id] is meaningful for the features in known: those recorded
-	// or loaded, which the saved state lists.
-	stats       *[feature.NumIDs]featureStats
+	// stats[slot[id]] holds the counters of each feature in known: those
+	// recorded or loaded, which the saved state lists. Only they take
+	// counters, so a finished shard's tracker stays small until the merge.
+	slot        [feature.NumIDs]uint16
+	stats       []featureStats
 	known       feature.Set
 	unsupported feature.Set
 	sinceUpdate int
@@ -98,16 +100,12 @@ func New(opts ...Option) *Tracker {
 		ddlMax:      DefaultDDLMaxFailures,
 		updateEvery: DefaultUpdateInterval,
 		enabled:     true,
-		stats:       new([feature.NumIDs]featureStats),
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	return t
 }
-
-// Enabled reports whether suppression is active.
-func (t *Tracker) Enabled() bool { return t.enabled }
 
 // RecordQuery records the outcome of a query containing the named
 // features; names outside the feature table are ignored.
@@ -131,9 +129,8 @@ func (t *Tracker) RecordQuerySet(s *feature.Set, ok bool) { t.record(s, ok, fals
 func (t *Tracker) RecordDDLSet(s *feature.Set, ok bool) { t.record(s, ok, true) }
 
 func (t *Tracker) record(s *feature.Set, ok bool, ddl bool) {
-	t.known.Union(s)
 	for id, more := s.Next(0); more; id, more = s.Next(id + 1) {
-		st := &t.stats[id]
+		st := t.stat(id)
 		st.N++
 		st.DDL = st.DDL || ddl
 		if ok {
@@ -149,12 +146,25 @@ func (t *Tracker) record(s *feature.Set, ok bool, ddl bool) {
 	}
 }
 
+const _ uint16 = feature.NumIDs - 1 // every feature ID fits a slot index
+
+// stat returns id's counters, giving the feature its slot when the
+// tracker first sees it.
+func (t *Tracker) stat(id feature.ID) *featureStats {
+	if !t.known.Has(id) {
+		t.known.Add(id)
+		t.slot[id] = uint16(len(t.stats))
+		t.stats = append(t.stats, featureStats{})
+	}
+	return &t.stats[t.slot[id]]
+}
+
 // Update forces a posterior update (step 3 of Figure 5).
 func (t *Tracker) Update() {
 	t.sinceUpdate = 0
 	t.updates++
 	for id, ok := t.known.Next(0); ok; id, ok = t.known.Next(id + 1) {
-		st := &t.stats[id]
+		st := t.stat(id)
 		if st.DDL {
 			// DDL/DML rule: repeated consecutive failures ⇒ unsupported.
 			if st.ConsecFail >= t.ddlMax {
@@ -197,10 +207,10 @@ func (t *Tracker) Unsupported() []string { return t.unsupported.Names() }
 // Stats returns (N, y) for a feature.
 func (t *Tracker) Stats(f string) (n, y int) {
 	id, ok := feature.Lookup(f)
-	if !ok {
+	if !ok || !t.known.Has(id) {
 		return 0, 0
 	}
-	st := &t.stats[id]
+	st := t.stat(id)
 	return st.N, st.Y
 }
 
@@ -215,7 +225,7 @@ type snapshot struct {
 func (t *Tracker) Save() ([]byte, error) {
 	snap := snapshot{Stats: make(map[string]*featureStats, t.known.Len())}
 	for id, ok := t.known.Next(0); ok; id, ok = t.known.Next(id + 1) {
-		snap.Stats[feature.Name(id)] = &t.stats[id]
+		snap.Stats[feature.Name(id)] = t.stat(id)
 	}
 	if !t.unsupported.Empty() {
 		snap.Unsupported = t.unsupported.Names()
@@ -223,29 +233,22 @@ func (t *Tracker) Save() ([]byte, error) {
 	return json.MarshalIndent(snap, "", "  ")
 }
 
-// decoded is a saved state with its feature names resolved to IDs.
-type decoded struct {
-	stats       [feature.NumIDs]featureStats
-	known       feature.Set
-	unsupported feature.Set
-}
-
-// decode parses a saved state; a feature name outside the table is an
-// error that names it.
-func decode(data []byte) (*decoded, error) {
+// decode parses a saved state into a tracker that holds its counts and
+// classifications; a feature name outside the table is an error that
+// names it.
+func decode(data []byte) (*Tracker, error) {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, err
 	}
-	d := &decoded{}
+	d := &Tracker{}
 	for name, st := range snap.Stats {
 		id, ok := feature.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("feedback state: %w", &feature.UnknownError{Name: name})
 		}
-		d.known.Add(id)
-		if st != nil {
-			d.stats[id] = *st
+		if dst := d.stat(id); st != nil {
+			*dst = *st
 		}
 	}
 	u, err := feature.SetOf(snap.Unsupported)
@@ -256,63 +259,51 @@ func decode(data []byte) (*decoded, error) {
 	return d, nil
 }
 
-// MergeState folds another tracker's saved state into t: execution
-// counts add, the DDL flag ORs, consecutive-failure streaks take their
-// maximum (streams cannot be interleaved after the fact), and features
-// either side deemed unsupported start out unsupported. Callers merging
-// several states should finish with Update() so the Bayesian
-// classifications reflect the pooled evidence; the DDL consecutive-
-// failure rule is monotone, so union is its exact merge.
+// Merge folds into t what Save persists of o: execution counts add, the
+// DDL flag ORs, consecutive-failure streaks take their maximum (streams
+// cannot be interleaved after the fact), and features either side deemed
+// unsupported start out unsupported. Callers merging several trackers
+// should finish with Update() so the Bayesian classifications reflect
+// the pooled evidence; the DDL consecutive-failure rule is monotone, so
+// union is its exact merge.
+func (t *Tracker) Merge(o *Tracker) {
+	for id, ok := o.known.Next(0); ok; id, ok = o.known.Next(id + 1) {
+		st, dst := o.stat(id), t.stat(id)
+		dst.N += st.N
+		dst.Y += st.Y
+		dst.DDL = dst.DDL || st.DDL
+		dst.ConsecFail = max(dst.ConsecFail, st.ConsecFail)
+	}
+	t.unsupported.Union(&o.unsupported)
+}
+
+// MergeState is Merge of a tracker's saved state.
 func (t *Tracker) MergeState(data []byte) error {
 	d, err := decode(data)
 	if err != nil {
 		return err
 	}
-	t.known.Union(&d.known)
-	for id, ok := d.known.Next(0); ok; id, ok = d.known.Next(id + 1) {
-		st := &d.stats[id]
-		dst := &t.stats[id]
-		dst.N += st.N
-		dst.Y += st.Y
-		dst.DDL = dst.DDL || st.DDL
-		if st.ConsecFail > dst.ConsecFail {
-			dst.ConsecFail = st.ConsecFail
-		}
-	}
-	t.unsupported.Union(&d.unsupported)
+	t.Merge(d)
 	return nil
 }
 
-// DiscountState subtracts times copies of a saved state's execution
-// counts from t (flooring at zero). A shard merge uses it to remove the
-// shared warm-start prior that every shard's saved state re-includes, so
-// the pooled evidence counts the prior exactly once. DDL flags,
-// failure streaks, and unsupported markings are left alone — they are
-// monotone under the merge, not additive.
-func (t *Tracker) DiscountState(data []byte, times int) error {
-	d, err := decode(data)
-	if err != nil {
-		return err
-	}
+// Discount subtracts times copies of prior's execution counts from t
+// (flooring at zero), for the features t knows. A shard merge uses it to
+// remove the shared warm-start prior that every shard re-includes, so
+// the pooled evidence counts the prior exactly once. DDL flags, failure
+// streaks, and unsupported markings are left alone — they are monotone
+// under the merge, not additive.
+func (t *Tracker) Discount(prior *Tracker, times int) {
 	if times <= 0 {
-		return nil
+		return
 	}
-	for id, ok := d.known.Next(0); ok; id, ok = d.known.Next(id + 1) {
-		if !t.known.Has(id) {
-			continue
-		}
-		st := &d.stats[id]
-		dst := &t.stats[id]
-		dst.N -= times * st.N
-		dst.Y -= times * st.Y
-		if dst.N < 0 {
-			dst.N = 0
-		}
-		if dst.Y < 0 {
-			dst.Y = 0
+	for id, ok := prior.known.Next(0); ok; id, ok = prior.known.Next(id + 1) {
+		if t.known.Has(id) {
+			st, dst := prior.stat(id), t.stat(id)
+			dst.N = max(dst.N-times*st.N, 0)
+			dst.Y = max(dst.Y-times*st.Y, 0)
 		}
 	}
-	return nil
 }
 
 // Load restores tracker state saved by Save.
@@ -321,8 +312,6 @@ func (t *Tracker) Load(data []byte) error {
 	if err != nil {
 		return err
 	}
-	t.stats = &d.stats
-	t.known = d.known
-	t.unsupported = d.unsupported
+	t.slot, t.stats, t.known, t.unsupported = d.slot, d.stats, d.known, d.unsupported
 	return nil
 }

@@ -10,23 +10,24 @@ package feedback
 // plans" signal, keyed on engine.PlanShape fingerprints.
 //
 // Like Tracker, the state is mergeable: shards start empty, record
-// their own pairs, and MergeState unions shard snapshots in shard
-// order, so the merged campaign state — and every counter derived from
-// per-shard tracker decisions — is byte-identical at any worker count.
+// their own pairs, and the shard merge unions their trackers in shard
+// order (Merge), so the merged campaign state — and every counter
+// derived from per-shard tracker decisions — is byte-identical at any
+// worker count.
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // PairTracker records the (query shape, plan spec) pairs a campaign has
-// diffed. The zero value is not ready; use NewPairTracker. Methods are
-// safe for concurrent use.
+// diffed. The zero value is not ready; use NewPairTracker. Like Tracker,
+// it is not safe for concurrent use: each campaign runner owns its own,
+// and the shard merge folds finished shard trackers.
 type PairTracker struct {
-	mu   sync.Mutex
 	seen map[uint64]map[string]struct{}
 }
 
@@ -37,28 +38,27 @@ func NewPairTracker() *PairTracker {
 
 // Seen reports whether the (shape, spec) pair was already recorded.
 func (p *PairTracker) Seen(shape uint64, spec string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	_, ok := p.seen[shape][spec]
 	return ok
 }
 
 // Mark records a diffed (shape, spec) pair.
 func (p *PairTracker) Mark(shape uint64, spec string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.seen[shape]
+	specsOf(p.seen, shape)[spec] = struct{}{}
+}
+
+// specsOf returns the spec set of shape in seen, adding an empty one.
+func specsOf(seen map[uint64]map[string]struct{}, shape uint64) map[string]struct{} {
+	m := seen[shape]
 	if m == nil {
 		m = map[string]struct{}{}
-		p.seen[shape] = m
+		seen[shape] = m
 	}
-	m[spec] = struct{}{}
+	return m
 }
 
 // Pairs returns the total number of recorded pairs.
 func (p *PairTracker) Pairs() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
 	for _, m := range p.seen {
 		n += len(m)
@@ -75,8 +75,6 @@ type pairSnapshot struct {
 
 // SaveState serializes the tracker deterministically.
 func (p *PairTracker) SaveState() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	snap := pairSnapshot{Pairs: make(map[string][]string, len(p.seen))}
 	for shape, m := range p.seen {
 		specs := make([]string, 0, len(m))
@@ -101,41 +99,31 @@ func (p *PairTracker) LoadState(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("pair state: bad shape key %q", key)
 		}
-		m := make(map[string]struct{}, len(specs))
+		// Keys that spell one shape differently ("ff", "00ff") union.
+		m := specsOf(seen, shape)
 		for _, s := range specs {
 			m[s] = struct{}{}
 		}
-		seen[shape] = m
 	}
-	p.mu.Lock()
 	p.seen = seen
-	p.mu.Unlock()
 	return nil
 }
 
-// MergeState unions a saved snapshot into the tracker. Union is
-// commutative and idempotent, so merging shard states in shard order
-// yields the same result as any interleaved single-process run.
+// Merge unions o's pairs into p. Union is commutative and idempotent, so
+// merging shard trackers in shard order yields the same result as any
+// interleaved single-process run.
+func (p *PairTracker) Merge(o *PairTracker) {
+	for shape, specs := range o.seen {
+		maps.Copy(specsOf(p.seen, shape), specs)
+	}
+}
+
+// MergeState is Merge of a saved snapshot.
 func (p *PairTracker) MergeState(data []byte) error {
-	var snap pairSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("pair state: %w", err)
+	o := NewPairTracker()
+	if err := o.LoadState(data); err != nil {
+		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for key, specs := range snap.Pairs {
-		shape, err := strconv.ParseUint(key, 16, 64)
-		if err != nil {
-			return fmt.Errorf("pair state: bad shape key %q", key)
-		}
-		m := p.seen[shape]
-		if m == nil {
-			m = make(map[string]struct{}, len(specs))
-			p.seen[shape] = m
-		}
-		for _, s := range specs {
-			m[s] = struct{}{}
-		}
-	}
+	p.Merge(o)
 	return nil
 }
