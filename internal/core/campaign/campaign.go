@@ -472,18 +472,54 @@ func newTracker(cfg Config) *feedback.Tracker {
 	return feedback.New(topts...)
 }
 
+// warmStart is a configuration's prior state decoded: the trackers
+// behind Config.FeedbackState and Config.PlanPairState, nil where the
+// configuration has none. A sharded campaign decodes it once and starts
+// every shard from a copy; nothing modifies it.
+type warmStart struct {
+	tracker *feedback.Tracker
+	pairs   *feedback.PairTracker
+}
+
+// decodeWarmStart decodes cfg's prior state. The plan-pair state is
+// read only when plan-pair scheduling is on.
+func decodeWarmStart(cfg Config) (warmStart, error) {
+	var w warmStart
+	if cfg.FeedbackState != nil {
+		w.tracker = feedback.New()
+		if err := w.tracker.Load(cfg.FeedbackState); err != nil {
+			return warmStart{}, fmt.Errorf("campaign: loading feedback state: %w", err)
+		}
+	}
+	if cfg.PlanPairState != nil && !cfg.NoPlanPairSched {
+		w.pairs = feedback.NewPairTracker()
+		if err := w.pairs.LoadState(cfg.PlanPairState); err != nil {
+			return warmStart{}, fmt.Errorf("campaign: loading plan-pair state: %w", err)
+		}
+	}
+	return w, nil
+}
+
 // New prepares a campaign runner.
 func New(cfg Config) (*Runner, error) {
 	if cfg.Dialect == nil {
 		return nil, fmt.Errorf("campaign: no dialect configured")
 	}
+	warm, err := decodeWarmStart(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newRunner(cfg, warm)
+}
+
+// newRunner prepares a runner for cfg, whose prior state warm holds
+// decoded. The runner's trackers start as copies of warm's.
+func newRunner(cfg Config, warm warmStart) (*Runner, error) {
 	cfg = cfg.withDefaults()
 
 	tracker := newTracker(cfg)
-	if cfg.FeedbackState != nil {
-		if err := tracker.Load(cfg.FeedbackState); err != nil {
-			return nil, fmt.Errorf("campaign: loading feedback state: %w", err)
-		}
+	if warm.tracker != nil {
+		tracker.Merge(warm.tracker)
 	}
 
 	policy := cfg.Policy
@@ -505,10 +541,8 @@ func New(cfg Config) (*Runner, error) {
 	var planMemo *oracle.PlanEnumMemo
 	if !cfg.NoPlanPairSched {
 		pairs = feedback.NewPairTracker()
-		if cfg.PlanPairState != nil {
-			if err := pairs.LoadState(cfg.PlanPairState); err != nil {
-				return nil, fmt.Errorf("campaign: loading plan-pair state: %w", err)
-			}
+		if warm.pairs != nil {
+			pairs.Merge(warm.pairs)
 		}
 		planMemo = oracle.NewPlanEnumMemo()
 	}
@@ -724,10 +758,13 @@ func (r *Runner) execSetup(st *gen.Statement) {
 // execContained runs one generated statement under the harness recovery
 // boundary: a panic in the engine is converted into a ClassHarness bug
 // and the poisoned instance restarted, instead of killing the campaign.
+// The statement's text runs with its generated tree seeded as the parse
+// (engine.DB.SeedParse), so the engine does not parse it back.
 func (r *Runner) execContained(st *gen.Statement) (err error, crashed bool) {
 	defer r.containStmt(st, &crashed)
 	wd := r.armWatchdog()
 	defer r.disarmWatchdog(wd)
+	r.db.SeedParse(st.SQL, st.Stmt)
 	return r.db.Exec(st.SQL), false
 }
 

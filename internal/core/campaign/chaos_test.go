@@ -246,7 +246,7 @@ func TestResumeAfterTornTail(t *testing.T) {
 	path := filepath.Join(dir, "run.ckpt")
 	run := cfg
 	run.Chaos = mustChaos(t, "ckpt-torn=2", 0)
-	_, failures, err := runShards(run, ShardedOptions{Workers: 1, CheckpointPath: path})
+	_, failures, err := runShards(run, warmStart{}, ShardedOptions{Workers: 1, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,11 +176,15 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 		return nil, fmt.Errorf("campaign: no dialect configured")
 	}
 	cfg = cfg.withDefaults()
-	reps, ckptFailures, err := runShards(cfg, opts)
+	warm, err := decodeWarmStart(cfg)
 	if err != nil {
 		return nil, err
 	}
-	merged, err := mergeReports(cfg, reps)
+	reps, ckptFailures, err := runShards(cfg, warm, opts)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := mergeReports(cfg, warm.tracker, reps)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +204,10 @@ func RunShardedOpts(cfg Config, opts ShardedOptions) (*Report, error) {
 }
 
 // runShards runs (or restores from the checkpoint) every shard of a
-// resolved configuration and returns the shard reports by ordinal, plus
-// the number of checkpoint writes that failed.
-func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
+// resolved configuration, each from a copy of its decoded prior state
+// warm, and returns the shard reports by ordinal, plus the number of
+// checkpoint writes that failed.
+func runShards(cfg Config, warm warmStart, opts ShardedOptions) ([]*Report, int, error) {
 	shards := shardConfigs(cfg)
 	nShards := len(shards)
 	workers := opts.Workers
@@ -272,7 +277,7 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 			return ErrInterrupted
 		default:
 		}
-		rep, err := runShardSupervised(shards[i], i, maxRetries, backoff)
+		rep, err := runShardSupervised(shards[i], warm, i, maxRetries, backoff)
 		if err != nil {
 			return err
 		}
@@ -317,7 +322,7 @@ func runShards(cfg Config, opts ShardedOptions) ([]*Report, int, error) {
 // the returned placeholder report carries the failure and contributes
 // nothing else to the merge. Configuration errors are fatal immediately:
 // they would fail identically on every retry and on every other shard.
-func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration) (*Report, error) {
+func runShardSupervised(sc Config, warm warmStart, shard, maxRetries int, backoff time.Duration) (*Report, error) {
 	var lastErr error
 	for attempt := 1; attempt <= maxRetries+1; attempt++ {
 		if attempt > 1 && backoff > 0 {
@@ -327,7 +332,7 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration)
 			}
 			time.Sleep(d)
 		}
-		rep, fatal, err := runShardAttempt(sc, shard, attempt)
+		rep, fatal, err := runShardAttempt(sc, warm, shard, attempt)
 		if err == nil {
 			rep.ShardRetries = attempt - 1
 			return rep, nil
@@ -349,7 +354,7 @@ func runShardSupervised(sc Config, shard, maxRetries int, backoff time.Duration)
 // error with a deterministic message (no stack — retry accounting must
 // not vary with scheduling). fatal marks configuration errors, which
 // retrying cannot fix. The shard runs without the reduce pass.
-func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, err error) {
+func runShardAttempt(sc Config, warm warmStart, shard, attempt int) (rep *Report, fatal bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep, fatal, err = nil, false,
@@ -362,7 +367,7 @@ func runShardAttempt(sc Config, shard, attempt int) (rep *Report, fatal bool, er
 	case chaos.ShardFailPanic:
 		panic(fmt.Sprintf("%v (shard %d attempt %d)", errInjected, shard, attempt))
 	}
-	runner, err := New(sc)
+	runner, err := newRunner(sc, warm)
 	if err != nil {
 		return nil, true, err
 	}

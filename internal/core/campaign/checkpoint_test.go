@@ -276,7 +276,7 @@ func TestCheckpointJournalLinear(t *testing.T) {
 		}
 	}()
 	path := filepath.Join(dir, "run.ckpt")
-	reps, failures, err := runShards(cfg, ShardedOptions{Workers: 2, CheckpointPath: path, RetryBackoff: -1})
+	reps, failures, err := runShards(cfg, warmStart{}, ShardedOptions{Workers: 2, CheckpointPath: path, RetryBackoff: -1})
 	close(stop)
 	<-done
 	if err != nil {
@@ -367,7 +367,7 @@ func TestResumeAfterFailedAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	run := cfg
 	run.Chaos = mustChaos(t, "ckpt-write=2,3,4,5,6,7,8", 0)
-	reps, failures, err := runShards(run, ShardedOptions{Workers: 1, CheckpointPath: path})
+	reps, failures, err := runShards(run, warmStart{}, ShardedOptions{Workers: 1, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestResumeAfterFailedAppends(t *testing.T) {
 	}
 
 	run.Chaos = mustChaos(t, "ckpt-write=1,4;ckpt-sync=2,4", 0)
-	reps, failures, err = runShards(run, ShardedOptions{Workers: 3, CheckpointPath: path})
+	reps, failures, err = runShards(run, warmStart{}, ShardedOptions{Workers: 3, CheckpointPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestResumeKeepsPrefixWhenAppendsFail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	run := cfg
 	run.Chaos = mustChaos(t, "ckpt-torn=3", 0)
-	if _, _, err := runShards(run, ShardedOptions{Workers: 1, CheckpointPath: path}); err != nil {
+	if _, _, err := runShards(run, warmStart{}, ShardedOptions{Workers: 1, CheckpointPath: path}); err != nil {
 		t.Fatal(err)
 	}
 	if n := restoredShards(t, cfg, path); n != 2 {
@@ -440,7 +440,7 @@ func TestResumeKeepsPrefixWhenAppendsFail(t *testing.T) {
 	}
 
 	run.Chaos = mustChaos(t, "ckpt-sync=1,2,3,4,5,6", 0)
-	if _, _, err := runShards(run, ShardedOptions{Workers: 1, CheckpointPath: path, Resume: true}); err != nil {
+	if _, _, err := runShards(run, warmStart{}, ShardedOptions{Workers: 1, CheckpointPath: path, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(path)

@@ -55,14 +55,14 @@ func TestMergeSumsEveryCounter(t *testing.T) {
 		{Counters: distinctCounters(t, 1)},
 		{Counters: distinctCounters(t, 100)},
 	}
-	merged, err := mergeReports(cfg, reps)
+	merged, err := mergeReports(cfg, nil, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSum(t, "mergeReports", merged.Counters)
 
 	reps[1].Quarantined = true
-	merged, err = mergeReports(cfg, reps)
+	merged, err = mergeReports(cfg, nil, reps)
 	if err != nil {
 		t.Fatal(err)
 	}

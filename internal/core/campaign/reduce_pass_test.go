@@ -21,7 +21,7 @@ import (
 func runShardsOnce(t *testing.T, cfg Config, workers int) (reps []*Report, enc, ckpt []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	reps, _, err := runShards(cfg, ShardedOptions{Workers: workers, CheckpointPath: path, RetryBackoff: -1})
+	reps, _, err := runShards(cfg, warmStart{}, ShardedOptions{Workers: workers, CheckpointPath: path, RetryBackoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestShardReportsIndependentOfWorkers(t *testing.T) {
 // reduce pass (no pending carrier is left), and some of them reduced.
 func TestReductionOnlyInReducePass(t *testing.T) {
 	cfg := bugHuntCfg(1400, 5)
-	reps, _, err := runShards(cfg.withDefaults(), ShardedOptions{Workers: 2})
+	reps, _, err := runShards(cfg.withDefaults(), warmStart{}, ShardedOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestReductionOnlyInReducePass(t *testing.T) {
 // for that bug.
 func TestReductionIsPureFunctionOfBug(t *testing.T) {
 	cfg := bugHuntCfg(1400, 5).withDefaults()
-	reps, _, err := runShards(cfg, ShardedOptions{Workers: 2})
+	reps, _, err := runShards(cfg, warmStart{}, ShardedOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

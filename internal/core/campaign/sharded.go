@@ -95,16 +95,16 @@ func shardConfigs(cfg Config) []Config {
 // the full recipe for offline replay); everything else about the merge
 // is computed exactly as if the shard were absent, so the degraded
 // report is still a deterministic function of which shards survived.
-func mergeReports(cfg Config, reps []*Report) (*Report, error) {
+func mergeReports(cfg Config, prior *feedback.Tracker, reps []*Report) (*Report, error) {
 	merged := &Report{
 		Dialect:            cfg.Dialect.Name,
 		Mode:               cfg.Mode.String(),
 		DetectedByClass:    map[BugClass]int{},
 		PrioritizedByClass: map[BugClass]int{},
 	}
-	// The merged tracker starts empty: each shard already loaded
-	// Config.FeedbackState, so its tracker carries those priors
-	// (deduplicated below before the posterior update).
+	// The merged tracker starts empty: each shard started from the
+	// decoded Config.FeedbackState, prior, so its tracker carries those
+	// priors (deduplicated below before the posterior update).
 	tracker := newTracker(cfg)
 	// Plan-pair union: shards record their own pairs (and, on resume,
 	// re-include the warm-start snapshot every shard was seeded with);
@@ -181,11 +181,7 @@ func mergeReports(cfg Config, reps []*Report) (*Report, error) {
 	// quarantined shards never contributed their copy. With no live
 	// shards at all, merge the prior in directly so a fully-degraded run
 	// still hands the warm start forward.
-	if cfg.FeedbackState != nil {
-		prior := feedback.New()
-		if err := prior.Load(cfg.FeedbackState); err != nil {
-			return nil, fmt.Errorf("campaign: loading warm-start prior: %w", err)
-		}
+	if prior != nil {
 		if nLive == 0 {
 			tracker.Merge(prior)
 		} else {

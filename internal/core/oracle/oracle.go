@@ -172,47 +172,57 @@ func tlpPartitions(pred sqlast.Expr) []sqlast.Expr {
 	}
 }
 
-// runner tracks executed queries, their individual costs, and triggered
-// faults. Every query reaches the engine as SQL text.
+// runner tracks a check's executed queries, their costs and the faults
+// they triggered. Every query reaches the engine as SQL text, and render
+// seeds the instance's statement cache with the tree behind each text,
+// so the engine runs the oracle's own tree instead of parsing the text.
 type runner struct {
-	db        *engine.DB
-	queries   []string
-	costs     []int64 // per-query executor cost, parallel to queries
-	triggered map[string]bool
+	db      *engine.DB
+	queries []string
+	// triggered holds the fault IDs fired so far, unsorted; nil until
+	// the first fires.
+	triggered []string
+	lastCost  int64 // executor cost of the last query
 	maxCost   int64
 }
 
-func newRunner(db *engine.DB) *runner {
-	return &runner{db: db, triggered: map[string]bool{}}
+// newRunner returns a runner for a check that runs at most n queries.
+func newRunner(db *engine.DB, n int) *runner {
+	return &runner{db: db, queries: make([]string, 0, n)}
+}
+
+// render returns q's text after seeding the instance's statement cache
+// with q under it. q is a tree the oracle built from the case: it
+// equals what parsing its text builds, and nothing modifies it from
+// here on (see derive).
+func (r *runner) render(q *sqlast.Select) string {
+	sql := q.SQL()
+	r.db.SeedParse(sql, q)
+	return sql
 }
 
 func (r *runner) query(sql string) (*engine.Result, error) {
 	r.queries = append(r.queries, sql)
 	res, err := r.db.Query(sql)
 	for _, id := range r.db.TriggeredFaults() {
-		r.triggered[id] = true
+		if !slices.Contains(r.triggered, id) {
+			r.triggered = append(r.triggered, id)
+		}
 	}
-	c := r.db.LastCost()
-	r.costs = append(r.costs, c)
-	if c > r.maxCost {
-		r.maxCost = c
-	}
+	r.lastCost = r.db.LastCost()
+	r.maxCost = max(r.maxCost, r.lastCost)
 	return res, err
 }
 
 func (r *runner) result(oracle Name, outcome Outcome, err error, detail string) Result {
-	var trig []string
-	for id := range r.triggered {
-		trig = append(trig, id)
-	}
-	sort.Strings(trig)
+	slices.Sort(r.triggered)
 	return Result{
 		Oracle:    oracle,
 		Outcome:   outcome,
 		Queries:   r.queries,
 		Err:       err,
 		Detail:    detail,
-		Triggered: trig,
+		Triggered: r.triggered,
 		MaxCost:   r.maxCost,
 	}
 }
@@ -221,9 +231,9 @@ func (r *runner) result(oracle Name, outcome Outcome, err error, detail string) 
 // equal the multiset union of the three partitions WHERE p, WHERE NOT p,
 // and WHERE p IS NULL (Rigger & Su, OOPSLA 2020).
 func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
-	r := newRunner(db)
+	r := newRunner(db, 4)
 
-	baseRes, err := r.query(base.SQL())
+	baseRes, err := r.query(r.render(base))
 	if err != nil {
 		return r.result(TLPName, Invalid, err, "")
 	}
@@ -232,7 +242,7 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	for _, p := range tlpPartitions(pred) {
 		part := derive(base)
 		part.Where = p
-		res, err := r.query(part.SQL())
+		res, err := r.query(r.render(part))
 		if err != nil {
 			return r.result(TLPName, Invalid, err, "")
 		}
@@ -250,12 +260,12 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 // whose predicate the engine evaluates in the projection (reference)
 // path (Rigger & Su, ESEC/FSE 2020).
 func NoREC(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
-	r := newRunner(db)
+	r := newRunner(db, 2)
 
 	opt := derive(base)
 	opt.Items = []sqlast.SelectItem{{Expr: &sqlast.Func{Name: "COUNT", Star: true}}}
 	opt.Where = pred
-	optRes, err := r.query(opt.SQL())
+	optRes, err := r.query(r.render(opt))
 	if err != nil {
 		return r.result(NoRECName, Invalid, err, "")
 	}
@@ -267,7 +277,7 @@ func NoREC(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 
 	ref := derive(base)
 	ref.Items = []sqlast.SelectItem{{Expr: &sqlast.IsBool{X: pred, Val: true}}}
-	refRes, err := r.query(ref.SQL())
+	refRes, err := r.query(r.render(ref))
 	if err != nil {
 		return r.result(NoRECName, Invalid, err, "")
 	}

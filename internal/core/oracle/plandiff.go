@@ -62,11 +62,19 @@ func PlanDiff(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 // earlier never evaluates the failing expression — LN(0) behind an
 // index probe is reachable only from the scan plan).
 func PlanDiffCase(db *engine.DB, c *Case) Result {
-	r := newRunner(db)
+	maxPlans := c.MaxPlans
+	if maxPlans == 0 {
+		maxPlans = DefaultMaxPlans
+	}
+	queries := 1 + max(maxPlans, 0) // the baseline, then one per plan
+	if c.PlanSpec != "" {
+		queries = 2
+	}
+	r := newRunner(db, queries)
 
 	q := derive(c.Base)
 	q.Where = c.Pred
-	sql := q.SQL() // every plan executes the same text
+	sql := r.render(q) // every plan executes the same text
 
 	prev := db.PlanSpec()
 	defer db.SetPlanSpec(prev)
@@ -76,7 +84,7 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 	if err != nil {
 		return r.result(PlanDiffName, Invalid, err, "")
 	}
-	baseCost := r.costs[0]
+	baseCost := r.lastCost
 	baseSet := multiset(baseRes)
 
 	var specs []engine.PlanSpec
@@ -105,13 +113,9 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 		if c.Pairs != nil && !c.CanonicalPlans {
 			specs, keys = rankNovelFirst(c.Pairs, shape.Shape, specs, keys)
 		}
-		max := c.MaxPlans
-		if max == 0 {
-			max = DefaultMaxPlans
-		}
-		if max > 0 && len(specs) > max {
-			specs = specs[:max]
-			keys = keys[:max]
+		if maxPlans > 0 && len(specs) > maxPlans {
+			specs = specs[:maxPlans]
+			keys = keys[:maxPlans]
 		}
 	}
 
@@ -143,7 +147,7 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 		if d := diffMultisets(baseSet, multiset(altRes)); d != "" {
 			res := r.result(PlanDiffName, Bug, nil, fmt.Sprintf(
 				"PlanDiff divergence (auto plan vs plan [%s]): %s [cost auto=%d alt=%d]",
-				keys[i], d, baseCost, r.costs[len(r.costs)-1]))
+				keys[i], d, baseCost, r.lastCost))
 			res.MaxCost = baseCost
 			res.PlanSpec = keys[i]
 			res.PairsNovel, res.PairsRepeated = novel, repeated

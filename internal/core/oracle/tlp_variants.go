@@ -18,9 +18,9 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 		res.Oracle = TLPComposedName // attribution follows the registered name
 		return res
 	}
-	r := newRunner(db)
+	r := newRunner(db, 2)
 
-	baseRes, err := r.query(base.SQL())
+	baseRes, err := r.query(r.render(base))
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
@@ -34,7 +34,7 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 		first.Compound = append(first.Compound,
 			sqlast.CompoundPart{Op: sqlast.SetUnionAll, Select: arm})
 	}
-	unionRes, err := r.query(first.SQL())
+	unionRes, err := r.query(r.render(first))
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
@@ -60,7 +60,7 @@ var aggFuncs = []string{"COUNT", "SUM", "MIN", "MAX"}
 // query (or the first column for star projections). aggIdx selects the
 // aggregate function deterministically from the case's seed material.
 func TLPAggregate(db *engine.DB, base *sqlast.Select, pred sqlast.Expr, aggIdx int) Result {
-	r := newRunner(db)
+	r := newRunner(db, 4)
 	agg := aggFuncs[((aggIdx%len(aggFuncs))+len(aggFuncs))%len(aggFuncs)]
 
 	arg := firstProjection(base)
@@ -78,7 +78,7 @@ func TLPAggregate(db *engine.DB, base *sqlast.Select, pred sqlast.Expr, aggIdx i
 		q := derive(base)
 		q.Items = items
 		q.Where = where
-		return q.SQL()
+		return r.render(q)
 	}
 
 	baseRes, err := r.query(mkAgg(nil))

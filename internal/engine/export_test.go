@@ -8,6 +8,16 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
+// RenderRows returns the canonical textual form of each row (renderRow),
+// for tests that compare or print whole results.
+func (r *Result) RenderRows() []string {
+	out := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		out[i] = renderRow(row)
+	}
+	return out
+}
+
 // FilterCheck counts the WHERE candidate rows CheckFilter compared.
 type FilterCheck struct {
 	// Rows is every row compared; Resolved the rows whose predicate has

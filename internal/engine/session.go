@@ -19,21 +19,10 @@ type Result struct {
 	Rows    [][]Value
 }
 
-// AppendRow appends the canonical textual form of row i (as RenderRows
-// renders it) to buf, so a caller can render rows into one buffer.
+// AppendRow appends the canonical textual form of row i to buf, so a
+// caller can render rows into one buffer.
 func (r *Result) AppendRow(buf []byte, i int) []byte {
 	return appendRow(buf, r.Rows[i])
-}
-
-// RenderRows returns the canonical textual form of each row, used by the
-// oracles' multiset comparison. Each row renders through a strings.Builder
-// (linear in the row's width, unlike naive += concatenation).
-func (r *Result) RenderRows() []string {
-	out := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = renderRow(row)
-	}
-	return out
 }
 
 // DB is one simulated DBMS instance: a dialect configuration, a catalog,
@@ -297,11 +286,11 @@ func (s *DB) run(sql string) (*Result, error) {
 		return nil, errf(ErrCrash, "server is not running (restart required)")
 	}
 	// The instance's statement cache (WithParseCache, else the
-	// process-wide one) fronts the parser; the cached AST is shared and
-	// immutable. Execution never mutates an AST, so most statements
-	// run on the shared copy directly; the exceptions are cloned below.
-	// The black-box contract is unchanged: SQL text in, status and rows
-	// out.
+	// process-wide one) fronts the parser; the cached AST, parsed or
+	// seeded (SeedParse), is shared and immutable. Execution never
+	// mutates an AST, so most statements run on the shared copy
+	// directly; the exceptions are cloned below. The black-box contract
+	// is unchanged: SQL text in, status and rows out.
 	stmt, perr := s.parse.Parse(sql)
 	if perr != nil {
 		s.cov.Hit("parse.error")
@@ -316,6 +305,14 @@ func (s *DB) run(sql string) (*Result, error) {
 		stmt = sqlast.CloneStmt(stmt)
 	}
 	return s.RunStmt(stmt)
+}
+
+// SeedParse hands the instance's statement cache st as the parse of sql
+// (sqlparse.Cache.Seed), so a later Query or Exec of sql runs st without
+// parsing. st must be exactly what parsing sql builds, and neither the
+// caller nor anyone else may modify it afterwards.
+func (s *DB) SeedParse(sql string, st sqlast.Stmt) {
+	s.parse.Seed(sql, st)
 }
 
 // RunStmt validates and executes an already-parsed statement. Callers

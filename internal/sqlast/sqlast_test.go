@@ -159,18 +159,3 @@ func TestSelectRenderingClauses(t *testing.T) {
 		t.Fatalf("got  %q\nwant %q", got, want)
 	}
 }
-
-func TestEqualExprAndStmt(t *testing.T) {
-	a := &Binary{Op: OpAdd, L: IntLit(1), R: IntLit(2)}
-	b := &Binary{Op: OpAdd, L: IntLit(1), R: IntLit(2)}
-	c := &Binary{Op: OpSub, L: IntLit(1), R: IntLit(2)}
-	if !EqualExpr(a, b) || EqualExpr(a, c) {
-		t.Fatal("EqualExpr broken")
-	}
-	if !EqualExpr(nil, nil) || EqualExpr(a, nil) {
-		t.Fatal("EqualExpr nil handling broken")
-	}
-	if !EqualStmt(&DropTable{Name: "t"}, &DropTable{Name: "t"}) {
-		t.Fatal("EqualStmt broken")
-	}
-}

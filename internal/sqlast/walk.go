@@ -256,21 +256,3 @@ func CloneStmt(st Stmt) Stmt {
 		return st
 	}
 }
-
-// EqualExpr reports structural equality of two expressions. It is used by
-// parser round-trip tests and by the reducer to detect fixpoints; rendered
-// SQL is deterministic, so comparing rendered text is equivalent.
-func EqualExpr(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.SQL() == b.SQL()
-}
-
-// EqualStmt reports structural equality of two statements.
-func EqualStmt(a, b Stmt) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.SQL() == b.SQL()
-}

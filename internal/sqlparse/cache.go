@@ -20,6 +20,13 @@ import (
 // immutable. The engine executes the shared copy and clones only the
 // statements whose sub-ASTs outlive execution in catalog state (DB.run).
 //
+// Seed fills an entry with a tree the caller built instead of one the
+// parser built: the oracles and the campaign runner render each tree
+// they generate and seed it under its text, so the engine finds it
+// instead of parsing the text back. A seeded tree must equal what Parse
+// builds from its text (nil and empty slices alike), that parse must
+// succeed, and nothing may modify the tree afterwards.
+//
 // The LRU allocates nothing per entry: entries live in one slice that
 // grows to the capacity and is then recycled from its least recently
 // used end, linked by index, and byID maps a statement's text to its
@@ -95,6 +102,29 @@ func (c *Cache) Parse(src string) (sqlast.Stmt, error) {
 	c.mu.Unlock()
 	return st, nil
 }
+
+// Seed caches st as the tree of src when src is not cached yet, in the
+// slot a miss on src would fill; it counts neither a hit nor a miss and
+// leaves an existing entry where it is. st must be what Parse(src)
+// returns, and it is shared from here on: see the Cache comment.
+func (c *Cache) Seed(src string, st sqlast.Stmt) {
+	if seedCheck != nil {
+		seedCheck(src, st)
+	}
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if _, ok := c.byID[src]; !ok {
+		c.insert(src, st)
+	}
+	c.mu.Unlock()
+}
+
+// seedCheck, when set, sees every seeded text and tree before the cache
+// takes them. It is nil outside tests, which set it to prove the
+// seeding contract (parse src, compare the trees).
+var seedCheck func(src string, st sqlast.Stmt)
 
 // insert stores st as the most recently used entry, in a new slot while
 // the cache is below capacity and in the least recently used one after.

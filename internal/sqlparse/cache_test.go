@@ -62,6 +62,8 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrentAccess parses on 8 goroutines at once, half of
+// them seeding each text first.
 func TestCacheConcurrentAccess(t *testing.T) {
 	c := NewCache(32)
 	var wg sync.WaitGroup
@@ -71,6 +73,14 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("SELECT %d", i%40)
+				if g%2 == 0 {
+					seed, err := Parse(q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					c.Seed(q, seed)
+				}
 				st, err := c.Parse(q)
 				if err != nil {
 					t.Error(err)
@@ -113,4 +123,50 @@ func TestCacheHitRefreshesRecency(t *testing.T) {
 	if _, misses := c.Stats(); misses != 4 {
 		t.Fatalf("misses = %d, want 4: SELECT 1 should have been evicted", misses)
 	}
+}
+
+// TestCacheSeed: a seed fills the slot a miss would have filled without
+// counting a hit or a miss, a later Parse returns the seeded tree as a
+// hit, and a text already cached keeps its entry and its recency.
+func TestCacheSeed(t *testing.T) {
+	c := NewCache(2)
+	seeded, err := Parse("SELECT 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Seed("SELECT 0", seeded)
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 || c.Len() != 1 {
+		t.Fatalf("after a seed: %d hits, %d misses, %d entries; want 0, 0, 1", hits, misses, c.Len())
+	}
+	if st, err := c.Parse("SELECT 0"); err != nil || st != seeded {
+		t.Fatalf("Parse after Seed returned %v, %v; want the seeded tree", st, err)
+	}
+	parsed, err := c.Parse("SELECT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Parse("SELECT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SELECT 1 is cached and most recent: the seed changes nothing, so
+	// the next insert evicts SELECT 0.
+	c.Seed("SELECT 1", other)
+	if st, _ := c.Parse("SELECT 1"); st != parsed {
+		t.Fatal("Seed replaced an existing entry")
+	}
+	two, err := Parse("SELECT 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Seed("SELECT 2", two)
+	if _, err := c.Parse("SELECT 0"); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 2 {
+		t.Fatalf("stats = (%d hits, %d misses), want (2, 2): SELECT 0 should have been evicted", hits, misses)
+	}
+
+	var nilCache *Cache
+	nilCache.Seed("SELECT 0", seeded) // a nil cache caches nothing
 }

@@ -254,10 +254,9 @@ func TestGeneratorOutputRoundtrips(t *testing.T) {
 // parser builds from a bug's recorded text, not the generator's, so every
 // setup statement, smoke or compound query, and oracle carrier query (the
 // base query with the predicate as WHERE) must parse back to the very
-// tree the generator built. sqlast.EqualStmt compares rendered text,
-// which TestGeneratorOutputRoundtrips already covers; this compares
-// structure, with nil and empty slices equal (a zero-argument call such
-// as PI() may hold either).
+// tree the generator built. TestGeneratorOutputRoundtrips compares
+// rendered text; this compares structure, with nil and empty slices
+// equal (a zero-argument call such as PI() may hold either).
 func TestGeneratorOutputParsesToSameTree(t *testing.T) {
 	compared := 0
 	check := func(sql string, want sqlast.Stmt) {
