@@ -421,7 +421,7 @@ type Runner struct {
 // behind one lock.
 const parseCacheSize = 256
 
-// withDefaults resolves the zero-value configuration knobs. RunSharded
+// withDefaults resolves the zero-value configuration knobs. RunShardedOpts
 // applies it before partitioning so the shard layout is a function of the
 // resolved configuration only.
 func (cfg Config) withDefaults() Config {
@@ -698,8 +698,8 @@ func (r *Runner) newDatabase() {
 		r.execSetup(st)
 	}
 	// Guarantee at least one table with rows so oracle cases exist.
-	if len(r.g.Model().Tables()) == 0 {
-		for i := 0; i < 10 && len(r.g.Model().Tables()) == 0; i++ {
+	if r.g.Model().NumTables() == 0 {
+		for i := 0; i < 10 && r.g.Model().NumTables() == 0; i++ {
 			st := r.g.GenSetup()
 			r.execSetup(st)
 		}

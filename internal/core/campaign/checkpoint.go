@@ -162,8 +162,29 @@ func fingerprint(cfg Config) string {
 		cfg.KeepAllCases, h.Sum64(), ph.Sum64())
 }
 
-// RunShardedOpts is RunSharded with supervision, checkpoint/resume, and
-// interruption support. Progress is saved at shard granularity: each
+// RunShardedOpts executes a campaign as deterministic parallel shards and
+// merges the results.
+//
+// The test-case budget splits into ShardCount logical shards;
+// opts.Workers only bounds how many execute concurrently. Each shard
+// runs a complete Runner — its own engine instance, generator,
+// prioritizer, and Bayesian tracker (seeded from Config.FeedbackState) —
+// under a per-shard seed derived from Config.Seed via splitmix64. Shards
+// share nothing and do not reduce: each prioritized bug leaves its shard
+// with a pending Carrier, and one reduce pass over the merged report's
+// bugs reduces those the merge keeps. Because the merge is a fold in
+// shard-index order and each reduction is a pure function of its bug,
+// the same seed yields a byte-identical report — and byte-identical
+// shard reports — for every worker count, including the serial
+// Workers == 1 run.
+//
+// Semantically the difference from Run is that validity feedback does not
+// flow across database epochs during the campaign; the merged
+// FeedbackState still pools every shard's evidence for reuse in later
+// runs (paper Figure 5).
+//
+// The run is supervised, checkpointed and resumable, and can be
+// interrupted. Progress is saved at shard granularity: each
 // completed shard's report joins the checkpoint once every shard before
 // it has, so an interrupted campaign loses at most the shards that were
 // in flight and the finished ones behind them. Shard failures are retried and then quarantined

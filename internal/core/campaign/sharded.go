@@ -21,7 +21,7 @@ func splitmix64(x uint64) (next uint64, value int64) {
 	return x, int64(z)
 }
 
-// ShardCount returns the number of logical shards RunSharded partitions
+// ShardCount returns the number of logical shards RunShardedOpts partitions
 // a configuration into: one shard per database epoch (CasesPerDB oracle
 // checks). The partition depends on the configuration only — never on
 // the worker count — which is what makes the merged report reproducible
@@ -33,29 +33,6 @@ func ShardCount(cfg Config) int {
 		n = 1
 	}
 	return n
-}
-
-// RunSharded executes a campaign as deterministic parallel shards and
-// merges the results.
-//
-// The test-case budget splits into ShardCount logical shards; workers
-// only bounds how many execute concurrently. Each shard runs a complete
-// Runner — its own engine instance, generator, prioritizer, and Bayesian
-// tracker (seeded from Config.FeedbackState) — under a per-shard seed
-// derived from Config.Seed via splitmix64. Shards share nothing and do
-// not reduce: each prioritized bug leaves its shard with a pending
-// Carrier, and one reduce pass over the merged report's bugs reduces
-// those the merge keeps. Because the merge is a fold in shard-index
-// order and each reduction is a pure function of its bug, the same seed
-// yields a byte-identical report — and byte-identical shard reports —
-// for every worker count, including the serial workers == 1 run.
-//
-// Semantically the difference from Run is that validity feedback does not
-// flow across database epochs during the campaign; the merged
-// FeedbackState still pools every shard's evidence for reuse in later
-// runs (paper Figure 5).
-func RunSharded(cfg Config, workers int) (*Report, error) {
-	return RunShardedOpts(cfg, ShardedOptions{Workers: workers})
 }
 
 // shardConfigs partitions a resolved configuration into per-shard

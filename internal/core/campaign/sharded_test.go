@@ -10,6 +10,12 @@ import (
 	"sqlancerpp/internal/dialect"
 )
 
+// RunSharded runs a campaign as parallel shards at the given worker
+// count, without a checkpoint (see RunShardedOpts).
+func RunSharded(cfg Config, workers int) (*Report, error) {
+	return RunShardedOpts(cfg, ShardedOptions{Workers: workers})
+}
+
 func shardedCfg(t *testing.T, cases int, seed int64) Config {
 	t.Helper()
 	return Config{

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"strings"
+
+	"sqlancerpp/internal/core/schema"
 	"sqlancerpp/internal/engine"
 	"sqlancerpp/internal/feature"
 	"sqlancerpp/internal/sqlast"
@@ -45,11 +48,44 @@ type scopeCol struct {
 }
 
 // exprScope lists the columns visible to the expression generator.
+// Scopes are the generator's reused scratch (Generator.scope): a
+// column's strings are copied into the ColumnRef that names it, so no
+// tree points into a scope.
 type exprScope struct {
 	cols []scopeCol
-	// rels carries the FROM relations, so subqueries can reference other
-	// model tables without colliding.
-	gen *Generator
+	// level is the subquery nesting depth the scope serves; a subquery's
+	// scope sits one level deeper than the scope it is generated in.
+	level int
+}
+
+// scope returns the generator's scope for subquery nesting level lvl,
+// emptied. A scope is in use only while expressions at its level are
+// generated, and a subquery's scope is done with before the next
+// subquery at that level begins, so one scope per level suffices.
+func (g *Generator) scope(lvl int) *exprScope {
+	for len(g.scopes) <= lvl {
+		g.scopes = append(g.scopes, &exprScope{level: len(g.scopes)})
+	}
+	sc := g.scopes[lvl]
+	sc.cols = sc.cols[:0]
+	return sc
+}
+
+// addRelation appends r's columns, qualified by ref, r's name or alias.
+func (sc *exprScope) addRelation(ref string, r *schema.Relation) {
+	for _, c := range r.Columns {
+		sc.cols = append(sc.cols, scopeCol{Table: ref, Column: c.Name, Type: typOf(c.Type)})
+	}
+}
+
+// hasTable reports whether some in-scope column is qualified by name.
+func (sc *exprScope) hasTable(name string) bool {
+	for i := range sc.cols {
+		if strings.EqualFold(sc.cols[i].Table, name) {
+			return true
+		}
+	}
+	return false
 }
 
 func typOf(t sqlast.Type) typ {
@@ -168,12 +204,21 @@ func (g *Generator) genExpr(sc *exprScope, want typ, depth int, fs *feature.Set)
 var cmpAlts = []feature.ID{feature.OpEqID, feature.OpNeqID, feature.OpNeq2ID, feature.OpLtID, feature.OpLeID, feature.OpGtID, feature.OpGeID, feature.OpNullSafeEqID,
 	feature.OpIsDistinctID, feature.OpIsNotDistinctID}
 
-func (g *Generator) genBool(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
-	alts := []feature.ID{altCMP, altCMP, altCMP, feature.OpAndID, feature.OpOrID, feature.OpXorID, feature.ExprNotID,
+// boolAlts, intAlts and textAlts are the structural alternatives of
+// genBool, genInt and genText; an entry listed k times weighs k.
+var (
+	boolAlts = []feature.ID{altCMP, altCMP, altCMP, feature.OpAndID, feature.OpOrID, feature.OpXorID, feature.ExprNotID,
 		feature.ExprIsNullID, feature.ExprIsBoolID, feature.ExprBetweenID,
 		feature.ExprInID, feature.ExprNotInID, feature.ExprLikeID, feature.ExprGlobID,
 		feature.ExprCaseID, feature.ExprExistsID, altLEAF}
-	switch g.pickChoice(alts) {
+	intAlts = []feature.ID{altARITH, altARITH, altNEG, feature.OpBitNotID, altFUNC, altFUNC,
+		feature.ExprCaseID, feature.ExprCastID, feature.SubqueryID, altLEAF, altLEAF}
+	textAlts = []feature.ID{feature.OpConcatID, altFUNC, altFUNC, feature.ExprCaseID, feature.ExprCastID,
+		altLEAF, altLEAF}
+)
+
+func (g *Generator) genBool(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
+	switch g.pickChoice(boolAlts) {
 	case altCMP:
 		op := g.pickFeature(cmpAlts)
 		fs.Add(op)
@@ -254,8 +299,9 @@ func (g *Generator) genBool(sc *exprScope, depth int, fs *feature.Set) sqlast.Ex
 		fs.Add(feature.ExprCaseID)
 		return g.genCase(sc, tBool, depth, fs)
 	case feature.ExprExistsID:
-		if sub := g.genSubSelect(sc, depth, fs); sub != nil {
+		if sub, _ := g.genSubSelect(sc, depth, fs); sub != nil {
 			fs.Add(feature.ExprExistsID)
+			sub.Items = []sqlast.SelectItem{{Star: true}}
 			return &sqlast.Exists{Select: sub, Not: g.prob(0.3)}
 		}
 		return g.genLeaf(sc, tBool, fs)
@@ -401,9 +447,7 @@ func (g *Generator) genInt(sc *exprScope, depth int, fs *feature.Set) sqlast.Exp
 	if g.prob(g.cfg.RiskyProb) {
 		return g.genRisky(sc, depth, fs)
 	}
-	alts := []feature.ID{altARITH, altARITH, altNEG, feature.OpBitNotID, altFUNC, altFUNC,
-		feature.ExprCaseID, feature.ExprCastID, feature.SubqueryID, altLEAF, altLEAF}
-	switch g.pickChoice(alts) {
+	switch g.pickChoice(intAlts) {
 	case altARITH:
 		op := g.pickFeature(arithAlts)
 		fs.Add(op)
@@ -415,9 +459,11 @@ func (g *Generator) genInt(sc *exprScope, depth int, fs *feature.Set) sqlast.Exp
 	case altNEG:
 		fs.Add(feature.OpSubID)
 		x := g.genExpr(sc, tInt, depth-1, fs)
-		// Fold literals, matching the parser's canonical form.
+		// Fold literals, matching the parser's canonical form. x is a
+		// node of this call's own, so it is negated in place.
 		if lit, ok := x.(*sqlast.Literal); ok && lit.Kind == sqlast.LitInt {
-			return sqlast.IntLit(-lit.Int)
+			lit.Int = -lit.Int
+			return lit
 		}
 		return &sqlast.Unary{Op: sqlast.UMinus, X: x}
 	case feature.OpBitNotID:
@@ -470,9 +516,7 @@ func arithOpOf(op feature.ID) sqlast.BinaryOp {
 }
 
 func (g *Generator) genText(sc *exprScope, depth int, fs *feature.Set) sqlast.Expr {
-	alts := []feature.ID{feature.OpConcatID, altFUNC, altFUNC, feature.ExprCaseID, feature.ExprCastID,
-		altLEAF, altLEAF}
-	switch g.pickChoice(alts) {
+	switch g.pickChoice(textAlts) {
 	case feature.OpConcatID:
 		fs.Add(feature.OpConcatID)
 		return &sqlast.Binary{Op: sqlast.OpConcat,
@@ -495,23 +539,22 @@ func (g *Generator) genText(sc *exprScope, depth int, fs *feature.Set) sqlast.Ex
 
 // genCase generates a searched or operand CASE of the wanted result type.
 func (g *Generator) genCase(sc *exprScope, want typ, depth int, fs *feature.Set) sqlast.Expr {
-	c := &sqlast.Case{}
-	n := 1 + g.intn(2)
+	c := &sqlast.Case{Whens: make([]sqlast.When, 1+g.intn(2))}
 	if g.prob(0.3) {
 		t := g.operandType()
 		c.Operand = g.genExpr(sc, t, depth-1, fs)
-		for i := 0; i < n; i++ {
-			c.Whens = append(c.Whens, sqlast.When{
+		for i := range c.Whens {
+			c.Whens[i] = sqlast.When{
 				Cond: g.genExpr(sc, t, depth-1, fs),
 				Then: g.genExpr(sc, want, depth-1, fs),
-			})
+			}
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			c.Whens = append(c.Whens, sqlast.When{
+		for i := range c.Whens {
+			c.Whens[i] = sqlast.When{
 				Cond: g.genBool(sc, depth-1, fs),
 				Then: g.genExpr(sc, want, depth-1, fs),
-			})
+			}
 		}
 	}
 	if g.prob(0.7) {
@@ -537,7 +580,10 @@ func (g *Generator) genFuncCall(sc *exprScope, want typ, depth int, fs *feature.
 		nArgs += g.intn(2)
 	}
 	call := &sqlast.Func{Name: def.Name}
-	for i := 0; i < nArgs; i++ {
+	if nArgs > 0 {
+		call.Args = make([]sqlast.Expr, nArgs)
+	}
+	for i := range call.Args {
 		at := g.argType(def, i, want)
 		// Composite type feature: the generator learns per-argument
 		// expected types through these.
@@ -548,7 +594,7 @@ func (g *Generator) genFuncCall(sc *exprScope, want typ, depth int, fs *feature.
 			argFeat = feature.FuncArgID(id, i+1, at.featureID())
 		}
 		fs.Add(argFeat)
-		call.Args = append(call.Args, g.genExpr(sc, at, depth-1, fs))
+		call.Args[i] = g.genExpr(sc, at, depth-1, fs)
 	}
 	return call
 }
@@ -613,54 +659,47 @@ func (g *Generator) genScalarSubquery(sc *exprScope, want typ, depth int, fs *fe
 	if !g.supported(feature.SubqueryID) {
 		return nil
 	}
-	sub := g.genSubSelect(sc, depth, fs)
+	sub, t := g.genSubSelect(sc, depth, fs)
 	if sub == nil {
 		return nil
 	}
 	fs.Add(feature.SubqueryID)
 	// Exactly one projected column of the wanted type; LIMIT 1 bounds the
 	// row count so the scalar subquery cannot fail at runtime.
-	inner := sub.From[0].Ref.(*sqlast.TableName)
-	rel := g.model.Relation(inner.Name)
-	innerScope := &exprScope{gen: g}
-	for _, c := range rel.Columns {
-		innerScope.cols = append(innerScope.cols, scopeCol{Table: inner.RefName(), Column: c.Name, Type: typOf(c.Type)})
-	}
-	sub.Items = []sqlast.SelectItem{{Expr: g.genExpr(innerScope, want, depth-1, fs)}}
-	one := int64(1)
+	inner := g.scope(sc.level + 1)
+	inner.addRelation(t.Name, t)
+	item := g.genExpr(inner, want, depth-1, fs)
 	if g.supported(feature.LimitID) {
 		fs.Add(feature.LimitID)
+		one := int64(1)
 		sub.Limit = &one
 	} else {
 		// Without LIMIT, aggregate to guarantee a single row.
-		sub.Items = []sqlast.SelectItem{{Expr: &sqlast.Func{Name: "MAX", Args: []sqlast.Expr{sub.Items[0].Expr}}}}
+		item = &sqlast.Func{Name: "MAX", Args: []sqlast.Expr{item}}
 		fs.Add(feature.FnMAX)
 		fs.Add(feature.ExprAggrID)
 	}
+	sub.Items = []sqlast.SelectItem{{Expr: item}}
 	return &sqlast.Subquery{Select: sub}
 }
 
-// genSubSelect builds the skeleton SELECT * FROM t [WHERE pred] over a
-// random model table, used by EXISTS and scalar subqueries.
-func (g *Generator) genSubSelect(sc *exprScope, depth int, fs *feature.Set) *sqlast.Select {
-	tables := g.model.Tables()
-	if len(tables) == 0 || !g.supported(feature.SubqueryID) {
-		return nil
+// genSubSelect builds the skeleton SELECT ... FROM t [WHERE pred] over a
+// random model table t, which it returns too, for EXISTS and scalar
+// subqueries. The caller fills in the projection.
+func (g *Generator) genSubSelect(sc *exprScope, depth int, fs *feature.Set) (*sqlast.Select, *schema.Relation) {
+	nt := g.model.NumTables()
+	if nt == 0 || !g.supported(feature.SubqueryID) {
+		return nil, nil
 	}
-	t := tables[g.intn(len(tables))]
-	sel := &sqlast.Select{
-		Items: []sqlast.SelectItem{{Star: true}},
-		From:  []sqlast.FromItem{{Ref: &sqlast.TableName{Name: t.Name}}},
-	}
+	t := g.model.Table(g.intn(nt))
+	sel := &sqlast.Select{From: []sqlast.FromItem{{Ref: &sqlast.TableName{Name: t.Name}}}}
 	if g.prob(0.5) {
-		innerScope := &exprScope{gen: g}
-		for _, c := range t.Columns {
-			innerScope.cols = append(innerScope.cols, scopeCol{Table: t.Name, Column: c.Name, Type: typOf(c.Type)})
-		}
+		inner := g.scope(sc.level + 1)
+		inner.addRelation(t.Name, t)
 		// Correlated predicates may also reference the outer scope.
-		innerScope.cols = append(innerScope.cols, sc.cols...)
-		sel.Where = g.genBool(innerScope, depth-1, fs)
+		inner.cols = append(inner.cols, sc.cols...)
+		sel.Where = g.genBool(inner, depth-1, fs)
 		fs.Add(feature.ClauseWhereID)
 	}
-	return sel
+	return sel, t
 }

@@ -90,12 +90,11 @@ type OracleCase struct {
 	FeatureSet feature.Set
 }
 
-// PlanSpaceCounters tallies generated shapes that widen the PlanDiff
+// planSpaceCounters tallies generated shapes that widen the PlanDiff
 // oracle's enumerable plan space: only probe-eligible shapes give the
-// plan enumerator more than the trivial planner-on/off pair, so these
-// counters are the generator-side coverage signal for the plan-control
-// API (campaign experiments read them to confirm plan-space traffic).
-type PlanSpaceCounters struct {
+// plan enumerator more than the trivial planner-on/off pair. The
+// generator's tests read them to confirm that it emits those shapes.
+type planSpaceCounters struct {
 	// SargableHeads counts oracle predicates led by an index-shaped
 	// sargable conjunction (per-relation force-scan/force-index plans).
 	SargableHeads int
@@ -116,7 +115,7 @@ type Generator struct {
 	cfg       Config
 	model     *schema.Model
 	generated int
-	planSpace PlanSpaceCounters
+	planSpace planSpaceCounters
 
 	// intPool and textPool are the functions genFuncCall draws from for
 	// an INTEGER or TEXT result: those of that result kind, then those
@@ -129,6 +128,10 @@ type Generator struct {
 	// statement and consume their filtered list before recursing or
 	// returning.
 	choiceBuf []feature.ID
+
+	// scopes are the reused expression scopes, one per subquery nesting
+	// level (see scope).
+	scopes []*exprScope
 }
 
 // New creates a Generator.
@@ -200,9 +203,6 @@ func (g *Generator) indexFunctions() {
 
 // Model exposes the internal schema model.
 func (g *Generator) Model() *schema.Model { return g.model }
-
-// PlanSpace returns the generator's plan-space coverage counters.
-func (g *Generator) PlanSpace() PlanSpaceCounters { return g.planSpace }
 
 // ResetModel clears the schema model (a fresh database state).
 func (g *Generator) ResetModel() { g.model = schema.New() }

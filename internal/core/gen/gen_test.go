@@ -300,13 +300,13 @@ func TestPlanSpaceCountersTrackProbeShapes(t *testing.T) {
 		{Name: "x", Type: sqlast.TypeInt}, {Name: "y", Type: sqlast.TypeInt}}})
 	g.Model().Apply(&sqlast.CreateIndex{Name: "i", Table: "t0", Columns: []string{"a", "b"}})
 
-	if g.PlanSpace() != (PlanSpaceCounters{}) {
-		t.Fatalf("counters must start zero: %+v", g.PlanSpace())
+	if g.planSpace != (planSpaceCounters{}) {
+		t.Fatalf("counters must start zero: %+v", g.planSpace)
 	}
 	for i := 0; i < 2000; i++ {
 		g.GenOracleCase()
 	}
-	ps := g.PlanSpace()
+	ps := g.planSpace
 	if ps.SargableHeads == 0 {
 		t.Error("no sargable heads counted")
 	}

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"strings"
 
 	"sqlancerpp/internal/core/schema"
 	"sqlancerpp/internal/feature"
@@ -26,14 +25,14 @@ func (g *Generator) finish(stmt sqlast.Stmt, fs *feature.Set, isQuery bool, onSu
 // the paper's standard settings (up to MaxTables tables and MaxViews
 // views).
 func (g *Generator) GenSetup() *Statement {
-	tables := g.model.Tables()
+	nTables := g.model.NumTables()
 	views := g.model.Views()
 
 	var alts []feature.ID
-	if len(tables) < g.cfg.MaxTables {
+	if nTables < g.cfg.MaxTables {
 		alts = append(alts, feature.StmtCreateTableID, feature.StmtCreateTableID)
 	}
-	if len(tables) > 0 {
+	if nTables > 0 {
 		// CREATE INDEX weighs double so database states regularly carry
 		// indexes: the engine's access-path planner only diverges from a
 		// full scan — and the index-maintenance fault sites only fire —
@@ -127,16 +126,13 @@ func (g *Generator) genCreateTable() *Statement {
 }
 
 func (g *Generator) randTable() *schema.Relation {
-	tables := g.model.Tables()
-	return tables[g.intn(len(tables))]
+	return g.model.Table(g.intn(g.model.NumTables()))
 }
 
 // tableScope exposes one table's columns for expression generation.
 func (g *Generator) tableScope(t *schema.Relation) *exprScope {
-	sc := &exprScope{gen: g}
-	for _, c := range t.Columns {
-		sc.cols = append(sc.cols, scopeCol{Table: t.Name, Column: c.Name, Type: typOf(c.Type)})
-	}
+	sc := g.scope(0)
+	sc.addRelation(t.Name, t)
 	return sc
 }
 
@@ -377,19 +373,29 @@ func (g *Generator) genSargablePred(sc *exprScope, fs *feature.Set) sqlast.Expr 
 	if !g.supported(feature.OpEqID) {
 		return nil
 	}
-	var cands []*schema.Index
+	// The candidates are the indexes of in-scope tables; count them,
+	// then take the drawn one.
+	nCands := 0
 	for _, ix := range g.model.Indexes() {
-		for _, c := range sc.cols {
-			if strings.EqualFold(c.Table, ix.Table) {
-				cands = append(cands, ix)
-				break
-			}
+		if sc.hasTable(ix.Table) {
+			nCands++
 		}
 	}
-	if len(cands) == 0 {
+	if nCands == 0 {
 		return nil
 	}
-	ix := cands[g.intn(len(cands))]
+	var ix *schema.Index
+	k := g.intn(nCands)
+	for _, cand := range g.model.Indexes() {
+		if !sc.hasTable(cand.Table) {
+			continue
+		}
+		if k == 0 {
+			ix = cand
+			break
+		}
+		k--
+	}
 	rel := g.model.Relation(ix.Table)
 	if rel == nil {
 		return nil
@@ -423,12 +429,13 @@ func (g *Generator) genSargablePred(sc *exprScope, fs *feature.Set) sqlast.Expr 
 	}
 	if eqn < len(ix.Columns) && g.prob(0.75) {
 		if c := rel.Column(ix.Columns[eqn]); c != nil {
-			var ops []feature.ID
+			ops := g.choiceBuf[:0]
 			for _, op := range rangeOps {
 				if g.supported(op) {
 					ops = append(ops, op)
 				}
 			}
+			g.choiceBuf = ops
 			if len(ops) > 0 {
 				conj(ops[g.intn(len(ops))], c)
 			}
@@ -457,8 +464,15 @@ func (g *Generator) GenRefresh(table string) *Statement {
 	return g.finish(&sqlast.Refresh{Table: table}, fs, false, nil)
 }
 
+// repeatAliases and derivedAliases spell queryScope's relation aliases
+// by FROM position: a relation picked again is aN, a derived table subN.
+var (
+	repeatAliases  = [...]string{"a0", "a1", "a2"}
+	derivedAliases = [...]string{"sub0", "sub1", "sub2"}
+)
+
 // queryScope builds the FROM clause of a query: relations with join
-// types, plus the visible column scope.
+// types, plus the visible column scope, the generator's level-0 scope.
 func (g *Generator) queryScope(fs *feature.Set, forOracle bool) ([]sqlast.FromItem, *exprScope) {
 	rels := g.model.Relations()
 	if len(rels) == 0 {
@@ -471,21 +485,24 @@ func (g *Generator) queryScope(fs *feature.Set, forOracle bool) ([]sqlast.FromIt
 	if len(rels) > 2 && g.prob(0.2) {
 		n = 3
 	}
-	sc := &exprScope{gen: g}
-	var from []sqlast.FromItem
-	used := map[string]int{}
-	for i := 0; i < n; i++ {
+	sc := g.scope(0)
+	from := make([]sqlast.FromItem, n)
+	var picked [len(repeatAliases)]string
+	for i := range from {
 		r := rels[g.intn(len(rels))]
 		alias := r.Name
-		if used[r.Name] > 0 {
-			alias = fmt.Sprintf("a%d", i)
+		for _, p := range picked[:i] {
+			if p == r.Name {
+				alias = repeatAliases[i]
+				break
+			}
 		}
-		used[r.Name]++
-		var ref sqlast.TableRef
+		picked[i] = r.Name
+		item := &from[i]
 		if forOracle && g.prob(0.12) && g.supported(feature.DerivedTableID) && !r.IsView {
 			// Derived table: (SELECT * FROM r) AS subN.
-			alias = fmt.Sprintf("sub%d", i)
-			ref = &sqlast.DerivedTable{
+			alias = derivedAliases[i]
+			item.Ref = &sqlast.DerivedTable{
 				Select: &sqlast.Select{
 					Items: []sqlast.SelectItem{{Star: true}},
 					From:  []sqlast.FromItem{{Ref: &sqlast.TableName{Name: r.Name}}},
@@ -498,86 +515,96 @@ func (g *Generator) queryScope(fs *feature.Set, forOracle bool) ([]sqlast.FromIt
 			if alias != r.Name {
 				tn.Alias = alias
 			}
-			ref = tn
+			item.Ref = tn
 		}
-		item := sqlast.FromItem{Ref: ref}
-		if i > 0 {
-			jf := g.pickFeature(feature.JoinIDs)
-			fs.Add(jf)
-			item.Join = joinTypeOf(jf)
-			if item.Join != sqlast.JoinComma && item.Join != sqlast.JoinCross &&
-				item.Join != sqlast.JoinNatural {
-				// ON over the columns visible so far plus the new ones.
-				onScope := &exprScope{gen: g, cols: append([]scopeCol{}, sc.cols...)}
-				for _, c := range r.Columns {
-					onScope.cols = append(onScope.cols, scopeCol{Table: alias, Column: c.Name, Type: typOf(c.Type)})
-				}
-				// Half the time, lead the ON condition with a plain,
-				// type-aligned equality between an earlier relation's
-				// column and one of the new relation's — the probe-eligible
-				// shape the engine's index-nested-loop join planner
-				// accelerates (and the only shape its fault sites fire on).
-				eq := sqlast.Expr(nil)
-				if g.prob(0.5) && g.supported(feature.OpEqID) {
-					eq = g.genJoinEq(sc, r, alias, fs)
-					if eq != nil {
-						g.planSpace.ProbeEligibleJoins++
-					}
-					// A second equality key makes the ON multi-conjunct —
-					// the shape the composite join probe binds as a
-					// two-column equality prefix.
-					if eq != nil && g.prob(0.35) && g.supported(feature.OpAndID) {
-						if eq2 := g.genJoinEq(sc, r, alias, fs); eq2 != nil {
-							fs.Add(feature.OpAndID)
-							g.planSpace.MultiKeyJoins++
-							eq = &sqlast.Binary{Op: sqlast.OpAnd, L: eq, R: eq2}
-						}
-					}
-				}
-				switch {
-				case eq == nil:
-					item.On = g.genBool(onScope, 1, fs)
-				case g.prob(0.45) && g.supported(feature.OpAndID):
+		// The scope gains the new relation's columns before its ON
+		// condition is generated, which sees them; the join equality's
+		// left column comes from the earlier relations alone.
+		prev := len(sc.cols)
+		sc.addRelation(alias, r)
+		if i == 0 {
+			continue
+		}
+		jf := g.pickFeature(feature.JoinIDs)
+		fs.Add(jf)
+		item.Join = joinTypeOf(jf)
+		if item.Join == sqlast.JoinComma || item.Join == sqlast.JoinCross ||
+			item.Join == sqlast.JoinNatural {
+			continue
+		}
+		// Half the time, lead the ON condition with a plain, type-aligned
+		// equality between an earlier relation's column and one of the
+		// new relation's — the probe-eligible shape the engine's
+		// index-nested-loop join planner accelerates (and the only shape
+		// its fault sites fire on).
+		eq := sqlast.Expr(nil)
+		if g.prob(0.5) && g.supported(feature.OpEqID) {
+			eq = g.genJoinEq(sc.cols[:prev], r, alias, fs)
+			if eq != nil {
+				g.planSpace.ProbeEligibleJoins++
+			}
+			// A second equality key makes the ON multi-conjunct — the
+			// shape the composite join probe binds as a two-column
+			// equality prefix.
+			if eq != nil && g.prob(0.35) && g.supported(feature.OpAndID) {
+				if eq2 := g.genJoinEq(sc.cols[:prev], r, alias, fs); eq2 != nil {
 					fs.Add(feature.OpAndID)
-					item.On = &sqlast.Binary{Op: sqlast.OpAnd, L: eq,
-						R: g.genBool(onScope, 1, fs)}
-				default:
-					item.On = eq
+					g.planSpace.MultiKeyJoins++
+					eq = &sqlast.Binary{Op: sqlast.OpAnd, L: eq, R: eq2}
 				}
 			}
 		}
-		from = append(from, item)
-		for _, c := range r.Columns {
-			sc.cols = append(sc.cols, scopeCol{Table: alias, Column: c.Name, Type: typOf(c.Type)})
+		switch {
+		case eq == nil:
+			item.On = g.genBool(sc, 1, fs)
+		case g.prob(0.45) && g.supported(feature.OpAndID):
+			fs.Add(feature.OpAndID)
+			item.On = &sqlast.Binary{Op: sqlast.OpAnd, L: eq,
+				R: g.genBool(sc, 1, fs)}
+		default:
+			item.On = eq
 		}
 	}
 	return from, sc
 }
 
-// genJoinEq builds a probe-eligible ON equality: a column already in
-// scope compared to a same-typed column of the relation being joined
-// (type alignment keeps the conjunct valid on statically typed
-// dialects). Returns nil when no type-aligned pair exists.
-func (g *Generator) genJoinEq(sc *exprScope, r *schema.Relation, alias string, fs *feature.Set) sqlast.Expr {
-	if len(sc.cols) == 0 || len(r.Columns) == 0 {
+// genJoinEq builds a probe-eligible ON equality: a column of the
+// earlier relations (left) compared to a same-typed column of the
+// relation being joined (type alignment keeps the conjunct valid on
+// statically typed dialects). Returns nil when no type-aligned pair
+// exists.
+func (g *Generator) genJoinEq(left []scopeCol, r *schema.Relation, alias string, fs *feature.Set) sqlast.Expr {
+	if len(left) == 0 || len(r.Columns) == 0 {
 		return nil
 	}
-	lc := sc.cols[g.intn(len(sc.cols))]
-	var rcs []schema.Column
+	lc := left[g.intn(len(left))]
+	// Count the type-aligned columns, then take the drawn one.
+	n := 0
 	for _, c := range r.Columns {
 		if typOf(c.Type) == lc.Type {
-			rcs = append(rcs, c)
+			n++
 		}
 	}
-	if len(rcs) == 0 {
+	if n == 0 {
 		return nil
 	}
-	rc := rcs[g.intn(len(rcs))]
+	k := g.intn(n)
+	var rc string
+	for _, c := range r.Columns {
+		if typOf(c.Type) != lc.Type {
+			continue
+		}
+		if k == 0 {
+			rc = c.Name
+			break
+		}
+		k--
+	}
 	fs.Add(feature.OpEqID)
 	fs.Add(feature.ExprColumnID)
 	return &sqlast.Binary{Op: sqlast.OpEq,
 		L: &sqlast.ColumnRef{Table: lc.Table, Column: lc.Column},
-		R: &sqlast.ColumnRef{Table: alias, Column: rc.Name},
+		R: &sqlast.ColumnRef{Table: alias, Column: rc},
 	}
 }
 
@@ -604,25 +631,26 @@ func joinTypeOf(f feature.ID) sqlast.JoinType {
 // or three simple cores with matching projection types joined by set
 // operators. Returns nil when the model has no tables.
 func (g *Generator) GenCompoundQuery() *Statement {
-	tables := g.model.Tables()
-	if len(tables) == 0 {
+	nTables := g.model.NumTables()
+	if nTables == 0 {
 		return nil
 	}
 	fs := &feature.Set{}
 	fs.Add(feature.StmtSelectID)
-	nCols := 1 + g.intn(2)
-	types := make([]typ, nCols)
+	var typeBuf [2]typ
+	types := typeBuf[:1+g.intn(2)]
 	for i := range types {
 		types[i] = typ(g.intn(2)) // INT or TEXT keeps arms unifiable
 	}
 	core := func() *sqlast.Select {
-		t := tables[g.intn(len(tables))]
+		t := g.model.Table(g.intn(nTables))
 		sc := g.tableScope(t)
-		sel := &sqlast.Select{From: []sqlast.FromItem{{Ref: &sqlast.TableName{Name: t.Name}}}}
-		for _, want := range types {
-			sel.Items = append(sel.Items, sqlast.SelectItem{
-				Expr: g.genExpr(sc, want, g.depth()-1, fs),
-			})
+		sel := &sqlast.Select{
+			Items: make([]sqlast.SelectItem, len(types)),
+			From:  []sqlast.FromItem{{Ref: &sqlast.TableName{Name: t.Name}}},
+		}
+		for i, want := range types {
+			sel.Items[i].Expr = g.genExpr(sc, want, g.depth()-1, fs)
 		}
 		if g.prob(0.4) {
 			sel.Where = g.genBool(sc, g.depth()-1, fs)
@@ -631,17 +659,18 @@ func (g *Generator) GenCompoundQuery() *Statement {
 		return sel
 	}
 	sel := core()
-	nArms := 1 + g.intn(2)
-	ops := []feature.ID{feature.UnionID, feature.UnionAllID, feature.UnionAllID, feature.IntersectID, feature.ExceptID}
-	for i := 0; i < nArms; i++ {
-		opFeat := g.pickFeature(ops)
+	sel.Compound = make([]sqlast.CompoundPart, 1+g.intn(2))
+	for i := range sel.Compound {
+		opFeat := g.pickFeature(setOpAlts)
 		fs.Add(opFeat)
-		sel.Compound = append(sel.Compound, sqlast.CompoundPart{
-			Op: setOpOf(opFeat), Select: core(),
-		})
+		sel.Compound[i] = sqlast.CompoundPart{Op: setOpOf(opFeat), Select: core()}
 	}
 	return g.finish(sel, fs, true, nil)
 }
+
+// setOpAlts are GenCompoundQuery's set operators; UNION ALL weighs
+// double.
+var setOpAlts = []feature.ID{feature.UnionID, feature.UnionAllID, feature.UnionAllID, feature.IntersectID, feature.ExceptID}
 
 func setOpOf(f feature.ID) sqlast.SetOp {
 	switch f {
@@ -663,13 +692,12 @@ func (g *Generator) GenQuery() *Statement {
 	fs.Add(feature.StmtSelectID)
 	from, sc := g.queryScope(fs, false)
 	if sc == nil {
-		sc = &exprScope{gen: g}
+		sc = g.scope(0)
 	}
 	depth := g.depth()
-	sel := &sqlast.Select{From: from}
-	nItems := 1 + g.intn(2)
+	sel := &sqlast.Select{From: from, Items: make([]sqlast.SelectItem, 1+g.intn(2))}
 	useAggr := len(from) > 0 && g.prob(0.18)
-	for i := 0; i < nItems; i++ {
+	for i := range sel.Items {
 		if useAggr {
 			agg := g.pickFeature(feature.AggregateIDs)
 			fs.Add(agg)
@@ -684,14 +712,14 @@ func (g *Generator) GenQuery() *Statement {
 					fs.Add(feature.DistinctID)
 				}
 			}
-			sel.Items = append(sel.Items, sqlast.SelectItem{Expr: call})
+			sel.Items[i].Expr = call
 			continue
 		}
 		if len(from) > 0 && g.prob(0.25) && i == 0 {
-			sel.Items = append(sel.Items, sqlast.SelectItem{Star: true})
+			sel.Items[i].Star = true
 			continue
 		}
-		sel.Items = append(sel.Items, sqlast.SelectItem{Expr: g.genExpr(sc, typ(g.intn(3)), depth-1, fs)})
+		sel.Items[i].Expr = g.genExpr(sc, typ(g.intn(3)), depth-1, fs)
 	}
 	if len(from) > 0 && g.prob(0.6) {
 		sel.Where = g.genBool(sc, depth, fs)
@@ -729,24 +757,35 @@ func (g *Generator) GenQuery() *Statement {
 // GenOracleCase produces a base query (no WHERE, no aggregates, no
 // DISTINCT/ORDER/LIMIT — the shape the TLP partitioning property needs)
 // plus a predicate. Returns nil when the model has no relations yet.
+//
+// Generation allocates the returned case and nothing else but the
+// free-form predicate a bare sargable head replaces:
+// TestOracleCaseAllocatesOnlyItsCase holds it to that.
 func (g *Generator) GenOracleCase() *OracleCase {
+	oc, _ := g.genOracleCase()
+	return oc
+}
+
+// genOracleCase is GenOracleCase. It also returns the free-form
+// predicate it generated and then dropped for a bare sargable head (nil
+// when it kept it): the draws and features of that predicate are part
+// of the case's stream, so its nodes are allocated and left behind.
+func (g *Generator) genOracleCase() (oc *OracleCase, dropped sqlast.Expr) {
 	fs := &feature.Set{}
 	fs.Add(feature.StmtSelectID)
 	from, sc := g.queryScope(fs, true)
 	if from == nil || len(sc.cols) == 0 {
-		return nil
+		return nil, nil
 	}
 	depth := g.depth()
 	sel := &sqlast.Select{From: from}
 	if g.prob(0.6) {
 		sel.Items = []sqlast.SelectItem{{Star: true}}
 	} else {
-		n := 1 + g.intn(2)
-		for i := 0; i < n; i++ {
+		sel.Items = make([]sqlast.SelectItem, 1+g.intn(2))
+		for i := range sel.Items {
 			c := sc.cols[g.intn(len(sc.cols))]
-			sel.Items = append(sel.Items, sqlast.SelectItem{
-				Expr: &sqlast.ColumnRef{Table: c.Table, Column: c.Column},
-			})
+			sel.Items[i].Expr = &sqlast.ColumnRef{Table: c.Table, Column: c.Column}
 		}
 	}
 	pred := g.genBool(sc, depth, fs)
@@ -764,10 +803,10 @@ func (g *Generator) GenOracleCase() *OracleCase {
 				fs.Add(feature.OpAndID)
 				pred = &sqlast.Binary{Op: sqlast.OpAnd, L: sp, R: pred}
 			} else {
-				pred = sp
+				dropped, pred = pred, sp
 			}
 		}
 	}
 	g.generated++
-	return &OracleCase{Base: sel, Pred: pred, Features: fs.Names(), FeatureSet: *fs}
+	return &OracleCase{Base: sel, Pred: pred, Features: fs.Names(), FeatureSet: *fs}, dropped
 }

@@ -164,8 +164,8 @@ func derive(base *sqlast.Select) *sqlast.Select {
 
 // tlpPartitions builds the three partition predicates p, NOT p, p IS NULL,
 // sharing pred.
-func tlpPartitions(pred sqlast.Expr) []sqlast.Expr {
-	return []sqlast.Expr{
+func tlpPartitions(pred sqlast.Expr) [3]sqlast.Expr {
+	return [3]sqlast.Expr{
 		pred,
 		&sqlast.Unary{Op: sqlast.UNot, X: pred},
 		&sqlast.IsNull{X: pred},

@@ -28,11 +28,11 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	parts := tlpPartitions(pred)
 	first := derive(base)
 	first.Where = parts[0]
-	for _, p := range parts[1:] {
+	first.Compound = make([]sqlast.CompoundPart, len(parts)-1)
+	for i, p := range parts[1:] {
 		arm := derive(base)
 		arm.Where = p
-		first.Compound = append(first.Compound,
-			sqlast.CompoundPart{Op: sqlast.SetUnionAll, Select: arm})
+		first.Compound[i] = sqlast.CompoundPart{Op: sqlast.SetUnionAll, Select: arm}
 	}
 	unionRes, err := r.query(r.render(first))
 	if err != nil {

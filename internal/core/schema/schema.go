@@ -76,6 +76,33 @@ func (m *Model) Tables() []*Relation {
 	return out
 }
 
+// NumTables returns the number of modeled base tables.
+func (m *Model) NumTables() int {
+	n := 0
+	for _, r := range m.relations {
+		if !r.IsView {
+			n++
+		}
+	}
+	return n
+}
+
+// Table returns the base table at position i (from 0, in creation
+// order) among the modeled base tables, the i-th element of Tables
+// without building the list; i must be below NumTables.
+func (m *Model) Table(i int) *Relation {
+	for _, r := range m.relations {
+		if r.IsView {
+			continue
+		}
+		if i == 0 {
+			return r
+		}
+		i--
+	}
+	panic("schema: table index out of range")
+}
+
 // Views returns modeled views.
 func (m *Model) Views() []*Relation {
 	var out []*Relation

@@ -106,3 +106,23 @@ func TestCaseInsensitiveLookup(t *testing.T) {
 		t.Fatal("column lookup must be case-insensitive")
 	}
 }
+
+// TestTableIndexesTables: NumTables and Table(i) read the base tables
+// in Tables' order, skipping views wherever they sit.
+func TestTableIndexesTables(t *testing.T) {
+	m := New()
+	col := []sqlast.ColumnDef{{Name: "c0", Type: sqlast.TypeInt}}
+	m.ApplyView("v0", []Column{{Name: "x0", Type: sqlast.TypeInt}})
+	m.Apply(&sqlast.CreateTable{Name: "t0", Columns: col})
+	m.ApplyView("v1", []Column{{Name: "x0", Type: sqlast.TypeInt}})
+	m.Apply(&sqlast.CreateTable{Name: "t1", Columns: col})
+	tables := m.Tables()
+	if m.NumTables() != len(tables) || len(tables) != 2 {
+		t.Fatalf("NumTables = %d, Tables has %d, want 2", m.NumTables(), len(tables))
+	}
+	for i, want := range tables {
+		if got := m.Table(i); got != want {
+			t.Errorf("Table(%d) = %s, want %s", i, got.Name, want.Name)
+		}
+	}
+}

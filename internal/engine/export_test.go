@@ -8,6 +8,9 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
+// Crashed reports whether the simulated server is down.
+func (s *DB) Crashed() bool { return s.crashed }
+
 // RenderRows returns the canonical textual form of each row (renderRow),
 // for tests that compare or print whole results.
 func (r *Result) RenderRows() []string {

@@ -9,6 +9,7 @@ package engine
 // the legacy index-on/off pair covers only one axis of the space.
 
 import (
+	"slices"
 	"strings"
 
 	"sqlancerpp/internal/sqlast"
@@ -122,12 +123,16 @@ func EnumeratePlans(db *DB, sel *sqlast.Select) []PlanSpec {
 		if k > maxPermRels {
 			k = maxPermRels
 		}
-		permuteLex(k, func(perm []int) {
-			if p := CanonicalPerm(perm); p != nil {
-				specs = append(specs, PlanSpec{
-					JoinPerm: append([]int(nil), p...)})
-			}
-		})
+		var buf [maxPermRels]int
+		perm := buf[:k]
+		for i := range perm {
+			perm[i] = i
+		}
+		// perm starts at the identity, which is not a spec of its own.
+		for nextPerm(perm) {
+			p := CanonicalPerm(perm)
+			specs = append(specs, PlanSpec{JoinPerm: append([]int(nil), p...)})
+		}
 	}
 	return specs
 }
@@ -136,28 +141,24 @@ func EnumeratePlans(db *DB, sel *sqlast.Select) []PlanSpec {
 // yield 23 non-identity orders, and the generator never emits more.
 const maxPermRels = 4
 
-// permuteLex visits every permutation of [0..k) in lexicographic order.
-// The callback's slice is reused across calls.
-func permuteLex(k int, visit func([]int)) {
-	perm := make([]int, k)
-	used := make([]bool, k)
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == k {
-			visit(perm)
-			return
-		}
-		for v := 0; v < k; v++ {
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			perm[depth] = v
-			rec(depth + 1)
-			used[v] = false
-		}
+// nextPerm rearranges perm into the next permutation in lexicographic
+// order, in place; it returns false, leaving perm alone, when perm is
+// the last one.
+func nextPerm(perm []int) bool {
+	i := len(perm) - 2
+	for i >= 0 && perm[i] >= perm[i+1] {
+		i--
 	}
-	rec(0)
+	if i < 0 {
+		return false
+	}
+	j := len(perm) - 1
+	for perm[j] <= perm[i] {
+		j--
+	}
+	perm[i], perm[j] = perm[j], perm[i]
+	slices.Reverse(perm[i+1:])
+	return true
 }
 
 // relPlan builds a single-relation forcing spec.
@@ -213,7 +214,8 @@ sized:
 	if m < 2 {
 		return 0
 	}
-	aliases := make([]string, m)
+	var aliasBuf [maxPermRels]string
+	aliases := permScratch(aliasBuf[:], m)
 	for i := 0; i < m; i++ {
 		aliases[i] = refAlias(sel.From[i].Ref)
 		if aliases[i] == "" {
@@ -351,26 +353,35 @@ func permutedFrom(from []sqlast.FromItem, perm []int) ([]sqlast.FromItem, map[sq
 	out := make([]sqlast.FromItem, len(from))
 	copy(out, from)
 
-	aliases := make([]string, k)
+	// The per-relation lists are bounded by maxPermRels, the longest
+	// prefix EnumeratePlans permutes; a longer spec-given perm is sized
+	// on the heap.
+	var aliasBuf [maxPermRels]string
+	var boundBuf [maxPermRels]int
+	var onsBuf [maxPermRels]sqlast.Expr
+	aliases := permScratch(aliasBuf[:], k)
+	bound := permScratch(boundBuf[:], k)
+	ons := permScratch(onsBuf[:], k)
 	for i := 0; i < k; i++ {
 		aliases[i] = refAlias(from[i].Ref)
 	}
 
 	// Pool the prefix ON conjuncts with the original relation set each
 	// one joined under.
-	var conjs []sqlast.Expr
-	var origStep []int
+	var conjBuf [2 * maxPermRels]sqlast.Expr
+	var stepBuf [2 * maxPermRels]int
+	conjs, origStep := conjBuf[:0], stepBuf[:0]
 	for i := 1; i < k; i++ {
 		if from[i].On != nil {
-			for _, c := range splitAnd(from[i].On, nil) {
-				conjs = append(conjs, c)
+			n := len(conjs)
+			conjs = splitAnd(from[i].On, conjs)
+			for range conjs[n:] {
 				origStep = append(origStep, i)
 			}
 		}
 	}
 
 	// bound[o] is the new step at which original relation o joins in.
-	bound := make([]int, k)
 	for j := 0; j < k; j++ {
 		out[j] = sqlast.FromItem{Ref: from[perm[j]].Ref}
 		if j > 0 {
@@ -380,7 +391,6 @@ func permutedFrom(from []sqlast.FromItem, perm []int) ([]sqlast.FromItem, map[sq
 	}
 
 	var moved map[sqlast.Expr]bool
-	ons := make([]sqlast.Expr, k)
 	for ci, conj := range conjs {
 		// The conjunct becomes evaluable at the latest new step among
 		// the relations it references (step 1 when it references none).
@@ -416,6 +426,14 @@ func permutedFrom(from []sqlast.FromItem, perm []int) ([]sqlast.FromItem, map[sq
 		out[j].On = ons[j]
 	}
 	return out, moved
+}
+
+// permScratch returns buf[:n], or a new list when n exceeds buf.
+func permScratch[T any](buf []T, n int) []T {
+	if n > len(buf) {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // samePrefixSet reports whether {perm[0..at]} equals {0..orig}.

@@ -20,7 +20,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -120,55 +120,72 @@ func (p *PlanSpec) joinProbeOff(step int) bool {
 // reports carry the losing spec in this form and the reducer replays
 // it verbatim.
 func (p PlanSpec) String() string {
-	var toks []string
+	// Specs render into one buffer. A spec has a few tokens and forces
+	// a few relations and joins, so the buffer and the sorted alias and
+	// step lists stay on the stack unless it is unusually large.
+	var buf [64]byte
+	b := buf[:0]
 	if p.DisableIndexPaths {
-		toks = append(toks, "noindex")
+		b = append(b, "noindex"...)
 	}
 	if len(p.JoinPerm) > 0 {
-		ps := make([]string, len(p.JoinPerm))
+		b = append(tokenSep(b), "perm:"...)
 		for i, v := range p.JoinPerm {
-			ps[i] = strconv.Itoa(v)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
 		}
-		toks = append(toks, "perm:"+strings.Join(ps, ","))
 	}
 	if p.CoveringOff {
-		toks = append(toks, "nocover")
+		b = append(tokenSep(b), "nocover"...)
 	}
-	aliases := make([]string, 0, len(p.Relations))
+	var aliasBuf [4]string
+	aliases := aliasBuf[:0]
 	for a := range p.Relations {
 		aliases = append(aliases, a)
 	}
-	sort.Strings(aliases)
+	slices.Sort(aliases)
 	for _, a := range aliases {
 		rs := p.Relations[a]
-		var body string
+		b = append(tokenSep(b), "rel:"...)
+		b = append(append(b, a...), '=')
 		switch rs.Force {
 		case ForceScan:
-			body = "scan"
+			b = append(b, "scan"...)
 		case ForceIndex:
-			body = "index(" + rs.Index + ")"
+			b = append(append(append(b, "index("...), rs.Index...), ')')
 		default:
-			body = "auto"
+			b = append(b, "auto"...)
 		}
 		if rs.PrefixWidth > 0 && rs.Force != ForceScan {
-			body += "/w" + strconv.Itoa(rs.PrefixWidth)
+			b = strconv.AppendInt(append(b, "/w"...), int64(rs.PrefixWidth), 10)
 		}
-		toks = append(toks, "rel:"+a+"="+body)
 	}
-	steps := make([]int, 0, len(p.Joins))
-	for s := range p.Joins {
-		steps = append(steps, s)
+	var stepBuf [4]int
+	steps := stepBuf[:0]
+	for s, js := range p.Joins {
+		if js.ProbeOff {
+			steps = append(steps, s)
+		}
 	}
-	sort.Ints(steps)
+	slices.Sort(steps)
 	for _, s := range steps {
-		if p.Joins[s].ProbeOff {
-			toks = append(toks, "join:"+strconv.Itoa(s)+"=probeoff")
-		}
+		b = strconv.AppendInt(append(tokenSep(b), "join:"...), int64(s), 10)
+		b = append(b, "=probeoff"...)
 	}
-	if len(toks) == 0 {
+	if len(b) == 0 {
 		return "auto"
 	}
-	return strings.Join(toks, " ")
+	return string(b)
+}
+
+// tokenSep appends the separator a token needs after earlier ones.
+func tokenSep(b []byte) []byte {
+	if len(b) > 0 {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // CanonicalPerm trims trailing fixed points from a permutation and

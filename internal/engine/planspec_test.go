@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,48 @@ import (
 	"sqlancerpp/internal/sqlast"
 	"sqlancerpp/internal/sqlparse"
 )
+
+// TestPlanSpecStringIsPinned pins the serialized form byte for byte:
+// spec strings reach bug reports (Result.PlanSpec) and the reducer
+// replays them, so rendering must not drift.
+func TestPlanSpecStringIsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec PlanSpec
+		want string
+	}{
+		{PlanSpec{}, "auto"},
+		{PlanSpec{Relations: map[string]RelSpec{}, Joins: map[int]JoinSpec{}}, "auto"},
+		{PlanSpec{Joins: map[int]JoinSpec{3: {}}}, "auto"},
+		{PlanSpec{DisableIndexPaths: true}, "noindex"},
+		{PlanSpec{CoveringOff: true}, "nocover"},
+		{PlanSpec{JoinPerm: []int{1, 0}}, "perm:1,0"},
+		{PlanSpec{JoinPerm: []int{3, 1, 0, 2}}, "perm:3,1,0,2"},
+		{PlanSpec{JoinPerm: []int{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
+			"perm:11,10,9,8,7,6,5,4,3,2,1,0"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {Force: ForceScan}}}, "rel:t0=scan"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {Force: ForceScan, PrefixWidth: 2}}}, "rel:t0=scan"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {Force: ForceIndex, Index: "i3"}}}, "rel:t0=index(i3)"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {Force: ForceIndex, Index: "i3", PrefixWidth: 1}}},
+			"rel:t0=index(i3)/w1"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {PrefixWidth: 12}}}, "rel:t0=auto/w12"},
+		{PlanSpec{Relations: map[string]RelSpec{"t0": {}}}, "rel:t0=auto"},
+		{PlanSpec{Relations: map[string]RelSpec{
+			"b": {Force: ForceScan}, "a1": {Force: ForceIndex, Index: "ix"},
+			"B": {PrefixWidth: 3}, "a": {}, "sub0": {Force: ForceScan},
+		}}, "rel:B=auto/w3 rel:a=auto rel:a1=index(ix) rel:b=scan rel:sub0=scan"},
+		{PlanSpec{Joins: map[int]JoinSpec{10: {ProbeOff: true}, 2: {ProbeOff: true}, 1: {}, 0: {ProbeOff: true}}},
+			"join:0=probeoff join:2=probeoff join:10=probeoff"},
+		{PlanSpec{
+			DisableIndexPaths: true, JoinPerm: []int{2, 0, 1}, CoveringOff: true,
+			Relations: map[string]RelSpec{"t1": {Force: ForceScan}, "t0": {Force: ForceIndex, Index: "i0", PrefixWidth: 2}},
+			Joins:     map[int]JoinSpec{1: {ProbeOff: true}, 0: {ProbeOff: true}},
+		}, "noindex perm:2,0,1 nocover rel:t0=index(i0)/w2 rel:t1=scan join:0=probeoff join:1=probeoff"},
+	} {
+		if got := tc.spec.String(); got != tc.want {
+			t.Errorf("%+v renders %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}
 
 func TestPlanSpecStringParseRoundTrip(t *testing.T) {
 	specs := []PlanSpec{
@@ -305,6 +348,35 @@ func TestSwapGatedByLaterNaturalJoin(t *testing.T) {
 // function of (statement, catalog) with the canonical order — the
 // planner-off spec first — and covers every forcing axis the statement
 // admits.
+// TestNextPermIsLexicographic: from the identity, nextPerm steps
+// through all k! orders, each above the last, so EnumeratePlans lists
+// the join-order specs in lexicographic order.
+func TestNextPermIsLexicographic(t *testing.T) {
+	fact := 1
+	for k := 1; k <= maxPermRels; k++ {
+		fact *= k
+		perm := make([]int, k)
+		for i := range perm {
+			perm[i] = i
+		}
+		prev := slices.Clone(perm)
+		n := 1
+		for nextPerm(perm) {
+			if slices.Compare(prev, perm) >= 0 {
+				t.Fatalf("k=%d: %v follows %v", k, perm, prev)
+			}
+			prev = slices.Clone(perm)
+			n++
+		}
+		if n != fact {
+			t.Errorf("k=%d: %d orders, want %d", k, n, fact)
+		}
+		if !slices.Equal(perm, prev) {
+			t.Errorf("k=%d: the last call moved %v to %v", k, prev, perm)
+		}
+	}
+}
+
 func TestEnumeratePlansDeterministicAndShaped(t *testing.T) {
 	db := openPlanDB(t)
 	planSpecTable(t, db)

@@ -255,9 +255,6 @@ func (s *DB) PlanSpec() PlanSpec { return s.planSpec }
 // (i.e. the current spec does not suppress it wholesale).
 func (s *DB) IndexPathsEnabled() bool { return !s.planSpec.DisableIndexPaths }
 
-// Crashed reports whether the simulated server is down.
-func (s *DB) Crashed() bool { return s.crashed }
-
 // Restart brings a crashed server back up (storage survives, as with a
 // durable DBMS restarted by the harness).
 func (s *DB) Restart() { s.crashed = false }

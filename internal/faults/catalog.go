@@ -233,12 +233,3 @@ func Dialects() []string {
 	sort.Strings(out)
 	return out
 }
-
-// CountByClass tallies a fault list by class.
-func CountByClass(list []Fault) map[Class]int {
-	m := map[Class]int{}
-	for _, f := range list {
-		m[f.Class]++
-	}
-	return m
-}

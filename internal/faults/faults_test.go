@@ -6,6 +6,15 @@ import (
 	"sqlancerpp/internal/feature"
 )
 
+// CountByClass tallies a fault list by class.
+func CountByClass(list []Fault) map[Class]int {
+	m := map[Class]int{}
+	for _, f := range list {
+		m[f.Class]++
+	}
+	return m
+}
+
 func TestSetIndexing(t *testing.T) {
 	s := NewSet([]Fault{
 		{ID: "a", Kind: CmpNullTrue, Param: "="},
