@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -1067,11 +1068,47 @@ func reduceBugs(cfg Config, bugs []*BugCase, workers int, cache *sqlparse.Cache)
 		case ClassLogic:
 			bug.Reduced = reduceLogicBug(cfg, opts, bug, stmts)
 		case ClassHarness:
-			bug.Reduced = reduceHarnessBug(cfg, opts, stmts)
+			bug.Reduced = reduceHarnessBug(cfg, opts, bug, stmts)
 		}
 		bug.Carrier = ""
 		return nil
 	})
+}
+
+// replayHook, when non-nil, is called each time a reduction property
+// replays a candidate on the engine (a replay memo miss), with the bug
+// under reduction and the candidate's memo key. It is nil outside tests.
+var replayHook func(bug *BugCase, key string)
+
+// memoReplays wraps a reduction property of bug in a per-bug memo. It
+// renders each candidate's statements once; a candidate whose texts the
+// reducer has already tested gets the recorded verdict, and any other is
+// replayed from those texts by prop (which must not keep texts). The
+// verdict is a pure function of the texts: every replay opens a fresh
+// instance, and the texts are what it runs.
+func memoReplays(bug *BugCase, prop func(cand []sqlast.Stmt, texts []string) bool) reduce.Property {
+	verdicts := map[string]bool{}
+	var texts []string
+	var key []byte
+	return func(cand []sqlast.Stmt) bool {
+		texts, key = texts[:0], key[:0]
+		for _, st := range cand {
+			sql := st.SQL()
+			texts = append(texts, sql)
+			// Each text after its length, so no two sequences share a key.
+			key = strconv.AppendInt(key, int64(len(sql)), 10)
+			key = append(append(key, ':'), sql...)
+		}
+		if v, ok := verdicts[string(key)]; ok {
+			return v
+		}
+		if replayHook != nil {
+			replayHook(bug, string(key))
+		}
+		v := prop(cand, texts)
+		verdicts[string(key)] = v
+		return v
+	}
 }
 
 // reduceLogicBug shrinks the setup-plus-carrier sequence stmts while the
@@ -1084,7 +1121,7 @@ func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqla
 	if !ok {
 		return nil
 	}
-	prop := func(cand []sqlast.Stmt) bool {
+	prop := memoReplays(bug, func(cand []sqlast.Stmt, texts []string) bool {
 		if len(cand) == 0 {
 			return false
 		}
@@ -1093,7 +1130,11 @@ func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqla
 			return false
 		}
 		db := engine.Open(cfg.Dialect, opts...)
-		replayStmts(db, cand[:len(cand)-1])
+		replayStmts(db, texts[:len(texts)-1])
+		// The check runs on a clone, not on the carrier: the oracles seed
+		// the reduce pass's statement cache with trees built from it, and
+		// the reducer later mutates the carrier in place, which must not
+		// reach a cached tree.
 		cb := sqlast.CloneSelect(carrier)
 		cp := cb.Where
 		cb.Where = nil
@@ -1106,7 +1147,7 @@ func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqla
 		// A shrunken candidate that panics the engine does not exhibit
 		// the logic bug under reduction.
 		return !panicked && res.Outcome == oracle.Bug
-	}
+	})
 	if !prop(stmts) {
 		return nil // not reproducible from a pristine state
 	}
@@ -1135,16 +1176,16 @@ func checkNoPanic(orc oracle.Oracle, db *engine.DB, c *oracle.Case) (res oracle.
 // instances opened with opts: the same dialect faults and execution
 // budget. The property recovers per statement, so each shrink step stays
 // inside the containment boundary.
-func reduceHarnessBug(cfg Config, opts []engine.Option, stmts []sqlast.Stmt) []string {
-	prop := func(cand []sqlast.Stmt) bool {
+func reduceHarnessBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqlast.Stmt) []string {
+	prop := memoReplays(bug, func(_ []sqlast.Stmt, texts []string) bool {
 		db := engine.Open(cfg.Dialect, opts...)
-		for _, st := range cand {
-			if execPanics(db, st) {
+		for _, sql := range texts {
+			if execPanics(db, sql) {
 				return true
 			}
 		}
 		return false
-	}
+	})
 	if !prop(stmts) {
 		return nil // not reproducible from a pristine state
 	}
@@ -1159,13 +1200,13 @@ func reduceHarnessBug(cfg Config, opts []engine.Option, stmts []sqlast.Stmt) []s
 // execPanics executes one statement under a recovery boundary,
 // restarting on simulated crashes as the campaign loop does, and reports
 // whether the statement panicked the engine.
-func execPanics(db *engine.DB, st sqlast.Stmt) (panicked bool) {
+func execPanics(db *engine.DB, sql string) (panicked bool) {
 	defer func() {
 		if recover() != nil {
 			panicked = true
 		}
 	}()
-	if err := db.Exec(st.SQL()); err != nil && engine.IsCrash(err) {
+	if err := db.Exec(sql); err != nil && engine.IsCrash(err) {
 		db.Restart()
 	}
 	return false
@@ -1178,9 +1219,9 @@ func execPanics(db *engine.DB, st sqlast.Stmt) (panicked bool) {
 // replay restarts the server exactly as the campaign loop does. A panic
 // during replay is contained the same way: the instance restarts and the
 // replay moves on.
-func replayStmts(db *engine.DB, stmts []sqlast.Stmt) {
-	for _, st := range stmts {
-		if execPanics(db, st) {
+func replayStmts(db *engine.DB, stmts []string) {
+	for _, sql := range stmts {
+		if execPanics(db, sql) {
 			db.Restart()
 		}
 	}

@@ -8,8 +8,6 @@ import (
 	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/engine"
 	"sqlancerpp/internal/faults"
-	"sqlancerpp/internal/sqlast"
-	"sqlancerpp/internal/sqlparse"
 )
 
 // crashDialect builds a dialect whose only fault crashes on LIKE.
@@ -197,12 +195,12 @@ func TestCampaignExercisesIndexPath(t *testing.T) {
 // crash would poison the whole replay and block reduction.
 func TestReplayRestartsAfterCrash(t *testing.T) {
 	d := crashDialect("crash-replay-test")
-	stmts := parseStmts(t,
+	stmts := []string{
 		"CREATE TABLE t0 (c0 TEXT)",
 		"INSERT INTO t0 (c0) VALUES ('a')",
 		"SELECT * FROM t0 WHERE c0 LIKE 'a%'", // crashes the server
 		"INSERT INTO t0 (c0) VALUES ('b')",    // must still execute
-	)
+	}
 	db := engine.Open(d)
 	replayStmts(db, stmts)
 	res, err := db.Query("SELECT * FROM t0")
@@ -212,17 +210,4 @@ func TestReplayRestartsAfterCrash(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("replay after crash executed %d of 2 inserts", len(res.Rows))
 	}
-}
-
-func parseStmts(t *testing.T, sqls ...string) []sqlast.Stmt {
-	t.Helper()
-	out := make([]sqlast.Stmt, len(sqls))
-	for i, s := range sqls {
-		st, err := sqlparse.Parse(s)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		out[i] = st
-	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"sqlancerpp/internal/core/oracle"
@@ -278,4 +279,43 @@ func FuzzCampaign(f *testing.F) {
 			t.Fatalf("resume after an interrupt at %d shards differs from the uninterrupted run", k)
 		}
 	})
+}
+
+// TestReducerReplaysEachCandidateOnce: the reduce pass replays each
+// distinct candidate of a bug on the engine once; a candidate the
+// reducer proposes again is answered from the bug's replay memo. Logic
+// bugs come from a bug hunt, harness bugs from the panic-fault dialect.
+func TestReducerReplaysEachCandidateOnce(t *testing.T) {
+	var mu sync.Mutex
+	replays := map[*BugCase]int{}
+	distinct := map[*BugCase]map[string]bool{}
+	replayHook = func(bug *BugCase, key string) {
+		mu.Lock()
+		defer mu.Unlock()
+		replays[bug]++
+		if distinct[bug] == nil {
+			distinct[bug] = map[string]bool{}
+		}
+		distinct[bug][key] = true
+	}
+	defer func() { replayHook = nil }()
+
+	for _, cfg := range []Config{bugHuntCfg(1400, 5), panicCfg(t, 800, 7)} {
+		if _, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := 0
+	byClass := map[BugClass]int{}
+	for bug, n := range replays {
+		total += n
+		byClass[bug.Class]++
+		if n != len(distinct[bug]) {
+			t.Errorf("bug %d (%s): %d replays of %d distinct candidates", bug.ID, bug.Class, n, len(distinct[bug]))
+		}
+	}
+	if byClass[ClassLogic] == 0 || byClass[ClassHarness] == 0 {
+		t.Fatalf("reduced bugs by class %v: the test needs logic and harness bugs", byClass)
+	}
+	t.Logf("%d replays over %d bugs (%v)", total, len(replays), byClass)
 }

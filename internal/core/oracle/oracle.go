@@ -14,9 +14,10 @@
 package oracle
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 
 	"sqlancerpp/internal/engine"
 	"sqlancerpp/internal/sqlast"
@@ -82,64 +83,92 @@ type Result struct {
 	PairsRepeated int
 }
 
-// rowCounts is a multiset of rendered rows: index maps a row's text to
-// its slot in counts.
-type rowCounts struct {
-	index  map[string]int
-	counts []int
+// rowSet is a multiset of rendered rows: every row's key
+// (engine.Result.AppendRow) sits in one byte buffer, and spans marks
+// where each one lies. Sets come from rowSetPool and go back to it when
+// their check ends, so a warm set builds a multiset without allocating.
+type rowSet struct {
+	buf    []byte
+	spans  []rowSpan
+	sorted bool // spans are in key order
 }
 
-// newRowCounts returns an empty multiset with room for rows distinct
-// rows.
-func newRowCounts(rows int) *rowCounts {
-	return &rowCounts{index: map[string]int{}, counts: make([]int, 0, rows)}
+// rowSpan is one row's key: buf[lo:hi].
+type rowSpan struct{ lo, hi int }
+
+// rowSetRetainBytes bounds the buffers a set keeps when it goes back to
+// the pool, so one huge result does not stay pinned.
+const rowSetRetainBytes = 64 << 10
+
+var rowSetPool = sync.Pool{New: func() any { return new(rowSet) }}
+
+// getRowSet returns an empty set from the pool.
+func getRowSet() *rowSet { return rowSetPool.Get().(*rowSet) }
+
+// putRowSet empties m and hands it back to the pool.
+func putRowSet(m *rowSet) {
+	if cap(m.buf)+16*cap(m.spans) > rowSetRetainBytes { // a rowSpan is 16 bytes
+		return
+	}
+	m.reset()
+	rowSetPool.Put(m)
 }
 
-// multiset builds the multiset of res's rows.
-func multiset(res *engine.Result) *rowCounts {
-	m := newRowCounts(len(res.Rows))
-	m.add(res)
-	return m
-}
+// reset empties m, keeping its buffers.
+func (m *rowSet) reset() { m.buf, m.spans, m.sorted = m.buf[:0], m.spans[:0], false }
 
-// add adds res's rows to m. Each row renders into one reused buffer, so
-// only a row not seen before allocates, for its key.
-func (m *rowCounts) add(res *engine.Result) {
-	var buf [128]byte
-	row := buf[:0]
+// add adds res's rows to m. res may live in the statement scratch
+// (engine.DB.QueryScratch): m keeps only the rendered keys.
+func (m *rowSet) add(res *engine.Result) {
 	for i := range res.Rows {
-		row = res.AppendRow(row[:0], i)
-		if j, ok := m.index[string(row)]; ok {
-			m.counts[j]++
-			continue
-		}
-		m.index[string(row)] = len(m.counts)
-		m.counts = append(m.counts, 1)
+		lo := len(m.buf)
+		m.buf = res.AppendRow(m.buf, i)
+		m.spans = append(m.spans, rowSpan{lo, len(m.buf)})
 	}
+	m.sorted = false
 }
 
-// count returns the number of copies of row in m.
-func (m *rowCounts) count(row string) int {
-	if j, ok := m.index[row]; ok {
-		return m.counts[j]
+func (m *rowSet) key(i int) []byte { return m.buf[m.spans[i].lo:m.spans[i].hi] }
+
+// sort puts m's keys in byte order, once until the next add.
+func (m *rowSet) sort() {
+	if m.sorted {
+		return
 	}
-	return 0
+	slices.SortFunc(m.spans, func(a, b rowSpan) int {
+		return bytes.Compare(m.buf[a.lo:a.hi], m.buf[b.lo:b.hi])
+	})
+	m.sorted = true
 }
 
-// diffMultisets describes the difference between two row multisets.
-func diffMultisets(a, b *rowCounts) string {
-	keys := make([]string, 0, len(a.index)+len(b.index))
-	for k := range a.index {
-		keys = append(keys, k)
-	}
-	for k := range b.index {
-		if _, ok := a.index[k]; !ok {
-			keys = append(keys, k)
+// diffMultisets describes the difference between two row multisets: the
+// first row, in byte order of its key, that the two hold a different
+// number of times.
+func diffMultisets(a, b *rowSet) string {
+	a.sort()
+	b.sort()
+	i, j := 0, 0
+	for i < len(a.spans) || j < len(b.spans) {
+		var k []byte
+		switch {
+		case j == len(b.spans):
+			k = a.key(i)
+		case i == len(a.spans):
+			k = b.key(j)
+		default:
+			k = a.key(i)
+			if kb := b.key(j); bytes.Compare(kb, k) < 0 {
+				k = kb
+			}
 		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if na, nb := a.count(k), b.count(k); na != nb {
+		na, nb := 0, 0
+		for ; i < len(a.spans) && bytes.Equal(a.key(i), k); i++ {
+			na++
+		}
+		for ; j < len(b.spans) && bytes.Equal(b.key(j), k); j++ {
+			nb++
+		}
+		if na != nb {
 			return fmt.Sprintf("row %q: %d vs %d", k, na, nb)
 		}
 	}
@@ -201,9 +230,12 @@ func (r *runner) render(q *sqlast.Select) string {
 	return sql
 }
 
+// query runs sql. The result lives in the instance's statement scratch
+// (engine.DB.QueryScratch): the caller reads what it needs of it before
+// its next query.
 func (r *runner) query(sql string) (*engine.Result, error) {
 	r.queries = append(r.queries, sql)
-	res, err := r.db.Query(sql)
+	res, err := r.db.QueryScratch(sql)
 	for _, id := range r.db.TriggeredFaults() {
 		if !slices.Contains(r.triggered, id) {
 			r.triggered = append(r.triggered, id)
@@ -237,8 +269,11 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	if err != nil {
 		return r.result(TLPName, Invalid, err, "")
 	}
+	baseSet, union := getRowSet(), getRowSet()
+	defer putRowSet(baseSet)
+	defer putRowSet(union)
+	baseSet.add(baseRes)
 
-	union := newRowCounts(len(baseRes.Rows))
 	for _, p := range tlpPartitions(pred) {
 		part := derive(base)
 		part.Where = p
@@ -248,7 +283,7 @@ func TLP(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 		}
 		union.add(res)
 	}
-	if d := diffMultisets(multiset(baseRes), union); d != "" {
+	if d := diffMultisets(baseSet, union); d != "" {
 		return r.result(TLPName, Bug, nil,
 			"TLP partition mismatch: "+d)
 	}

@@ -85,7 +85,12 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 		return r.result(PlanDiffName, Invalid, err, "")
 	}
 	baseCost := r.lastCost
-	baseSet := multiset(baseRes)
+	// baseSet is sorted by the first diff and stays sorted; altSet is
+	// refilled per plan.
+	baseSet, altSet := getRowSet(), getRowSet()
+	defer putRowSet(baseSet)
+	defer putRowSet(altSet)
+	baseSet.add(baseRes)
 
 	var specs []engine.PlanSpec
 	var keys []string
@@ -144,7 +149,9 @@ func PlanDiffCase(db *engine.DB, c *Case) Result {
 			res.PairsNovel, res.PairsRepeated = novel, repeated
 			return res
 		}
-		if d := diffMultisets(baseSet, multiset(altRes)); d != "" {
+		altSet.reset()
+		altSet.add(altRes)
+		if d := diffMultisets(baseSet, altSet); d != "" {
 			res := r.result(PlanDiffName, Bug, nil, fmt.Sprintf(
 				"PlanDiff divergence (auto plan vs plan [%s]): %s [cost auto=%d alt=%d]",
 				keys[i], d, baseCost, r.lastCost))

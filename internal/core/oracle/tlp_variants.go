@@ -24,6 +24,10 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
+	baseSet, unionSet := getRowSet(), getRowSet()
+	defer putRowSet(baseSet)
+	defer putRowSet(unionSet)
+	baseSet.add(baseRes)
 
 	parts := tlpPartitions(pred)
 	first := derive(base)
@@ -38,7 +42,8 @@ func TLPComposed(db *engine.DB, base *sqlast.Select, pred sqlast.Expr) Result {
 	if err != nil {
 		return r.result(TLPComposedName, Invalid, err, "")
 	}
-	if d := diffMultisets(multiset(baseRes), multiset(unionRes)); d != "" {
+	unionSet.add(unionRes)
+	if d := diffMultisets(baseSet, unionSet); d != "" {
 		return r.result(TLPComposedName, Bug, nil,
 			"TLP (UNION ALL composed) partition mismatch: "+d)
 	}

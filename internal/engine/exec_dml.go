@@ -6,11 +6,12 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
-// execStmt dispatches an already-validated statement.
-func (s *DB) execStmt(stmt sqlast.Stmt) (*Result, error) {
+// execStmt dispatches an already-validated statement, building a
+// SELECT's result in out (see execSelectEnv).
+func (s *DB) execStmt(stmt sqlast.Stmt, out *stmtScratch) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlast.Select:
-		res, err := s.execSelectEnv(st, nil, nil)
+		res, err := s.execSelectEnv(st, nil, out)
 		if err != nil {
 			return nil, err
 		}

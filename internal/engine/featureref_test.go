@@ -19,7 +19,7 @@ func ReferenceFeatures(stmt sqlast.Stmt) (feature.Set, int) {
 	return set, refMaxDepth(stmt)
 }
 
-// ValidatedFeatures validates stmt on db as RunStmt does and returns what
+// ValidatedFeatures validates stmt on db as run does and returns what
 // validation recorded: the statement's features and deepest expression
 // nesting. The record is meaningful only when err is nil.
 func ValidatedFeatures(db *DB, stmt sqlast.Stmt) (feature.Set, int, error) {

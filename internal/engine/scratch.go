@@ -9,13 +9,17 @@ import (
 
 // This file implements the statement scratch: the memory a statement's
 // validation and execution build and drop before the statement ends.
-// Each DB owns one. RunStmt resets it before every statement, so a
+// Each DB owns one. run resets it before every statement, so a
 // statement that failed or panicked half-way leaves nothing behind, and
 // a subquery consumer (a scalar subquery or EXISTS) marks it before the
 // subquery runs and releases it once the one value it needs is copied
-// out. Nothing handed to a caller may point into it: a Result returned
-// by Query is built on the heap, and the view catalogue copies the
-// columns validation computed.
+// out. Nothing that outlives its statement may point into it: a Result
+// returned by Query is built on the heap, and the view catalogue copies
+// the columns validation computed. The one exception is QueryScratch,
+// whose Result is built here and dies when the next statement resets
+// the scratch; the oracles read each of their results this way and
+// drop it before their next query. Exec builds the result it discards
+// here too.
 
 // Chunk sizes and the retention cap of one stack. A stack's chunks
 // start at scratchFirstChunkBytes and double up to scratchChunkBytes, so
@@ -258,9 +262,10 @@ func (sc *stmtScratch) reset() {
 }
 
 // The four allocators below build a SELECT's result. A nil scratch
-// means the heap: the result is returned to the caller, who may hold it
-// across later statements. Otherwise the result is read and dropped
-// inside the statement (a subquery's, a derived table's, a view's).
+// means the heap: the result is returned by Query, whose caller may hold
+// it across later statements. Otherwise the result is read and dropped
+// inside the statement (a subquery's, a derived table's, a view's) or
+// before the next one (QueryScratch's, Exec's).
 
 func (sc *stmtScratch) result() *Result {
 	if sc == nil {

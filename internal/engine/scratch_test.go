@@ -233,7 +233,7 @@ func TestScratchReleaseCoversEveryStack(t *testing.T) {
 		if err := db.validateStmt(stmt); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if _, err := db.execStmt(stmt); err != nil {
+		if _, err := db.execStmt(stmt, nil); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		db.st.release(m)
@@ -252,5 +252,26 @@ func TestScratchReleaseCoversEveryStack(t *testing.T) {
 	db.st.reset()
 	if db.st.maps.depth != 0 {
 		t.Errorf("reset left %d maps lent", db.st.maps.depth)
+	}
+}
+
+// TestQueryScratchAllocatesNothing: once the statement is cached and
+// the scratch has grown to fit it, QueryScratch of a SELECT allocates
+// nothing for its result, whatever shape the result has: correlated
+// subqueries, derived tables, a join, ORDER BY and a compound. (GROUP
+// BY, DISTINCT over a computed string and INTERSECT allocate the group
+// keys and strings they compute, as they do under Query.)
+func TestQueryScratchAllocatesNothing(t *testing.T) {
+	db := scratchFixture(t)
+	for _, i := range []int{0, 1, 2, 3, 6} {
+		q := scratchQueries[i]
+		db.QueryScratch(q) // parse, cache and grow the scratch
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := db.QueryScratch(q); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocations per QueryScratch", q, n)
+		}
 	}
 }

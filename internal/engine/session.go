@@ -86,7 +86,7 @@ type DB struct {
 	// scan so planning itself allocates nothing on the hot path.
 	scratch planScratch
 	// st is the statement scratch (scratch.go): what validation and
-	// execution build and drop within one statement. RunStmt resets it.
+	// execution build and drop within one statement. run resets it.
 	st stmtScratch
 	// parse is the statement cache fronting the parser: sqlparse.Shared()
 	// unless WithParseCache supplies the opener's own.
@@ -260,19 +260,36 @@ func (s *DB) IndexPathsEnabled() bool { return !s.planSpec.DisableIndexPaths }
 func (s *DB) Restart() { s.crashed = false }
 
 // Exec parses, validates, and executes a statement. For SELECT it
-// discards the rows; use Query to retrieve them.
+// discards the rows (built in the statement scratch); use Query to
+// retrieve them.
 func (s *DB) Exec(sql string) error {
-	_, err := s.run(sql)
+	_, err := s.run(sql, &s.st)
 	return err
 }
 
 // Query parses, validates, and executes a statement, returning rows for
-// SELECT (and an empty result for other statements).
+// SELECT (and an empty result for other statements). The result is the
+// caller's: it stays valid across later statements.
 func (s *DB) Query(sql string) (*Result, error) {
-	return s.run(sql)
+	return s.run(sql, nil)
 }
 
-func (s *DB) run(sql string) (*Result, error) {
+// QueryScratch is Query for a caller that reads the result and drops it
+// before its next statement on the instance: the SELECT's result is
+// built in the statement scratch, so it is valid only until the next
+// statement starts, which reuses its memory. Everything else (error,
+// LastCost, TriggeredFaults) is what Query gives.
+func (s *DB) QueryScratch(sql string) (*Result, error) {
+	return s.run(sql, &s.st)
+}
+
+// run parses, validates, and executes sql, building a SELECT's result
+// in out: nil for the heap, or the statement scratch (see
+// execSelectEnv).
+func (s *DB) run(sql string, out *stmtScratch) (*Result, error) {
+	// A statement that panicked half-way left its scratch in use, and a
+	// scratch result of the last statement dies here.
+	s.st.reset()
 	clear(s.triggered)
 	s.cost = 0
 	s.rows = 0
@@ -301,27 +318,6 @@ func (s *DB) run(sql string) (*Result, error) {
 		// instance its own copy so no live state aliases the cache.
 		stmt = sqlast.CloneStmt(stmt)
 	}
-	return s.RunStmt(stmt)
-}
-
-// SeedParse hands the instance's statement cache st as the parse of sql
-// (sqlparse.Cache.Seed), so a later Query or Exec of sql runs st without
-// parsing. st must be exactly what parsing sql builds, and neither the
-// caller nor anyone else may modify it afterwards.
-func (s *DB) SeedParse(sql string, st sqlast.Stmt) {
-	s.parse.Seed(sql, st)
-}
-
-// RunStmt validates and executes an already-parsed statement. Callers
-// that hold an AST (tests, the reducer) can bypass re-parsing; the
-// generator always goes through SQL text.
-func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
-	// Reset here rather than in run: the reducer calls RunStmt directly,
-	// and a statement that panicked half-way left its scratch in use.
-	s.st.reset()
-	if s.crashed {
-		return nil, errf(ErrCrash, "server is not running (restart required)")
-	}
 	// A set cancel flag rejects the statement up front: once the watchdog
 	// fires, the whole case is timed out, including statements that would
 	// never reach a per-row checkpoint (DDL, empty scans).
@@ -341,7 +337,7 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 	if err := s.checkFeatureFaults(); err != nil {
 		return nil, err
 	}
-	res, err := s.execStmt(stmt)
+	res, err := s.execStmt(stmt, out)
 	if err != nil {
 		if ee, ok := err.(*Error); ok && ee.Class == ErrCrash {
 			s.crashed = true
@@ -349,6 +345,14 @@ func (s *DB) RunStmt(stmt sqlast.Stmt) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// SeedParse hands the instance's statement cache st as the parse of sql
+// (sqlparse.Cache.Seed), so a later Query or Exec of sql runs st without
+// parsing. st must be exactly what parsing sql builds, and neither the
+// caller nor anyone else may modify it afterwards.
+func (s *DB) SeedParse(sql string, st sqlast.Stmt) {
+	s.parse.Seed(sql, st)
 }
 
 // checkFeatureFaults fires CrashOnFeature / CrashOnDeepExpr /

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCancelFlagTimesOutStatements: a set cancel flag fails statements
-// with ErrTimeout — immediately in the RunStmt prologue, and at the
+// with ErrTimeout — immediately in the run prologue, and at the
 // per-row checkpoint mid-scan — and clearing it restores the instance.
 func TestCancelFlagTimesOutStatements(t *testing.T) {
 	cancel := new(atomic.Bool)
@@ -56,7 +56,7 @@ func TestBudgetOutranksTimeout(t *testing.T) {
 	}
 	// The flag is checked per row too, but the budget (1 row) trips on
 	// the same row the flag would — budget must be reported.
-	// RunStmt's prologue would reject first, so exercise the per-row
+	// run's prologue would reject first, so exercise the per-row
 	// path: clear the flag, start the scan via a fresh statement where
 	// the flag is set only after the prologue. Simplest deterministic
 	// equivalent: both conditions true from the start of the row loop.
