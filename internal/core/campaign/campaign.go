@@ -1077,24 +1077,38 @@ func reduceBugs(cfg Config, bugs []*BugCase, workers int, cache *sqlparse.Cache)
 
 // replayHook, when non-nil, is called each time a reduction property
 // replays a candidate on the engine (a replay memo miss), with the bug
-// under reduction and the candidate's memo key. It is nil outside tests.
-var replayHook func(bug *BugCase, key string)
+// under reduction and the candidate's memo key. openHook is called each
+// time the reduce pass opens an engine instance for a bug, and
+// checkHook each time a logic bug's property runs its oracle check,
+// with the carrier text checked and whether the carrier was cloned for
+// it. All three are nil outside tests.
+var (
+	replayHook func(bug *BugCase, key string)
+	openHook   func(bug *BugCase)
+	checkHook  func(bug *BugCase, carrier string, cloned bool)
+)
 
-// memoReplays wraps a reduction property of bug in a per-bug memo. It
-// renders each candidate's statements once; a candidate whose texts the
-// reducer has already tested gets the recorded verdict, and any other is
-// replayed from those texts by prop (which must not keep texts). The
-// verdict is a pure function of the texts: every replay opens a fresh
-// instance, and the texts are what it runs.
-func memoReplays(bug *BugCase, prop func(cand []sqlast.Stmt, texts []string) bool) reduce.Property {
+// replayDB opens the engine instance the reduce pass replays bug's
+// candidates on; each property call Resets it first.
+func replayDB(cfg Config, opts []engine.Option, bug *BugCase) *engine.DB {
+	if openHook != nil {
+		openHook(bug)
+	}
+	return engine.Open(cfg.Dialect, opts...)
+}
+
+// memoReplays wraps a reduction property of bug in a per-bug memo keyed
+// by the candidate's texts: a candidate whose texts the reducer has
+// already tested gets the recorded verdict, and any other is replayed
+// from those texts by prop. The verdict is a pure function of the texts:
+// every replay starts on an instance Reset to the state Open leaves,
+// and the texts are what it runs.
+func memoReplays(bug *BugCase, prop reduce.TextProperty) reduce.TextProperty {
 	verdicts := map[string]bool{}
-	var texts []string
 	var key []byte
-	return func(cand []sqlast.Stmt) bool {
-		texts, key = texts[:0], key[:0]
-		for _, st := range cand {
-			sql := st.SQL()
-			texts = append(texts, sql)
+	return func(cand []sqlast.Stmt, texts []string) bool {
+		key = key[:0]
+		for _, sql := range texts {
 			// Each text after its length, so no two sequences share a key.
 			key = strconv.AppendInt(key, int64(len(sql)), 10)
 			key = append(append(key, ':'), sql...)
@@ -1113,14 +1127,25 @@ func memoReplays(bug *BugCase, prop func(cand []sqlast.Stmt, texts []string) boo
 
 // reduceLogicBug shrinks the setup-plus-carrier sequence stmts while the
 // *same* oracle — looked up by the bug's attributed registry name —
-// keeps failing, replaying on fresh pristine instances opened with opts.
-// The query under reduction is carried as a SELECT statement holding the
-// predicate in WHERE; the property re-splits it.
+// keeps failing, replaying on one instance opened with opts and Reset
+// before each replay. The query under reduction is carried as a SELECT
+// statement holding the predicate in WHERE; the property re-splits it.
 func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqlast.Stmt) []string {
 	orc, ok := oracle.Get(bug.Oracle)
 	if !ok {
 		return nil
 	}
+	db := replayDB(cfg, opts, bug)
+	// The check runs on a clone of the carrier split into base and
+	// predicate, not on the carrier: the oracles seed the reduce pass's
+	// statement cache with trees built from it, and the reducer later
+	// mutates the carrier in place, which must not reach a cached tree.
+	// The oracles never mutate Base or Pred, so a clone stays the tree
+	// of its text, and a candidate whose carrier text equals the last
+	// clone's reuses it.
+	var base *sqlast.Select
+	var pred sqlast.Expr
+	var baseText string
 	prop := memoReplays(bug, func(cand []sqlast.Stmt, texts []string) bool {
 		if len(cand) == 0 {
 			return false
@@ -1129,34 +1154,43 @@ func reduceLogicBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqla
 		if !ok || carrier.Where == nil {
 			return false
 		}
-		db := engine.Open(cfg.Dialect, opts...)
+		db.Reset()
 		replayStmts(db, texts[:len(texts)-1])
-		// The check runs on a clone, not on the carrier: the oracles seed
-		// the reduce pass's statement cache with trees built from it, and
-		// the reducer later mutates the carrier in place, which must not
-		// reach a cached tree.
-		cb := sqlast.CloneSelect(carrier)
-		cp := cb.Where
-		cb.Where = nil
+		text := texts[len(texts)-1]
+		cloned := base == nil || text != baseText
+		if cloned {
+			base, baseText = sqlast.CloneSelect(carrier), text
+			pred, base.Where = base.Where, nil
+		}
+		if checkHook != nil {
+			checkHook(bug, text, cloned)
+		}
 		// The bug's recorded losing plan spec rides along verbatim, so a
 		// PlanDiff replay re-executes the exact plan pair that diverged
 		// instead of re-enumerating a (possibly different) plan space for
 		// the shrunken statement.
-		res, panicked := checkNoPanic(orc, db, &oracle.Case{Base: cb, Pred: cp, Seq: bug.Seq,
+		res, panicked := checkNoPanic(orc, db, &oracle.Case{Base: base, Pred: pred, Seq: bug.Seq,
 			MaxPlans: cfg.MaxPlansPerQuery, PlanSpec: bug.PlanSpec})
 		// A shrunken candidate that panics the engine does not exhibit
 		// the logic bug under reduction.
 		return !panicked && res.Outcome == oracle.Bug
 	})
-	if !prop(stmts) {
-		return nil // not reproducible from a pristine state
+	return reduceWith(stmts, prop)
+}
+
+// reduceWith reduces stmts under prop and returns the reduced texts, or
+// nil when stmts does not satisfy prop (the bug does not reproduce from
+// a pristine state).
+func reduceWith(stmts []sqlast.Stmt, prop reduce.TextProperty) []string {
+	texts := make([]string, len(stmts))
+	for i, st := range stmts {
+		texts[i] = st.SQL()
 	}
-	reduced := reduce.Reduce(stmts, prop)
-	out := make([]string, len(reduced))
-	for i, st := range reduced {
-		out[i] = st.SQL()
+	if !prop(stmts, texts) {
+		return nil
 	}
-	return out
+	_, reduced := reduce.ReduceTexts(stmts, prop)
+	return reduced
 }
 
 // checkNoPanic runs an oracle check on a replay instance under a
@@ -1172,29 +1206,21 @@ func checkNoPanic(orc oracle.Oracle, db *engine.DB, c *oracle.Case) (res oracle.
 }
 
 // reduceHarnessBug shrinks the setup-plus-trigger sequence stmts to the
-// smallest one whose replay still panics the engine, replaying on fresh
-// instances opened with opts: the same dialect faults and execution
-// budget. The property recovers per statement, so each shrink step stays
-// inside the containment boundary.
+// smallest one whose replay still panics the engine, replaying on one
+// instance opened with opts (the same dialect faults and execution
+// budget) and Reset before each replay. The property recovers per
+// statement, so each shrink step stays inside the containment boundary.
 func reduceHarnessBug(cfg Config, opts []engine.Option, bug *BugCase, stmts []sqlast.Stmt) []string {
-	prop := memoReplays(bug, func(_ []sqlast.Stmt, texts []string) bool {
-		db := engine.Open(cfg.Dialect, opts...)
+	db := replayDB(cfg, opts, bug)
+	return reduceWith(stmts, memoReplays(bug, func(_ []sqlast.Stmt, texts []string) bool {
+		db.Reset()
 		for _, sql := range texts {
 			if execPanics(db, sql) {
 				return true
 			}
 		}
 		return false
-	})
-	if !prop(stmts) {
-		return nil // not reproducible from a pristine state
-	}
-	reduced := reduce.Reduce(stmts, prop)
-	out := make([]string, len(reduced))
-	for i, st := range reduced {
-		out[i] = st.SQL()
-	}
-	return out
+	}))
 }
 
 // execPanics executes one statement under a recovery boundary,

@@ -319,3 +319,64 @@ func TestReducerReplaysEachCandidateOnce(t *testing.T) {
 	}
 	t.Logf("%d replays over %d bugs (%v)", total, len(replays), byClass)
 }
+
+// TestReducerReusesOneInstancePerBug: the reduce pass opens one engine
+// instance per reduced bug and Resets it between replays, and a logic
+// bug's property clones the carrier only when the carrier text differs
+// from the one it last cloned. Logic bugs come from a bug hunt, harness
+// bugs from the panic-fault dialect.
+func TestReducerReusesOneInstancePerBug(t *testing.T) {
+	var mu sync.Mutex
+	opens := map[*BugCase]int{}
+	type check struct {
+		carrier string
+		cloned  bool
+	}
+	checks := map[*BugCase][]check{}
+	openHook = func(bug *BugCase) {
+		mu.Lock()
+		defer mu.Unlock()
+		opens[bug]++
+	}
+	checkHook = func(bug *BugCase, carrier string, cloned bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		checks[bug] = append(checks[bug], check{carrier, cloned})
+	}
+	defer func() { openHook, checkHook = nil, nil }()
+
+	for _, cfg := range []Config{bugHuntCfg(1400, 5), panicCfg(t, 800, 7)} {
+		if _, err := RunShardedOpts(cfg, ShardedOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byClass := map[BugClass]int{}
+	var nchecks, clones int
+	for bug, n := range opens {
+		byClass[bug.Class]++
+		if n != 1 {
+			t.Errorf("bug %d (%s): %d engine instances opened, want 1", bug.ID, bug.Class, n)
+		}
+		last := ""
+		for i, c := range checks[bug] {
+			if want := i == 0 || c.carrier != last; c.cloned != want {
+				t.Errorf("bug %d, check %d: cloned = %v for carrier %q after a clone of %q", bug.ID, i, c.cloned, c.carrier, last)
+			}
+			if c.cloned {
+				last = c.carrier
+				clones++
+			}
+			nchecks++
+		}
+	}
+	for bug := range checks {
+		if opens[bug] == 0 {
+			t.Errorf("bug %d was checked on an instance the reduce pass did not open", bug.ID)
+		}
+	}
+	if byClass[ClassLogic] == 0 || byClass[ClassHarness] == 0 || clones == nchecks {
+		t.Fatalf("reduced bugs by class %v, %d clones for %d checks: the test needs logic and harness bugs and a reused clone",
+			byClass, clones, nchecks)
+	}
+	t.Logf("%d bugs (%v), %d checks, %d carrier clones", len(opens), byClass, nchecks, clones)
+}

@@ -9,43 +9,76 @@ import (
 	"sqlancerpp/internal/sqlast"
 )
 
-// Property re-runs a candidate statement sequence and reports whether it
-// still exhibits the bug. Implementations must be deterministic.
-type Property func(stmts []sqlast.Stmt) bool
+// TextProperty re-runs a candidate statement sequence and reports
+// whether it still exhibits the bug. texts[i] is stmts[i].SQL(), kept by
+// the reducer, so a property that replays SQL text renders nothing.
+// Implementations must be deterministic and must not keep stmts or
+// texts: the reducer reuses both.
+type TextProperty func(stmts []sqlast.Stmt, texts []string) bool
 
-// Reduce shrinks stmts while prop keeps holding. The input sequence must
-// satisfy prop.
-func Reduce(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
-	cur := cloneAll(stmts)
+// ReduceTexts shrinks stmts while prop keeps holding and returns the
+// reduced statements with their texts. The input sequence must satisfy
+// prop; it is not modified.
+func ReduceTexts(stmts []sqlast.Stmt, prop TextProperty) ([]sqlast.Stmt, []string) {
+	cur := newSequence(stmts)
 	cur = reduceStatements(cur, prop)
-	cur = reduceExpressions(cur, prop)
+	reduceExpressions(cur, prop)
 	cur = reduceStatements(cur, prop) // expression shrinking may unlock more
-	return cur
+	return cur.stmts, cur.texts
 }
 
-func cloneAll(stmts []sqlast.Stmt) []sqlast.Stmt {
-	out := make([]sqlast.Stmt, len(stmts))
-	for i, s := range stmts {
-		out[i] = sqlast.CloneStmt(s)
-	}
+// Property is TextProperty without the texts.
+type Property func(stmts []sqlast.Stmt) bool
+
+// Reduce is ReduceTexts for a property that takes no texts. It is kept
+// for the frozen benchmark harness (perfbench/driver.go), which calls
+// it, and goes when that driver does.
+func Reduce(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
+	out, _ := ReduceTexts(stmts, func(stmts []sqlast.Stmt, _ []string) bool { return prop(stmts) })
 	return out
 }
 
+// sequence is a candidate: statements and their rendered texts, texts[i]
+// == stmts[i].SQL().
+type sequence struct {
+	stmts []sqlast.Stmt
+	texts []string
+}
+
+// newSequence is a clone of stmts with its texts.
+func newSequence(stmts []sqlast.Stmt) sequence {
+	seq := sequence{stmts: make([]sqlast.Stmt, len(stmts)), texts: make([]string, len(stmts))}
+	for i, s := range stmts {
+		seq.stmts[i] = sqlast.CloneStmt(s)
+		seq.texts[i] = seq.stmts[i].SQL()
+	}
+	return seq
+}
+
+// without writes seq minus its statements [start, start+n) into buf's
+// storage and returns it.
+func (buf sequence) without(seq sequence, start, n int) sequence {
+	buf.stmts = append(append(buf.stmts[:0], seq.stmts[:start]...), seq.stmts[start+n:]...)
+	buf.texts = append(append(buf.texts[:0], seq.texts[:start]...), seq.texts[start+n:]...)
+	return buf
+}
+
 // reduceStatements greedily removes chunks of statements (ddmin-style,
-// halving chunk sizes).
-func reduceStatements(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
-	chunk := len(stmts) / 2
+// halving chunk sizes). Candidates are built in one spare sequence,
+// swapped with seq when accepted.
+func reduceStatements(seq sequence, prop TextProperty) sequence {
+	var spare sequence
+	chunk := len(seq.stmts) / 2
 	for chunk >= 1 {
 		removedAny := false
-		for start := 0; start+chunk <= len(stmts); {
-			candidate := make([]sqlast.Stmt, 0, len(stmts)-chunk)
-			candidate = append(candidate, stmts[:start]...)
-			candidate = append(candidate, stmts[start+chunk:]...)
-			if len(candidate) > 0 && prop(candidate) {
-				stmts = candidate
+		for start := 0; start+chunk <= len(seq.stmts); {
+			cand := spare.without(seq, start, chunk)
+			if len(cand.stmts) > 0 && prop(cand.stmts, cand.texts) {
+				seq, spare = cand, seq
 				removedAny = true
 				// retry at the same position
 			} else {
+				spare = cand
 				start++
 			}
 		}
@@ -53,7 +86,7 @@ func reduceStatements(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
 			chunk /= 2
 		}
 	}
-	return stmts
+	return seq
 }
 
 // replacementCandidates returns the literals a subtree may shrink to.
@@ -194,23 +227,25 @@ func collectSlots(get func() sqlast.Expr, set func(sqlast.Expr), slots *[]exprSl
 	}
 }
 
-// reduceExpressions tries to replace each expression subtree with a
-// literal while the property holds.
-func reduceExpressions(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
+// reduceExpressions tries to replace each expression subtree of seq with
+// a literal while the property holds, in place. Only the statement whose
+// slot it sets is rendered again; restoring the slot restores its text.
+func reduceExpressions(seq sequence, prop TextProperty) {
 	changed := true
 	for rounds := 0; changed && rounds < 4; rounds++ {
 		changed = false
-		for _, st := range stmts {
+		for i, st := range seq.stmts {
 			slots := slotsOf(st)
 			for si := 0; si < len(slots); si++ {
 				slot := slots[si]
-				orig := slot.get()
+				orig, text := slot.get(), seq.texts[i]
 				if _, isLit := orig.(*sqlast.Literal); isLit {
 					continue
 				}
 				for _, cand := range replacementCandidates() {
 					slot.set(cand)
-					if prop(stmts) {
+					seq.texts[i] = st.SQL()
+					if prop(seq.stmts, seq.texts) {
 						changed = true
 						// The replacement detached orig's subtree, so the
 						// slots collected from it are dangling: their set
@@ -222,9 +257,9 @@ func reduceExpressions(stmts []sqlast.Stmt, prop Property) []sqlast.Stmt {
 						break
 					}
 					slot.set(orig)
+					seq.texts[i] = text
 				}
 			}
 		}
 	}
-	return stmts
 }

@@ -104,7 +104,7 @@ func TestReduceExpressionsRecomputesSlots(t *testing.T) {
 	)
 	lastAccepted := render(stmts)
 	spurious := 0
-	prop := func(cand []sqlast.Stmt) bool {
+	prop := func(cand []sqlast.Stmt, _ []string) bool {
 		ok := strings.Contains(render(cand), "c1 = 1")
 		if ok {
 			s := render(cand)
@@ -115,7 +115,9 @@ func TestReduceExpressionsRecomputesSlots(t *testing.T) {
 		}
 		return ok
 	}
-	got := reduceExpressions(cloneAll(stmts), prop)
+	seq := newSequence(stmts)
+	reduceExpressions(seq, prop)
+	got := seq.stmts
 	if spurious != 0 {
 		t.Fatalf("%d property acceptances without an AST change (stale slots)", spurious)
 	}
@@ -146,5 +148,52 @@ func TestReduceSingleStatementFloor(t *testing.T) {
 	got := Reduce(stmts, func(cand []sqlast.Stmt) bool { return len(cand) >= 1 })
 	if len(got) != 1 {
 		t.Fatalf("cannot reduce below one statement, got %d", len(got))
+	}
+}
+
+// TestTextsMatchCandidates: at every property call, through the
+// statement phases and the expression phase, accepted and restored
+// slots alike, the texts ReduceTexts hands over are the candidate's
+// renderings, and so are the texts it returns.
+func TestTextsMatchCandidates(t *testing.T) {
+	stmts := parseAll(t,
+		"CREATE TABLE t (c0 INTEGER, c1 INTEGER)",
+		"INSERT INTO t (c0, c1) VALUES ((1 + 2), (3 * 4))",
+		"CREATE TABLE junk (x INTEGER)",
+		"UPDATE t SET c0 = (c1 - 1) WHERE (c0 > 2)",
+		"SELECT * FROM t WHERE ((c0 = 0) AND ((c1 = 1) OR (c1 < 5)))",
+	)
+	var calls, held, removals int
+	prop := func(cand []sqlast.Stmt, texts []string) bool {
+		calls++
+		if len(texts) != len(cand) {
+			t.Fatalf("call %d: %d texts for %d statements", calls, len(texts), len(cand))
+		}
+		for i, st := range cand {
+			if texts[i] != st.SQL() {
+				t.Fatalf("call %d: text %d is %q, the statement renders %q", calls, i, texts[i], st.SQL())
+			}
+		}
+		if len(cand) < len(stmts) {
+			removals++
+		}
+		s := render(cand)
+		ok := strings.Contains(s, "CREATE TABLE t ") && strings.Contains(s, "c1 = 1")
+		if ok {
+			held++
+		}
+		return ok
+	}
+	got, texts := ReduceTexts(stmts, prop)
+	if removals == 0 || held == 0 || calls-held == 0 {
+		t.Fatalf("%d calls, %d held, %d with statements removed: the test needs all three", calls, held, removals)
+	}
+	if len(texts) != len(got) {
+		t.Fatalf("%d texts for %d reduced statements", len(texts), len(got))
+	}
+	for i, st := range got {
+		if texts[i] != st.SQL() {
+			t.Errorf("reduced text %d is %q, the statement renders %q", i, texts[i], st.SQL())
+		}
 	}
 }

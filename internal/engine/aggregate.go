@@ -32,12 +32,11 @@ func (ctx *evalCtx) evalAggregate(x *sqlast.Func) (Value, *Error) {
 		}
 	}
 	if x.Distinct {
-		seen := st.maps.take()
+		seen := st.sets.take()
 		n := 0
 		for _, v := range vals {
 			st.key = appendValue(st.key[:0], v)
-			if _, dup := seen[string(st.key)]; !dup {
-				seen[string(st.key)] = 0
+			if _, added := seen.add(st.key); added {
 				vals[n] = v
 				n++
 			}

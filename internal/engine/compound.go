@@ -208,17 +208,17 @@ func (s *DB) applySetOp(op sqlast.SetOp, left, right [][]Value, out *stmtScratch
 	case sqlast.SetUnion:
 		return s.dedupeRows(concatRows(left, right, out))
 	case sqlast.SetIntersect, sqlast.SetExcept:
-		inRight := s.st.maps.take()
+		inRight := s.st.sets.take()
 		for _, r := range right {
 			s.st.key = appendRow(s.st.key[:0], r)
-			inRight[string(s.st.key)] = 0
+			inRight.add(s.st.key)
 		}
 		want := op == sqlast.SetIntersect
 		kept := s.dedupeRows(left)
 		n := 0
 		for _, r := range kept {
 			s.st.key = appendRow(s.st.key[:0], r)
-			if _, ok := inRight[string(s.st.key)]; ok == want {
+			if inRight.has(s.st.key) == want {
 				kept[n] = r
 				n++
 			}
@@ -238,12 +238,11 @@ func concatRows(left, right [][]Value, out *stmtScratch) [][]Value {
 
 // dedupeRows keeps the first of each set of equal rows, in place.
 func (s *DB) dedupeRows(rows [][]Value) [][]Value {
-	seen := s.st.maps.take()
+	seen := s.st.sets.take()
 	n := 0
 	for _, r := range rows {
 		s.st.key = appendRow(s.st.key[:0], r)
-		if _, dup := seen[string(s.st.key)]; !dup {
-			seen[string(s.st.key)] = 0
+		if _, added := seen.add(s.st.key); added {
 			rows[n] = r
 			n++
 		}

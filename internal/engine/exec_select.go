@@ -288,14 +288,13 @@ func (s *DB) execSelectEnv(sel *sqlast.Select, outer *rowEnv, out *stmtScratch) 
 	if sel.Distinct {
 		s.cov.Hit("exec.distinct")
 		// Dedup in place: the frame owns its output list.
-		seen := st.maps.take()
+		seen := st.sets.take()
 		n := 0
 		for i, r := range outRows {
 			st.key = appendRow(st.key[:0], r)
-			_, dup := seen[string(st.key)]
-			s.cov.HitBranch("distinct.dup", dup)
-			if !dup {
-				seen[string(st.key)] = 0
+			_, added := seen.add(st.key)
+			s.cov.HitBranch("distinct.dup", !added)
+			if added {
 				outRows[n] = r
 				if sortKeys != nil {
 					sortKeys[n] = sortKeys[i]
@@ -851,7 +850,7 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 	gid := st.ints.alloc(len(rows))
 	groups := 0
 	if len(sel.GroupBy) > 0 {
-		table := st.maps.take()
+		table := st.sets.take()
 		kctx := s.scratchCtx(nil)
 		kvals := st.vals.alloc(len(sel.GroupBy))
 		for i := range rows {
@@ -864,14 +863,9 @@ func (s *DB) execGrouped(sel *sqlast.Select, rels []matRel, rows []jrow, outer *
 				kvals[gi] = v
 			}
 			st.key = appendRow(st.key[:0], kvals)
-			g, ok := table[string(st.key)]
-			if !ok {
-				g = groups
-				table[string(st.key)] = g
-				groups++
-			}
-			gid[i] = g
+			gid[i], _ = table.add(st.key)
 		}
+		groups = table.len()
 	} else {
 		// A global aggregate has one group, even over zero rows.
 		groups = 1

@@ -11,6 +11,18 @@ import (
 // Crashed reports whether the simulated server is down.
 func (s *DB) Crashed() bool { return s.crashed }
 
+// StaleIndexes counts the indexes whose maintenance the
+// StaleIndexAfterUpdate fault skipped.
+func (s *DB) StaleIndexes() int {
+	n := 0
+	for _, ix := range s.store.indexes {
+		if ix.stale {
+			n++
+		}
+	}
+	return n
+}
+
 // RenderRows returns the canonical textual form of each row (renderRow),
 // for tests that compare or print whole results.
 func (r *Result) RenderRows() []string {

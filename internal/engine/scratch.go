@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"hash/maphash"
 	"strconv"
 	"unsafe"
 
@@ -24,17 +26,17 @@ import (
 // Chunk sizes and the retention cap of one stack. A stack's chunks
 // start at scratchFirstChunkBytes and double up to scratchChunkBytes, so
 // an instance that runs a few small statements pays for small chunks (a
-// reducer opens a fresh instance per replay); an allocation larger than
-// a chunk gets a chunk of its own. reset drops the chunks past
+// reducer opens one instance per bug); an allocation larger than a
+// chunk gets a chunk of its own. reset drops the chunks past
 // scratchRetainBytes, so one huge statement does not raise the memory an
 // instance keeps for the rest of its life.
 const (
 	scratchFirstChunkBytes = 256
 	scratchChunkBytes      = 32 << 10
 	scratchRetainBytes     = 128 << 10
-	// scratchMapRetain is the largest map (in entries, at its last use)
+	// scratchSetRetain is the largest key set (in keys, at its last use)
 	// reset keeps for reuse.
-	scratchMapRetain = 1024
+	scratchSetRetain = 1024
 )
 
 // stack is one typed scratch stack: chunked backing storage handed out
@@ -133,27 +135,106 @@ func (st *stack[T]) reset() {
 	}
 }
 
-// mapStack lends out cleared maps, one per open user.
-type mapStack struct {
-	maps  []map[string]int
+// keySet is a set of byte-string keys, numbered in the order they were
+// added: the keys lie back to back in one buffer, and an open-addressed
+// table indexes them by number. A set keeps its buffers between uses,
+// so a warm set allocates nothing for the keys it holds.
+type keySet struct {
+	keys  []byte
+	ends  []int   // ends[n] is where key n ends in keys
+	table []int32 // n+1 for key n, 0 for an empty slot; a power-of-two length
+}
+
+// keySeed seeds every set's hash. A set's contents and numbering do not
+// depend on it.
+var keySeed = maphash.MakeSeed()
+
+// key returns key n.
+func (ks *keySet) key(n int) []byte {
+	start := 0
+	if n > 0 {
+		start = ks.ends[n-1]
+	}
+	return ks.keys[start:ks.ends[n]]
+}
+
+// len is the number of keys in the set.
+func (ks *keySet) len() int { return len(ks.ends) }
+
+// add returns the number of key, adding it (under the next number) when
+// the set lacks it.
+func (ks *keySet) add(key []byte) (n int, added bool) {
+	if 2*(len(ks.ends)+1) > len(ks.table) {
+		ks.grow()
+	}
+	i, ok := ks.find(key)
+	if ok {
+		return int(ks.table[i]) - 1, false
+	}
+	ks.keys = append(ks.keys, key...)
+	ks.ends = append(ks.ends, len(ks.keys))
+	ks.table[i] = int32(len(ks.ends))
+	return len(ks.ends) - 1, true
+}
+
+// has reports whether the set holds key.
+func (ks *keySet) has(key []byte) bool {
+	if len(ks.ends) == 0 {
+		return false
+	}
+	_, ok := ks.find(key)
+	return ok
+}
+
+// find returns the slot holding key, or else the empty slot where it
+// goes. The table must have an empty slot.
+func (ks *keySet) find(key []byte) (slot int, ok bool) {
+	mask := uint64(len(ks.table) - 1)
+	for i := maphash.Bytes(keySeed, key) & mask; ; i = (i + 1) & mask {
+		n := ks.table[i]
+		if n == 0 {
+			return int(i), false
+		}
+		if bytes.Equal(ks.key(int(n)-1), key) {
+			return int(i), true
+		}
+	}
+}
+
+// grow doubles the table (keeping it at most half full) and indexes
+// every key again.
+func (ks *keySet) grow() {
+	ks.table = make([]int32, max(2*len(ks.table), 16))
+	for n := range ks.ends {
+		i, _ := ks.find(ks.key(n))
+		ks.table[i] = int32(n + 1)
+	}
+}
+
+// setStack lends out emptied key sets, one per open user.
+type setStack struct {
+	sets  []*keySet
 	depth int
 }
 
-func (ms *mapStack) take() map[string]int {
-	if ms.depth == len(ms.maps) {
-		ms.maps = append(ms.maps, map[string]int{})
+func (ss *setStack) take() *keySet {
+	if ss.depth == len(ss.sets) {
+		ss.sets = append(ss.sets, &keySet{})
 	}
-	m := ms.maps[ms.depth]
-	clear(m)
-	ms.depth++
-	return m
+	ks := ss.sets[ss.depth]
+	ks.keys, ks.ends = ks.keys[:0], ks.ends[:0]
+	clear(ks.table)
+	ss.depth++
+	return ks
 }
 
-func (ms *mapStack) reset() {
-	ms.depth = 0
-	for i, m := range ms.maps {
-		if len(m) > scratchMapRetain {
-			ms.maps[i] = map[string]int{}
+// reset returns every set and drops those whose last use held more than
+// scratchSetRetain keys or scratchChunkBytes of key bytes.
+func (ss *setStack) reset() {
+	ss.depth = 0
+	for _, ks := range ss.sets {
+		if len(ks.ends) > scratchSetRetain || cap(ks.keys) > scratchChunkBytes {
+			*ks = keySet{}
 		}
 	}
 }
@@ -185,10 +266,11 @@ type stmtScratch struct {
 	srels    stack[scopeRel]
 	cols     stack[Column]
 	naturals stack[naturalEq]
-	maps     mapStack
-	// key is the buffer group, DISTINCT and set-operation keys are
-	// rendered into. It is used only between evaluations, never across
-	// one, so a nested statement cannot overwrite a key in use.
+	sets     setStack
+	// key is the buffer a group, DISTINCT or set-operation key is
+	// rendered into before a set looks it up (and copies it in). It is
+	// used only between evaluations, never across one, so a nested
+	// statement cannot overwrite a key in use.
 	key []byte
 }
 
@@ -196,7 +278,7 @@ type stmtScratch struct {
 type scratchMark struct {
 	vals, lists, jrows, rels, rowRels, envs, members, execs, ctxs, exprs,
 	ints, bools, strs, cmps, results, sels, scopes, srels, cols, naturals stackPos
-	maps int
+	sets int
 }
 
 func (sc *stmtScratch) mark() scratchMark {
@@ -204,7 +286,7 @@ func (sc *stmtScratch) mark() scratchMark {
 		sc.vals.pos(), sc.lists.pos(), sc.jrows.pos(), sc.rels.pos(), sc.rowRels.pos(),
 		sc.envs.pos(), sc.members.pos(), sc.execs.pos(), sc.ctxs.pos(), sc.exprs.pos(),
 		sc.ints.pos(), sc.bools.pos(), sc.strs.pos(), sc.cmps.pos(), sc.results.pos(),
-		sc.sels.pos(), sc.scopes.pos(), sc.srels.pos(), sc.cols.pos(), sc.naturals.pos(), sc.maps.depth,
+		sc.sels.pos(), sc.scopes.pos(), sc.srels.pos(), sc.cols.pos(), sc.naturals.pos(), sc.sets.depth,
 	}
 }
 
@@ -230,7 +312,7 @@ func (sc *stmtScratch) release(m scratchMark) {
 	sc.srels.release(m.srels)
 	sc.cols.release(m.cols)
 	sc.naturals.release(m.naturals)
-	sc.maps.depth = m.maps
+	sc.sets.depth = m.sets
 }
 
 // reset empties the scratch for the next statement.
@@ -255,7 +337,7 @@ func (sc *stmtScratch) reset() {
 	sc.srels.reset()
 	sc.cols.reset()
 	sc.naturals.reset()
-	sc.maps.reset()
+	sc.sets.reset()
 	if cap(sc.key) > scratchChunkBytes {
 		sc.key = nil
 	}

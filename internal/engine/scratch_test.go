@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -58,7 +60,7 @@ func TestScratchStackContract(t *testing.T) {
 // scratch chunks.
 func TestOpenAllocatesNoScratch(t *testing.T) {
 	db := Open(dialect.MustGet("sqlite"))
-	if db.st.vals.chunks != nil || db.st.lists.chunks != nil || db.st.maps.maps != nil {
+	if db.st.vals.chunks != nil || db.st.lists.chunks != nil || db.st.sets.sets != nil {
 		t.Fatal("Open allocated scratch")
 	}
 }
@@ -248,30 +250,70 @@ func TestScratchReleaseCoversEveryStack(t *testing.T) {
 			t.Errorf("no statement used stack %s: add one that does", name)
 		}
 	}
-	db.st.maps.take()
+	db.st.sets.take()
 	db.st.reset()
-	if db.st.maps.depth != 0 {
-		t.Errorf("reset left %d maps lent", db.st.maps.depth)
+	if db.st.sets.depth != 0 {
+		t.Errorf("reset left %d key sets lent", db.st.sets.depth)
 	}
 }
 
-// TestQueryScratchAllocatesNothing: once the statement is cached and
+// TestQueryScratchAllocatesNothing: once a query is parsed, cached and
 // the scratch has grown to fit it, QueryScratch of a SELECT allocates
 // nothing for its result, whatever shape the result has: correlated
-// subqueries, derived tables, a join, ORDER BY and a compound. (GROUP
-// BY, DISTINCT over a computed string and INTERSECT allocate the group
-// keys and strings they compute, as they do under Query.)
+// subqueries, derived tables, a join, grouping, DISTINCT, ORDER BY and
+// the set operations. The one allowance is what a function computes:
+// UPPER builds one new string per row of t0 (12 rows), under Query too;
+// the DISTINCT over it keeps its keys in the scratch.
 func TestQueryScratchAllocatesNothing(t *testing.T) {
 	db := scratchFixture(t)
-	for _, i := range []int{0, 1, 2, 3, 6} {
-		q := scratchQueries[i]
+	for i, q := range scratchQueries {
+		want := 0.0
+		if i == 5 { // SELECT DISTINCT b, UPPER(b) FROM t0
+			want = 12
+		}
 		db.QueryScratch(q) // parse, cache and grow the scratch
 		if n := testing.AllocsPerRun(50, func() {
 			if _, err := db.QueryScratch(q); err != nil {
 				t.Fatal(err)
 			}
-		}); n != 0 {
-			t.Errorf("%s: %.1f allocations per QueryScratch", q, n)
+		}); n != want {
+			t.Errorf("%s: %.1f allocations per QueryScratch, want %.0f", q, n, want)
+		}
+	}
+}
+
+// TestKeySetMatchesMap: a key set numbers keys in first-insertion order
+// and answers membership like a map, through growth and reuse, for
+// empty, short and long keys.
+func TestKeySetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var ss setStack
+	for round := 0; round < 4; round++ {
+		ss.reset()
+		ks := ss.take()
+		ref := map[string]int{}
+		for i := 0; i < 3000; i++ {
+			key := []byte(strings.Repeat("k", rng.Intn(3)) + strconv.Itoa(rng.Intn(100*(round+1))))
+			if rng.Intn(2) == 0 {
+				if got, want := ks.has(key), ref[string(key)] > 0; got != want {
+					t.Fatalf("round %d: has(%q) = %v, want %v", round, key, got, want)
+				}
+				continue
+			}
+			n, added := ks.add(key)
+			want, seen := ref[string(key)]
+			if !seen {
+				want = len(ref)
+				ref[string(key)] = want + 1
+			} else {
+				want--
+			}
+			if n != want || added == seen {
+				t.Fatalf("round %d: add(%q) = %d, %v; want %d, %v", round, key, n, added, want, !seen)
+			}
+		}
+		if ks.len() != len(ref) {
+			t.Fatalf("round %d: %d keys, want %d", round, ks.len(), len(ref))
 		}
 	}
 }

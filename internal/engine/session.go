@@ -45,6 +45,9 @@ type DB struct {
 	// under every enumerated plan on one instance. Index *maintenance*
 	// stays on regardless of the spec.
 	planSpec PlanSpec
+	// openSpec is the spec WithPlanSpec opened the instance with (the
+	// zero value without it); Reset restores planSpec to it.
+	openSpec PlanSpec
 
 	// triggered holds the fault IDs fired by the last statement
 	// (ground truth for the evaluation harness only).
@@ -159,7 +162,7 @@ func WithParseCache(c *sqlparse.Cache) Option {
 // PlanSpec{DisableIndexPaths: true} to pin the pre-planner full-scan
 // engine.
 func WithPlanSpec(spec PlanSpec) Option {
-	return func(s *DB) { s.SetPlanSpec(spec) }
+	return func(s *DB) { s.openSpec, s.planSpec = spec, spec }
 }
 
 // Open creates an empty database for the dialect.
@@ -181,6 +184,29 @@ func Open(d *dialect.Dialect, opts ...Option) *DB {
 		o(s)
 	}
 	return s
+}
+
+// Reset returns the instance to the state Open left it in, with the
+// options it was opened with: it drops every table, view and index, the
+// crashed flag, the plan spec SetPlanSpec installed (restoring the one
+// WithPlanSpec gave), the last statement's triggered faults, cost, rows
+// and recorded features, and the TotalCost counter. It keeps only
+// memory that carries no state into a statement: the statement scratch
+// (which the next statement resets, as after a contained panic), the
+// planner's scratch, the emptied catalog maps and the statement cache.
+// A statement run after Reset therefore behaves as on a fresh Open, so
+// a caller that replays many short sequences (the reducer) can reuse
+// one instance instead of opening one per sequence.
+func (s *DB) Reset() {
+	clear(s.store.tables)
+	clear(s.store.views)
+	clear(s.store.indexes)
+	s.crashed = false
+	s.planSpec = s.openSpec
+	clear(s.triggered)
+	s.cost, s.rows, s.totalCost = 0, 0, 0
+	s.feats = feature.Set{}
+	s.depth, s.maxDepth = 0, 0
 }
 
 // Dialect returns the dialect under test.

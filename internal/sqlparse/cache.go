@@ -11,7 +11,7 @@ import (
 //
 // The layers above the engine re-execute identical text constantly: the
 // oracles run variant pairs over the same base query, the reducer replays
-// a shrinking statement list on fresh instances, and the cross-DBMS
+// a shrinking statement list on reset instances, and the cross-DBMS
 // experiments execute each bug-inducing case on every target. Caching the
 // parse preserves the black-box "SQL text in" contract while removing the
 // lexer and parser from those hot paths.
