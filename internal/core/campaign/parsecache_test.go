@@ -5,14 +5,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sqlancerpp/internal/dialect"
 	"sqlancerpp/internal/sqlparse"
 )
 
 // TestCampaignParsesThroughRunnerCache: neither the serial runner nor a
 // sharded campaign with reduction and a checkpoint touches the
 // process-wide statement cache, so no campaign path silently falls back
-// to it. Not parallel: any concurrent engine opened without
-// WithParseCache would move the shared counters.
+// to it; and on every dialect the serial runner's main loop finds each
+// statement it runs seeded in its cache, so it parses none. Not
+// parallel: any concurrent engine opened without WithParseCache would
+// move the shared counters.
 func TestCampaignParsesThroughRunnerCache(t *testing.T) {
 	hits0, misses0 := sqlparse.Shared().Stats()
 
@@ -42,6 +45,19 @@ func TestCampaignParsesThroughRunnerCache(t *testing.T) {
 	}
 	if hits, misses := sqlparse.Shared().Stats(); hits != hits0 || misses != misses0 {
 		t.Fatalf("sharded run used the shared cache: hits %d -> %d, misses %d -> %d", hits0, hits, misses0, misses)
+	}
+
+	for _, name := range dialect.Names() {
+		cfg := bugHuntCfg(600, 5)
+		cfg.Dialect = dialect.MustGet(name)
+		runner, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner.run()
+		if hits, misses := runner.parse.Stats(); hits == 0 || misses != 0 {
+			t.Errorf("%s: serial run's cache has %d hits and %d misses, want every statement seeded", name, hits, misses)
+		}
 	}
 }
 

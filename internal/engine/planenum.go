@@ -258,7 +258,7 @@ func refAlias(ref sqlast.TableRef) string {
 // no subquery appears.
 func permConjSafe(e sqlast.Expr, aliases []string) bool {
 	ok := true
-	walkExpr(e, func(x sqlast.Expr) bool {
+	sqlast.WalkExpr(e, func(x sqlast.Expr) bool {
 		switch n := x.(type) {
 		case *sqlast.ColumnRef:
 			if n.Table == "" {
@@ -283,61 +283,6 @@ func permConjSafe(e sqlast.Expr, aliases []string) bool {
 		return ok
 	})
 	return ok
-}
-
-// walkExpr visits e and its sub-expressions (not descending into
-// subquery SELECTs) until visit returns false.
-func walkExpr(e sqlast.Expr, visit func(sqlast.Expr) bool) bool {
-	if e == nil {
-		return true
-	}
-	if !visit(e) {
-		return false
-	}
-	switch x := e.(type) {
-	case *sqlast.Unary:
-		return walkExpr(x.X, visit)
-	case *sqlast.Binary:
-		return walkExpr(x.L, visit) && walkExpr(x.R, visit)
-	case *sqlast.Func:
-		for _, a := range x.Args {
-			if !walkExpr(a, visit) {
-				return false
-			}
-		}
-	case *sqlast.Case:
-		if !walkExpr(x.Operand, visit) {
-			return false
-		}
-		for i := range x.Whens {
-			if !walkExpr(x.Whens[i].Cond, visit) ||
-				!walkExpr(x.Whens[i].Then, visit) {
-				return false
-			}
-		}
-		return walkExpr(x.Else, visit)
-	case *sqlast.Cast:
-		return walkExpr(x.X, visit)
-	case *sqlast.Between:
-		return walkExpr(x.X, visit) && walkExpr(x.Lo, visit) &&
-			walkExpr(x.Hi, visit)
-	case *sqlast.InList:
-		if !walkExpr(x.X, visit) {
-			return false
-		}
-		for _, le := range x.List {
-			if !walkExpr(le, visit) {
-				return false
-			}
-		}
-	case *sqlast.IsNull:
-		return walkExpr(x.X, visit)
-	case *sqlast.IsBool:
-		return walkExpr(x.X, visit)
-	case *sqlast.Like:
-		return walkExpr(x.X, visit) && walkExpr(x.Pattern, visit)
-	}
-	return true
 }
 
 // permutedFrom returns the FROM list reordered by perm — new position j
@@ -395,7 +340,7 @@ func permutedFrom(from []sqlast.FromItem, perm []int) ([]sqlast.FromItem, map[sq
 		// The conjunct becomes evaluable at the latest new step among
 		// the relations it references (step 1 when it references none).
 		at := 1
-		walkExpr(conj, func(x sqlast.Expr) bool {
+		sqlast.WalkExpr(conj, func(x sqlast.Expr) bool {
 			if cr, ok := x.(*sqlast.ColumnRef); ok {
 				for o := 0; o < k; o++ {
 					if strings.EqualFold(cr.Table, aliases[o]) {

@@ -130,7 +130,6 @@ func (t *table) render(title string) string {
 	return sb.String()
 }
 
-func pct(f float64) string  { return fmt.Sprintf("%.1f%%", 100*f) }
-func f1(f float64) string   { return fmt.Sprintf("%.1f", f) }
-func itoa(n int) string     { return fmt.Sprintf("%d", n) }
-func itoa64(n int64) string { return fmt.Sprintf("%d", n) }
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
+func f1(f float64) string  { return fmt.Sprintf("%.1f", f) }
+func itoa(n int) string    { return fmt.Sprintf("%d", n) }

@@ -3,18 +3,15 @@
 // real DBMS would — so every statement produced by the generator makes a
 // full round trip through rendering and parsing.
 //
-// A parse costs a handful of allocations, whatever the statement's
-// size. The lexer allocates nothing for a statement whose string
-// literals contain no doubled-quote escape: identifier, integer and
-// escape-free string tokens are substrings of the source, and every
-// keyword and operator token carries a small integer code (tokCode)
-// whose spelling is static. Parse lexes the whole statement once into a
-// pooled parser's token buffer and then parses by index, comparing
-// codes, not strings. The tree's nodes come from per-statement typed
-// slabs sized from the statement's token counts, and its lists are
-// carved, exact, from one array per element type when the parse ends
-// (slab.go), so a statement owns its memory and shares none of it with
-// any other statement.
+// The lexer allocates nothing for a statement whose string literals
+// contain no doubled-quote escape: identifier, integer and escape-free
+// string tokens are substrings of the source, and every keyword and
+// operator token carries a small integer code (tokCode) whose spelling
+// is static. Parse lexes the whole statement once into a pooled
+// parser's token buffer and then parses by index, comparing codes, not
+// strings. Each node of the tree is allocated on its own, and each list
+// is appended and then clipped to cap == len, so a statement owns its
+// memory and shares none of it with any other statement.
 package sqlparse
 
 import (

@@ -27,19 +27,16 @@ func (e *SyntaxError) Error() string {
 // node alone: after an error every accept fails, every list loop exits,
 // and the partial tree is dropped.
 //
-// Parsers are pooled. A parser keeps its token and list buffers from
-// one statement to the next, but nothing that points into a tree:
-// finish clears the list buffers (tokens refer to the source text
-// only), and each statement's nodes come from slabs of its own (nodes).
+// Parsers are pooled. A parser keeps its token buffer from one
+// statement to the next, but nothing that points into a tree: tokens
+// refer to the source text only, and each node and list is allocated
+// for its statement alone.
 type parser struct {
 	lex  Lexer
 	toks []Token
 	i    int    // index of the current token
 	tok  *Token // &toks[i]
 	err  *SyntaxError
-	n    nodes
-
-	rowFixes []int // INSERT: the exprs fix-up of each VALUES row
 }
 
 var parsers = sync.Pool{New: func() any { return new(parser) }}
@@ -49,8 +46,7 @@ var parsers = sync.Pool{New: func() any { return new(parser) }}
 // does not pin its buffers.
 const maxPooledTokens = 1 << 12
 
-// newParser takes a pooled parser, lexes src into its token buffer and
-// sizes the statement's slabs.
+// newParser takes a pooled parser and lexes src into its token buffer.
 func newParser(src string) *parser {
 	p := parsers.Get().(*parser)
 	p.lex = Lexer{src: src}
@@ -61,24 +57,18 @@ func newParser(src string) *parser {
 			break
 		}
 	}
-	p.n.size(p.toks)
 	p.tok = &p.toks[0]
 	return p
 }
 
-// finish requires the input to be consumed, stores the lists of a
-// parse without error in their nodes, and returns the parser to the
-// pool.
+// finish requires the input to be consumed and returns the parser to
+// the pool.
 func (p *parser) finish() error {
 	if p.tok.Kind != TokEOF {
 		p.errf("unexpected trailing input %q", p.tok.Text)
 	}
 	err := p.err
-	if err == nil {
-		p.n.carve()
-	}
-	p.n.reset() // the token buffer refers to the source only, not to the tree
-	p.toks, p.rowFixes = p.toks[:0], p.rowFixes[:0]
+	p.toks = p.toks[:0]
 	p.lex, p.i, p.tok, p.err = Lexer{}, 0, nil, nil
 	if cap(p.toks) <= maxPooledTokens {
 		parsers.Put(p)
@@ -100,7 +90,7 @@ func Parse(src string) (sqlast.Stmt, error) {
 	return st, nil
 }
 
-// ParseExpr parses a standalone expression (used by tests and the reducer).
+// ParseExpr parses a standalone expression.
 func ParseExpr(src string) (sqlast.Expr, error) {
 	p := newParser(src)
 	e := p.parseExpr()
@@ -210,15 +200,13 @@ func (p *parser) identList() []string {
 	}
 }
 
-// exprList parses one or more comma-separated expressions into *dst
-// (see lists) and returns the list's fix-up.
-func (p *parser) exprList(dst *[]sqlast.Expr) int {
-	l := &p.n.exprs
-	m := l.mark()
+// exprList parses one or more comma-separated expressions.
+func (p *parser) exprList() []sqlast.Expr {
+	var list []sqlast.Expr
 	for {
-		l.push(p.parseExpr())
+		list = append(list, p.parseExpr())
 		if !p.acceptOp(opComma) {
-			return l.end(m, dst)
+			return slices.Clip(list)
 		}
 	}
 }
@@ -417,20 +405,15 @@ func (p *parser) parseInsert() sqlast.Stmt {
 		p.expectOp(opRParen)
 	}
 	p.expectKw(kwValues)
-	// Each row's list is bound to its slot in Rows once the number of
-	// rows is known.
 	for {
 		p.expectOp(opLParen)
-		p.rowFixes = append(p.rowFixes, p.exprList(nil))
+		ins.Rows = append(ins.Rows, p.exprList())
 		p.expectOp(opRParen)
 		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	ins.Rows = make([][]sqlast.Expr, len(p.rowFixes))
-	for i, f := range p.rowFixes {
-		p.n.exprs.bind(f, &ins.Rows[i])
-	}
+	ins.Rows = slices.Clip(ins.Rows)
 	return ins
 }
 
@@ -474,8 +457,6 @@ func (p *parser) parseAlter() sqlast.Stmt {
 // applying to the whole. The result is never nil.
 func (p *parser) parseSelect() *sqlast.Select {
 	sel := p.parseSelectCore()
-	parts := &p.n.compounds
-	m := parts.mark()
 	for {
 		var op sqlast.SetOp
 		switch {
@@ -492,24 +473,22 @@ func (p *parser) parseSelect() *sqlast.Select {
 		if op == sqlast.SetNone {
 			break
 		}
-		parts.push(sqlast.CompoundPart{Op: op, Select: p.parseSelectCore()})
+		sel.Compound = append(sel.Compound, sqlast.CompoundPart{Op: op, Select: p.parseSelectCore()})
 	}
-	parts.end(m, &sel.Compound)
+	sel.Compound = slices.Clip(sel.Compound)
 	if p.acceptKw(kwOrder) {
 		p.expectKw(kwBy)
-		order := &p.n.orderBy
-		m := order.mark()
 		for {
 			item := sqlast.OrderItem{Expr: p.parseExpr(), Desc: p.acceptKw(kwDesc)}
 			if !item.Desc {
 				p.acceptKw(kwAsc)
 			}
-			order.push(item)
+			sel.OrderBy = append(sel.OrderBy, item)
 			if !p.acceptOp(opComma) {
 				break
 			}
 		}
-		order.end(m, &sel.OrderBy)
+		sel.OrderBy = slices.Clip(sel.OrderBy)
 	}
 	if p.acceptKw(kwLimit) {
 		sel.Limit = p.limit()
@@ -522,34 +501,30 @@ func (p *parser) parseSelect() *sqlast.Select {
 
 // limit parses the count of a LIMIT or OFFSET.
 func (p *parser) limit() *int64 {
-	n := p.n.limits.new()
-	*n = p.expectInt()
-	return n
+	n := p.expectInt()
+	return &n
 }
 
 // parseSelectCore parses one SELECT ... [HAVING ...] block.
 func (p *parser) parseSelectCore() *sqlast.Select {
 	p.expectKw(kwSelect)
-	sel, room := p.n.newSelect()
-	sel.Distinct = p.acceptKw(kwDistinct)
-	items := &p.n.items
-	m := items.mark()
+	sel := &sqlast.Select{Distinct: p.acceptKw(kwDistinct)}
 	for {
-		items.push(p.parseSelectItem())
+		sel.Items = append(sel.Items, p.parseSelectItem())
 		if !p.acceptOp(opComma) {
 			break
 		}
 	}
-	items.endShort(m, &sel.Items, room.items)
+	sel.Items = slices.Clip(sel.Items)
 	if p.acceptKw(kwFrom) {
-		p.parseFrom(sel, room)
+		sel.From = p.parseFrom()
 	}
 	if p.acceptKw(kwWhere) {
 		sel.Where = p.parseExpr()
 	}
 	if p.acceptKw(kwGroup) {
 		p.expectKw(kwBy)
-		p.exprList(&sel.GroupBy)
+		sel.GroupBy = p.exprList()
 	}
 	if p.acceptKw(kwHaving) {
 		sel.Having = p.parseExpr()
@@ -567,20 +542,15 @@ func (p *parser) parseSelectItem() sqlast.SelectItem {
 
 // parseFrom parses the FROM list: a table reference, then any number
 // of joined ones, each with an optional ON condition.
-func (p *parser) parseFrom(sel *sqlast.Select, room selectRoom) {
-	from := &p.n.from
-	m := from.mark()
+func (p *parser) parseFrom() []sqlast.FromItem {
+	var from []sqlast.FromItem
 	jt := sqlast.JoinNone
-	for i := 0; ; i++ {
-		var t *sqlast.TableName // the cell's table for this item, if any
-		if i < len(room.tables) {
-			t = &room.tables[i]
-		}
-		item := sqlast.FromItem{Ref: p.parseTableRef(t), Join: jt}
+	for {
+		item := sqlast.FromItem{Ref: p.parseTableRef(), Join: jt}
 		if jt != sqlast.JoinNone && p.acceptKw(kwOn) {
 			item.On = p.parseExpr()
 		}
-		from.push(item)
+		from = append(from, item)
 		switch {
 		case p.acceptOp(opComma):
 			jt = sqlast.JoinComma
@@ -600,8 +570,7 @@ func (p *parser) parseFrom(sel *sqlast.Select, room selectRoom) {
 		case p.acceptKw(kwNatural):
 			jt = sqlast.JoinNatural
 		default:
-			from.endShort(m, &sel.From, room.from)
-			return
+			return slices.Clip(from)
 		}
 		if jt != sqlast.JoinComma {
 			p.expectKw(kwJoin)
@@ -609,19 +578,12 @@ func (p *parser) parseFrom(sel *sqlast.Select, room selectRoom) {
 	}
 }
 
-// parseTableRef parses a table name or a derived table. A table name
-// is stored in t unless t is nil.
-func (p *parser) parseTableRef(t *sqlast.TableName) sqlast.TableRef {
+// parseTableRef parses a table name or a derived table.
+func (p *parser) parseTableRef() sqlast.TableRef {
 	if !p.acceptOp(opLParen) {
-		if t == nil {
-			t = p.n.tables.new()
-		}
-		t.Name = p.expectIdent()
-		t.Alias = p.alias()
-		return t
+		return &sqlast.TableName{Name: p.expectIdent(), Alias: p.alias()}
 	}
-	d := p.n.derived.new()
-	d.Select = p.parseSelect()
+	d := &sqlast.DerivedTable{Select: p.parseSelect()}
 	p.expectOp(opRParen)
 	// The alias is mandatory for derived tables, but AS is optional.
 	if !p.acceptKw(kwAs) && p.tok.Kind != TokIdent {

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -110,9 +111,7 @@ func (p *parser) parseBinary(minPrec int) sqlast.Expr {
 			continue
 		}
 		p.advance()
-		b := p.n.binaries.new()
-		b.Op, b.L, b.R = op, left, p.parseBinary(prec+1)
-		left = b
+		left = &sqlast.Binary{Op: op, L: left, R: p.parseBinary(prec + 1)}
 	}
 }
 
@@ -125,9 +124,7 @@ func (p *parser) parseNot() sqlast.Expr {
 		return ex
 	}
 	p.advance() // NOT
-	u := p.n.unaries.new()
-	u.Op, u.X = sqlast.UNot, p.parseBinary(precNot)
-	return u
+	return &sqlast.Unary{Op: sqlast.UNot, X: p.parseBinary(precNot)}
 }
 
 // parseTail parses the postfix tail at the current token applied to x.
@@ -136,23 +133,18 @@ func (p *parser) parseTail(x sqlast.Expr) sqlast.Expr {
 		not := p.acceptKw(kwNot)
 		switch {
 		case p.acceptKw(kwNull):
-			n := p.n.isNulls.new()
-			n.X, n.Not = x, not
-			return n
+			return &sqlast.IsNull{X: x, Not: not}
 		case p.isKw(kwTrue), p.isKw(kwFalse):
-			b := p.n.isBools.new()
-			b.X, b.Val, b.Not = x, p.isKw(kwTrue), not
+			b := &sqlast.IsBool{X: x, Val: p.isKw(kwTrue), Not: not}
 			p.advance()
 			return b
 		case p.acceptKw(kwDistinct):
 			p.expectKw(kwFrom)
-			b := p.n.binaries.new()
-			b.Op, b.L = sqlast.OpIsDistinct, x
+			op := sqlast.OpIsDistinct
 			if not {
-				b.Op = sqlast.OpIsNotDistinct
+				op = sqlast.OpIsNotDistinct
 			}
-			b.R = p.parseBinary(precBitwise)
-			return b
+			return &sqlast.Binary{Op: op, L: x, R: p.parseBinary(precBitwise)}
 		}
 		p.errf("expected NULL, TRUE, FALSE or DISTINCT FROM after IS")
 		return x
@@ -163,26 +155,20 @@ func (p *parser) parseTail(x sqlast.Expr) sqlast.Expr {
 	switch kw {
 	case kwIn:
 		p.expectOp(opLParen)
-		in := p.n.inLists.new()
-		in.X, in.Not = x, not
-		p.exprList(&in.List)
+		in := &sqlast.InList{X: x, Not: not, List: p.exprList()}
 		p.expectOp(opRParen)
 		return in
 	case kwBetween:
-		b := p.n.betweens.new()
-		b.X, b.Not = x, not
-		b.Lo = p.parseBinary(precBitwise)
+		b := &sqlast.Between{X: x, Not: not, Lo: p.parseBinary(precBitwise)}
 		p.expectKw(kwAnd)
 		b.Hi = p.parseBinary(precBitwise)
 		return b
 	}
-	l := p.n.likes.new()
-	l.X, l.Not, l.Kind = x, not, sqlast.LikeLike
+	kind := sqlast.LikeLike
 	if kw == kwGlob {
-		l.Kind = sqlast.LikeGlob
+		kind = sqlast.LikeGlob
 	}
-	l.Pattern = p.parseBinary(precBitwise)
-	return l
+	return &sqlast.Like{X: x, Not: not, Kind: kind, Pattern: p.parseBinary(precBitwise)}
 }
 
 func (p *parser) parseUnary() sqlast.Expr {
@@ -201,9 +187,7 @@ func (p *parser) parseUnary() sqlast.Expr {
 			lit.Int = -lit.Int
 			return lit
 		}
-		u := p.n.unaries.new()
-		u.Op, u.X = sqlast.UMinus, x
-		return u
+		return &sqlast.Unary{Op: sqlast.UMinus, X: x}
 	case opPlus:
 		op = sqlast.UPlus
 	case opTilde:
@@ -212,9 +196,7 @@ func (p *parser) parseUnary() sqlast.Expr {
 		return p.parsePrimary()
 	}
 	p.advance()
-	u := p.n.unaries.new()
-	u.Op, u.X = op, p.parseUnary()
-	return u
+	return &sqlast.Unary{Op: op, X: p.parseUnary()}
 }
 
 // parseNegativeInt parses the integer token after a unary minus as one
@@ -230,13 +212,10 @@ func (p *parser) parseNegativeInt() sqlast.Expr {
 	return p.intLit(-int64(u))
 }
 
-// intLit returns a new integer literal. Like every literal, it comes
-// from the statement's slab with an address of its own: no two nodes
-// share one, not even two NULLs.
+// intLit returns a new integer literal. Like every literal, it has an
+// address of its own: no two nodes share one, not even two NULLs.
 func (p *parser) intLit(v int64) *sqlast.Literal {
-	l := p.n.leaves.literal()
-	l.Kind, l.Int = sqlast.LitInt, v
-	return l
+	return &sqlast.Literal{Kind: sqlast.LitInt, Int: v}
 }
 
 func (p *parser) parsePrimary() sqlast.Expr {
@@ -244,8 +223,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 	case TokInt:
 		return p.intLit(p.expectInt())
 	case TokString:
-		l := p.n.leaves.literal()
-		l.Kind, l.Text = sqlast.LitText, p.tok.Text
+		l := &sqlast.Literal{Kind: sqlast.LitText, Text: p.tok.Text}
 		p.advance()
 		return l
 	case TokIdent:
@@ -254,21 +232,17 @@ func (p *parser) parsePrimary() sqlast.Expr {
 		if p.isOp(opLParen) {
 			return p.parseFuncCall(name)
 		}
-		c := p.n.leaves.column()
 		if p.acceptOp(opDot) {
-			c.Table, c.Column = name, p.expectIdent()
-		} else {
-			c.Column = name
+			return &sqlast.ColumnRef{Table: name, Column: p.expectIdent()}
 		}
-		return c
+		return &sqlast.ColumnRef{Column: name}
 	}
 	switch p.tok.code {
 	case kwNull:
 		p.advance()
-		return p.n.leaves.literal() // the zero Literal is NULL
+		return new(sqlast.Literal) // the zero Literal is NULL
 	case kwTrue, kwFalse:
-		l := p.n.leaves.literal()
-		l.Kind, l.Bool = sqlast.LitBool, p.isKw(kwTrue)
+		l := &sqlast.Literal{Kind: sqlast.LitBool, Bool: p.isKw(kwTrue)}
 		p.advance()
 		return l
 	case kwCase:
@@ -276,8 +250,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 	case kwCast:
 		p.advance()
 		p.expectOp(opLParen)
-		c := p.n.casts.new()
-		c.X = p.parseExpr()
+		c := &sqlast.Cast{X: p.parseExpr()}
 		p.expectKw(kwAs)
 		c.To = p.parseType()
 		p.expectOp(opRParen)
@@ -289,9 +262,7 @@ func (p *parser) parsePrimary() sqlast.Expr {
 		p.advance()
 		var e sqlast.Expr
 		if sub {
-			s := p.n.subquery.new()
-			s.Select = p.parseSelect()
-			e = s
+			e = &sqlast.Subquery{Select: p.parseSelect()}
 		} else {
 			e = p.parseExpr()
 		}
@@ -304,14 +275,13 @@ func (p *parser) parsePrimary() sqlast.Expr {
 
 func (p *parser) parseFuncCall(name string) sqlast.Expr {
 	p.advance() // (
-	f := p.n.funcs.new()
-	f.Name = strings.ToUpper(name)
+	f := &sqlast.Func{Name: strings.ToUpper(name)}
 	if p.acceptOp(opStar) {
 		f.Star = true
 	} else {
 		f.Distinct = p.acceptKw(kwDistinct)
 		if !p.isOp(opRParen) {
-			p.exprList(&f.Args)
+			f.Args = p.exprList()
 		}
 	}
 	p.expectOp(opRParen)
@@ -320,21 +290,19 @@ func (p *parser) parseFuncCall(name string) sqlast.Expr {
 
 func (p *parser) parseCase() sqlast.Expr {
 	p.advance() // CASE
-	c := p.n.cases.new()
+	c := &sqlast.Case{}
 	if !p.isKw(kwWhen) {
 		c.Operand = p.parseExpr()
 	}
-	whens := &p.n.whens
-	m := whens.mark()
 	for p.acceptKw(kwWhen) {
 		cond := p.parseExpr()
 		p.expectKw(kwThen)
-		whens.push(sqlast.When{Cond: cond, Then: p.parseExpr()})
+		c.Whens = append(c.Whens, sqlast.When{Cond: cond, Then: p.parseExpr()})
 	}
-	if whens.len(m) == 0 {
+	if len(c.Whens) == 0 {
 		p.errf("CASE requires at least one WHEN arm")
 	}
-	whens.end(m, &c.Whens)
+	c.Whens = slices.Clip(c.Whens)
 	if p.acceptKw(kwElse) {
 		c.Else = p.parseExpr()
 	}
@@ -346,8 +314,7 @@ func (p *parser) parseCase() sqlast.Expr {
 func (p *parser) parseExists() *sqlast.Exists {
 	p.advance() // EXISTS
 	p.expectOp(opLParen)
-	ex := p.n.exists.new()
-	ex.Select = p.parseSelect()
+	ex := &sqlast.Exists{Select: p.parseSelect()}
 	p.expectOp(opRParen)
 	return ex
 }

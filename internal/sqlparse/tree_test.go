@@ -12,11 +12,11 @@ import (
 	"sqlancerpp/internal/sqlparse"
 )
 
-// slabCorpus is the rendered select corpus followed by generated setup
+// treeCorpus is the rendered select corpus followed by generated setup
 // statements (CREATE, INSERT with several rows, ALTER, ...), so every
-// list kind the parser carves appears, and by one statement too long
+// list kind the parser builds appears, and by one statement too long
 // for its parser to go back to the pool.
-func slabCorpus(tb testing.TB) []string {
+func treeCorpus(tb testing.TB) []string {
 	tb.Helper()
 	long := []string{"SELECT c0 FROM t0 WHERE c0 IN (0"}
 	for i := 1; i < 3000; i++ {
@@ -51,7 +51,7 @@ func mustParse(tb testing.TB, sql string) sqlast.Stmt {
 // stay equal to a fresh parse of their text, and render the same, after
 // 2,000 later parses that cycle the cache through evictions.
 func TestParsedTreesOutliveLaterParses(t *testing.T) {
-	texts := slabCorpus(t)
+	texts := treeCorpus(t)
 	type held struct {
 		sql, rendered string
 		tree          any
@@ -112,10 +112,10 @@ func isStmt(v any) bool { _, ok := v.(sqlast.Stmt); return ok }
 
 // TestConcurrentParsesShareNothing parses distinct statements on 8
 // goroutines at once; each tree must equal a serial parse of its text.
-// Under -race it also shows that pooled parsers and slabs hand no memory
+// Under -race it also shows that pooled parsers hand no memory
 // from one goroutine's statement to another's.
 func TestConcurrentParsesShareNothing(t *testing.T) {
-	texts := slabCorpus(t)
+	texts := treeCorpus(t)
 	want := make([]sqlast.Stmt, len(texts))
 	for i, sql := range texts {
 		want[i] = mustParse(t, sql)
@@ -150,14 +150,14 @@ func TestConcurrentParsesShareNothing(t *testing.T) {
 	}
 }
 
-// TestParsedNodesOwnTheirMemory checks the rules that make slab
-// allocation invisible to the tree's consumers: every node has an
-// address of its own (the engine keys sets by node identity, so not
-// even two NULL literals may share one), and every slice has cap ==
-// len, so an append by a consumer reallocates instead of writing into a
-// neighbouring list.
+// TestParsedNodesOwnTheirMemory checks the rules a tree's consumers
+// rely on: every node has an address of its own (the engine keys sets
+// by node identity, so not even two NULL literals may share one), and
+// every slice has cap == len, so an append by a consumer reallocates
+// instead of writing into spare capacity that the other consumers of a
+// cached tree share.
 func TestParsedNodesOwnTheirMemory(t *testing.T) {
-	for _, sql := range slabCorpus(t) {
+	for _, sql := range treeCorpus(t) {
 		seen := map[uintptr]string{}
 		var walk func(v reflect.Value, path string)
 		walk = func(v reflect.Value, path string) {
